@@ -1,14 +1,18 @@
 # GS3 build/test entry points. `make check` is the CI gate: it must be
-# green before any commit — build, vet, and the full test suite under
+# green before any commit — formatting, build, vet, and the full test suite under
 # the race detector (the engine is single-threaded per trial, but the
 # runner fans trials across goroutines, so the whole tree is required
 # to be race-clean).
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-diff bench-smoke smoke fuzz-smoke chaos traffic-smoke configure-smoke sweep-smoke engine-smoke adversary-smoke goldens golden-diff check
+.PHONY: all fmt build vet test race bench bench-json bench-diff bench-smoke smoke fuzz-smoke chaos traffic-smoke configure-smoke engine-smoke adversary-smoke goldens golden-diff check
 
 all: check
+
+# Fails, listing the offenders, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -29,8 +33,8 @@ bench:
 # Archive the perf-sensitive micro/macro benchmarks into BENCH_FILE
 # under the RUN label (see cmd/benchjson). Override RUN to record a
 # different label, e.g. `make bench-json RUN=pre-pr9`.
-RUN ?= post-pr10
-BENCH_FILE ?= BENCH_PR10.json
+RUN ?= post-pr14
+BENCH_FILE ?= BENCH_PR14.json
 BENCH_PATTERN := ConfigureStructure|ConfigureSharded|WithinRange|Broadcast|SweepSteadyState|SweepAfterFault|InvariantCheck|ServeTraffic|EngineSchedule|EngineSteadyChurn|EngineRunUntilCanceled
 # Repetitions per benchmark; benchjson keeps the fastest, so higher
 # counts tighten the noise floor on shared hosts.
@@ -91,14 +95,6 @@ traffic-smoke:
 configure-smoke:
 	GS3_CONFIGURE_SMOKE=1 $(GO) test -race -run TestConfigureSmoke50k -v ./internal/netsim
 
-# Large-scale race gate for the sharded sweep executor: a ~56k-node
-# field converges under sharded maintenance, loses a disk two search
-# radii wide, and re-heals to the dynamic fixpoint — all under the race
-# detector, so the classify/apply phases' read-only discipline is
-# machine-checked at scale.
-sweep-smoke:
-	GS3_SWEEP_SMOKE=1 $(GO) test -race -run TestSweepSmoke56k -v ./internal/netsim
-
 # Event-engine churn smoke: a million-event schedule/cancel/remove/fire
 # mix (sliding-window churn plus a wide 300k-pending drain) under the
 # race detector, asserting exact (At, seq) fire order and live-event
@@ -122,4 +118,4 @@ goldens:
 golden-diff:
 	./scripts/goldens.sh diff
 
-check: build vet race bench-smoke engine-smoke configure-smoke sweep-smoke golden-diff bench-diff fuzz-smoke chaos traffic-smoke adversary-smoke
+check: fmt build vet race bench-smoke engine-smoke configure-smoke golden-diff bench-diff fuzz-smoke chaos traffic-smoke adversary-smoke

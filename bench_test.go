@@ -410,52 +410,17 @@ func BenchmarkSweepSteadyStateLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSteadyStateSharded is the settled-round benchmark on
-// the same 5,000+ node field as BenchmarkSweepSteadyStateLarge, one
-// sub-benchmark per sweep-worker count. workers=1 is the serial
-// engine; results are byte-identical across workers (asserted by
-// TestShardedSweepMatchesSerial), only the wall clock changes — and
-// only on multi-core hosts: the parallel classification phase
-// degenerates gracefully to near-serial cost on one CPU.
-func BenchmarkSweepSteadyStateSharded(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := netsim.DefaultOptions(100, 850)
-			opt.SweepWorkers = workers
-			s, err := netsim.Build(opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n := len(s.Dep.Positions); n < 5000 {
-				b.Fatalf("deployment too small for the large benchmark: %d nodes", n)
-			}
-			if _, err := s.Configure(); err != nil {
-				b.Fatal(err)
-			}
-			s.Net.StartMaintenance(core.VariantD)
-			s.RunSweeps(5)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.RunSweeps(1)
-			}
-		})
-	}
-}
-
 // TestSweepAllocBudget pins the allocation count of one settled
-// maintenance round on the large field under the sharded executor, so
-// the parallel phases cannot silently start allocating per node. The
-// cost is dominated by the worker goroutines themselves (two spawns
-// per chunk per batch, 17 batches per round); all classification and
-// aggregation scratch is reused across batches.
+// maintenance round on the large field, so the replay path cannot
+// silently start allocating per node: sweep batches are pooled with
+// their engine callbacks, replays only bump interned-delta counts, and
+// the per-batch credit reuses its index list. The remaining handful
+// are the event engine's calendar buckets growing as the wheel turns.
 func TestSweepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run alloc measurement")
 	}
-	opt := netsim.DefaultOptions(100, 850)
-	opt.SweepWorkers = 8
-	s, err := netsim.Build(opt)
+	s, err := netsim.Build(netsim.DefaultOptions(100, 850))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,12 +428,12 @@ func TestSweepAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Net.StartMaintenance(core.VariantD)
-	s.RunSweeps(6) // settle, and warm every reusable scratch buffer
+	s.RunSweeps(6) // settle, and warm every reusable buffer
 	allocs := testing.AllocsPerRun(5, func() {
 		s.RunSweeps(1)
 	})
-	if allocs > 1200 {
-		t.Errorf("settled sharded round allocates %.0f times, budget is 1200", allocs)
+	if allocs > 6 {
+		t.Errorf("settled round allocates %.0f times, budget is 6", allocs)
 	}
 }
 

@@ -114,7 +114,7 @@ func run(args []string) (retErr error) {
 		traceN   = fs.Int("trace", 0, "record protocol events and print the last N")
 		dumpPath = fs.String("dump", "", "write the final snapshot as JSON to this file")
 		quiet    = fs.Bool("q", false, "print only the one-line summary")
-		workers  = fs.Int("workers", 0, "sharded-executor workers for configuration and maintenance sweeps (0 = serial; output is identical either way)")
+		workers  = fs.Int("workers", 0, "sharded-executor workers for configuration (0 = serial; output is identical either way)")
 		trials   = fs.Int("trials", 1, "seed replicates of the scenario (seeds derived from -seed)")
 		parallel = fs.Int("parallel", 0, "workers for -trials fan-out (0 = GOMAXPROCS)")
 		seq      = fs.Bool("seq", false, "run trials strictly serially (same reports, slower)")
@@ -153,7 +153,6 @@ func run(args []string) (retErr error) {
 	}
 	base.opt = netsim.DefaultOptions(*r, *region)
 	base.opt.Seed = *seed
-	base.opt.SweepWorkers = *workers
 	base.opt.Faults = fault.Plan{
 		Loss:           *loss,
 		Dup:            *dup,
@@ -275,8 +274,8 @@ func (sc scenario) run(w io.Writer) error {
 	}
 	configure := s.Configure
 	if sc.workers > 1 {
-		// Sharded configure and sweeps are byte-identical to serial, so
-		// -workers changes only the wall clock of a report.
+		// Sharded configure is byte-identical to serial, so -workers
+		// changes only the wall clock of a report.
 		configure = func() (float64, error) { return s.ConfigureSharded(sc.workers) }
 	}
 	elapsed, err := configure()

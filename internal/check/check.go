@@ -169,7 +169,7 @@ func newIndex(s core.Snapshot) *index {
 	ix.headGrid = make(map[gridKey][]int32, len(counts))
 	n := int32(0)
 	for k, c := range counts {
-		ix.headGrid[k] = backing[n:n : n+c]
+		ix.headGrid[k] = backing[n : n : n+c]
 		n += c
 	}
 	for i := range ix.heads {
@@ -570,7 +570,7 @@ func (ix *index) connected(start radio.NodeID, txRange float64) []bool {
 	grid := make(map[gridKey][]int32, len(counts))
 	n := int32(0)
 	for k, c := range counts {
-		grid[k] = backing[n:n : n+c]
+		grid[k] = backing[n : n : n+c]
 		n += c
 	}
 	for i := range s.Nodes {

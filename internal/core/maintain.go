@@ -72,6 +72,7 @@ func (nw *Network) StopMaintenance() {
 		nw.recycleBatch(b)
 	}
 	nw.pending = nw.pending[:0]
+	nw.lastBatch = nil
 	for at := range nw.batches {
 		delete(nw.batches, at)
 	}
@@ -90,12 +91,18 @@ func (nw *Network) StopMaintenance() {
 // scheduled (Engine.Scheduled moved past its mark): an event due at the
 // same instant then fires between the sealed batch and the next one —
 // precisely where its sequence number would have put it among per-node
-// sweep events. With delay jitter active each node needs its own
-// independently jittered fire time, so scheduling falls back to one
-// event per node, tracked for eager removal on stop.
+// sweep events. The open batch is almost always the one opened last —
+// a draining batch reschedules all its nodes to one instant — so that
+// is checked before the map. With delay jitter active each node needs
+// its own independently jittered fire time, so scheduling falls back
+// to one event per node, tracked for eager removal on stop. Either
+// kind of sweep event ends with creditReplays.
 func (nw *Network) scheduleSweep(id radio.NodeID, delay float64) {
-	if nw.faults.Plan().Jitter > 0 {
-		h := nw.eng.After(nw.jittered(delay), "sweep", func() { nw.sweep(id) })
+	if nw.faults.Active() && nw.faults.Plan().Jitter > 0 {
+		h := nw.eng.After(nw.jittered(delay), "sweep", func() {
+			nw.sweep(id)
+			nw.creditReplays()
+		})
 		for int(id) >= len(nw.sweepTimers) {
 			nw.sweepTimers = append(nw.sweepTimers, sim.Handle{})
 		}
@@ -103,11 +110,16 @@ func (nw *Network) scheduleSweep(id radio.NodeID, delay float64) {
 		return
 	}
 	at := nw.eng.Now() + delay
-	b := nw.batches[at]
+	b := nw.lastBatch
+	if b == nil || b.at != at {
+		b = nw.batches[at]
+	}
 	if b == nil || nw.eng.Scheduled()-b.seqMark != nw.batchEvents-b.evMark {
 		b = nw.newBatch()
+		b.at = at
 		nw.batches[at] = b // seals any previous batch for this time
-		b.handle = nw.eng.After(delay, "sweep_batch", func() { nw.runSweepBatch(b, at) })
+		nw.lastBatch = b
+		b.handle = nw.eng.After(delay, "sweep_batch", b.fire)
 		nw.batchEvents++
 		b.seqMark = nw.eng.Scheduled()
 		b.evMark = nw.batchEvents
@@ -117,25 +129,42 @@ func (nw *Network) scheduleSweep(id radio.NodeID, delay float64) {
 	b.ids = append(b.ids, id)
 }
 
-// runSweepBatch fires batch b's sweeps in scheduling order. Sweeps
-// reschedule into strictly later batches (HeartbeatInterval is
-// validated positive), so the slice never grows under the iteration.
-// Large batches take the sharded executor (sweepshard.go) when a
-// worker budget is set and the run qualifies; the outcome is byte-
-// identical either way.
-func (nw *Network) runSweepBatch(b *sweepBatch, at sim.Time) {
-	if nw.batches[at] == b {
-		delete(nw.batches, at)
+// runSweepBatch fires batch b's sweeps in scheduling order, then
+// credits the batch's replays, so Stats and Metrics are exact again
+// when the event ends. Sweeps reschedule into strictly later batches
+// (HeartbeatInterval is validated positive), so the slice never grows
+// under the iteration.
+func (nw *Network) runSweepBatch(b *sweepBatch) {
+	if nw.batches[b.at] == b {
+		delete(nw.batches, b.at)
+	}
+	if nw.lastBatch == b {
+		nw.lastBatch = nil
 	}
 	nw.unpend(b)
-	if nw.sweepWorkers > 1 && nw.maintaining && len(b.ids) >= minShardBatch && nw.sweepShardable() {
-		nw.runSweepBatchSharded(b.ids)
-	} else {
-		for _, id := range b.ids {
-			nw.sweep(id)
-		}
+	for _, id := range b.ids {
+		nw.sweep(id)
 	}
+	nw.creditReplays()
 	nw.recycleBatch(b)
+}
+
+// creditReplays adds every replay counted since the last credit to the
+// medium's Stats and the protocol Metrics, count × delta per interned
+// delta. Replays only count (quiescentSweep); the credit runs at the
+// end of every sweep event and before any full sweep body, which reads
+// Stats and Metrics to record its own delta, so both are exact at every
+// engine-event boundary. All counters are uint64, so the deferred sum
+// equals the per-sweep running total bit for bit.
+func (nw *Network) creditReplays() {
+	t := &nw.deltas
+	for _, i := range t.due {
+		k := uint64(t.counts[i])
+		t.counts[i] = 0
+		nw.med.AddStats(t.deltas[i].statsDelta(k))
+		nw.addMetrics(t.deltas[i].metricsDelta(k))
+	}
+	t.due = t.due[:0]
 }
 
 // unpend swap-removes b from the pending list.
@@ -156,11 +185,14 @@ func (nw *Network) newBatch() *sweepBatch {
 		nw.batchFree = nw.batchFree[:n-1]
 		return b
 	}
-	return &sweepBatch{}
+	b := &sweepBatch{}
+	b.fire = func() { nw.runSweepBatch(b) }
+	return b
 }
 
 func (nw *Network) recycleBatch(b *sweepBatch) {
 	b.ids = b.ids[:0]
+	b.at = 0
 	b.handle = sim.Handle{}
 	b.seqMark = 0
 	b.evMark = 0
@@ -183,7 +215,7 @@ func (nw *Network) sweep(id radio.NodeID) {
 // reports whether the node should be rescheduled. It is the unit the
 // quiescence cache elides: when the node's recorded sweep is provably
 // still current, only the mandatory per-sweep work (counters, energy)
-// happens and the recorded accounting is replayed.
+// happens and the recorded accounting is counted for replay.
 func (nw *Network) sweepOnce(id radio.NodeID) bool {
 	n := nw.node(id)
 	if n == nil || n.Status == StatusDead {
@@ -212,6 +244,9 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 	if nw.quiescentSweep(n) {
 		return true
 	}
+	// The full body reads Stats and Metrics: credit the replays this
+	// batch has counted so far, so it sees them exact.
+	nw.creditReplays()
 
 	// Record a fresh quiescent delta only when the full sweep proves
 	// itself a no-op: the topology epoch not moving across the body
@@ -250,11 +285,11 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 }
 
 // quiescentSweep is the fast path: if the node's recorded sweep delta
-// is still provably current — its flavor is valid and no topology epoch
-// in its query cone moved since it was recorded — replay the recorded
-// accounting (counters, and for rescan sweeps the head-org trace and
-// footprint sends) and skip the scans entirely. Returns false when the
-// full sweep must run.
+// is still provably current — its flavor is recorded and no topology
+// epoch in its query cone moved since it was recorded — replay the
+// recorded accounting (a replay count, credited by creditReplays, and
+// for rescan sweeps the head-org trace and footprint sends) and skip
+// the scans entirely. Returns false when the full sweep must run.
 func (nw *Network) quiescentSweep(n *Node) bool {
 	if n.IsBig || !nw.cacheable() {
 		return false
@@ -262,7 +297,6 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 	cd := nw.coldOf(n.ID)
 	c := nw.cacheFor(n.ID)
 	isHead := n.Status.IsHeadRole()
-	var d *sweepDelta
 	rescanDue := false
 	if isHead {
 		// A pending child repair or an imminent low-energy retreat is
@@ -277,12 +311,11 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 		}
 		rescanDue = cd.sweep%uint32(nw.cfg.BoundaryRescanEvery) == 0
 	}
+	d := c.plain
 	if rescanDue {
-		d = &c.rescan
-	} else {
-		d = &c.plain
+		d = c.rescan
 	}
-	if !d.valid {
+	if d == 0 {
 		return false
 	}
 	if world := nw.med.Epoch(); world != c.worldStamp {
@@ -291,8 +324,7 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 		}
 		c.worldStamp = world
 	}
-	nw.med.AddStats(d.statsDelta())
-	nw.addMetrics(d.metricsDelta())
+	nw.deltas.replay(d)
 	if rescanDue {
 		// The elided rescan's externally visible side: the HEAD_ORG
 		// trace event and the two org broadcasts' footprint sends.
@@ -321,15 +353,15 @@ func (nw *Network) recordSweep(n *Node, statsBefore radio.Stats, metricsBefore M
 	}
 	region := nw.med.RegionEpoch(nw.Position(n.ID), cone)
 	if region != c.regionStamp {
-		c.plain.valid = false
-		c.rescan.valid = false
+		c.plain, c.rescan = 0, 0
 		c.regionStamp = region
 	}
 	d := &c.plain
 	if nw.metrics.HeadOrgs > metricsBefore.HeadOrgs {
 		d = &c.rescan
 	}
-	if !d.record(nw.med.Stats().Sub(statsBefore), nw.metrics.sub(metricsBefore)) {
+	*d = nw.deltas.intern(nw.med.Stats().Sub(statsBefore), nw.metrics.sub(metricsBefore))
+	if *d == 0 {
 		return // an increment overflowed uint16: this sweep stays uncached
 	}
 	c.worldStamp = nw.med.Epoch()

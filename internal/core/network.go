@@ -109,46 +109,45 @@ type Network struct {
 	// same time open a fresh batch — as soon as any other event is
 	// scheduled, so the relative order of sweeps and non-sweep events at
 	// a shared instant is exactly the per-event order (see
-	// scheduleSweep). pending tracks every undrained batch (open or
-	// sealed) for eager removal on StopMaintenance, and batchFree
-	// recycles drained ones. sweepTimers tracks per-node sweep events in
-	// the jittered-scheduling fallback so stopping maintenance can drop
-	// them eagerly too: a dense slice keyed by NodeID, not a map —
-	// handles are generation-checked by the engine, so a slot left
-	// behind by a fired sweep is a harmless no-op to Remove.
+	// scheduleSweep). lastBatch is the most recently opened batch, the
+	// one a draining batch's reschedules land in, checked before the
+	// map. pending tracks every undrained batch (open or sealed) for
+	// eager removal on StopMaintenance, and batchFree recycles drained
+	// ones. sweepTimers tracks per-node sweep events in the jittered-
+	// scheduling fallback so stopping maintenance can drop them eagerly
+	// too: a dense slice keyed by NodeID, not a map — handles are
+	// generation-checked by the engine, so a slot left behind by a fired
+	// sweep is a harmless no-op to Remove.
 	batches     map[sim.Time]*sweepBatch
+	lastBatch   *sweepBatch
 	pending     []*sweepBatch
 	batchFree   []*sweepBatch
 	batchEvents uint64
 	sweepTimers []sim.Handle
 
-	// sweepWorkers is the worker budget of the sharded maintenance
-	// executor (sweepshard.go); ≤ 1 keeps every batch on the serial
-	// path. shardKinds, shardFull, shardStats, and shardMetrics are that
-	// executor's reusable classification and per-chunk aggregation
-	// scratch.
-	sweepWorkers int
-	shardKinds   []sweepKind
-	shardFull    []int
-	shardStats   []radio.Stats
-	shardMetrics []Metrics
+	// deltas interns the quiescent-sweep deltas the caches index and
+	// counts the replays not yet credited (see creditReplays).
+	deltas deltaTable
 }
 
 // sweepBatch collects nodes whose maintenance sweeps were scheduled
-// back-to-back for one fire time; runSweepBatch executes them in append
+// back-to-back for fire time at; runSweepBatch executes them in append
 // (= per-event scheduling) order. seqMark/evMark are the engine's
 // Scheduled reading and the network's batch-creation count right after
 // the batch's own event went in: an append is only legal while every
 // scheduling since has been another batch's creation — a batch for a
 // different fire time cannot interleave at this one's instant, but any
 // other event might, and seals the batch. idx is the batch's position
-// in the network's pending list.
+// in the network's pending list. fire is the batch's engine callback,
+// made once per pooled batch so reopening one allocates nothing.
 type sweepBatch struct {
 	ids     []radio.NodeID
+	at      sim.Time
 	handle  sim.Handle
 	seqMark uint64
 	evMark  uint64
 	idx     int
+	fire    func()
 }
 
 // NewNetwork creates an empty network. The big node must be added first
@@ -233,27 +232,8 @@ func (m Metrics) sub(prev Metrics) Metrics {
 	}
 }
 
-// add returns the field-wise sum m+d. The sharded sweep executor uses
-// it to aggregate replay deltas per chunk before crediting them; all
-// fields are uint64, so chunked addition matches the serial running
-// total bit for bit.
-func (m Metrics) add(d Metrics) Metrics {
-	return Metrics{
-		HeadOrgs:       m.HeadOrgs + d.HeadOrgs,
-		HeadsSelected:  m.HeadsSelected + d.HeadsSelected,
-		ReplyMessages:  m.ReplyMessages + d.ReplyMessages,
-		HeadShifts:     m.HeadShifts + d.HeadShifts,
-		CellShifts:     m.CellShifts + d.CellShifts,
-		Abandonments:   m.Abandonments + d.Abandonments,
-		SanityRetreats: m.SanityRetreats + d.SanityRetreats,
-		ParentSeeks:    m.ParentSeeks + d.ParentSeeks,
-		Joins:          m.Joins + d.Joins,
-		Promotions:     m.Promotions + d.Promotions,
-	}
-}
-
 // addMetrics credits a recorded delta onto the live counters (the
-// metrics side of replaying an elided sweep).
+// metrics side of replaying elided sweeps).
 func (nw *Network) addMetrics(d Metrics) {
 	nw.metrics.HeadOrgs += d.HeadOrgs
 	nw.metrics.HeadsSelected += d.HeadsSelected

@@ -90,20 +90,17 @@ type Node struct {
 //
 // The increments are stored as uint16, not as full radio.Stats/Metrics
 // structs: a single no-op sweep moves each counter by at most a
-// handful of sends and replies, and the narrow form cuts the per-node
-// cache from ~370 B to ~110 B — the store's biggest single line item
-// at million-node scale. record refuses (returns false, leaving the
-// delta invalid) in the off-nominal case of an increment beyond
-// uint16, which merely costs that node its fast path.
+// handful of sends and replies. Deltas are interned network-wide
+// (deltaTable), because a settled field produces only a few dozen
+// distinct ones; each node's cache holds table indices, not deltas.
 type sweepDelta struct {
-	valid   bool
 	stats   [11]uint16 // radio.Stats increments, field order as declared
 	metrics [10]uint16 // Metrics increments, field order as declared
 }
 
-// record packs the given counter increments, failing (and leaving the
-// delta invalid) if any of them overflows uint16.
-func (d *sweepDelta) record(s radio.Stats, m Metrics) bool {
+// packDelta packs the given counter increments, failing if any of them
+// overflows uint16.
+func packDelta(s radio.Stats, m Metrics) (sweepDelta, bool) {
 	st := [11]uint64{
 		s.Broadcasts, s.Unicasts, s.Deliveries, s.Dropped, s.RangeQueries,
 		s.FaultDrops, s.FaultDups, s.BlackoutDrops, s.Blackouts, s.Retries,
@@ -114,67 +111,108 @@ func (d *sweepDelta) record(s radio.Stats, m Metrics) bool {
 		m.CellShifts, m.Abandonments, m.SanityRetreats, m.ParentSeeks,
 		m.Joins, m.Promotions,
 	}
-	for _, v := range st {
-		if v > math.MaxUint16 {
-			d.valid = false
-			return false
-		}
-	}
-	for _, v := range mt {
-		if v > math.MaxUint16 {
-			d.valid = false
-			return false
-		}
-	}
+	var d sweepDelta
 	for i, v := range st {
+		if v > math.MaxUint16 {
+			return sweepDelta{}, false
+		}
 		d.stats[i] = uint16(v)
 	}
 	for i, v := range mt {
+		if v > math.MaxUint16 {
+			return sweepDelta{}, false
+		}
 		d.metrics[i] = uint16(v)
 	}
-	d.valid = true
-	return true
+	return d, true
 }
 
-// statsDelta expands the packed radio counter increments.
-func (d *sweepDelta) statsDelta() radio.Stats {
+// statsDelta expands the packed radio counter increments, k times
+// over. uint64 products wrap exactly as k repeated additions would.
+func (d *sweepDelta) statsDelta(k uint64) radio.Stats {
 	return radio.Stats{
-		Broadcasts: uint64(d.stats[0]), Unicasts: uint64(d.stats[1]),
-		Deliveries: uint64(d.stats[2]), Dropped: uint64(d.stats[3]),
-		RangeQueries: uint64(d.stats[4]), FaultDrops: uint64(d.stats[5]),
-		FaultDups: uint64(d.stats[6]), BlackoutDrops: uint64(d.stats[7]),
-		Blackouts: uint64(d.stats[8]), Retries: uint64(d.stats[9]),
-		OcclusionBlocks: uint64(d.stats[10]),
+		Broadcasts: k * uint64(d.stats[0]), Unicasts: k * uint64(d.stats[1]),
+		Deliveries: k * uint64(d.stats[2]), Dropped: k * uint64(d.stats[3]),
+		RangeQueries: k * uint64(d.stats[4]), FaultDrops: k * uint64(d.stats[5]),
+		FaultDups: k * uint64(d.stats[6]), BlackoutDrops: k * uint64(d.stats[7]),
+		Blackouts: k * uint64(d.stats[8]), Retries: k * uint64(d.stats[9]),
+		OcclusionBlocks: k * uint64(d.stats[10]),
 	}
 }
 
-// metricsDelta expands the packed protocol counter increments.
-func (d *sweepDelta) metricsDelta() Metrics {
+// metricsDelta expands the packed protocol counter increments, k times
+// over.
+func (d *sweepDelta) metricsDelta(k uint64) Metrics {
 	return Metrics{
-		HeadOrgs: uint64(d.metrics[0]), HeadsSelected: uint64(d.metrics[1]),
-		ReplyMessages: uint64(d.metrics[2]), HeadShifts: uint64(d.metrics[3]),
-		CellShifts: uint64(d.metrics[4]), Abandonments: uint64(d.metrics[5]),
-		SanityRetreats: uint64(d.metrics[6]), ParentSeeks: uint64(d.metrics[7]),
-		Joins: uint64(d.metrics[8]), Promotions: uint64(d.metrics[9]),
+		HeadOrgs: k * uint64(d.metrics[0]), HeadsSelected: k * uint64(d.metrics[1]),
+		ReplyMessages: k * uint64(d.metrics[2]), HeadShifts: k * uint64(d.metrics[3]),
+		CellShifts: k * uint64(d.metrics[4]), Abandonments: k * uint64(d.metrics[5]),
+		SanityRetreats: k * uint64(d.metrics[6]), ParentSeeks: k * uint64(d.metrics[7]),
+		Joins: k * uint64(d.metrics[8]), Promotions: k * uint64(d.metrics[9]),
 	}
 }
 
-// sweepCache holds a node's recorded quiescent sweeps. Two flavors
-// exist because a head's periodic boundary rescan produces a different
-// (but equally state-preserving) counter delta than a plain heartbeat
-// sweep. The stamps tie both flavors to the topology epoch of the
-// node's query cone at record time: worldStamp is the global epoch (an
-// O(1) "nothing anywhere changed" test), regionStamp the cone maximum
-// (the precise test when the world moved elsewhere).
+// deltaTable interns a network's distinct sweep deltas and counts the
+// replays of each that are not yet credited to the live counters.
+// Index 0 is reserved: a cache flavor holding it has nothing recorded.
+// A replay only bumps its index's count; Network.creditReplays adds
+// count × delta once per index, so a settled batch of thousands of
+// replays costs a few dozen counter additions.
+type deltaTable struct {
+	deltas []sweepDelta // by index; deltas[0] is the unused sentinel
+	counts []uint32     // uncredited replays per index
+	due    []uint32     // indices whose count is non-zero
+	index  map[sweepDelta]uint32
+}
+
+// intern returns the index of the delta packing s and m, adding it to
+// the table if new, or 0 if an increment overflows uint16 (that sweep
+// then simply stays uncached).
+func (t *deltaTable) intern(s radio.Stats, m Metrics) uint32 {
+	d, ok := packDelta(s, m)
+	if !ok {
+		return 0
+	}
+	if i, ok := t.index[d]; ok {
+		return i
+	}
+	if t.index == nil {
+		t.index = make(map[sweepDelta]uint32)
+		t.deltas = append(t.deltas, sweepDelta{})
+		t.counts = append(t.counts, 0)
+	}
+	i := uint32(len(t.deltas))
+	t.deltas = append(t.deltas, d)
+	t.counts = append(t.counts, 0)
+	t.index[d] = i
+	return i
+}
+
+// replay counts one elided sweep against delta i.
+func (t *deltaTable) replay(i uint32) {
+	if t.counts[i] == 0 {
+		t.due = append(t.due, i)
+	}
+	t.counts[i]++
+}
+
+// sweepCache holds a node's recorded quiescent sweeps as deltaTable
+// indices. Two flavors exist because a head's periodic boundary rescan
+// produces a different (but equally state-preserving) counter delta
+// than a plain heartbeat sweep. The stamps tie both flavors to the
+// topology epoch of the node's query cone at record time: worldStamp is
+// the global epoch (an O(1) "nothing anywhere changed" test),
+// regionStamp the cone maximum (the precise test when the world moved
+// elsewhere).
 type sweepCache struct {
-	plain  sweepDelta
-	rescan sweepDelta
+	worldStamp  uint64
+	regionStamp uint64
+	plain       uint32
+	rescan      uint32
 	// sane records whether the head's state passed the sanity-check
 	// predicate at record time; only a sane head may skip its periodic
 	// SANITY_CHECK sweeps (an insane one might need to retreat).
-	sane        bool
-	worldStamp  uint64
-	regionStamp uint64
+	sane bool
 }
 
 // removeChild deletes id from the children list.

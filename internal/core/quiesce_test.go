@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"gs3/internal/radio"
 )
@@ -38,8 +39,8 @@ func TestStopMaintenanceDrainsEngine(t *testing.T) {
 
 // TestQuiescentSweepZeroAllocs pins the steady-state fast path at zero
 // heap allocations: once a node's recorded sweep is current, replaying
-// it must not allocate. The pin covers a head (both plain and rescan
-// flavors recorded) and an associate.
+// it and crediting the replay must not allocate. The pin covers a head
+// (both plain and rescan flavors recorded) and an associate.
 func TestQuiescentSweepZeroAllocs(t *testing.T) {
 	nw, _ := configureDynamic(t, 300)
 	// Enough rounds for every node to record both sweep flavors and for
@@ -53,12 +54,12 @@ func TestQuiescentSweepZeroAllocs(t *testing.T) {
 			continue
 		}
 		c := nw.cacheFor(id)
-		if n.Status.IsHeadRole() && c.plain.valid && c.rescan.valid && c.sane {
+		if n.Status.IsHeadRole() && c.plain != 0 && c.rescan != 0 && c.sane {
 			if headID == radio.None {
 				headID = id
 			}
 		}
-		if n.Status == StatusAssociate && c.plain.valid {
+		if n.Status == StatusAssociate && c.plain != 0 {
 			if assocID == radio.None {
 				assocID = id
 			}
@@ -80,6 +81,7 @@ func TestQuiescentSweepZeroAllocs(t *testing.T) {
 			if !nw.sweepOnce(id) {
 				t.Fatal("quiescent sweep asked not to reschedule")
 			}
+			nw.creditReplays()
 		})
 		if allocs != 0 {
 			t.Errorf("%s quiescent sweepOnce: %.1f allocs/op, want 0", tc.name, allocs)
@@ -88,7 +90,9 @@ func TestQuiescentSweepZeroAllocs(t *testing.T) {
 }
 
 // TestQuiescentSweepReplaysAccounting checks the replay is not a silent
-// skip: an elided sweep must add exactly the recorded counter deltas.
+// skip: elided sweeps add nothing to the live counters until the batch
+// boundary's credit, which then adds exactly the recorded delta once
+// per replay.
 func TestQuiescentSweepReplaysAccounting(t *testing.T) {
 	nw, _ := configureDynamic(t, 300)
 	runSweeps(nw, 40)
@@ -96,7 +100,7 @@ func TestQuiescentSweepReplaysAccounting(t *testing.T) {
 	var n *Node
 	for _, id := range nw.SortedIDs() {
 		cand := nw.node(id)
-		if cand != nil && !cand.IsBig && cand.Status == StatusAssociate && nw.cacheFor(id).plain.valid {
+		if cand != nil && !cand.IsBig && cand.Status == StatusAssociate && nw.cacheFor(id).plain != 0 {
 			n = cand
 			break
 		}
@@ -104,16 +108,36 @@ func TestQuiescentSweepReplaysAccounting(t *testing.T) {
 	if n == nil {
 		t.Fatal("no cached associate after settling")
 	}
-	want := nw.cacheFor(n.ID).plain
+	want := &nw.deltas.deltas[nw.cacheFor(n.ID).plain]
 	statsBefore := nw.med.Stats()
 	metricsBefore := nw.metrics
-	if !nw.quiescentSweep(n) {
-		t.Fatal("quiescentSweep declined a valid cached associate")
+	const replays = 3
+	for i := 0; i < replays; i++ {
+		if !nw.quiescentSweep(n) {
+			t.Fatal("quiescentSweep declined a valid cached associate")
+		}
 	}
-	if got := nw.med.Stats().Sub(statsBefore); got != want.statsDelta() {
-		t.Errorf("replayed stats delta = %+v, want %+v", got, want.statsDelta())
+	if nw.med.Stats() != statsBefore || nw.metrics != metricsBefore {
+		t.Error("replays credited before the batch boundary")
 	}
-	if got := nw.metrics.sub(metricsBefore); got != want.metricsDelta() {
-		t.Errorf("replayed metrics delta = %+v, want %+v", got, want.metricsDelta())
+	nw.creditReplays()
+	if got := nw.med.Stats().Sub(statsBefore); got != want.statsDelta(replays) {
+		t.Errorf("credited stats delta = %+v, want %+v", got, want.statsDelta(replays))
+	}
+	if got := nw.metrics.sub(metricsBefore); got != want.metricsDelta(replays) {
+		t.Errorf("credited metrics delta = %+v, want %+v", got, want.metricsDelta(replays))
+	}
+	if len(nw.deltas.due) != 0 {
+		t.Errorf("%d delta indices still due after the credit", len(nw.deltas.due))
+	}
+}
+
+// TestSweepCacheSize pins the per-node sweep cache at 32 bytes (two
+// delta-table indices, two epoch stamps, the sanity bit), next to the
+// field-width audit in store.go: at million-node scale every byte of
+// it is a megabyte.
+func TestSweepCacheSize(t *testing.T) {
+	if got := unsafe.Sizeof(sweepCache{}); got > 32 {
+		t.Errorf("sizeof(sweepCache) = %d B, want <= 32", got)
 	}
 }

@@ -23,11 +23,12 @@ import "gs3/internal/radio"
 // million-node scale every byte here is a megabyte: radio.NodeID is
 // int32 (dense IDs), Status is uint8, Node.Hops and the SpiralIndex
 // ranks are int32 (unknownHops = 1<<20 is the ceiling), nodeCold.sweep
-// is uint32, and the sweepCache deltas pack their counter increments
-// as uint16 (node.go). Snapshot/JSON view types keep wide ints, so
-// none of this narrows the wire form. The other per-node line item —
-// the engine's event bookkeeping — is pooled slots plus 24-byte queue
-// entries in internal/sim, and the jitter path's sweepTimers is a
+// is uint32, and a sweepCache is 32 bytes: two uint32 indices into the
+// network's interned table of sweep deltas, whose counter increments
+// are packed as uint16 (node.go). Snapshot/JSON view types keep wide
+// ints, so none of this narrows the wire form. The other per-node line
+// item — the engine's event bookkeeping — is pooled slots plus 24-byte
+// queue entries in internal/sim, and the jitter path's sweepTimers is a
 // dense []sim.Handle rather than a map.
 //
 // Link slices (Children/Neighbors) come from a chunk arena: fixed
@@ -82,7 +83,7 @@ func (a *idArena) get() []radio.NodeID {
 	}
 	n := len(a.slab)
 	a.slab = a.slab[:n+linkCap]
-	return a.slab[n:n : n+linkCap]
+	return a.slab[n : n : n+linkCap]
 }
 
 // put recycles a chunk the caller exclusively owns. Non-chunks (nil,
@@ -108,20 +109,14 @@ func (nw *Network) coldOf(id radio.NodeID) *nodeCold {
 	return &nw.cold[id]
 }
 
-// cacheFor returns the node's quiescent-sweep cache, allocating the
-// cache array on first use (configure-only runs never call this).
+// cacheFor returns the node's quiescent-sweep cache, growing the cache
+// array to cover every node on first use (configure-only runs never
+// call this).
 func (nw *Network) cacheFor(id radio.NodeID) *sweepCache {
-	nw.ensureCaches()
-	return &nw.caches[id]
-}
-
-// ensureCaches grows the sweep-cache slice to cover every node. The
-// sharded sweep executor calls it before its parallel phases so that
-// concurrent cache reads never race with lazy growth.
-func (nw *Network) ensureCaches() {
 	for len(nw.caches) < len(nw.nodes) {
 		nw.caches = append(nw.caches, sweepCache{})
 	}
+	return &nw.caches[id]
 }
 
 // Reserve pre-sizes the store (and the medium's per-node state) for n

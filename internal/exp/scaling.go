@@ -168,24 +168,25 @@ func ConfigureScaling(r float64, targets []int, workers int, seed uint64) (Table
 }
 
 // SweepScaling is experiment N2: steady-state maintenance and healing
-// cost versus network size, run through the sharded sweep executor
-// (byte-identical to the serial engine, so every protocol observable
-// is deterministic; only wall clock depends on workers). For each
-// node-count target it configures sharded, settles the structure, then
-// reports the wall-clock cost of one settled maintenance round, the
-// live heap, and the cost of healing a two-search-radius disaster:
-// virtual rounds and wall seconds until the structure re-stabilizes,
-// and the radio messages the healing took. Wall-clock columns vary
-// with the host; the protocol columns (n, healRounds, healMsgs) do
-// not. Targets run sequentially — each trial is large, and the
-// parallelism lives inside the executor.
+// cost versus network size. For each node-count target it configures
+// the field (sharded across workers; byte-identical to serial, so every
+// protocol observable is deterministic), settles the structure under
+// serial maintenance, then reports the mean wall-clock cost of the
+// next three maintenance rounds (one of them is the first all-heads
+// boundary rescan, which dominates), the live heap, and the cost of
+// healing a two-search-radius disaster: virtual rounds and wall
+// seconds until the structure re-stabilizes, and the radio messages
+// the healing took.
+// Wall-clock columns vary with the host; the protocol columns (n,
+// healRounds, healMsgs) do not. Targets run sequentially — each trial
+// is large.
 func SweepScaling(r float64, targets []int, workers, budget int, seed uint64) (Table, error) {
 	t := Table{
 		ID:      "N2",
-		Title:   "Sharded maintenance and healing vs node count",
+		Title:   "Maintenance and healing vs node count",
 		Columns: []string{"n", "settleRounds", "roundMs", "heapMB", "killed", "healRounds", "healMs", "healMsgsPerKilled"},
 		Notes: []string{
-			fmt.Sprintf("sharded sweep executor, %d workers; protocol observables identical for any worker count", workers),
+			fmt.Sprintf("configured by the sharded executor on %d workers; maintenance is serial; protocol observables identical for any worker count", workers),
 			"disaster: KillDisk of radius 2*SR at (regionRadius/2, 0) on the settled structure",
 			"healMsgsPerKilled is the excess over the field's measured per-round background traffic",
 			"roundMs/healMs are wall clock (host-dependent); crater repair is message-local (excess ~0 at every scale)",
@@ -195,7 +196,6 @@ func SweepScaling(r float64, targets []int, workers, budget int, seed uint64) (T
 	for _, target := range targets {
 		opt := netsim.DefaultOptions(r, RegionRadiusFor(target, netsim.DefaultOptions(r, 1).GridSpacing))
 		opt.Seed = seed
-		opt.SweepWorkers = workers
 		s, err := netsim.Build(opt)
 		if err != nil {
 			return Table{}, err

@@ -60,12 +60,6 @@ type Options struct {
 	// runs the reliable radio byte-identically to a build without the
 	// fault layer.
 	Faults fault.Plan
-
-	// SweepWorkers sets the sharded maintenance executor's worker
-	// budget (core.Network.SetSweepWorkers). Zero or one keeps every
-	// sweep batch on the serial path; any value produces byte-identical
-	// results, so it only changes wall clock.
-	SweepWorkers int
 }
 
 // DefaultOptions returns a dense grid scenario with cell radius r and a
@@ -156,7 +150,6 @@ func Build(opt Options) (*Sim, error) {
 		}
 		nw.SetFaults(inj)
 	}
-	nw.SetSweepWorkers(opt.SweepWorkers)
 	nw.Reserve(len(dep.Positions))
 	for i, p := range dep.Positions {
 		if _, err := nw.AddNode(p, i == 0); err != nil {

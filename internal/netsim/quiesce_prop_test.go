@@ -7,6 +7,7 @@ import (
 
 	"gs3/internal/core"
 	"gs3/internal/fault"
+	"gs3/internal/field"
 	"gs3/internal/geom"
 	"gs3/internal/rng"
 )
@@ -14,9 +15,12 @@ import (
 // The quiescence cache is an optimization, never a semantics change:
 // a cached run must be observably identical — snapshot, metrics, radio
 // stats, virtual clock — to a brute-force run that recomputes every
-// sweep, at every sweep boundary, under any perturbation schedule. The
-// property tests here pit the two builds against each other on
-// randomized topologies and scripts.
+// sweep, under any perturbation schedule. Clock and counters are
+// compared after every engine event, because cache replays credit
+// their counters once per sweep batch and an event that ends with
+// credit still owed must fail right there; snapshots are compared at
+// every sweep boundary. The property tests here pit the two builds
+// against each other on randomized topologies and scripts.
 
 // propStep is one scripted perturbation, applied identically to both
 // builds right before the given sweep boundary. The closure may only
@@ -81,9 +85,43 @@ func randomScript(opt Options, seed uint64, sweeps int) []propStep {
 	return script
 }
 
+// withBlackouts adds to script a few direct radio blackouts, each
+// restored three sweeps later: induced through Medium.SetBlackout, not
+// the fault layer, because an active fault plan disables the cache
+// entirely. A blacked-out node skips its sweeps, and its outage and
+// restore move the epochs every neighbor's cache is stamped with.
+func withBlackouts(script []propStep, seed uint64, sweeps int) []propStep {
+	src := rng.New(seed ^ 0x9e3779b97f4a7c15)
+	n := 2 + src.Intn(2)
+	for i := 0; i < n; i++ {
+		at := 2 + src.Intn(sweeps-6)
+		k := src.Intn(40)
+		script = append(script,
+			propStep{at, "blackout", func(s *Sim) {
+				ids := s.Net.SortedIDs()
+				for off := 0; off < len(ids); off++ {
+					id := ids[(k+off)%len(ids)]
+					if id != s.Net.BigID() && s.Net.Alive(id) && !s.Net.Medium().InBlackout(id) {
+						s.Net.Medium().SetBlackout(id, true)
+						return
+					}
+				}
+			}},
+			propStep{at + 3, "restore", func(s *Sim) {
+				for _, id := range s.Net.SortedIDs() {
+					if s.Net.Medium().InBlackout(id) {
+						s.Net.Medium().SetBlackout(id, false)
+						return
+					}
+				}
+			}},
+		)
+	}
+	return script
+}
+
 // runCacheEquivalence drives a cached and an uncached build of opt in
-// lock-step through the script and fails on the first boundary where
-// any observable diverges.
+// lock-step through the script and fails on the first divergence.
 func runCacheEquivalence(t *testing.T, opt Options, variant core.Variant, script []propStep, sweeps int) {
 	t.Helper()
 	build := func(cache bool) *Sim {
@@ -98,34 +136,47 @@ func runCacheEquivalence(t *testing.T, opt Options, variant core.Variant, script
 		s.Net.StartMaintenance(variant)
 		return s
 	}
-	cached := build(true)
-	brute := build(false)
+	runLockstep(t, [2]string{"cached", "brute"}, build(true), build(false), script, sweeps)
+}
 
+// runLockstep drives two builds of the same scenario through the
+// script, one engine event at a time, and fails on the first event
+// (counters) or sweep boundary (epoch, snapshot) where any observable
+// diverges. label names the two builds in failure messages.
+func runLockstep(t *testing.T, label [2]string, a, b *Sim, script []propStep, sweeps int) {
+	t.Helper()
+	ae, be := a.Net.Engine(), b.Net.Engine()
 	for i := 0; i < sweeps; i++ {
 		for _, st := range script {
 			if st.sweep == i {
-				st.apply(cached)
-				st.apply(brute)
+				st.apply(a)
+				st.apply(b)
 			}
 		}
-		cached.RunSweeps(1)
-		brute.RunSweeps(1)
+		// One heartbeat, as RunSweeps(1) runs it, but event by event.
+		deadline := ae.Now() + a.Opt.Config.HeartbeatInterval
+		for ev := 0; ae.NextEventTime() <= deadline; ev++ {
+			if !ae.Step() || !be.Step() {
+				t.Fatalf("sweep %d event %d: %s build ran out of events", i, ev, label[1])
+			}
+			compareCounters(t, fmt.Sprintf("sweep %d event %d", i, ev), label, a, b)
+		}
+		if be.NextEventTime() <= deadline {
+			t.Fatalf("sweep %d: %s build has events left before the boundary", i, label[1])
+		}
+		ae.RunUntil(deadline)
+		be.RunUntil(deadline)
+		compareCounters(t, fmt.Sprintf("sweep %d", i), label, a, b)
 
-		if a, b := cached.Net.Engine().Now(), brute.Net.Engine().Now(); a != b {
-			t.Fatalf("sweep %d: clock diverged: cached %v, brute %v", i, a, b)
+		if x, y := a.Net.Medium().Epoch(), b.Net.Medium().Epoch(); x != y {
+			t.Fatalf("sweep %d: topology epoch diverged: %s %d, %s %d", i, label[0], x, label[1], y)
 		}
-		if a, b := cached.Net.Metrics(), brute.Net.Metrics(); a != b {
-			t.Fatalf("sweep %d: metrics diverged:\ncached %+v\nbrute  %+v", i, a, b)
-		}
-		if a, b := cached.Net.Medium().Stats(), brute.Net.Medium().Stats(); a != b {
-			t.Fatalf("sweep %d: radio stats diverged:\ncached %+v\nbrute  %+v", i, a, b)
-		}
-		sa, sb := cached.Net.Snapshot(), brute.Net.Snapshot()
+		sa, sb := a.Net.Snapshot(), b.Net.Snapshot()
 		if !reflect.DeepEqual(sa, sb) {
 			for j := range sa.Nodes {
 				if j >= len(sb.Nodes) || !reflect.DeepEqual(sa.Nodes[j], sb.Nodes[j]) {
-					t.Fatalf("sweep %d: snapshot diverged at node index %d:\ncached %+v\nbrute  %+v",
-						i, j, sa.Nodes[j], sb.Nodes[j])
+					t.Fatalf("sweep %d: snapshot diverged at node index %d:\n%-7s%+v\n%-7s%+v",
+						i, j, label[0], sa.Nodes[j], label[1], sb.Nodes[j])
 				}
 			}
 			t.Fatalf("sweep %d: snapshot diverged (node count %d vs %d)",
@@ -134,9 +185,25 @@ func runCacheEquivalence(t *testing.T, opt Options, variant core.Variant, script
 	}
 }
 
+// compareCounters fails unless the two builds agree on virtual clock,
+// protocol metrics and radio stats.
+func compareCounters(t *testing.T, where string, label [2]string, a, b *Sim) {
+	t.Helper()
+	if x, y := a.Net.Engine().Now(), b.Net.Engine().Now(); x != y {
+		t.Fatalf("%s: clock diverged: %s %v, %s %v", where, label[0], x, label[1], y)
+	}
+	if x, y := a.Net.Metrics(), b.Net.Metrics(); x != y {
+		t.Fatalf("%s: metrics diverged:\n%-7s%+v\n%-7s%+v", where, label[0], x, label[1], y)
+	}
+	if x, y := a.Net.Medium().Stats(), b.Net.Medium().Stats(); x != y {
+		t.Fatalf("%s: radio stats diverged:\n%-7s%+v\n%-7s%+v", where, label[0], x, label[1], y)
+	}
+}
+
 // TestCachedSweepMatchesBruteForce is the main property: across
-// randomized grid topologies and perturbation schedules, the cached
-// build is boundary-for-boundary identical to the no-cache build.
+// randomized grid topologies and perturbation schedules — kills,
+// joins, moves, corruptions and blackouts — the cached build is
+// event-for-event identical to the no-cache build.
 func TestCachedSweepMatchesBruteForce(t *testing.T) {
 	const sweeps = 30
 	for _, seed := range []uint64{1, 7, 42} {
@@ -145,7 +212,7 @@ func TestCachedSweepMatchesBruteForce(t *testing.T) {
 			opt := DefaultOptions(100, 280)
 			opt.Seed = seed
 			opt.GridJitter = 0.1 + 0.05*float64(seed%3)
-			script := randomScript(opt, seed*13+5, sweeps)
+			script := withBlackouts(randomScript(opt, seed*13+5, sweeps), seed*13+5, sweeps)
 			runCacheEquivalence(t, opt, core.VariantD, script, sweeps)
 		})
 	}
@@ -158,7 +225,7 @@ func TestCachedSweepMatchesBruteForceMobile(t *testing.T) {
 	const sweeps = 30
 	opt := DefaultOptions(100, 280)
 	opt.Seed = 3
-	script := randomScript(opt, 99, sweeps)
+	script := withBlackouts(randomScript(opt, 99, sweeps), 99, sweeps)
 	script = append(script,
 		propStep{5, "big-slide", func(s *Sim) {
 			p := s.Net.Position(s.Net.BigID())
@@ -185,5 +252,47 @@ func TestCachedSweepMatchesBruteForceFaults(t *testing.T) {
 		BlackoutSweeps: 2,
 	}
 	script := randomScript(opt, 77, sweeps)
+	runCacheEquivalence(t, opt, core.VariantD, script, sweeps)
+}
+
+// TestCachedSweepMatchesBruteForceEnergy turns on the duty-cycle energy
+// model (no per-send costs, which would disable the cache): heads drain
+// five times faster, retreat when low, and nodes die at sweep
+// boundaries, in the middle of batches full of replays.
+func TestCachedSweepMatchesBruteForceEnergy(t *testing.T) {
+	const sweeps = 30
+	opt := DefaultOptions(100, 320)
+	opt.Seed = 17
+	opt.Config.InitialEnergy = 60
+	script := withBlackouts(randomScript(opt, 23, sweeps), 23, sweeps)
+	runCacheEquivalence(t, opt, core.VariantD, script, sweeps)
+}
+
+// TestCachedSweepMatchesBruteForceObstacle runs the equivalence on an
+// occluded field, where the structure heals around a non-convex wall.
+func TestCachedSweepMatchesBruteForceObstacle(t *testing.T) {
+	const sweeps = 25
+	opt := DefaultOptions(100, 320)
+	opt.Seed = 29
+	opt.Obstacles = []field.Obstacle{
+		{{X: 30, Y: -140}, {X: 90, Y: -140}, {X: 90, Y: 50}, {X: -100, Y: 50},
+			{X: -100, Y: 110}, {X: 30, Y: 110}},
+	}
+	script := withBlackouts(randomScript(opt, 31, sweeps), 31, sweeps)
+	runCacheEquivalence(t, opt, core.VariantD, script, sweeps)
+}
+
+// TestCachedSweepMatchesBruteForceKillDisk pins the healing story end
+// to end: a converged field loses a search-radius disk of nodes
+// mid-maintenance and re-heals, with healing sweeps and replays
+// interleaved in the same batches.
+func TestCachedSweepMatchesBruteForceKillDisk(t *testing.T) {
+	const sweeps = 40
+	opt := DefaultOptions(100, 320)
+	opt.Seed = 5
+	c := geom.Point{X: opt.RegionRadius * 0.4, Y: 0}
+	script := []propStep{
+		{8, "disaster", func(s *Sim) { s.KillDisk(c, opt.Config.SearchRadius()) }},
+	}
 	runCacheEquivalence(t, opt, core.VariantD, script, sweeps)
 }

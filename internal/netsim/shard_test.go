@@ -176,6 +176,89 @@ func TestConfigureShardedThenMaintain(t *testing.T) {
 	}
 }
 
+// Maintenance sweeps always run serially; the worker count only shards
+// the configure step before them. The tests below pin that a run
+// configured on shardSweepWorkers workers — more than there are cores,
+// so correctness cannot lean on the schedule — stays event-for-event
+// identical to a fully serial run through a perturbed maintenance
+// phase: the sharded handoff (epochs, heads, timers) must leave the
+// quiescence cache and the sweep batches in the serial state.
+const shardSweepWorkers = 8
+
+// runShardSweepEquivalence drives a serially configured and a sharded-
+// configured build of opt in lock-step through the script.
+func runShardSweepEquivalence(t *testing.T, opt Options, variant core.Variant, script []propStep, sweeps int) {
+	t.Helper()
+	build := func(workers int) *Sim {
+		s, err := Build(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers == 0 {
+			_, err = s.Configure()
+		} else {
+			_, err = s.ConfigureSharded(workers)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Net.StartMaintenance(variant)
+		return s
+	}
+	runLockstep(t, [2]string{"serial", "sharded"}, build(0), build(shardSweepWorkers), script, sweeps)
+}
+
+// TestShardedSweepMatchesSerial is the main property: across randomized
+// topologies and perturbation schedules — kills, joins, moves,
+// corruptions and blackouts — maintenance after a sharded configure is
+// identical to maintenance after a serial one.
+func TestShardedSweepMatchesSerial(t *testing.T) {
+	const sweeps = 30
+	for _, seed := range []uint64{1, 7, 42} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			opt := DefaultOptions(100, 320)
+			opt.Seed = seed
+			opt.GridJitter = 0.1 + 0.05*float64(seed%3)
+			script := withBlackouts(randomScript(opt, seed*13+5, sweeps), seed*13+5, sweeps)
+			runShardSweepEquivalence(t, opt, core.VariantD, script, sweeps)
+		})
+	}
+}
+
+// TestShardedSweepMatchesSerialMobile exercises Variant M after a
+// sharded configure: the big node relocates mid-run, so the batch
+// holding it carries a full (never cacheable) sweep every round.
+func TestShardedSweepMatchesSerialMobile(t *testing.T) {
+	const sweeps = 30
+	opt := DefaultOptions(100, 320)
+	opt.Seed = 3
+	script := withBlackouts(randomScript(opt, 99, sweeps), 99, sweeps)
+	script = append(script,
+		propStep{5, "big-slide", func(s *Sim) {
+			p := s.Net.Position(s.Net.BigID())
+			s.Net.Move(s.Net.BigID(), p.Add(geom.Vec{X: opt.Config.Rt * 0.8}))
+		}},
+		propStep{14, "big-move", func(s *Sim) {
+			s.Net.Move(s.Net.BigID(), geom.Point{X: -140, Y: 100})
+		}},
+	)
+	runShardSweepEquivalence(t, opt, core.VariantM, script, sweeps)
+}
+
+// TestShardedSweepFaultyFallback proves the gate end to end: with an
+// active fault plan the configure executor must refuse to shard, so a
+// worker-configured build consumes the same RNG stream and stays equal
+// to serial through a lossy, blackout-prone maintenance phase.
+func TestShardedSweepFaultyFallback(t *testing.T) {
+	const sweeps = 20
+	opt := DefaultOptions(100, 320)
+	opt.Seed = 11
+	opt.Faults = fault.Plan{Loss: 0.05, BlackoutRate: 0.01, BlackoutSweeps: 2}
+	script := randomScript(opt, 77, sweeps)
+	runShardSweepEquivalence(t, opt, core.VariantD, script, sweeps)
+}
+
 // TestConfigureSmoke50k is the large-scale race-condition smoke test
 // behind `make configure-smoke`: a ~50k-node field configured with the
 // sharded executor under the race detector. Gated behind an env var so

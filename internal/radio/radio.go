@@ -122,13 +122,13 @@ type Stats struct {
 // Medium is the shared wireless medium.
 //
 // Medium is single-threaded for mutation, but its read-only accessors
-// — Position, Alive, InBlackout, Epoch, RegionEpoch,
-// RegionChangedSince, Occluded, Dist, and the *Uncounted range queries
-// — may run on any number of goroutines concurrently as long as no
-// writer (Place, Remove, SetHeadRole, SetBlackout, Touch, Broadcast,
-// counted queries, …) executes at the same time. The sharded configure
-// and sweep executors rely on exactly that window: their parallel
-// phases only read, and every write is deferred to a serial merge.
+// — Position, Alive, InBlackout, Epoch, RegionEpoch, Occluded, Dist,
+// and the *Uncounted range queries — may run on any number of
+// goroutines concurrently as long as no writer (Place, Remove,
+// SetHeadRole, SetBlackout, Touch, Broadcast, counted queries, …)
+// executes at the same time. The sharded configure executor relies on
+// exactly that window: its parallel phases only read, and every write
+// is deferred to a serial merge.
 type Medium struct {
 	params Params
 	src    *rng.Source
@@ -275,7 +275,7 @@ func (m *Medium) ResetStats() {
 // that elide provably redundant work (a sweep whose every query and
 // broadcast would reproduce the previous result bit-for-bit) but must
 // keep the externally observable accounting identical to having done
-// it: they replay the recorded per-sweep counter delta instead.
+// it: they credit the recorded per-sweep counter deltas instead.
 func (m *Medium) AddStats(d Stats) {
 	m.stats.Broadcasts += d.Broadcasts
 	m.stats.Unicasts += d.Unicasts
@@ -309,10 +309,7 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// Add returns the field-wise sum s+d. The sharded sweep executor uses
-// it to aggregate replay deltas per chunk before crediting them with
-// AddStats; all fields are uint64, so chunked addition matches the
-// serial running total bit for bit.
+// Add returns the field-wise sum s+d.
 func (s Stats) Add(d Stats) Stats {
 	return Stats{
 		Broadcasts:    s.Broadcasts + d.Broadcasts,
@@ -503,34 +500,6 @@ func (m *Medium) RegionEpoch(p geom.Point, dist float64) uint64 {
 		}
 	}
 	return max
-}
-
-// RegionChangedSince reports whether any topology change after the
-// given epoch reading could be visible to a range query at (p, dist):
-// a bucket in the query's ring was bumped past epoch, or a TouchAll
-// raised the floor past it. It is RegionEpoch(p, dist) > epoch with an
-// early exit, sparing the full ring scan on the common unchanged case.
-// The sharded sweep executor uses it to escalate exactly the nodes
-// whose query cone overlaps a healing mutation, leaving the rest on
-// the replay fast path. The same pure-read concurrency contract as
-// RegionEpoch applies.
-func (m *Medium) RegionChangedSince(p geom.Point, dist float64, epoch uint64) bool {
-	if m.epoch == epoch {
-		return false
-	}
-	if m.epochFloor > epoch {
-		return true
-	}
-	r := int(math.Ceil(dist / m.cellSize))
-	base := m.key(p)
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			if m.epochs[gridKey{base.x + dx, base.y + dy}] > epoch {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Place adds or moves a node. A placed node is alive.

@@ -339,7 +339,7 @@ func TestEngineSmokeMillionEvents(t *testing.T) {
 	// Phase 2: wide drain. Pile 300k more events across a broad time
 	// span onto the queue, then drain everything.
 	for i := 0; i < 300000; i++ {
-		schedule(float64(rng.Intn(1 << 20)) / 32)
+		schedule(float64(rng.Intn(1<<20)) / 32)
 	}
 	e.Run(0)
 	if e.Pending() != 0 {
