@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet test race bench bench-json bench-diff bench-smoke smoke fuzz-smoke chaos traffic-smoke configure-smoke engine-smoke adversary-smoke goldens golden-diff check
+.PHONY: all fmt build vet test race bench bench-json bench-diff bench-smoke smoke fuzz-smoke chaos traffic-smoke engine-smoke adversary-smoke goldens golden-diff check
 
 all: check
 
@@ -33,9 +33,9 @@ bench:
 # Archive the perf-sensitive micro/macro benchmarks into BENCH_FILE
 # under the RUN label (see cmd/benchjson). Override RUN to record a
 # different label, e.g. `make bench-json RUN=pre-pr9`.
-RUN ?= post-pr14
-BENCH_FILE ?= BENCH_PR14.json
-BENCH_PATTERN := ConfigureStructure|ConfigureSharded|WithinRange|Broadcast|SweepSteadyState|SweepAfterFault|InvariantCheck|ServeTraffic|EngineSchedule|EngineSteadyChurn|EngineRunUntilCanceled
+RUN ?= post-pr15
+BENCH_FILE ?= BENCH_PR15.json
+BENCH_PATTERN := ConfigureStructure|WithinRange|Broadcast|SweepSteadyState|SweepAfterFault|InvariantCheck|ServeTraffic|EngineSchedule|EngineSteadyChurn|EngineRunUntilCanceled
 # Repetitions per benchmark; benchjson keeps the fastest, so higher
 # counts tighten the noise floor on shared hosts.
 BENCH_COUNT ?= 3
@@ -89,12 +89,6 @@ traffic-smoke:
 	$(GO) run ./cmd/gs3sim -region 300 -r 50 -sweeps 15 -packets 20000 -traffic-rate 500 \
 		-p2p 0.3 -loss 0.1 -blackout-rate 0.01 -churn 20 -seed 4 -q
 
-# Large-scale race gate for the sharded configure executor: a ~50k-node
-# field configured wave-parallel under the race detector, exercising the
-# level barriers and per-chunk ASSOCIATE_ORG_RESP fan-out at scale.
-configure-smoke:
-	GS3_CONFIGURE_SMOKE=1 $(GO) test -race -run TestConfigureSmoke50k -v ./internal/netsim
-
 # Event-engine churn smoke: a million-event schedule/cancel/remove/fire
 # mix (sliding-window churn plus a wide 300k-pending drain) under the
 # race detector, asserting exact (At, seq) fire order and live-event
@@ -118,4 +112,4 @@ goldens:
 golden-diff:
 	./scripts/goldens.sh diff
 
-check: fmt build vet race bench-smoke engine-smoke configure-smoke golden-diff bench-diff fuzz-smoke chaos traffic-smoke adversary-smoke
+check: fmt build vet race bench-smoke engine-smoke golden-diff bench-diff fuzz-smoke chaos traffic-smoke adversary-smoke

@@ -10,7 +10,6 @@
 package gs3
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -56,8 +55,7 @@ func BenchmarkConfigureStructure(b *testing.B) {
 // BenchmarkConfigureStructureLarge is F1 at 10,000+ nodes: the serial
 // configure plus invariant check on a deployment an order of magnitude
 // past the paper's scale. This is the workload the struct-of-arrays
-// node store is sized for; compare against BenchmarkConfigureSharded
-// for the wave-parallel executor on the same field.
+// node store is sized for.
 func BenchmarkConfigureStructureLarge(b *testing.B) {
 	opt := netsim.DefaultOptions(100, 1250)
 	for i := 0; i < b.N; i++ {
@@ -74,31 +72,6 @@ func BenchmarkConfigureStructureLarge(b *testing.B) {
 		if r := check.Invariant(s.Net.Snapshot(), check.Static); !r.OK() {
 			b.Fatalf("invariant violated: %v", r.Violations[0])
 		}
-	}
-}
-
-// BenchmarkConfigureSharded is the wave-parallel executor on the same
-// 10,000+ node field as BenchmarkConfigureStructureLarge, one
-// sub-benchmark per worker count. Results are byte-identical across
-// workers (asserted by TestConfigureShardedMatchesSerial); only the
-// wall clock changes.
-func BenchmarkConfigureSharded(b *testing.B) {
-	opt := netsim.DefaultOptions(100, 1250)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s, err := netsim.Build(opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.ConfigureSharded(workers); err != nil {
-					b.Fatal(err)
-				}
-				if r := check.Invariant(s.Net.Snapshot(), check.Static); !r.OK() {
-					b.Fatalf("invariant violated: %v", r.Violations[0])
-				}
-			}
-		})
 	}
 }
 
@@ -127,6 +100,29 @@ func TestConfigureAllocBudget(t *testing.T) {
 	})
 	if allocs > 600 {
 		t.Errorf("configure+check path allocates %.0f times per run, budget is 600", allocs)
+	}
+}
+
+// TestConfigureWorkCounters pins the exact work of a serial configure
+// on the F1 field (1,151 nodes, 19 HEAD_ORGs): two broadcasts per
+// HEAD_ORG (org and HeadSet), and one range query per broadcast, per
+// head gather answering that HEAD_ORG's ASSOCIATE_ORG_RESP fan-out,
+// and per IL owner/conflict probe of HEAD_SELECT. Unlike wall clock,
+// the counts are deterministic, so a return to one head query per
+// receiver (6,344 range queries on this field) fails here exactly.
+func TestConfigureWorkCounters(t *testing.T) {
+	s, err := netsim.Build(netsim.DefaultOptions(100, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Configure(); err != nil {
+		t.Fatal(err)
+	}
+	st, m := s.Net.Medium().Stats(), s.Net.Metrics()
+	got := [4]uint64{st.RangeQueries, st.Broadcasts, m.ReplyMessages, m.HeadOrgs}
+	want := [4]uint64{165, 38, 1578, 19}
+	if got != want {
+		t.Errorf("configure work (range queries, broadcasts, replies, HEAD_ORGs) = %v, want %v", got, want)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -39,23 +38,10 @@ type experiment struct {
 
 // experiments returns the experiment registry. nodes parameterizes the
 // N1/N2 scaling series: the largest target configured is nodes, with
-// two smaller decades below it for the trend. shardWorkers is the
-// -workers budget for the sharded configure executor inside those
-// series (N2 uses it for its configure step; its maintenance is
-// serial); 0 falls back to the trial pool's width (-parallel), then
-// GOMAXPROCS. The printed tables are byte-identical either way.
-func experiments(nodes, shardWorkers int) []experiment {
-	executorWorkers := func(p runner.Pool) int {
-		if shardWorkers > 0 {
-			return shardWorkers
-		}
-		if p.Workers > 0 {
-			return p.Workers
-		}
-		return runtime.GOMAXPROCS(0)
-	}
+// two smaller decades below it for the trend.
+func experiments(nodes int) []experiment {
 	return []experiment{
-		{"N1", "sharded configuration vs node count (largest target: -nodes)", func(p runner.Pool, seed uint64, quick bool) (string, error) {
+		{"N1", "configuration vs node count (largest target: -nodes)", func(p runner.Pool, seed uint64, quick bool) (string, error) {
 			targets := []int{nodes / 100, nodes / 10, nodes}
 			if quick {
 				targets = targets[:2]
@@ -66,7 +52,7 @@ func experiments(nodes, shardWorkers int) []experiment {
 					kept = append(kept, n)
 				}
 			}
-			t, err := exp.ConfigureScaling(100, kept, executorWorkers(p), seed)
+			t, err := exp.ConfigureScaling(100, kept, seed)
 			if err != nil {
 				return "", err
 			}
@@ -87,7 +73,7 @@ func experiments(nodes, shardWorkers int) []experiment {
 					kept = append(kept, n)
 				}
 			}
-			t, err := exp.SweepScaling(100, kept, executorWorkers(p), 40, seed)
+			t, err := exp.SweepScaling(100, kept, 40, seed)
 			if err != nil {
 				return "", err
 			}
@@ -349,7 +335,6 @@ func run(args []string, out *os.File) (retErr error) {
 		quick    = fs.Bool("quick", false, "smaller parameter sweeps")
 		nodes    = fs.Int("nodes", 100000, "largest node-count target for the N1/N2 scaling series")
 		parallel = fs.Int("parallel", 0, "trial workers per experiment (0 = GOMAXPROCS)")
-		workers  = fs.Int("workers", 0, "sharded-configure workers inside N1/N2 simulations (0 = -parallel, then GOMAXPROCS; output is identical either way)")
 		seq      = fs.Bool("seq", false, "run trials strictly serially (same output, slower)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -366,7 +351,7 @@ func run(args []string, out *os.File) (retErr error) {
 			retErr = perr
 		}
 	}()
-	exps := experiments(*nodes, *workers)
+	exps := experiments(*nodes)
 	if *list {
 		for _, e := range exps {
 			fmt.Fprintf(out, "%-5s %s\n", e.id, e.desc)

@@ -8,7 +8,7 @@ import (
 
 func TestExperimentIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range experiments(10000, 0) {
+	for _, e := range experiments(10000) {
 		if seen[e.id] {
 			t.Errorf("duplicate experiment id %q", e.id)
 		}

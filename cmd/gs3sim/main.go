@@ -63,7 +63,6 @@ func main() {
 type scenario struct {
 	opt         netsim.Options
 	mobile      bool
-	workers     int
 	hasKill     bool
 	killC       geom.Point
 	killR       float64
@@ -114,7 +113,6 @@ func run(args []string) (retErr error) {
 		traceN   = fs.Int("trace", 0, "record protocol events and print the last N")
 		dumpPath = fs.String("dump", "", "write the final snapshot as JSON to this file")
 		quiet    = fs.Bool("q", false, "print only the one-line summary")
-		workers  = fs.Int("workers", 0, "sharded-executor workers for configuration (0 = serial; output is identical either way)")
 		trials   = fs.Int("trials", 1, "seed replicates of the scenario (seeds derived from -seed)")
 		parallel = fs.Int("parallel", 0, "workers for -trials fan-out (0 = GOMAXPROCS)")
 		seq      = fs.Bool("seq", false, "run trials strictly serially (same reports, slower)")
@@ -138,7 +136,6 @@ func run(args []string) (retErr error) {
 	}()
 
 	base := scenario{
-		workers:  *workers,
 		mobile:   *mobile,
 		sweeps:   *sweeps,
 		chaos:    *chaos,
@@ -272,13 +269,7 @@ func (sc scenario) run(w io.Writer) error {
 	if sc.traceN > 0 {
 		s.Net.SetTracer(trace.NewLog(sc.traceN))
 	}
-	configure := s.Configure
-	if sc.workers > 1 {
-		// Sharded configure is byte-identical to serial, so -workers
-		// changes only the wall clock of a report.
-		configure = func() (float64, error) { return s.ConfigureSharded(sc.workers) }
-	}
-	elapsed, err := configure()
+	elapsed, err := s.Configure()
 	if err != nil {
 		return err
 	}

@@ -14,17 +14,6 @@ import (
 // and schedules its HEAD_ORG. Call Engine().Run to let the computation
 // diffuse; it terminates when the event queue drains (Corollary 4).
 func (nw *Network) StartConfiguration() error {
-	if err := nw.prepareRoot(); err != nil {
-		return err
-	}
-	nw.scheduleHeadOrg(nw.bigID, 0)
-	return nil
-}
-
-// prepareRoot installs the head role on the big node for the 0-band
-// cell without scheduling anything — the shared setup of the serial
-// (StartConfiguration) and sharded (ConfigureSharded) configure paths.
-func (nw *Network) prepareRoot() error {
 	if nw.bigID == radio.None {
 		return fmt.Errorf("core: no big node in the network")
 	}
@@ -38,6 +27,7 @@ func (nw *Network) prepareRoot() error {
 	big.ParentIL = pos
 	big.Hops = 0
 	nw.touch(nw.bigID)
+	nw.scheduleHeadOrg(nw.bigID, 0)
 	return nil
 }
 
@@ -120,42 +110,18 @@ func (nw *Network) smallAt(p geom.Point, dist float64) []radio.NodeID {
 // The action is a no-op if id is dead or no longer in a head role —
 // exactly the behaviour of a crashed initiator in the paper's model.
 func (nw *Network) HeadOrg(id radio.NodeID) {
-	nw.headOrg(id, nil)
-}
-
-// headOrg is HeadOrg parameterized over an execution context. With
-// sk == nil it runs directly against shared state — the classic serial
-// path, byte-for-byte the pre-sharding behaviour. With a sink it runs
-// as one event of a sharded configure wave (see shard.go): spatial
-// queries go through the sink (uncounted reads plus an overlay of this
-// event's own promotions), and every effect on shared state — medium
-// head-index flips, topology touches, stats, metrics, child HEAD_ORG
-// scheduling — is buffered in the sink for ordered application at the
-// wave barrier. Node-state writes stay direct in both modes: the
-// sharded executor only runs non-conflicting events concurrently, so
-// their write sets are disjoint.
-func (nw *Network) headOrg(id radio.NodeID, sk *orgSink) {
 	h := nw.node(id)
 	if h == nil || !nw.Alive(id) || !h.Status.IsHeadRole() {
 		return
 	}
-	if sk == nil {
-		nw.metrics.HeadOrgs++
-		nw.emit(trace.KindHeadOrg, id, radio.None, h.IL)
-	} else {
-		sk.metrics.HeadOrgs++
-	}
+	nw.metrics.HeadOrgs++
+	nw.emit(trace.KindHeadOrg, id, radio.None, h.IL)
 	cfg := nw.cfg
 
 	// The org broadcast must reach the whole search region, whose apex
 	// is IL(i); the head itself may sit up to Rt from its IL, so it
 	// widens its transmission range by Rt.
-	var receivers []radio.NodeID
-	if sk == nil {
-		receivers, _ = nw.med.Broadcast(id, cfg.SearchRadius()+cfg.Rt)
-	} else {
-		receivers = sk.broadcast(id, cfg.SearchRadius()+cfg.Rt)
-	}
+	receivers, _ := nw.med.Broadcast(id, cfg.SearchRadius()+cfg.Rt)
 
 	isRoot := h.IsBig && h.Parent == id
 	sector := SearchSector(cfg, h.IL, h.ParentIL, isRoot)
@@ -163,16 +129,9 @@ func (nw *Network) headOrg(id radio.NodeID, sk *orgSink) {
 	// Partition the responders. Head selection (HEAD_SELECT) considers
 	// only nodes inside the search sector, but ASSOCIATE_ORG_RESP runs
 	// at every small node that hears the org broadcast. The partitions
-	// live in the HEAD_ORG scratch (the network's orgSmall/orgAll, or
-	// the sink's): they are read across the whole action, including its
-	// nested queries.
-	var smallNodes, allSmall []radio.NodeID
-	if sk == nil {
-		smallNodes, allSmall = nw.orgSmall[:0], nw.orgAll[:0]
-	} else {
-		smallNodes, allSmall = sk.smallBuf[:0], sk.allBuf[:0]
-	}
-	replies := uint64(0)
+	// live in the HEAD_ORG scratch: they are read across the whole
+	// action, including its nested queries.
+	smallNodes, allSmall := nw.orgSmall[:0], nw.orgAll[:0]
 	for _, rid := range receivers {
 		rn := nw.node(rid)
 		if rn == nil || !nw.Alive(rid) {
@@ -187,113 +146,126 @@ func (nw *Network) headOrg(id radio.NodeID, sk *orgSink) {
 		}
 		// Every sector member replies — existing heads included, though
 		// only small nodes feed HEAD_SELECT.
-		replies++
+		nw.metrics.ReplyMessages++
 		if rn.Status == StatusBootup || rn.Status == StatusAssociate {
 			smallNodes = append(smallNodes, rid)
 		}
 	}
-	if sk == nil {
-		nw.orgSmall, nw.orgAll = smallNodes, allSmall
-		nw.metrics.ReplyMessages += replies
-	} else {
-		sk.smallBuf, sk.allBuf = smallNodes, allSmall
-		sk.metrics.ReplyMessages += replies
-	}
+	nw.orgSmall, nw.orgAll = smallNodes, allSmall
 
-	// HEAD_SELECT over the neighboring ILs.
-	ilDst := nw.ilBuf[:0]
-	if sk != nil {
-		ilDst = sk.ilBuf[:0]
-	}
-	for _, il := range neighborILsAppend(ilDst, cfg, h.IL, h.ParentIL, isRoot) {
-		if owner, ok := nw.ilOwnerIn(il, sk); ok {
-			// Step 2: the IL already has a head; record neighborhood.
-			nw.linkNeighborsIn(id, owner, sk)
-			continue
-		}
-		if nw.ilConflictsIn(il, sk) {
-			continue
-		}
-		ca := nw.caOfIn(il, smallNodes, sk)
-		best, ok := BestCandidate(il, cfg.GR, ca, nw.Position)
-		if !ok {
-			// Rt-gap at this IL (or boundary): GS³-D skips the cell and
-			// re-checks later (boundary rescan).
-			continue
-		}
-		nw.promoteToHeadIn(best, il, h, h.Hops+1, sk)
-		nw.linkNeighborsIn(id, best, sk)
-		if !containsID(h.Children, best) {
-			h.Children = nw.appendID(h.Children, best)
-			nw.touchIn(id, sk)
-		}
-		if sk == nil {
-			nw.scheduleHeadOrg(best, nw.orgLatency())
-		} else {
-			sk.children = append(sk.children, best)
-		}
-	}
-
-	// HeadSet broadcast; every small node in range re-chooses its best
-	// head (ASSOCIATE_ORG_RESP).
-	if sk == nil {
-		nw.med.Broadcast(id, cfg.SearchRadius()+cfg.Rt)
-	} else {
-		sk.broadcast(id, cfg.SearchRadius()+cfg.Rt)
-	}
-	if sk != nil && sk.par > 1 && len(allSmall) >= minChooseParallel {
-		nw.chooseHeadsParallel(allSmall, sk)
-	} else {
-		for _, rid := range allSmall {
-			if nw.Alive(rid) && !nw.node(rid).Status.IsHeadRole() {
-				nw.chooseHeadIn(rid, sk)
-			}
-		}
-	}
+	nw.headSelect(h, neighborILsAppend(nw.ilBuf[:0], cfg, h.IL, h.ParentIL, isRoot), smallNodes)
+	nw.associateOrgResp(id, allSmall)
 
 	if h.Status != StatusWork {
 		nw.setStatus(h, StatusWork) // Head→Work: no head-role flip
-		nw.touchIn(id, sk)
+		nw.touch(id)
 	}
-	if sk == nil {
-		nw.scheduleOrgRetry(id, 1)
-	}
-	// Sharded mode never arms the retry timer: shardable() requires an
-	// inactive fault plan, under which scheduleOrgRetry is a no-op.
+	nw.scheduleOrgRetry(id, 1)
 }
 
-// touchIn routes a topology touch directly into the medium's epochs
-// (sk == nil), or into a sharded event's deferred buffer for ordered
-// application at the wave barrier.
-func (nw *Network) touchIn(id radio.NodeID, sk *orgSink) {
-	if sk == nil {
-		nw.touch(id)
+// headSelect is HEAD_SELECT at head h over the neighboring ILs ils,
+// shared by HeadOrg and RescanAround: an IL some head already owns
+// becomes a neighbor link (Step 2); an IL too close to an existing
+// head is skipped; otherwise the best node of CA(il) among smallNodes
+// is promoted to head the new child cell, whose own HEAD_ORG follows
+// one org round later. An IL with an empty CA is an Rt-gap (or the
+// boundary): GS³-D skips the cell and re-checks it on boundary rescans.
+func (nw *Network) headSelect(h *Node, ils []geom.Point, smallNodes []radio.NodeID) {
+	for _, il := range ils {
+		if owner, ok := nw.ilOwner(il); ok {
+			nw.linkNeighbors(h.ID, owner)
+			continue
+		}
+		if nw.ilConflicts(il) {
+			continue
+		}
+		best, ok := BestCandidate(il, nw.cfg.GR, nw.caOf(il, smallNodes), nw.Position)
+		if !ok {
+			continue
+		}
+		nw.promoteToHead(best, il, h, h.Hops+1)
+		nw.linkNeighbors(h.ID, best)
+		if !containsID(h.Children, best) {
+			h.Children = nw.appendID(h.Children, best)
+			nw.touch(h.ID)
+		}
+		nw.scheduleHeadOrg(best, nw.orgLatency())
+	}
+}
+
+// associateOrgResp sends head id's HeadSet broadcast and lets every
+// small node among receivers re-choose its best head
+// (ASSOCIATE_ORG_RESP), shared by HeadOrg and RescanAround. A choice
+// writes only the chooser's own state, never a head role, so every
+// receiver chooses against the same head set, and one head gather
+// answers them all (see gatherHeads) instead of a range query each.
+func (nw *Network) associateOrgResp(id radio.NodeID, receivers []radio.NodeID) {
+	nw.med.Broadcast(id, nw.cfg.SearchRadius()+nw.cfg.Rt)
+	if len(receivers) == 0 {
 		return
 	}
-	sk.touches = append(sk.touches, id)
+	gather := nw.gatherHeads(id)
+	for _, rid := range receivers {
+		if n := nw.chooser(rid); n != nil {
+			p := nw.Position(rid)
+			nw.chooseHeadAmong(n, p, nw.headsHeard(gather, p))
+		}
+	}
 }
 
-// headsAtIn is headRoleAt through an execution context: the shared
-// counted query when sk == nil, the sink's uncounted-plus-overlay query
-// otherwise.
-func (nw *Network) headsAtIn(p geom.Point, dist float64, sk *orgSink) []radio.NodeID {
-	if sk == nil {
-		return nw.headRoleAt(p, dist)
+// gatheredHead is one head of a HEAD_ORG's gather, with its position.
+type gatheredHead struct {
+	id  radio.NodeID
+	pos geom.Point
+}
+
+// gatherHeads collects, with one range query, every head a receiver of
+// head id's org broadcast could hear. Receivers lie within SR+Rt of id
+// and hear heads within SR of themselves, so all such heads lie within
+// 2·SR+Rt of id; the disk of radius 2·(SR+Rt) holds them with an Rt of
+// margin for rounding. The disk ignores obstacles, because line of
+// sight depends on the receiver (headsHeard tests it from there), and
+// drops blacked-out heads, which no receiver hears. The result is in
+// ascending ID order and aliases the network's gather scratch.
+func (nw *Network) gatherHeads(id radio.NodeID) []gatheredHead {
+	cfg := nw.cfg
+	nw.queryBuf = nw.med.HeadsWithinDisk(nw.queryBuf[:0], nw.Position(id), 2*(cfg.SearchRadius()+cfg.Rt))
+	out := nw.gather[:0]
+	for _, hid := range nw.queryBuf {
+		if !nw.med.InBlackout(hid) {
+			out = append(out, gatheredHead{hid, nw.Position(hid)})
+		}
 	}
-	return sk.headsAt(p, dist)
+	nw.gather = out
+	return out
+}
+
+// headsHeard filters a head gather down to the heads a small node at p
+// hears: exactly reachableHeadsAt(p, SR), in the same ascending ID
+// order, without a range query of its own. It applies the medium's
+// range predicate with the same operands (head.Dist2(p) ≤ SR·SR) and
+// tests occlusion from p, as the medium does for a query at p. The
+// result aliases the network's heard scratch.
+func (nw *Network) headsHeard(gather []gatheredHead, p geom.Point) []radio.NodeID {
+	sr := nw.cfg.SearchRadius()
+	r2 := sr * sr
+	obs := nw.med.Obstacles()
+	out := nw.heard[:0]
+	for _, g := range gather {
+		if g.pos.Dist2(p) <= r2 && (len(obs) == 0 || !geom.AnyOccludes(obs, p, g.pos)) {
+			out = append(out, g.id)
+		}
+	}
+	nw.heard = out
+	return out
 }
 
 // ilOwner reports whether some existing head owns the cell at il, i.e.
 // its own IL is within Rt of il. It prefers the closest owner.
 func (nw *Network) ilOwner(il geom.Point) (radio.NodeID, bool) {
-	return nw.ilOwnerIn(il, nil)
-}
-
-// ilOwnerIn is ilOwner through an execution context (see headOrg).
-func (nw *Network) ilOwnerIn(il geom.Point, sk *orgSink) (radio.NodeID, bool) {
 	best := radio.None
 	bestD := nw.cfg.Rt
-	for _, hid := range nw.headsAtIn(il, nw.cfg.Rt, sk) {
+	for _, hid := range nw.headRoleAt(il, nw.cfg.Rt) {
 		hn := nw.node(hid)
 		if d := hn.IL.Dist(il); d <= bestD {
 			best, bestD = hid, d
@@ -308,39 +280,20 @@ func (nw *Network) ilOwnerIn(il geom.Point, sk *orgSink) (radio.NodeID, bool) {
 // off-lattice ILs always conflict with the real structure, so this
 // guard keeps state corruption from cascading through HEAD_ORG.
 func (nw *Network) ilConflicts(il geom.Point) bool {
-	return nw.ilConflictsIn(il, nil)
-}
-
-// ilConflictsIn is ilConflicts through an execution context.
-func (nw *Network) ilConflictsIn(il geom.Point, sk *orgSink) bool {
-	return len(nw.headsAtIn(il, nw.cfg.NeighborDistMin(), sk)) > 0
+	return len(nw.headRoleAt(il, nw.cfg.NeighborDistMin())) > 0
 }
 
 // caOf returns CA(il): the small nodes within Rt of il (HEAD_SELECT
 // Step 3). The result aliases the network's caBuf scratch: it is valid
 // until the next caOf call and must not be retained.
 func (nw *Network) caOf(il geom.Point, smallNodes []radio.NodeID) []radio.NodeID {
-	return nw.caOfIn(il, smallNodes, nil)
-}
-
-// caOfIn is caOf through an execution context: the filter runs into the
-// sink's candidate scratch instead of the network's when sharded.
-func (nw *Network) caOfIn(il geom.Point, smallNodes []radio.NodeID, sk *orgSink) []radio.NodeID {
-	buf := nw.caBuf
-	if sk != nil {
-		buf = sk.caBuf
-	}
-	out := buf[:0]
+	out := nw.caBuf[:0]
 	for _, id := range smallNodes {
 		if nw.Position(id).Dist(il) <= nw.cfg.Rt {
 			out = append(out, id)
 		}
 	}
-	if sk != nil {
-		sk.caBuf = out
-	} else {
-		nw.caBuf = out
-	}
+	nw.caBuf = out
 	return out
 }
 
@@ -349,21 +302,8 @@ func (nw *Network) caOfIn(il geom.Point, smallNodes []radio.NodeID, sk *orgSink)
 // (the SYN_CELL convention): its OIL is the unshifted lattice point, so
 // same-spiral neighbor ILs stay exactly √3·R apart even after slides.
 func (nw *Network) promoteToHead(id radio.NodeID, il geom.Point, scanner *Node, hops int32) {
-	nw.promoteToHeadIn(id, il, scanner, hops, nil)
-}
-
-// promoteToHeadIn is promoteToHead through an execution context. In
-// sharded mode the medium's head-index flip is deferred to the level
-// barrier — SetHeadRole mutates the shared head grid — and recorded in
-// the sink's overlay so the event's own later queries see it.
-func (nw *Network) promoteToHeadIn(id radio.NodeID, il geom.Point, scanner *Node, hops int32, sk *orgSink) {
 	n := nw.node(id)
-	if sk == nil {
-		nw.setStatus(n, StatusHead)
-	} else {
-		n.Status = StatusHead // small node before: the flip is to head
-		sk.promote(id, nw.Position(id))
-	}
+	nw.setStatus(n, StatusHead)
 	n.IL = il
 	n.OIL = il.Add(scanner.OIL.Sub(scanner.IL))
 	n.Spiral = scanner.Spiral
@@ -372,22 +312,13 @@ func (nw *Network) promoteToHeadIn(id radio.NodeID, il geom.Point, scanner *Node
 	n.Hops = hops
 	n.Head = radio.None
 	n.Candidate = false
-	nw.touchIn(id, sk)
-	if sk == nil {
-		nw.metrics.HeadsSelected++
-		nw.emit(trace.KindHeadSelected, id, scanner.ID, il)
-	} else {
-		sk.metrics.HeadsSelected++
-	}
+	nw.touch(id)
+	nw.metrics.HeadsSelected++
+	nw.emit(trace.KindHeadSelected, id, scanner.ID, il)
 }
 
 // linkNeighbors records a–b as neighboring cell heads on both sides.
 func (nw *Network) linkNeighbors(a, b radio.NodeID) {
-	nw.linkNeighborsIn(a, b, nil)
-}
-
-// linkNeighborsIn is linkNeighbors through an execution context.
-func (nw *Network) linkNeighborsIn(a, b radio.NodeID, sk *orgSink) {
 	if a == b {
 		return
 	}
@@ -397,11 +328,11 @@ func (nw *Network) linkNeighborsIn(a, b radio.NodeID, sk *orgSink) {
 	}
 	if !containsID(an.Neighbors, b) {
 		an.Neighbors = nw.appendID(an.Neighbors, b)
-		nw.touchIn(a, sk)
+		nw.touch(a)
 	}
 	if !containsID(bn.Neighbors, a) {
 		bn.Neighbors = nw.appendID(bn.Neighbors, a)
-		nw.touchIn(b, sk)
+		nw.touch(b)
 	}
 }
 
@@ -411,32 +342,35 @@ func (nw *Network) linkNeighborsIn(a, b radio.NodeID, sk *orgSink) {
 // and become its associate. The node becomes (or stays) bootup when no
 // head is in range. Returns the chosen head or radio.None.
 func (nw *Network) ChooseHead(id radio.NodeID) radio.NodeID {
-	return nw.chooseHeadIn(id, nil)
-}
-
-// chooseHeadIn is ChooseHead through an execution context: the head
-// query goes through the sink (uncounted + own-promotion overlay) and
-// the topology touch is deferred when sharded. The node-state writes
-// themselves are direct — the associate being written belongs to
-// exactly one event of a wave level (events writing the same node
-// always conflict and so run on different levels, in order).
-func (nw *Network) chooseHeadIn(id radio.NodeID, sk *orgSink) radio.NodeID {
-	n := nw.node(id)
-	if n == nil || !nw.Alive(id) || n.Status.IsHeadRole() || n.IsBig {
+	n := nw.chooser(id)
+	if n == nil {
 		return radio.None
 	}
 	p := nw.Position(id)
-	var heads []radio.NodeID
-	if sk == nil {
-		heads = nw.reachableHeadsAt(p, nw.cfg.SearchRadius())
-	} else {
-		heads = sk.reachableHeadsAt(p, nw.cfg.SearchRadius())
+	return nw.chooseHeadAmong(n, p, nw.reachableHeadsAt(p, nw.cfg.SearchRadius()))
+}
+
+// chooser returns node id if it may run ASSOCIATE_ORG_RESP — an alive
+// small node, neither the big node nor in a head role — and nil
+// otherwise.
+func (nw *Network) chooser(id radio.NodeID) *Node {
+	n := nw.node(id)
+	if n == nil || !nw.Alive(id) || n.Status.IsHeadRole() || n.IsBig {
+		return nil
 	}
+	return n
+}
+
+// chooseHeadAmong is the ASSOCIATE_ORG_RESP decision of small node n at
+// p, given the heads it hears (reachableHeadsAt(p, SR), or the same
+// list filtered from a head gather): associate with the best of them,
+// or become bootup when there is none.
+func (nw *Network) chooseHeadAmong(n *Node, p geom.Point, heads []radio.NodeID) radio.NodeID {
 	best, ok := BestCandidate(p, nw.cfg.GR, heads, nw.Position)
 	if !ok {
 		if n.Status != StatusBootup || n.Head != radio.None || n.Candidate {
 			nw.becomeBootup(n)
-			nw.touchIn(id, sk)
+			nw.touch(n.ID)
 		}
 		return radio.None
 	}
@@ -453,7 +387,7 @@ func (nw *Network) chooseHeadIn(id radio.NodeID, sk *orgSink) radio.NodeID {
 			// broadcast so the cell survives its head's death.
 			n.CellIL, n.CellOIL, n.CellSpiral = bn.IL, bn.OIL, bn.Spiral
 		}
-		nw.touchIn(id, sk)
+		nw.touch(n.ID)
 	}
 	return best
 }

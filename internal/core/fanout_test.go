@@ -1,0 +1,191 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"gs3/internal/field"
+	"gs3/internal/radio"
+	"gs3/internal/rng"
+	"gs3/internal/trace"
+)
+
+// fanOutField is one deployment for the fan-out differential test.
+// blackout, when set, is called after every engine step (with the heads
+// that step selected) and before the rescan cycle (with every head),
+// and may black nodes out.
+type fanOutField struct {
+	dep       field.Deployment
+	obstacles []field.Obstacle
+	blackout  func(nw *Network, heads []radio.NodeID)
+}
+
+func fanOutFields(t *testing.T) map[string]fanOutField {
+	t.Helper()
+	cfg := DefaultConfig(100)
+	grid := func(radius float64) field.Deployment {
+		dep, err := field.Grid(radius, cfg.Rt*0.9, 0.15, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dep
+	}
+	poisson, err := field.Poisson(field.Config{Radius: 350, Lambda: 0.01}, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An L-shaped wall off-center: non-convex occlusion with nodes on
+	// every side of it.
+	wall := []field.Obstacle{{{X: 40, Y: -160}, {X: 110, Y: -160}, {X: 110, Y: 60}, {X: -120, Y: 60},
+		{X: -120, Y: 130}, {X: 40, Y: 130}}}
+	// The blackout field blacks out every tenth node once the root's
+	// HEAD_ORG has run, then a third of the heads as they are selected,
+	// so gathers hold heads no receiver may hear.
+	blackDep := grid(350)
+	src := rng.New(3)
+	blackout := func(nw *Network, heads []radio.NodeID) {
+		if nw.med.Stats().Blackouts == 0 {
+			for id := radio.NodeID(1); int(id) < blackDep.N(); id += 10 {
+				nw.med.SetBlackout(id, true)
+			}
+		}
+		for _, id := range heads {
+			if id != nw.BigID() && src.Intn(3) == 0 {
+				nw.med.SetBlackout(id, true)
+			}
+		}
+	}
+	return map[string]fanOutField{
+		"grid":     {dep: grid(350)},
+		"poisson":  {dep: poisson},
+		"obstacle": {dep: field.WithObstacles(grid(380), wall), obstacles: wall},
+		"blackout": {dep: blackDep, blackout: blackout},
+	}
+}
+
+// fanOutPower counts the (receiver, head) pairs a wrong fan-out would
+// get wrong, so the test can prove it exercised them: heads a receiver
+// hears beyond SR+Rt of the org head (a gather of radius SR+Rt misses
+// them), heads within SR of the receiver that an obstacle hides from
+// it but not from the org head or vice versa (occlusion tested from
+// the wrong end), and in-range blacked-out heads.
+type fanOutPower struct {
+	receivers, far, occlusionSplit, blackedOut int
+}
+
+// checkFanOut compares, for every node within broadcast range of head
+// org, the candidate list filtered from org's head gather with the
+// per-node query reachableHeadsAt(p, SR) the fan-out replaces.
+func checkFanOut(t *testing.T, nw *Network, org radio.NodeID, pw *fanOutPower) {
+	t.Helper()
+	cfg := nw.cfg
+	sr := cfg.SearchRadius()
+	orgPos := nw.Position(org)
+	gather := nw.gatherHeads(org)
+	for _, rid := range nw.med.WithinRange(orgPos, sr+cfg.Rt, org) {
+		p := nw.Position(rid)
+		got := slices.Clone(nw.headsHeard(gather, p))
+		want := nw.reachableHeadsAt(p, sr)
+		if !slices.Equal(got, want) {
+			t.Fatalf("HEAD_ORG of %d, receiver %d at %v: gathered candidates %v, per-node query %v", org, rid, p, got, want)
+		}
+		pw.receivers++
+		for _, hid := range want {
+			if nw.Position(hid).Dist(orgPos) > sr+cfg.Rt {
+				pw.far++
+			}
+		}
+		for _, hid := range nw.med.HeadsWithinDisk(nil, p, sr) {
+			hp := nw.Position(hid)
+			if nw.med.InBlackout(hid) {
+				pw.blackedOut++
+			}
+			if nw.med.OccludedPoints(p, hp) != nw.med.OccludedPoints(orgPos, hp) {
+				pw.occlusionSplit++
+			}
+		}
+	}
+}
+
+// TestFanOutMatchesPerReceiverQuery is the differential test of the
+// ASSOCIATE_ORG_RESP fan-out. For every HEAD_ORG of a configure and of
+// one rescan cycle over every head, on grid, Poisson, obstacle and
+// blackout fields, each receiver's candidate list filtered from the org
+// head's single gather must equal the per-node head query it replaces,
+// order included.
+func TestFanOutMatchesPerReceiverQuery(t *testing.T) {
+	for name, f := range fanOutFields(t) {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig(100)
+			nw, err := NewNetwork(cfg, testRadioParams(cfg), rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(f.obstacles) > 0 {
+				nw.med.SetObstacles(f.obstacles)
+			}
+			for i, p := range f.dep.Positions {
+				if _, err := nw.AddNode(p, i == 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var pw fanOutPower
+			orgs := 0
+			// run steps the engine to quiescence, checking after each
+			// HEAD_ORG: the fan-out is its last head-set read, so the
+			// head set is still the one the fan-out saw.
+			run := func() {
+				for {
+					log := trace.NewLog(64)
+					nw.SetTracer(log)
+					if !nw.Engine().Step() {
+						return
+					}
+					for _, ev := range log.Filter(trace.KindHeadOrg) {
+						checkFanOut(t, nw, ev.Node, &pw)
+						orgs++
+					}
+					if f.blackout != nil {
+						var selected []radio.NodeID
+						for _, ev := range log.Filter(trace.KindHeadSelected) {
+							selected = append(selected, ev.Node)
+						}
+						f.blackout(nw, selected)
+					}
+				}
+			}
+			if err := nw.StartConfiguration(); err != nil {
+				t.Fatal(err)
+			}
+			run()
+			nw.SetTracer(nil)
+
+			var heads []radio.NodeID
+			for _, id := range nw.SortedIDs() {
+				if n := nw.node(id); nw.Alive(id) && n.Status.IsHeadRole() {
+					heads = append(heads, id)
+				}
+			}
+			if f.blackout != nil {
+				f.blackout(nw, heads)
+			}
+			for _, id := range heads {
+				nw.RescanAround(id)
+				checkFanOut(t, nw, id, &pw)
+				orgs++
+			}
+			run() // HEAD_ORGs of any cells the rescans created
+
+			t.Logf("%d HEAD_ORGs, %+v", orgs, pw)
+			if pw.far == 0 {
+				t.Error("no receiver heard a head beyond SR+Rt of the org head")
+			}
+			if len(f.obstacles) > 0 && pw.occlusionSplit == 0 {
+				t.Error("no head was occluded differently from receiver and org head")
+			}
+			if f.blackout != nil && pw.blackedOut == 0 {
+				t.Error("no blacked-out head was in range of a receiver")
+			}
+		})
+	}
+}

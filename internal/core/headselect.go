@@ -135,17 +135,33 @@ func rankOf(il geom.Point, ref geom.Vec, id radio.NodeID, p geom.Point) Ranked {
 // (ID breaks every tie), so a single min-scan finds exactly the node a
 // full RankCandidates sort would put first — without allocating or
 // sorting, which matters because this runs inside every HEAD_SELECT,
-// ChooseHead, and candidate election.
+// ChooseHead, and candidate election. The scan compares d first, as
+// rankKeyCmp does, and computes the ⟨|A|, A⟩ angles only when a
+// distance ties the best one exactly: nothing else consults them.
 func BestCandidate(il geom.Point, gr float64, ids []radio.NodeID, pos func(radio.NodeID) geom.Point) (radio.NodeID, bool) {
 	if len(ids) == 0 {
 		return radio.None, false
 	}
-	ref := geom.UnitAt(gr)
-	best := rankOf(il, ref, ids[0], pos(ids[0]))
+	bestID, bestP := ids[0], pos(ids[0])
+	bestD := il.Dist(bestP)
+	var ref geom.Vec
+	var best Ranked // the best's full key, valid once ranked
+	ranked := false
 	for _, id := range ids[1:] {
-		if r := rankOf(il, ref, id, pos(id)); rankKeyCmp(r, best) < 0 {
-			best = r
+		p := pos(id)
+		if d := il.Dist(p); d != bestD {
+			if d < bestD {
+				bestID, bestP, bestD, ranked = id, p, d, false
+			}
+			continue
+		}
+		if !ranked {
+			ref = geom.UnitAt(gr)
+			best, ranked = rankOf(il, ref, bestID, bestP), true
+		}
+		if r := rankOf(il, ref, id, p); rankKeyCmp(r, best) < 0 {
+			best, bestID, bestP = r, id, p
 		}
 	}
-	return best.ID, true
+	return bestID, true
 }

@@ -232,6 +232,76 @@ func TestBestCandidateAtIL(t *testing.T) {
 	}
 }
 
+// TestBestCandidateTiesMatchRanking checks BestCandidate, which
+// computes the ⟨|A|, A⟩ angles only on exact distance ties, against
+// the full RankCandidates sort on candidate sets built to tie: integer
+// Pythagorean offsets around the IL (d = 5, 10 exactly), pairs
+// mirrored about GR (|A| ties, A decides), and coincident positions
+// (the ID decides). Every permutation of every set must pick the
+// sort's first node, for GR along and off the axes.
+func TestBestCandidateTiesMatchRanking(t *testing.T) {
+	il := geom.Point{X: 100, Y: -40}
+	sets := [][]geom.Vec{
+		{{X: 3, Y: 4}, {X: 4, Y: 3}, {X: 5, Y: 0}, {X: 0, Y: -5}, {X: -3, Y: 4}, {X: -4, Y: -3}, {X: 0, Y: 5}},
+		{{X: 6, Y: 8}, {X: 10, Y: 0}, {X: 3, Y: -4}, {X: 8, Y: -6}, {X: -5, Y: 0}, {X: 0, Y: -10}, {X: 4, Y: 3}},
+		{{X: 3, Y: 4}, {X: 3, Y: -4}, {X: 4, Y: 3}, {X: 4, Y: -3}, {X: -3, Y: 4}, {X: -3, Y: -4}, {X: 0, Y: 5}},
+		{{X: 4, Y: 3}, {X: -4, Y: 3}, {X: 3, Y: 4}, {X: -3, Y: 4}, {X: 0, Y: -5}, {X: 5, Y: 0}, {X: -5, Y: 0}},
+		{{X: 3, Y: 4}, {X: 3, Y: 4}, {X: 3, Y: -4}, {X: 3, Y: -4}, {X: 5, Y: 0}, {X: 6, Y: 8}, {X: 5, Y: 0}},
+		{{}, {}, {X: 3, Y: 4}, {}, {X: 6, Y: 8}, {X: 0, Y: 5}},
+	}
+	// IDs deliberately out of position order, so the ID tie-break is
+	// not the input order.
+	ids := []radio.NodeID{41, 7, 19, 3, 28, 12, 35}
+	for si, offs := range sets {
+		pos := make(map[radio.NodeID]geom.Point, len(offs))
+		set := make([]radio.NodeID, len(offs))
+		for i, o := range offs {
+			set[i] = ids[i]
+			pos[ids[i]] = il.Add(o)
+		}
+		at := func(id radio.NodeID) geom.Point { return pos[id] }
+		for _, gr := range []float64{0, math.Pi / 2, math.Pi, -math.Pi / 2, 0.3} {
+			want := RankCandidates(il, gr, set, at)[0].ID
+			perm := append([]radio.NodeID(nil), set...)
+			n := 0
+			permute(perm, len(perm), func() {
+				n++
+				if got, ok := BestCandidate(il, gr, perm, at); !ok || got != want {
+					t.Fatalf("set %d, GR %.3f, order %v: BestCandidate = %d, RankCandidates first = %d", si, gr, perm, got, want)
+				}
+			})
+			if want := factorial(len(set)); n != want {
+				t.Fatalf("set %d: visited %d permutations, want %d", si, n, want)
+			}
+		}
+	}
+}
+
+// permute calls visit once for every ordering of s[:k] (Heap's
+// algorithm), permuting s in place.
+func permute(s []radio.NodeID, k int, visit func()) {
+	if k <= 1 {
+		visit()
+		return
+	}
+	for i := 0; i < k-1; i++ {
+		permute(s, k-1, visit)
+		if k%2 == 0 {
+			s[i], s[k-1] = s[k-1], s[i]
+		} else {
+			s[0], s[k-1] = s[k-1], s[0]
+		}
+	}
+	permute(s, k-1, visit)
+}
+
+func factorial(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return n * factorial(n-1)
+}
+
 func TestStatusString(t *testing.T) {
 	for s, want := range map[Status]string{
 		StatusBootup: "bootup", StatusHead: "head", StatusWork: "work",

@@ -48,9 +48,7 @@ func (nw *Network) StartMaintenance(v Variant) {
 	nw.maintaining = true
 	// Per-send energy drain applies to maintenance-era traffic only:
 	// configure is energy-free by design (batteries meter the network's
-	// operating lifetime, not its setup), and installing the hook here
-	// keeps the sharded configure executor's concurrency contract — the
-	// hook mutates per-node energy, which parallel workers must not.
+	// operating lifetime, not its setup), so the hook goes in here.
 	if nw.sendCostsActive() {
 		nw.med.SetSendHook(nw.drainSendEnergy)
 	}
@@ -981,13 +979,11 @@ func (nw *Network) RescanAround(id radio.NodeID) {
 	}
 	nw.metrics.HeadOrgs++
 	nw.emit(trace.KindHeadOrg, id, radio.None, h.IL)
-	cfg := nw.cfg
-	receivers, _ := nw.med.Broadcast(id, cfg.SearchRadius()+cfg.Rt)
+	receivers, _ := nw.med.Broadcast(id, nw.cfg.SearchRadius()+nw.cfg.Rt)
 
-	// The small-node scratch is owned by this frame for the duration:
-	// nothing RescanAround calls synchronously re-enters it.
-	smallNodes := nw.smallBuf[:0]
-	nw.smallBuf = nil
+	// Every receiver replies; every small one is a HEAD_SELECT candidate
+	// and re-chooses its head afterwards.
+	smallNodes := nw.orgAll[:0]
 	for _, rid := range receivers {
 		rn := nw.node(rid)
 		if rn == nil || !nw.Alive(rid) {
@@ -998,36 +994,10 @@ func (nw *Network) RescanAround(id radio.NodeID) {
 			smallNodes = append(smallNodes, rid)
 		}
 	}
+	nw.orgAll = smallNodes
 
-	for _, il := range nw.sixILs(h) {
-		if owner, ok := nw.ilOwner(il); ok {
-			nw.linkNeighbors(id, owner)
-			continue
-		}
-		if nw.ilConflicts(il) {
-			continue
-		}
-		ca := nw.caOf(il, smallNodes)
-		best, ok := BestCandidate(il, cfg.GR, ca, nw.Position)
-		if !ok {
-			continue
-		}
-		nw.promoteToHead(best, il, h, h.Hops+1)
-		nw.linkNeighbors(id, best)
-		if !containsID(h.Children, best) {
-			h.Children = nw.appendID(h.Children, best)
-			nw.touch(id)
-		}
-		nw.scheduleHeadOrg(best, nw.orgLatency())
-	}
-
-	nw.med.Broadcast(id, cfg.SearchRadius()+cfg.Rt)
-	for _, rid := range smallNodes {
-		if nw.Alive(rid) && !nw.node(rid).Status.IsHeadRole() {
-			nw.ChooseHead(rid)
-		}
-	}
-	nw.smallBuf = smallNodes
+	nw.headSelect(h, nw.sixILs(h), smallNodes)
+	nw.associateOrgResp(id, smallNodes)
 }
 
 // sixILs returns the six neighboring-cell ILs around h's cell, oriented

@@ -39,15 +39,12 @@ type Network struct {
 	// The struct-of-arrays node store (see store.go): hot protocol
 	// state inline in nodes, cold per-node state in the parallel cold
 	// slice, lazily allocated sweep caches in caches, and the chunk
-	// arena feeding Children/Neighbors lists. arenaOn gates the arena's
-	// free list: the parallel configure executor turns it off while
-	// worker goroutines run, because get/put mutate shared slabs.
-	nodes   []Node
-	cold    []nodeCold
-	caches  []sweepCache
-	arena   idArena
-	arenaOn bool
-	nextID  radio.NodeID
+	// arena feeding Children/Neighbors lists.
+	nodes  []Node
+	cold   []nodeCold
+	caches []sweepCache
+	arena  idArena
+	nextID radio.NodeID
 
 	metrics Metrics
 
@@ -75,18 +72,18 @@ type Network struct {
 	// results for the same IL loop iteration.
 	caBuf []radio.NodeID
 
-	// smallBuf is the scratch behind RescanAround's small-node receiver
-	// list, and ilBuf the backing array of sixILs; both live across the
-	// whole rescan, so they are separate from the query scratches above.
-	smallBuf []radio.NodeID
+	// ilBuf backs the neighboring ILs of a HEAD_ORG (neighborILsAppend,
+	// sixILs). orgSmall and orgAll are its receiver-partition scratch
+	// (small nodes eligible for promotion; all small receivers). All
+	// three live across the whole HEAD_ORG or rescan — including its
+	// nested queries and head choices — so they are separate from the
+	// query scratches above. gather and heard back the ASSOCIATE_ORG_RESP
+	// fan-out (gatherHeads, headsHeard).
 	ilBuf    [6]geom.Point
-
-	// orgSmall and orgAll are HEAD_ORG's receiver-partition scratch
-	// (small nodes eligible for promotion; all small receivers). They
-	// live across the whole HEAD_ORG — including its nested queries and
-	// ChooseHead calls — so they are separate from the buffers above.
 	orgSmall []radio.NodeID
 	orgAll   []radio.NodeID
+	gather   []gatheredHead
+	heard    []radio.NodeID
 
 	// faults, when set, injects radio unreliability and node blackouts
 	// (see internal/fault); nil runs the reliable model unchanged.
@@ -168,7 +165,6 @@ func NewNetwork(cfg Config, radioParams radio.Params, src *rng.Source) (*Network
 		med:     med,
 		eng:     sim.NewEngine(),
 		src:     src,
-		arenaOn: true,
 		bigID:   radio.None,
 		cacheOn: true,
 		lossy:   radioParams.BroadcastLoss > 0,

@@ -145,10 +145,9 @@ func (nw *Network) setStatus(n *Node, s Status) {
 }
 
 // appendID appends id to a link list, drawing a fresh arena chunk for
-// nil lists (plain heap growth when the arena is gated off during
-// parallel configure phases).
+// nil lists.
 func (nw *Network) appendID(s []radio.NodeID, id radio.NodeID) []radio.NodeID {
-	if s == nil && nw.arenaOn {
+	if s == nil {
 		s = nw.arena.get()
 	}
 	return append(s, id)
@@ -167,20 +166,14 @@ func (nw *Network) cloneIDs(s []radio.NodeID) []radio.NodeID {
 	if len(s) == 0 {
 		return nil
 	}
-	var out []radio.NodeID
-	if nw.arenaOn {
-		out = nw.arena.get()
-	}
-	return append(out, s...)
+	return append(nw.arena.get(), s...)
 }
 
 // resetHeadState clears head-role fields when a node leaves the head
 // role, recycling its link chunks.
 func (nw *Network) resetHeadState(n *Node) {
-	if nw.arenaOn {
-		nw.arena.put(n.Children)
-		nw.arena.put(n.Neighbors)
-	}
+	nw.arena.put(n.Children)
+	nw.arena.put(n.Neighbors)
 	n.Children = nil
 	n.Neighbors = nil
 	n.Parent = radio.None

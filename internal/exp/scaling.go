@@ -114,24 +114,18 @@ func RegionRadiusFor(target int, spacing float64) float64 {
 }
 
 // ConfigureScaling is experiment N1: configuration cost versus network
-// size on node-count targets rather than radii, run through the
-// wave-parallel sharded executor (byte-identical to the serial
-// diffusing computation, so every reported value is deterministic; only
-// the wall clock depends on workers). For each target it reports the
-// actual node count, the deployment radius Db, the virtual configure
-// time, the head count, and the configuration broadcasts per node —
-// the paper's locality claim (O(1) messages per node) checked at scales
-// the serial executor would take minutes to reach. Targets run
-// sequentially: each trial is large, and the parallelism lives inside
-// the sharded executor.
-func ConfigureScaling(r float64, targets []int, workers int, seed uint64) (Table, error) {
+// size on node-count targets rather than radii, run through the serial
+// diffusing computation (every reported value is deterministic). For
+// each target it reports the actual node count, the deployment radius
+// Db, the virtual configure time, the head count, and the configuration
+// broadcasts per node — the paper's locality claim (O(1) messages per
+// node) checked at scales far past the paper's. Targets run
+// sequentially: each trial is large.
+func ConfigureScaling(r float64, targets []int, seed uint64) (Table, error) {
 	t := Table{
 		ID:      "N1",
-		Title:   "Sharded configuration vs node count",
+		Title:   "Configuration vs node count",
 		Columns: []string{"n", "Db", "time", "heads", "bootup", "broadcastsPerNode"},
-		Notes: []string{
-			fmt.Sprintf("sharded executor, %d workers; output identical for any worker count", workers),
-		},
 	}
 	for _, target := range targets {
 		opt := netsim.DefaultOptions(r, RegionRadiusFor(target, netsim.DefaultOptions(r, 1).GridSpacing))
@@ -140,7 +134,7 @@ func ConfigureScaling(r float64, targets []int, workers int, seed uint64) (Table
 		if err != nil {
 			return Table{}, err
 		}
-		elapsed, err := s.ConfigureSharded(workers)
+		elapsed, err := s.Configure()
 		if err != nil {
 			return Table{}, err
 		}
@@ -169,24 +163,22 @@ func ConfigureScaling(r float64, targets []int, workers int, seed uint64) (Table
 
 // SweepScaling is experiment N2: steady-state maintenance and healing
 // cost versus network size. For each node-count target it configures
-// the field (sharded across workers; byte-identical to serial, so every
-// protocol observable is deterministic), settles the structure under
-// serial maintenance, then reports the mean wall-clock cost of the
-// next three maintenance rounds (one of them is the first all-heads
-// boundary rescan, which dominates), the live heap, and the cost of
-// healing a two-search-radius disaster: virtual rounds and wall
+// the field, settles the structure under maintenance, warms up for two
+// boundary-rescan cycles, then reports the mean wall-clock cost of the
+// next three settled maintenance rounds, the live heap, and the cost
+// of healing a two-search-radius disaster: virtual rounds and wall
 // seconds until the structure re-stabilizes, and the radio messages
 // the healing took.
 // Wall-clock columns vary with the host; the protocol columns (n,
 // healRounds, healMsgs) do not. Targets run sequentially — each trial
 // is large.
-func SweepScaling(r float64, targets []int, workers, budget int, seed uint64) (Table, error) {
+func SweepScaling(r float64, targets []int, budget int, seed uint64) (Table, error) {
 	t := Table{
 		ID:      "N2",
 		Title:   "Maintenance and healing vs node count",
 		Columns: []string{"n", "settleRounds", "roundMs", "heapMB", "killed", "healRounds", "healMs", "healMsgsPerKilled"},
 		Notes: []string{
-			fmt.Sprintf("configured by the sharded executor on %d workers; maintenance is serial; protocol observables identical for any worker count", workers),
+			"roundMs times three settled rounds after a two-boundary-rescan-cycle warm-up (not part of settleRounds)",
 			"disaster: KillDisk of radius 2*SR at (regionRadius/2, 0) on the settled structure",
 			"healMsgsPerKilled is the excess over the field's measured per-round background traffic",
 			"roundMs/healMs are wall clock (host-dependent); crater repair is message-local (excess ~0 at every scale)",
@@ -200,7 +192,7 @@ func SweepScaling(r float64, targets []int, workers, budget int, seed uint64) (T
 		if err != nil {
 			return Table{}, err
 		}
-		if _, err := s.ConfigureSharded(workers); err != nil {
+		if _, err := s.Configure(); err != nil {
 			return Table{}, err
 		}
 		s.Net.StartMaintenance(core.VariantD)
@@ -215,6 +207,11 @@ func SweepScaling(r float64, targets []int, workers, budget int, seed uint64) (T
 		}
 		s.RunSweeps(3)
 		settleRounds := (s.Net.Engine().Now() - settleStart) / opt.Config.HeartbeatInterval
+		// Warm up for two boundary-rescan cycles before timing: the
+		// first rescan-due round after settling records that sweep-cache
+		// flavour with a full HEAD_ORG at every head, so timing it would
+		// measure HEAD_ORG rather than the settled round.
+		s.RunSweeps(2 * opt.Config.BoundaryRescanEvery)
 
 		const timedRounds = 3
 		timedStats := s.Net.Medium().Stats()

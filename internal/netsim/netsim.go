@@ -170,20 +170,6 @@ func (s *Sim) Configure() (float64, error) {
 	return s.Net.Engine().Now() - start, nil
 }
 
-// ConfigureSharded runs the GS³-S configuration with the wave-parallel
-// executor (core.Network.ConfigureSharded) on up to workers goroutines
-// and returns the virtual time it took. The result is byte-identical
-// to Configure for every workers value; scenarios the executor cannot
-// shard (active faults, a lossy radio, installed tracers) run the
-// serial path transparently.
-func (s *Sim) ConfigureSharded(workers int) (float64, error) {
-	start := s.Net.Engine().Now()
-	if err := s.Net.ConfigureSharded(workers); err != nil {
-		return 0, err
-	}
-	return s.Net.Engine().Now() - start, nil
-}
-
 // RunSweeps advances virtual time by n heartbeat intervals.
 func (s *Sim) RunSweeps(n int) {
 	e := s.Net.Engine()

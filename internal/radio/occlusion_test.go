@@ -70,6 +70,15 @@ func TestOcclusionFiltersRangeQueries(t *testing.T) {
 	if len(disk) != 2 {
 		t.Errorf("WithinDisk = %v, want both nodes", disk)
 	}
+	// The head index follows the same split.
+	m.SetHeadRole(1, true)
+	m.SetHeadRole(2, true)
+	if got := m.HeadsWithinRangeAppend(nil, geom.Point{X: 0, Y: 0}, 20, None); len(got) != 1 || got[0] != 2 {
+		t.Errorf("HeadsWithinRangeAppend across wall = %v, want [2]", got)
+	}
+	if got := m.HeadsWithinDisk(nil, geom.Point{X: 0, Y: 0}, 20); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("HeadsWithinDisk = %v, want [1 2]", got)
+	}
 	// Broadcast inherits the filter.
 	rcv, _ := m.Broadcast(0, 20)
 	if len(rcv) != 1 || rcv[0] != 2 {

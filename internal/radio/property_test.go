@@ -164,8 +164,8 @@ func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("step %d: HeadsWithinRange(%v, %v) = %v, want %v", step, apex, dist, got, want)
 			}
-			if un := m.HeadsWithinRangeUncounted(nil, apex, dist, None); !slices.Equal(un, want) {
-				t.Fatalf("step %d: HeadsWithinRangeUncounted = %v, want %v", step, un, want)
+			if disk := m.HeadsWithinDisk(nil, apex, dist); !slices.Equal(disk, want) {
+				t.Fatalf("step %d: HeadsWithinDisk = %v, want %v", step, disk, want)
 			}
 		}
 		if m.HeadRole(id) != (m.known(id) && m.headRole[id]) {

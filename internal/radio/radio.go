@@ -119,16 +119,8 @@ type Stats struct {
 	OcclusionBlocks uint64
 }
 
-// Medium is the shared wireless medium.
-//
-// Medium is single-threaded for mutation, but its read-only accessors
-// — Position, Alive, InBlackout, Epoch, RegionEpoch, Occluded, Dist,
-// and the *Uncounted range queries — may run on any number of
-// goroutines concurrently as long as no writer (Place, Remove,
-// SetHeadRole, SetBlackout, Touch, Broadcast, counted queries, …)
-// executes at the same time. The sharded configure executor relies on
-// exactly that window: its parallel phases only read, and every write
-// is deferred to a serial merge.
+// Medium is the shared wireless medium. It is single-threaded: every
+// range query bumps a counter, so even reads mutate it.
 type Medium struct {
 	params Params
 	src    *rng.Source
@@ -485,9 +477,6 @@ func (m *Medium) TouchAll() {
 // later prove the result is still current by comparing a fresh
 // RegionEpoch against the stamp: any add/remove/move/blackout/Touch in
 // the cone bumps a bucket the same ring scan covers.
-// RegionEpoch mutates nothing, so it shares the pure-read concurrency
-// contract of WithinRangeUncounted: any number of goroutines may call
-// it concurrently as long as no writer runs at the same time.
 func (m *Medium) RegionEpoch(p geom.Point, dist float64) uint64 {
 	r := int(math.Ceil(dist / m.cellSize))
 	base := m.key(p)
@@ -653,16 +642,6 @@ func (m *Medium) WithinRangeAppend(dst []NodeID, p geom.Point, dist float64, exc
 	return gridRange(m.grid, m.cellSize, m.obstacles, dst, p, dist, exclude)
 }
 
-// WithinRangeUncounted is WithinRangeAppend without the RangeQueries
-// counter bump: a pure read of the spatial index. It exists for the
-// sharded configure executor, whose per-event contexts account queries
-// in their own deferred counters — and because it mutates nothing, any
-// number of goroutines may call it concurrently as long as no writer
-// (Place, Remove, SetHeadRole, …) runs at the same time.
-func (m *Medium) WithinRangeUncounted(dst []NodeID, p geom.Point, dist float64, exclude NodeID) []NodeID {
-	return gridRange(m.grid, m.cellSize, m.obstacles, dst, p, dist, exclude)
-}
-
 // HeadsWithinRangeAppend appends the IDs of head-role nodes (see
 // SetHeadRole) within dist of p — excluding exclude — to dst, in
 // ascending order. It scans only the head index, so the cost is
@@ -674,16 +653,19 @@ func (m *Medium) HeadsWithinRangeAppend(dst []NodeID, p geom.Point, dist float64
 	return gridRange(m.headGrid, m.cellSize, m.obstacles, dst, p, dist, exclude)
 }
 
-// HeadsWithinRangeUncounted is HeadsWithinRangeAppend without the
-// counter bump; the same pure-read concurrency contract as
-// WithinRangeUncounted applies.
-func (m *Medium) HeadsWithinRangeUncounted(dst []NodeID, p geom.Point, dist float64, exclude NodeID) []NodeID {
-	return gridRange(m.headGrid, m.cellSize, m.obstacles, dst, p, dist, exclude)
+// HeadsWithinDisk appends the IDs of head-role nodes geometrically
+// within dist of p to dst, in ascending order, ignoring obstacles: the
+// head-index counterpart of WithinDisk, for callers that test line of
+// sight themselves from some other point. It counts as one range query.
+func (m *Medium) HeadsWithinDisk(dst []NodeID, p geom.Point, dist float64) []NodeID {
+	m.stats.RangeQueries++
+	return gridRange(m.headGrid, m.cellSize, nil, dst, p, dist, None)
 }
 
 // gridRange is the shared ring-scan kernel behind the range queries.
 // A non-empty obs filters out candidates whose line of sight from p an
-// obstacle blocks; nil obs is the free-space (and WithinDisk) kernel.
+// obstacle blocks; nil obs is the free-space kernel of WithinDisk and
+// HeadsWithinDisk.
 func gridRange(grid map[gridKey][]gridEntry, cellSize float64, obs []geom.Polygon, dst []NodeID, p geom.Point, dist float64, exclude NodeID) []NodeID {
 	// Bucket-ring bound: let c = ⌊p/cs⌋ be the query's cell on one axis.
 	// Any node q with |q−p| ≤ dist has per-axis offset |q.x−p.x| ≤ dist,
