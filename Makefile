@@ -2,11 +2,13 @@
 # green before any commit — formatting, build, vet, and the full test suite under
 # the race detector (the engine is single-threaded per trial, but the
 # runner fans trials across goroutines, so the whole tree is required
-# to be race-clean).
+# to be race-clean). Performance is gated by the exact work pins in
+# bench_test.go, which run with the suite; no target here compares
+# benchmark timings (perfbench/ times changes in paired runs instead).
 
 GO ?= go
 
-.PHONY: all fmt build vet test race bench bench-json bench-diff bench-smoke smoke fuzz-smoke chaos traffic-smoke engine-smoke adversary-smoke goldens golden-diff check
+.PHONY: all fmt build vet test race bench bench-smoke smoke fuzz-smoke chaos traffic-smoke engine-smoke adversary-smoke goldens golden-diff check
 
 all: check
 
@@ -29,30 +31,6 @@ race:
 # The paper's tables, regenerated serially (comparable ns/op).
 bench:
 	$(GO) test -bench=. -benchmem
-
-# Archive the perf-sensitive micro/macro benchmarks into BENCH_FILE
-# under the RUN label (see cmd/benchjson). Override RUN to record a
-# different label, e.g. `make bench-json RUN=pre-pr9`.
-RUN ?= post-pr15
-BENCH_FILE ?= BENCH_PR15.json
-BENCH_PATTERN := ConfigureStructure|WithinRange|Broadcast|SweepSteadyState|SweepAfterFault|InvariantCheck|ServeTraffic|EngineSchedule|EngineSteadyChurn|EngineRunUntilCanceled
-# Repetitions per benchmark; benchjson keeps the fastest, so higher
-# counts tighten the noise floor on shared hosts.
-BENCH_COUNT ?= 3
-bench-json:
-	$(GO) test -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) \
-		-benchmem -run='^$$' . ./internal/radio ./internal/sim | \
-		$(GO) run ./cmd/benchjson -file $(BENCH_FILE) -run $(RUN)
-
-# Performance regression gate: re-run the archived benchmark set fresh,
-# merge it into a scratch copy of BENCH_FILE, and fail if any benchmark
-# regressed by more than 10% ns/op against the $(RUN) archive.
-bench-diff:
-	@tmp=$$(mktemp); cp $(BENCH_FILE) $$tmp; \
-	$(GO) test -bench='$(BENCH_PATTERN)' -count=$(BENCH_COUNT) -benchmem -run='^$$' . ./internal/radio ./internal/sim | \
-		$(GO) run ./cmd/benchjson -file $$tmp -run fresh && \
-		$(GO) run ./cmd/benchjson -file $$tmp -diff $(RUN),fresh; \
-	status=$$?; rm -f $$tmp; exit $$status
 
 # One iteration of every benchmark — a cheap compile-and-run gate that
 # keeps the benchmark suite from bit-rotting. -short skips the heavy
@@ -89,7 +67,7 @@ traffic-smoke:
 	$(GO) run ./cmd/gs3sim -region 300 -r 50 -sweeps 15 -packets 20000 -traffic-rate 500 \
 		-p2p 0.3 -loss 0.1 -blackout-rate 0.01 -churn 20 -seed 4 -q
 
-# Event-engine churn smoke: a million-event schedule/cancel/remove/fire
+# Event-engine churn smoke: a million-event schedule/cancel/fire
 # mix (sliding-window churn plus a wide 300k-pending drain) under the
 # race detector, asserting exact (At, seq) fire order and live-event
 # accounting throughout. The scale gate for the calendar-queue engine.
@@ -112,4 +90,4 @@ goldens:
 golden-diff:
 	./scripts/goldens.sh diff
 
-check: fmt build vet race bench-smoke engine-smoke golden-diff bench-diff fuzz-smoke chaos traffic-smoke adversary-smoke
+check: fmt build vet race bench-smoke engine-smoke golden-diff fuzz-smoke chaos traffic-smoke adversary-smoke

@@ -103,13 +103,22 @@ func TestConfigureAllocBudget(t *testing.T) {
 	}
 }
 
+// The work pins below are the repository's performance gate. Each
+// perfbench workload (configure, maintain's settled rounds and heals,
+// traffic) has a small-field twin here whose work is pinned exactly:
+// engine events fired, range queries, messages, sweep bodies run
+// versus replayed from the quiescence cache, and allocations. The
+// counts are deterministic, so any change to one is a change in what
+// the simulator does and must be explained, while wall clock on a
+// shared host moves by tens of percent with no code change at all.
+
 // TestConfigureWorkCounters pins the exact work of a serial configure
-// on the F1 field (1,151 nodes, 19 HEAD_ORGs): two broadcasts per
-// HEAD_ORG (org and HeadSet), and one range query per broadcast, per
-// head gather answering that HEAD_ORG's ASSOCIATE_ORG_RESP fan-out,
-// and per IL owner/conflict probe of HEAD_SELECT. Unlike wall clock,
-// the counts are deterministic, so a return to one head query per
-// receiver (6,344 range queries on this field) fails here exactly.
+// on the F1 field (1,151 nodes, 19 HEAD_ORGs): one engine event per
+// HEAD_ORG, two broadcasts per HEAD_ORG (org and HeadSet), and one
+// range query per broadcast, per head gather answering that HEAD_ORG's
+// ASSOCIATE_ORG_RESP fan-out, and per IL owner/conflict probe of
+// HEAD_SELECT. A return to one head query per receiver (6,344 range
+// queries on this field) fails here exactly.
 func TestConfigureWorkCounters(t *testing.T) {
 	s, err := netsim.Build(netsim.DefaultOptions(100, 400))
 	if err != nil {
@@ -119,10 +128,120 @@ func TestConfigureWorkCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, m := s.Net.Medium().Stats(), s.Net.Metrics()
-	got := [4]uint64{st.RangeQueries, st.Broadcasts, m.ReplyMessages, m.HeadOrgs}
-	want := [4]uint64{165, 38, 1578, 19}
+	got := [5]uint64{st.RangeQueries, st.Broadcasts, m.ReplyMessages, m.HeadOrgs, s.Net.Engine().Fired()}
+	want := [5]uint64{165, 38, 1578, 19, 19}
 	if got != want {
-		t.Errorf("configure work (range queries, broadcasts, replies, HEAD_ORGs) = %v, want %v", got, want)
+		t.Errorf("configure work (range queries, broadcasts, replies, HEAD_ORGs, events) = %v, want %v", got, want)
+	}
+}
+
+// settledLargeField builds the 5,179-node field of
+// BenchmarkSweepSteadyStateLarge and settles it the way perfbench's
+// maintain workload does: GS³-D to the dynamic fixpoint, then two
+// boundary-rescan cycles so both sweep-cache flavors are recorded.
+func settledLargeField(t *testing.T) *netsim.Sim {
+	t.Helper()
+	s, err := netsim.Build(netsim.DefaultOptions(100, 850))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Dep.Positions); n != 5179 {
+		t.Fatalf("field has %d nodes, want 5,179", n)
+	}
+	if _, err := s.Configure(); err != nil {
+		t.Fatal(err)
+	}
+	s.Net.StartMaintenance(core.VariantD)
+	if _, err := s.RunToFixpoint(check.Dynamic, 30); err != nil {
+		t.Fatal(err)
+	}
+	s.RunSweeps(2 * s.Opt.Config.BoundaryRescanEvery)
+	return s
+}
+
+// TestSettledRoundWorkCounters pins a settled heartbeat round, the
+// maintain workload's timed operation: 17 engine events (one sweep
+// batch per heartbeat phase), one full sweep body (the big node's,
+// which is never cached) and a cache replay for each of the other
+// 5,178 nodes. Every round of a full rescan-by-sanity-check period is
+// checked, so both cache flavors and the SANITY_CHECK rounds are
+// covered. A sweep cache that stops hitting, or a scheduler that stops
+// batching, fails here by thousands.
+func TestSettledRoundWorkCounters(t *testing.T) {
+	s := settledLargeField(t)
+	eng, cfg := s.Net.Engine(), s.Opt.Config
+	for round := range cfg.BoundaryRescanEvery * cfg.SanityCheckEvery {
+		fired := eng.Fired()
+		bodies, replays := s.Net.SweepWork()
+		s.RunSweeps(1)
+		b, r := s.Net.SweepWork()
+		got := [3]uint64{eng.Fired() - fired, b - bodies, r - replays}
+		if want := [3]uint64{17, 1, 5178}; got != want {
+			t.Fatalf("settled round %d work (events, sweep bodies, replays) = %v, want %v", round, got, want)
+		}
+	}
+}
+
+// TestHealWorkCounters pins a heal on the settled large field, the
+// maintain workload's strikes: a crater of one search radius kills 358
+// nodes, the dynamic fixpoint holds again after 2 heartbeats, and those
+// heartbeats run 7,234 full sweep bodies and replay 2,408 sweeps. The
+// split is the cost of healing: a cache invalidated more widely than
+// the damage, or a heal that needs another heartbeat, moves it.
+func TestHealWorkCounters(t *testing.T) {
+	s := settledLargeField(t)
+	bodies, replays := s.Net.SweepWork()
+	killed := s.KillDisk(geom.Point{X: 300}, s.Opt.Config.SearchRadius())
+	vt, err := s.RunToFixpoint(check.Dynamic, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, r := s.Net.SweepWork()
+	heartbeats := uint64(vt / s.Opt.Config.HeartbeatInterval)
+	got := [4]uint64{uint64(killed), heartbeats, b - bodies, r - replays}
+	if want := [4]uint64{358, 2, 7234, 2408}; got != want {
+		t.Errorf("heal (killed, heartbeats, sweep bodies, replays) = %v, want %v", got, want)
+	}
+}
+
+// TestTrafficWorkCounters pins the traffic workload on the settled
+// field of BenchmarkServeTraffic. AllocsPerRun serves 2,000 packets
+// (30% point-to-point) twice, a warm-up run that grows the packet pool
+// and the engine's event slots and then the measured run; together
+// they fire exactly 20,763 engine events, and every packet arrives.
+// The measured run allocates 13,277 times (6.64 per packet: the
+// per-hop closures and per-packet bookkeeping); the budget of 7 per
+// packet fails on one more allocation per hop, about 4 per packet.
+func TestTrafficWorkCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run alloc measurement")
+	}
+	s, err := netsim.Build(netsim.DefaultOptions(50, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Configure(); err != nil {
+		t.Fatal(err)
+	}
+	s.Net.StartMaintenance(core.VariantD)
+	s.RunSweeps(15)
+	const packets = 2000
+	eng := s.Net.Engine()
+	fired := eng.Fired()
+	allocs := testing.AllocsPerRun(1, func() {
+		plane, err := s.ServeTraffic(traffic.Config{Packets: packets, Rate: 1000, P2PFraction: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := plane.Run(); rep.DeliveryRatio != 1 {
+			t.Errorf("settled zero-fault run delivered %v, want 1", rep.DeliveryRatio)
+		}
+	})
+	if events := eng.Fired() - fired; events != 20763 {
+		t.Errorf("warm-up and measured traffic runs fired %d engine events, want 20,763", events)
+	}
+	if allocs > 7*packets {
+		t.Errorf("traffic run allocates %.0f times (%.2f per packet), budget is 7 per packet", allocs, allocs/packets)
 	}
 }
 

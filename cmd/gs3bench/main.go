@@ -4,7 +4,7 @@
 //
 // Multi-row experiments fan their trials across a worker pool
 // (internal/runner); the printed tables are byte-identical whatever the
-// worker count, so -parallel/-seq change only the wall-clock time.
+// worker count, so -parallel changes only the wall-clock time.
 // Timing reports go to stderr, keeping stdout tables diffable across
 // runs.
 //
@@ -14,7 +14,7 @@
 //	gs3bench -exp F7,F8        # just the Figure 7/8 curves
 //	gs3bench -list             # list experiment IDs
 //	gs3bench -exp all -parallel 8   # fan trials across 8 workers
-//	gs3bench -exp all -seq          # force strictly serial trials
+//	gs3bench -exp all -parallel 1   # strictly serial trials
 package main
 
 import (
@@ -335,7 +335,6 @@ func run(args []string, out *os.File) (retErr error) {
 		quick    = fs.Bool("quick", false, "smaller parameter sweeps")
 		nodes    = fs.Int("nodes", 100000, "largest node-count target for the N1/N2 scaling series")
 		parallel = fs.Int("parallel", 0, "trial workers per experiment (0 = GOMAXPROCS)")
-		seq      = fs.Bool("seq", false, "run trials strictly serially (same output, slower)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -359,9 +358,6 @@ func run(args []string, out *os.File) (retErr error) {
 		return nil
 	}
 	pool := runner.Parallel(*parallel)
-	if *seq {
-		pool = runner.Seq
-	}
 	want := map[string]bool{}
 	all := *which == "all"
 	if !all {
@@ -390,9 +386,6 @@ func run(args []string, out *os.File) (retErr error) {
 	mode := fmt.Sprintf("parallel=%d", pool.Workers)
 	if pool.Workers <= 0 {
 		mode = "parallel=GOMAXPROCS"
-	}
-	if *seq {
-		mode = "seq"
 	}
 	fmt.Fprintf(os.Stderr, "# timing: total %v across %d experiments (%s)\n",
 		time.Since(wallStart).Round(time.Millisecond), ran, mode)

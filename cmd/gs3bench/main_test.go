@@ -95,12 +95,13 @@ func TestRunScalingExperiment(t *testing.T) {
 }
 
 // TestRunParallelMatchesSeq is the CLI-level determinism check: the
-// same experiment printed under -seq and under -parallel must be
-// byte-identical on stdout (timing goes to stderr only).
+// same experiment printed under -parallel 1 (strictly serial) and
+// under the default GOMAXPROCS pool must be byte-identical on stdout
+// (timing goes to stderr only).
 func TestRunParallelMatchesSeq(t *testing.T) {
-	seq := captureRun(t, []string{"-exp", "T1", "-quick", "-seq"})
-	par := captureRun(t, []string{"-exp", "T1", "-quick", "-parallel", "4"})
+	seq := captureRun(t, []string{"-exp", "T1", "-quick", "-parallel", "1"})
+	par := captureRun(t, []string{"-exp", "T1", "-quick"})
 	if seq != par {
-		t.Errorf("stdout differs between -seq and -parallel:\n--- seq ---\n%s\n--- parallel ---\n%s", seq, par)
+		t.Errorf("stdout differs between -parallel 1 and the default pool:\n--- serial ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
 }

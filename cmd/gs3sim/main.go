@@ -15,8 +15,8 @@
 //	gs3sim -region 500 -r 100 -lambda 0.02
 //	gs3sim -region 500 -kill-disk 150,80,120 -sweeps 40
 //	gs3sim -region 400 -svg structure.svg
-//	gs3sim -region 400 -trials 8            # 8 seed replicates in parallel
-//	gs3sim -region 400 -trials 8 -seq       # same reports, one at a time
+//	gs3sim -region 400 -trials 8              # 8 seed replicates in parallel
+//	gs3sim -region 400 -trials 8 -parallel 1  # same reports, one at a time
 //	gs3sim -region 400 -loss 0.2 -sweeps 40           # lossy radio
 //	gs3sim -region 400 -loss 0.2 -chaos -sweeps 120   # chaos watchdog
 //	gs3sim -region 400 -sweeps 20 -packets 50000              # data plane
@@ -115,7 +115,6 @@ func run(args []string) (retErr error) {
 		quiet    = fs.Bool("q", false, "print only the one-line summary")
 		trials   = fs.Int("trials", 1, "seed replicates of the scenario (seeds derived from -seed)")
 		parallel = fs.Int("parallel", 0, "workers for -trials fan-out (0 = GOMAXPROCS)")
-		seq      = fs.Bool("seq", false, "run trials strictly serially (same reports, slower)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -226,9 +225,6 @@ func run(args []string) (retErr error) {
 	}
 
 	pool := runner.Parallel(*parallel)
-	if *seq {
-		pool = runner.Seq
-	}
 	reports, stats, err := runner.MapTimed(pool, *trials, func(i int) (string, error) {
 		sc := base
 		sc.opt.Seed = runner.TrialSeed(*seed, i)

@@ -100,8 +100,9 @@ func TestRunTrialsRejectsZero(t *testing.T) {
 	}
 }
 
-// TestRunTrialsDeterministic captures stdout of a parallel and a serial
-// -trials run and requires byte-identical reports in trial order.
+// TestRunTrialsDeterministic captures stdout of a serial (-parallel 1)
+// and a default-pool -trials run and requires byte-identical reports in
+// trial order.
 func TestRunTrialsDeterministic(t *testing.T) {
 	capture := func(args []string) string {
 		t.Helper()
@@ -123,10 +124,10 @@ func TestRunTrialsDeterministic(t *testing.T) {
 		}
 		return string(data)
 	}
-	seq := capture([]string{"-region", "250", "-trials", "3", "-seed", "9", "-q", "-seq"})
-	par := capture([]string{"-region", "250", "-trials", "3", "-seed", "9", "-q", "-parallel", "4"})
+	seq := capture([]string{"-region", "250", "-trials", "3", "-seed", "9", "-q", "-parallel", "1"})
+	par := capture([]string{"-region", "250", "-trials", "3", "-seed", "9", "-q"})
 	if seq != par {
-		t.Errorf("trial reports differ between -seq and -parallel:\n--- seq ---\n%s\n--- parallel ---\n%s", seq, par)
+		t.Errorf("trial reports differ between -parallel 1 and the default pool:\n--- serial ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
 	if !strings.Contains(seq, "--- trial 2") {
 		t.Errorf("missing trial headers:\n%s", seq)

@@ -14,10 +14,10 @@ import (
 // substrate, the data plane, and the protocol core: every exported
 // symbol of internal/sim, internal/netsim, internal/runner,
 // internal/traffic, internal/gather, internal/core, internal/radio,
-// and internal/adversary must carry a doc comment (these are the packages whose thread-safety
-// contracts the concurrency model depends on — including the node
-// store and the sharded configure executor — so their godoc is
-// required to state them).
+// and internal/adversary must carry a doc comment (these are the
+// packages whose thread-safety contracts the concurrency model depends
+// on — including the single-goroutine event engine and the node store
+// — so their godoc is required to state them).
 func TestDocComments(t *testing.T) {
 	for _, dir := range []string{
 		"internal/sim", "internal/netsim", "internal/runner",

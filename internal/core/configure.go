@@ -41,7 +41,7 @@ func (nw *Network) orgLatency() float64 {
 // scheduleHeadOrg queues a HEAD_ORG action for head id after delay
 // (jittered when faults are active).
 func (nw *Network) scheduleHeadOrg(id radio.NodeID, delay float64) {
-	nw.eng.After(nw.jittered(delay), "head_org", func() { nw.HeadOrg(id) })
+	nw.eng.After(nw.jittered(delay), func() { nw.HeadOrg(id) })
 }
 
 // scheduleOrgRetry arms the HEAD_ORG timeout of head id: when it fires
@@ -56,7 +56,7 @@ func (nw *Network) scheduleOrgRetry(id radio.NodeID, attempt int) {
 		return
 	}
 	wait := nw.cfg.RetryBackoff * nw.orgLatency() * float64(uint64(1)<<uint(attempt-1))
-	nw.eng.After(nw.jittered(wait), "head_org_retry", func() { nw.orgRetry(id, attempt) })
+	nw.eng.After(nw.jittered(wait), func() { nw.orgRetry(id, attempt) })
 }
 
 // orgRetry fires one HEAD_ORG timeout: if the neighborhood is still

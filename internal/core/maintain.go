@@ -60,13 +60,13 @@ func (nw *Network) StartMaintenance(v Variant) {
 }
 
 // StopMaintenance stops the sweep loop and eagerly drops every queued
-// sweep batch and per-node sweep timer from the engine, so nothing
-// keeps retaining the network through dead closures.
+// sweep batch from the engine, so nothing keeps retaining the network
+// through dead closures.
 func (nw *Network) StopMaintenance() {
 	nw.maintaining = false
 	nw.med.SetSendHook(nil)
 	for _, b := range nw.pending {
-		nw.eng.Remove(b.handle)
+		b.handle.Cancel()
 		nw.recycleBatch(b)
 	}
 	nw.pending = nw.pending[:0]
@@ -74,39 +74,24 @@ func (nw *Network) StopMaintenance() {
 	for at := range nw.batches {
 		delete(nw.batches, at)
 	}
-	for i, h := range nw.sweepTimers {
-		nw.eng.Remove(h)
-		nw.sweepTimers[i] = sim.Handle{}
-	}
 }
 
-// scheduleSweep queues node id's next maintenance sweep after delay.
+// scheduleSweep queues node id's next maintenance sweep after delay,
+// stretched by the fault layer's jitter when that is active.
 //
-// The common (jitter-free) path batches: consecutively scheduled sweeps
-// due at the same instant share one engine event, and the batch
-// executes them in append order. This reproduces per-event scheduling
-// exactly, because a batch is sealed the moment any other event is
-// scheduled (Engine.Scheduled moved past its mark): an event due at the
-// same instant then fires between the sealed batch and the next one —
-// precisely where its sequence number would have put it among per-node
-// sweep events. The open batch is almost always the one opened last —
-// a draining batch reschedules all its nodes to one instant — so that
-// is checked before the map. With delay jitter active each node needs
-// its own independently jittered fire time, so scheduling falls back
-// to one event per node, tracked for eager removal on stop. Either
-// kind of sweep event ends with creditReplays.
+// Consecutively scheduled sweeps due at the same instant share one
+// engine event, and the batch executes them in append order. This
+// reproduces per-event scheduling exactly, because a batch is sealed
+// the moment any other event is scheduled (Engine.Scheduled moved past
+// its mark): an event due at the same instant then fires between the
+// sealed batch and the next one — precisely where its sequence number
+// would have put it among per-node sweep events. The open batch is
+// almost always the one opened last — a draining batch reschedules all
+// its nodes to one instant — so that is checked before the map. Under
+// jitter every node draws its own fire time, so batches simply hold
+// one node each.
 func (nw *Network) scheduleSweep(id radio.NodeID, delay float64) {
-	if nw.faults.Active() && nw.faults.Plan().Jitter > 0 {
-		h := nw.eng.After(nw.jittered(delay), "sweep", func() {
-			nw.sweep(id)
-			nw.creditReplays()
-		})
-		for int(id) >= len(nw.sweepTimers) {
-			nw.sweepTimers = append(nw.sweepTimers, sim.Handle{})
-		}
-		nw.sweepTimers[id] = h
-		return
-	}
+	delay = nw.jittered(delay)
 	at := nw.eng.Now() + delay
 	b := nw.lastBatch
 	if b == nil || b.at != at {
@@ -117,7 +102,7 @@ func (nw *Network) scheduleSweep(id radio.NodeID, delay float64) {
 		b.at = at
 		nw.batches[at] = b // seals any previous batch for this time
 		nw.lastBatch = b
-		b.handle = nw.eng.After(delay, "sweep_batch", b.fire)
+		b.handle = nw.eng.After(delay, b.fire)
 		nw.batchEvents++
 		b.seqMark = nw.eng.Scheduled()
 		b.evMark = nw.batchEvents
@@ -240,8 +225,10 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 	}
 
 	if nw.quiescentSweep(n) {
+		nw.sweepReplays++
 		return true
 	}
+	nw.sweepBodies++
 	// The full body reads Stats and Metrics: credit the replays this
 	// batch has counted so far, so it sees them exact.
 	nw.creditReplays()
@@ -405,7 +392,7 @@ func (nw *Network) linksLocal(n *Node, cone float64) bool {
 // a crash/restart with stable storage, not a death.
 func (nw *Network) beginBlackout(id radio.NodeID, dur float64) {
 	nw.med.SetBlackout(id, true)
-	nw.eng.After(dur, "blackout_restore", func() { nw.restoreFromBlackout(id) })
+	nw.eng.After(dur, func() { nw.restoreFromBlackout(id) })
 }
 
 // restoreFromBlackout brings node id's radio back. A restored head whose
@@ -472,7 +459,7 @@ func (nw *Network) drainSendEnergy(sender radio.NodeID, broadcast bool) {
 	was := cd.Energy
 	cd.Energy -= cost
 	if was > 0 && cd.Energy <= 0 {
-		nw.eng.After(0, "energy_death", func() { nw.energyDeath(sender) })
+		nw.eng.After(0, func() { nw.energyDeath(sender) })
 	}
 }
 

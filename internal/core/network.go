@@ -34,7 +34,6 @@ type Network struct {
 	cfg Config
 	med *radio.Medium
 	eng *sim.Engine
-	src *rng.Source
 
 	// The struct-of-arrays node store (see store.go): hot protocol
 	// state inline in nodes, cold per-node state in the parallel cold
@@ -108,19 +107,20 @@ type Network struct {
 	// a shared instant is exactly the per-event order (see
 	// scheduleSweep). lastBatch is the most recently opened batch, the
 	// one a draining batch's reschedules land in, checked before the
-	// map. pending tracks every undrained batch (open or sealed) for
-	// eager removal on StopMaintenance, and batchFree recycles drained
-	// ones. sweepTimers tracks per-node sweep events in the jittered-
-	// scheduling fallback so stopping maintenance can drop them eagerly
-	// too: a dense slice keyed by NodeID, not a map — handles are
-	// generation-checked by the engine, so a slot left behind by a fired
-	// sweep is a harmless no-op to Remove.
+	// map. pending tracks every undrained batch (open or sealed) so
+	// StopMaintenance can cancel it, and batchFree recycles drained
+	// ones.
 	batches     map[sim.Time]*sweepBatch
 	lastBatch   *sweepBatch
 	pending     []*sweepBatch
 	batchFree   []*sweepBatch
 	batchEvents uint64
-	sweepTimers []sim.Handle
+
+	// sweepBodies and sweepReplays count the maintenance sweeps that
+	// ran their full body and those the quiescence cache replayed
+	// (SweepWork).
+	sweepBodies  uint64
+	sweepReplays uint64
 
 	// deltas interns the quiescent-sweep deltas the caches index and
 	// counts the replays not yet credited (see creditReplays).
@@ -164,7 +164,6 @@ func NewNetwork(cfg Config, radioParams radio.Params, src *rng.Source) (*Network
 		cfg:     cfg,
 		med:     med,
 		eng:     sim.NewEngine(),
-		src:     src,
 		bigID:   radio.None,
 		cacheOn: true,
 		lossy:   radioParams.BroadcastLoss > 0,
@@ -211,6 +210,14 @@ func (nw *Network) Medium() *radio.Medium { return nw.med }
 
 // Metrics returns a copy of the protocol action counters.
 func (nw *Network) Metrics() Metrics { return nw.metrics }
+
+// SweepWork returns how many maintenance sweeps ran their full body
+// and how many the quiescence cache replayed instead. It counts work
+// executed, where Stats and Metrics count work credited: a replay adds
+// its recorded range queries and messages to those, but runs none.
+func (nw *Network) SweepWork() (bodies, replays uint64) {
+	return nw.sweepBodies, nw.sweepReplays
+}
 
 // sub returns the counter delta m−prev (field-wise).
 func (m Metrics) sub(prev Metrics) Metrics {

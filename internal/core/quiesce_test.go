@@ -4,13 +4,16 @@ import (
 	"testing"
 	"unsafe"
 
+	"gs3/internal/fault"
 	"gs3/internal/radio"
+	"gs3/internal/rng"
 )
 
 // TestStopMaintenanceDrainsEngine pins the fix for the retention bug:
-// StopMaintenance must eagerly remove every queued sweep batch and
-// jittered per-node timer from the engine, so no closure keeps the
-// Network reachable after the caller is done with it.
+// StopMaintenance must eagerly cancel every queued sweep batch, so no
+// closure keeps the Network reachable after the caller is done with
+// it. Under delay jitter every node draws its own fire time and so
+// sweeps in a one-node batch, which the same stop drains.
 func TestStopMaintenanceDrainsEngine(t *testing.T) {
 	nw, _ := configureDynamic(t, 300)
 	runSweeps(nw, 3)
@@ -34,6 +37,28 @@ func TestStopMaintenanceDrainsEngine(t *testing.T) {
 	nw.StopMaintenance()
 	if got := nw.Engine().Pending(); got != 0 {
 		t.Fatalf("Engine().Pending() = %d after second stop, want 0", got)
+	}
+
+	inj, err := fault.NewInjector(fault.Plan{Jitter: 0.2}, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.SetFaults(inj)
+	nw.StartMaintenance(VariantD)
+	runSweeps(nw, 2)
+	alive := 0
+	for _, id := range nw.SortedIDs() {
+		if nw.Alive(id) {
+			alive++
+		}
+	}
+	if len(nw.pending) != alive || nw.Engine().Pending() != alive {
+		t.Fatalf("jittered sweeps: %d batches, %d pending events, want one per alive node (%d)",
+			len(nw.pending), nw.Engine().Pending(), alive)
+	}
+	nw.StopMaintenance()
+	if got := nw.Engine().Pending(); got != 0 {
+		t.Fatalf("Engine().Pending() = %d after stopping jittered sweeps, want 0", got)
 	}
 }
 

@@ -28,8 +28,7 @@ import "gs3/internal/radio"
 // are packed as uint16 (node.go). Snapshot/JSON view types keep wide
 // ints, so none of this narrows the wire form. The other per-node line
 // item — the engine's event bookkeeping — is pooled slots plus 24-byte
-// queue entries in internal/sim, and the jitter path's sweepTimers is a
-// dense []sim.Handle rather than a map.
+// queue entries in internal/sim.
 //
 // Link slices (Children/Neighbors) come from a chunk arena: fixed
 // eight-entry chunks carved out of slabs and recycled through a free

@@ -269,7 +269,7 @@ type DisasterRecord struct {
 // randomness and a zero-disaster run is byte-identical to one that
 // never called this. An At in the past is an error.
 func (s *Sim) ScheduleDisaster(d Disaster) error {
-	_, err := s.Net.Engine().At(d.At, "disaster", func() {
+	_, err := s.Net.Engine().At(d.At, func() {
 		killed := s.KillDisk(d.Center, d.Radius)
 		s.disasterLog = append(s.disasterLog, DisasterRecord{Disaster: d, Killed: killed})
 	})

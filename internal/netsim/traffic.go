@@ -39,7 +39,7 @@ func (s *Sim) StartChurn(period float64, events int) {
 		return
 	}
 	c := &churn{s: s, src: s.Src.Fork(), period: period, left: events}
-	s.Net.Engine().After(period, "churn", c.fire)
+	s.Net.Engine().After(period, c.fire)
 }
 
 // fire executes one kill+join event and reschedules itself until the
@@ -55,7 +55,7 @@ func (c *churn) fire() {
 	x, y := c.src.InDisk(c.s.Opt.RegionRadius)
 	c.s.Net.Join(geom.Point{X: x, Y: y})
 	if c.left > 0 {
-		c.s.Net.Engine().After(c.period, "churn", c.fire)
+		c.s.Net.Engine().After(c.period, c.fire)
 	}
 }
 

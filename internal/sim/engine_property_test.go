@@ -10,8 +10,7 @@ import (
 
 // TestEngineMatchesHeapRef drives the calendar-queue Engine and the
 // retired binary-heap engine (heapref_test.go) through identical
-// randomized At/After/Cancel/Remove/Step/Run/RunUntil/RunWhile
-// sequences and asserts that every observable matches after every
+// randomized At/After/Cancel/Step/Run/RunUntil/RunWhile sequences and asserts that every observable matches after every
 // operation: the exact fire order (event ids in sequence), Now, Fired,
 // Scheduled, Pending (vs the oracle's livePending), and NextEventTime.
 // Fired callbacks occasionally schedule zero-delay and short-delay
@@ -71,7 +70,7 @@ func lockstep(t *testing.T, seed int64, ops int) {
 			}
 		}
 	}
-	scheduleN := func(d float64, fn func()) { eng.After(d, "chain", fn) }
+	scheduleN := func(d float64, fn func()) { eng.After(d, fn) }
 	scheduleR := func(d float64, fn func()) { ref.After(d, "chain", fn) }
 
 	check := func(op string) {
@@ -126,7 +125,7 @@ func lockstep(t *testing.T, seed int64, ops int) {
 				chain = 1 + rng.Intn(2)
 			}
 			h := &lockstepHandle{id: id}
-			h.n = eng.After(d, "ev", mkFn(&ns, scheduleN, id, chain))
+			h.n = eng.After(d, mkFn(&ns, scheduleN, id, chain))
 			h.r = ref.After(d, "ev", mkFn(&rs, scheduleR, id, chain))
 			handles = append(handles, h)
 			check("After")
@@ -134,7 +133,7 @@ func lockstep(t *testing.T, seed int64, ops int) {
 			at := eng.Now() + delay() - float64(rng.Intn(3))
 			h := &lockstepHandle{id: id}
 			var errN, errR error
-			h.n, errN = eng.At(at, "ev", mkFn(&ns, scheduleN, id, 0))
+			h.n, errN = eng.At(at, mkFn(&ns, scheduleN, id, 0))
 			h.r, errR = ref.At(at, "ev", mkFn(&rs, scheduleR, id, 0))
 			if (errN != nil) != (errR != nil) {
 				t.Fatalf("At(%v): err=%v, oracle err=%v", at, errN, errR)
@@ -154,14 +153,14 @@ func lockstep(t *testing.T, seed int64, ops int) {
 				}
 			}
 			check("Cancel")
-		case k < 70 && len(handles) > 0: // Remove
+		case k < 70 && len(handles) > 0: // Cancel vs the oracle's eager heap removal
 			h := handles[rng.Intn(len(handles))]
-			eng.Remove(h.n)
+			h.n.Cancel()
 			ref.Remove(h.r)
 			if !fired[h.id] && !h.canceled {
 				h.canceled = true
 				if !h.n.Canceled() {
-					t.Fatalf("Remove id %d: Canceled=false", h.id)
+					t.Fatalf("Cancel (oracle Remove) id %d: Canceled=false", h.id)
 				}
 			}
 			check("Remove")
@@ -208,9 +207,9 @@ func lockstep(t *testing.T, seed int64, ops int) {
 func TestPendingExcludesCanceled(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
-	a := e.After(1, "a", nop)
-	b := e.After(2, "b", nop)
-	e.After(3, "c", nop)
+	a := e.After(1, nop)
+	b := e.After(2, nop)
+	e.After(3, nop)
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("Pending=%d, want 3", got)
 	}
@@ -222,9 +221,9 @@ func TestPendingExcludesCanceled(t *testing.T) {
 	if got := e.Pending(); got != 2 {
 		t.Fatalf("Pending after double Cancel=%d, want 2", got)
 	}
-	e.Remove(b)
+	b.Cancel()
 	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending after Remove=%d, want 1", got)
+		t.Fatalf("Pending after second Cancel=%d, want 1", got)
 	}
 	if !e.Step() {
 		t.Fatal("Step fired nothing; want event c")
@@ -245,16 +244,16 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
 	for i := 0; i < 8192; i++ {
-		e.After(1+float64(i%64)/8, "fill", nop)
+		e.After(1+float64(i%64)/8, nop)
 	}
 	// Warm through several full wheel-rebuild cycles so every bucket
 	// and the pool free list reach their steady capacities.
 	for i := 0; i < 200000; i++ {
-		e.After(8, "tick", nop)
+		e.After(8, nop)
 		e.Step()
 	}
 	allocs := testing.AllocsPerRun(10000, func() {
-		e.After(8, "tick", nop)
+		e.After(8, nop)
 		e.Step()
 	})
 	if allocs != 0 {
@@ -264,7 +263,7 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 
 // TestEngineSmokeMillionEvents is the scale gate for the calendar
 // queue, run by `make engine-smoke` under the race detector: a
-// million-event schedule/cancel/remove/fire churn with a sliding
+// million-event schedule/cancel/fire churn with a sliding
 // ~100k-pending window, followed by a wide 300k-pending drain, all
 // with exact fire-order and live-count accounting asserted.
 func TestEngineSmokeMillionEvents(t *testing.T) {
@@ -287,13 +286,13 @@ func TestEngineSmokeMillionEvents(t *testing.T) {
 	schedule := func(d float64) Handle {
 		seq := e.Scheduled()
 		at := e.Now() + d
-		h := e.After(d, "smoke", fn(at, seq))
+		h := e.After(d, fn(at, seq))
 		scheduled++
 		return h
 	}
 
 	// Phase 1: sliding-window churn. Keep ~100k live events pending;
-	// each round schedules a burst, cancels/removes a third of it, and
+	// each round schedules a burst, cancels a third of it, and
 	// steps the engine forward.
 	window := make([]Handle, 0, 120000)
 	for scheduled < 700000 {
@@ -311,11 +310,7 @@ func TestEngineSmokeMillionEvents(t *testing.T) {
 				continue
 			}
 			was := e.Pending()
-			if rng.Intn(2) == 0 {
-				h.Cancel()
-			} else {
-				e.Remove(h)
-			}
+			h.Cancel()
 			switch e.Pending() {
 			case was - 1: // live handle: cancel must drop the count by one
 				canceled++

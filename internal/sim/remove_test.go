@@ -2,24 +2,27 @@ package sim
 
 import "testing"
 
+// TestRemoveDeletesEagerly pins what removing an event from the queue
+// means: Cancel drops it from Pending at once, the events around it
+// still fire in order, and canceling a fired, an already-canceled or a
+// zero handle changes nothing.
 func TestRemoveDeletesEagerly(t *testing.T) {
 	e := NewEngine()
 	var fired []string
 	mk := func(name string) func() { return func() { fired = append(fired, name) } }
-	ha := e.After(1, "a", mk("a"))
-	hb := e.After(1, "b", mk("b"))
-	hc := e.After(1, "c", mk("c"))
-	_ = ha
+	e.After(1, mk("a"))
+	hb := e.After(1, mk("b"))
+	hc := e.After(1, mk("c"))
 
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("Pending = %d, want 3", got)
 	}
-	e.Remove(hb)
+	hb.Cancel()
 	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending after Remove = %d, want 2 (eager deletion)", got)
+		t.Fatalf("Pending after Cancel = %d, want 2 (eager deletion)", got)
 	}
 	if !hb.Canceled() {
-		t.Fatal("removed handle not marked canceled")
+		t.Fatal("canceled handle not marked canceled")
 	}
 
 	e.Run(0)
@@ -27,29 +30,32 @@ func TestRemoveDeletesEagerly(t *testing.T) {
 		t.Fatalf("fired %v, want [a c]", fired)
 	}
 
-	// Removing a fired, an already-removed, or a zero handle is a no-op.
-	e.Remove(hc)
-	e.Remove(hb)
-	e.Remove(Handle{})
+	// Canceling a fired, an already-canceled, or a zero handle is a
+	// no-op.
+	hc.Cancel()
+	hb.Cancel()
+	Handle{}.Cancel()
 	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending after no-op removes = %d, want 0", got)
+		t.Fatalf("Pending after no-op cancels = %d, want 0", got)
 	}
 }
 
+// TestRemoveKeepsHeapOrder cancels events out of the middle of the
+// queue and checks that the survivors still fire in time order.
 func TestRemoveKeepsHeapOrder(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	log := func() { fired = append(fired, e.Now()) }
 	var handles []Handle
 	for _, at := range []Time{5, 1, 4, 2, 3, 6, 0.5} {
-		h, err := e.At(at, "ev", log)
+		h, err := e.At(at, log)
 		if err != nil {
 			t.Fatal(err)
 		}
 		handles = append(handles, h)
 	}
-	e.Remove(handles[0]) // at=5
-	e.Remove(handles[3]) // at=2
+	handles[0].Cancel() // at=5
+	handles[3].Cancel() // at=2
 	e.Run(0)
 	want := []Time{0.5, 1, 3, 4, 6}
 	if len(fired) != len(want) {

@@ -37,14 +37,14 @@
 //
 // # Event pool
 //
-// Event records are pooled: firing, canceling-and-draining, or
-// removing an event returns its slot to a free list, and steady-state
-// schedule/fire churn allocates nothing. Handles are generation
-// counted — a Handle carries the unique sequence number of the event
-// it was issued for, and every Handle operation first checks that the
-// slot still holds that sequence number. A slot recycled to a new
-// event no longer matches, so Cancel/Canceled on a stale Handle are
-// safe no-ops rather than actions on an unrelated event.
+// Event records are pooled: firing or canceling-and-draining an event
+// returns its slot to a free list, and steady-state schedule/fire churn
+// allocates nothing. Handles are generation counted — a Handle carries
+// the unique sequence number of the event it was issued for, and every
+// Handle operation first checks that the slot still holds that
+// sequence number. A slot recycled to a new event no longer matches, so
+// Cancel/Canceled on a stale Handle are safe no-ops rather than actions
+// on an unrelated event.
 //
 // # Concurrency
 //
@@ -76,7 +76,6 @@ type event struct {
 	at       Time
 	seq      uint64
 	fn       func()
-	name     string // for tracing; not used by the engine
 	canceled bool
 }
 
@@ -119,23 +118,14 @@ func (h Handle) Cancel() {
 	h.e.live--
 }
 
-// Canceled reports whether Cancel (or Engine.Remove) was called on this
-// handle before its event fired.
+// Canceled reports whether Cancel was called on this handle before its
+// event fired.
 func (h Handle) Canceled() bool {
 	if h.e == nil {
 		return false
 	}
 	ev := &h.e.pool[h.idx]
 	return ev.seq == h.seq && ev.canceled
-}
-
-// Remove cancels the event and eagerly drops everything its closure
-// retains, so that memory becomes garbage immediately instead of
-// lingering until the queue drains past the event's fire time.
-// Removing an already-fired, already-removed, or zero Handle is a
-// no-op. Like Cancel, Remove must run on the engine's goroutine.
-func (e *Engine) Remove(h Handle) {
-	h.Cancel()
 }
 
 // ErrEventInPast is returned by Engine.At when an event is scheduled
@@ -226,7 +216,7 @@ func (e *Engine) Pending() int {
 
 // At schedules fn to run at absolute time at. It returns a Handle that
 // can cancel the event, and ErrEventInPast if at precedes Now.
-func (e *Engine) At(at Time, name string, fn func()) (Handle, error) {
+func (e *Engine) At(at Time, fn func()) (Handle, error) {
 	if at < e.now {
 		return Handle{}, ErrEventInPast
 	}
@@ -240,7 +230,7 @@ func (e *Engine) At(at Time, name string, fn func()) (Handle, error) {
 	}
 	seq := e.nextSeq
 	e.nextSeq++
-	e.pool[idx] = event{at: at, seq: seq, fn: fn, name: name}
+	e.pool[idx] = event{at: at, seq: seq, fn: fn}
 	e.live++
 	e.insert(entry{at: at, seq: seq, idx: idx})
 	return Handle{e: e, idx: idx, seq: seq}, nil
@@ -248,11 +238,11 @@ func (e *Engine) At(at Time, name string, fn func()) (Handle, error) {
 
 // After schedules fn to run delay seconds from now. Negative delays are
 // clamped to zero.
-func (e *Engine) After(delay float64, name string, fn func()) Handle {
+func (e *Engine) After(delay float64, fn func()) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	h, _ := e.At(e.now+delay, name, fn) // cannot be in the past
+	h, _ := e.At(e.now+delay, fn) // cannot be in the past
 	return h
 }
 

@@ -9,9 +9,9 @@ import (
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.After(3, "c", func() { order = append(order, 3) })
-	e.After(1, "a", func() { order = append(order, 1) })
-	e.After(2, "b", func() { order = append(order, 2) })
+	e.After(3, func() { order = append(order, 3) })
+	e.After(1, func() { order = append(order, 1) })
+	e.After(2, func() { order = append(order, 2) })
 	e.Run(0)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
@@ -26,7 +26,7 @@ func TestTieBreakIsSchedulingOrder(t *testing.T) {
 	var order []string
 	for _, name := range []string{"x", "y", "z"} {
 		name := name
-		e.After(5, name, func() { order = append(order, name) })
+		e.After(5, func() { order = append(order, name) })
 	}
 	e.Run(0)
 	if order[0] != "x" || order[1] != "y" || order[2] != "z" {
@@ -36,9 +36,9 @@ func TestTieBreakIsSchedulingOrder(t *testing.T) {
 
 func TestAtInPast(t *testing.T) {
 	e := NewEngine()
-	e.After(10, "advance", func() {})
+	e.After(10, func() {})
 	e.Run(0)
-	if _, err := e.At(5, "late", func() {}); !errors.Is(err, ErrEventInPast) {
+	if _, err := e.At(5, func() {}); !errors.Is(err, ErrEventInPast) {
 		t.Errorf("err = %v, want ErrEventInPast", err)
 	}
 }
@@ -46,7 +46,7 @@ func TestAtInPast(t *testing.T) {
 func TestNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.After(-3, "neg", func() { fired = true })
+	e.After(-3, func() { fired = true })
 	e.Run(0)
 	if !fired || e.Now() != 0 {
 		t.Errorf("fired=%v now=%v", fired, e.Now())
@@ -56,7 +56,7 @@ func TestNegativeDelayClamped(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	h := e.After(1, "c", func() { fired = true })
+	h := e.After(1, func() { fired = true })
 	h.Cancel()
 	if !h.Canceled() {
 		t.Error("Canceled() = false after Cancel")
@@ -69,7 +69,7 @@ func TestCancel(t *testing.T) {
 
 func TestCancelIdempotent(t *testing.T) {
 	e := NewEngine()
-	h := e.After(1, "c", func() {})
+	h := e.After(1, func() {})
 	h.Cancel()
 	h.Cancel() // must not panic
 	var zero Handle
@@ -82,9 +82,9 @@ func TestCancelIdempotent(t *testing.T) {
 func TestEventsScheduledDuringRun(t *testing.T) {
 	e := NewEngine()
 	var times []Time
-	e.After(1, "first", func() {
+	e.After(1, func() {
 		times = append(times, e.Now())
-		e.After(2, "second", func() { times = append(times, e.Now()) })
+		e.After(2, func() { times = append(times, e.Now()) })
 	})
 	e.Run(0)
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
@@ -98,9 +98,9 @@ func TestRunMaxEvents(t *testing.T) {
 	var tick func()
 	tick = func() {
 		count++
-		e.After(1, "tick", tick)
+		e.After(1, tick)
 	}
-	e.After(1, "tick", tick)
+	e.After(1, tick)
 	n := e.Run(10)
 	if n != 10 || count != 10 {
 		t.Errorf("n=%d count=%d", n, count)
@@ -112,7 +112,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{1, 2, 3, 4, 5} {
 		at := at
-		e.After(at, "e", func() { fired = append(fired, at) })
+		e.After(at, func() { fired = append(fired, at) })
 	}
 	n := e.RunUntil(3)
 	if n != 3 {
@@ -138,7 +138,7 @@ func TestRunWhile(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 5; i++ {
-		e.After(float64(i), "e", func() { count++ })
+		e.After(float64(i), func() { count++ })
 	}
 	n, ok := e.RunWhile(func() bool { return count < 3 }, 0)
 	if !ok || n != 3 {
@@ -149,8 +149,8 @@ func TestRunWhile(t *testing.T) {
 func TestRunWhileCap(t *testing.T) {
 	e := NewEngine()
 	var tick func()
-	tick = func() { e.After(1, "tick", tick) }
-	e.After(1, "tick", tick)
+	tick = func() { e.After(1, tick) }
+	e.After(1, tick)
 	n, ok := e.RunWhile(func() bool { return true }, 100)
 	if ok || n != 100 {
 		t.Errorf("n=%d ok=%v, want cap hit", n, ok)
@@ -162,8 +162,8 @@ func TestNextEventTime(t *testing.T) {
 	if !math.IsInf(e.NextEventTime(), 1) {
 		t.Error("empty queue should report +Inf")
 	}
-	h := e.After(7, "a", func() {})
-	e.After(9, "b", func() {})
+	h := e.After(7, func() {})
+	e.After(9, func() {})
 	if e.NextEventTime() != 7 {
 		t.Errorf("NextEventTime = %v", e.NextEventTime())
 	}
@@ -176,7 +176,7 @@ func TestNextEventTime(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 4; i++ {
-		e.After(1, "e", func() {})
+		e.After(1, func() {})
 	}
 	e.Run(0)
 	if e.Fired() != 4 {
@@ -193,12 +193,12 @@ func TestDeterministicReplay(t *testing.T) {
 			return func() {
 				log = append(log, e.Now())
 				if depth < 3 {
-					e.After(0.5, "r", recur(depth+1))
-					e.After(0.25, "r", recur(depth+1))
+					e.After(0.5, recur(depth+1))
+					e.After(0.25, recur(depth+1))
 				}
 			}
 		}
-		e.After(1, "root", recur(0))
+		e.After(1, recur(0))
 		e.Run(0)
 		return log
 	}

@@ -317,7 +317,7 @@ func (p *Plane) scheduleArrival() {
 	if p.GenerationDone() {
 		return
 	}
-	p.nw.Engine().After(p.src.Exp(1/p.cfg.Rate), "traffic_gen", p.genFire)
+	p.nw.Engine().After(p.src.Exp(1/p.cfg.Rate), p.genFire)
 }
 
 // genFire emits one packet and reschedules itself.
@@ -427,7 +427,7 @@ func (p *Plane) step(pkt *packet) {
 	pkt.holder = next
 	pkt.hops++
 	pkt.attempts = 0
-	p.nw.Engine().After(delay, "traffic_hop", func() { p.step(pkt) })
+	p.nw.Engine().After(delay, func() { p.step(pkt) })
 }
 
 // arrived reports whether pkt sits at its destination. Convergecast
@@ -453,7 +453,7 @@ func (p *Plane) stall(pkt *packet, lost *uint64) {
 		return
 	}
 	p.rep.Retries++
-	p.nw.Engine().After(p.cfg.RetryWait, "traffic_retry", func() { p.step(pkt) })
+	p.nw.Engine().After(p.cfg.RetryWait, func() { p.step(pkt) })
 }
 
 // deliver finalizes a delivered packet.

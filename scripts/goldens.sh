@@ -35,7 +35,7 @@ run() {
 run sweep_seed3 "$bindir/gs3sim" -region 300 -sweeps 30 -seed 3
 run heal_seed1 "$bindir/gs3sim" -region 400 -kill-disk 150,80,120 -sweeps 40 -seed 1
 run trials_par "$bindir/gs3sim" -region 300 -trials 4 -sweeps 20 -seed 5
-run trials_seq "$bindir/gs3sim" -region 300 -trials 4 -sweeps 20 -seed 5 -seq
+run trials_seq "$bindir/gs3sim" -region 300 -trials 4 -sweeps 20 -seed 5 -parallel 1
 run chaos_seed7 "$bindir/gs3sim" -region 300 -loss 0.2 -blackout-rate 0.02 \
     -blackout-sweeps 3 -chaos -sweeps 120 -seed 7
 run faults_jitter_seed9 "$bindir/gs3sim" -region 300 -loss 0.15 -dup 0.05 \
@@ -47,7 +47,7 @@ run traffic_chaos_seed4 "$bindir/gs3sim" -region 300 -r 50 -sweeps 15 \
     -packets 10000 -traffic-rate 500 -p2p 0.3 -loss 0.1 -blackout-rate 0.01 \
     -blackout-sweeps 3 -churn 20 -seed 4
 run bench_quick_par "$bindir/gs3bench" -quick -seed 7 -exp A2,T3
-run bench_quick_seq "$bindir/gs3bench" -quick -seed 7 -exp A2,T3 -seq
+run bench_quick_seq "$bindir/gs3bench" -quick -seed 7 -exp A2,T3 -parallel 1
 run disaster_seed6 "$bindir/gs3sim" -region 300 -disaster 150,80,90 \
     -disaster-at 4 -sweeps 30 -seed 6
 run obstacle_seed8 "$bindir/gs3sim" -region 300 \
