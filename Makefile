@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet test race bench bench-smoke smoke fuzz-smoke chaos traffic-smoke engine-smoke adversary-smoke goldens golden-diff check
+.PHONY: all fmt build vet test race bench bench-smoke smoke fuzz-smoke chaos traffic-smoke engine-smoke adversary-smoke perfbench-smoke goldens golden-diff check
 
 all: check
 
@@ -70,7 +70,7 @@ traffic-smoke:
 # Event-engine churn smoke: a million-event schedule/cancel/fire
 # mix (sliding-window churn plus a wide 300k-pending drain) under the
 # race detector, asserting exact (At, seq) fire order and live-event
-# accounting throughout. The scale gate for the calendar-queue engine.
+# accounting throughout. The scale gate for the event engine.
 engine-smoke:
 	GS3_ENGINE_SMOKE=1 $(GO) test -race -run TestEngineSmokeMillionEvents -v ./internal/sim
 
@@ -81,6 +81,13 @@ adversary-smoke:
 	$(GO) test -run 'TestGreedyAtLeastRandom|TestAdversaryMatrixGreedyAtLeastRandom' \
 		./internal/adversary ./internal/exp
 
+# The benchmark (perfbench/) is a module of its own, so `go build ./...`
+# never compiles it: vet and test it here, so a change to an internal
+# API it uses cannot break perfbench/run.sh unnoticed.
+perfbench-smoke:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # Re-archive the golden experiment stdout under testdata/goldens/.
 goldens:
 	./scripts/goldens.sh generate
@@ -90,4 +97,4 @@ goldens:
 golden-diff:
 	./scripts/goldens.sh diff
 
-check: fmt build vet race bench-smoke engine-smoke golden-diff fuzz-smoke chaos traffic-smoke adversary-smoke
+check: fmt build vet race bench-smoke engine-smoke golden-diff fuzz-smoke chaos traffic-smoke adversary-smoke perfbench-smoke

@@ -528,9 +528,9 @@ func BenchmarkSweepSteadyStateLarge(b *testing.B) {
 // TestSweepAllocBudget pins the allocation count of one settled
 // maintenance round on the large field, so the replay path cannot
 // silently start allocating per node: sweep batches are pooled with
-// their engine callbacks, replays only bump interned-delta counts, and
-// the per-batch credit reuses its index list. The remaining handful
-// are the event engine's calendar buckets growing as the wheel turns.
+// their engine callbacks, replays only bump interned-delta counts, the
+// per-batch credit reuses its index list, and the event engine's heap
+// and slot pool reach a steady capacity during warm-up.
 func TestSweepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run alloc measurement")
@@ -547,8 +547,8 @@ func TestSweepAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		s.RunSweeps(1)
 	})
-	if allocs > 6 {
-		t.Errorf("settled round allocates %.0f times, budget is 6", allocs)
+	if allocs > 0 {
+		t.Errorf("settled round allocates %.0f times, budget is 0", allocs)
 	}
 }
 

@@ -301,24 +301,15 @@ func checkI1(ix *index, r *Result) {
 		}
 	}
 
-	if !haveBig || !(big.IsHead() || big.Status == core.StatusBigSlide || big.Status == core.StatusBigMove) {
-		if haveBig && !big.IsHead() {
-			return // big node not heading: tree roots at the proxy; skip
-		}
+	if haveBig && !(big.IsHead() || big.Status == core.StatusBigSlide || big.Status == core.StatusBigMove) {
+		return // big node in no root-bearing state: nothing to root at; skip
 	}
 
-	// I1.2: every head reaches a root by following parents, without
+	// I1.2: every head reaches the root by following parents, without
 	// cycles. The root is the big node, its BIG_MOVE proxy, or — during
-	// a BIG_SLIDE — the head of the cell the big node belongs to.
-	root := bigID
-	if haveBig && !big.IsHead() {
-		switch {
-		case big.Status == core.StatusBigSlide && big.Head != radio.None:
-			root = big.Head
-		case big.Proxy != radio.None:
-			root = big.Proxy
-		}
-	}
+	// a BIG_SLIDE — the head of the cell the big node belongs to
+	// (core.Snapshot.Root).
+	root := ix.snap.Root()
 	for _, h := range ix.heads {
 		ix.markGen++
 		cur := h
@@ -357,6 +348,7 @@ func checkI1(ix *index, r *Result) {
 func checkI2(ix *index, mode Mode, r *Result) {
 	cfg := ix.snap.Config
 	lo, hi := cfg.NeighborDistMin(), cfg.NeighborDistMax()
+	root := ix.snap.Root()
 
 	for ho := range ix.heads {
 		h := ix.heads[ho]
@@ -397,22 +389,15 @@ func checkI2(ix *index, mode Mode, r *Result) {
 			}
 		}
 
-		// I2.3: children bound. The big node gets 6; a head standing in
-		// for it — the moving big node's proxy, or the head that took
-		// over the big node's cell during a BIG_SLIDE (it inherits the
-		// big node's children) — gets the same bound.
-		isProxy := false
-		if big, ok := ix.view(ix.snap.BigID); ok {
-			if big.Proxy == h.ID ||
-				(big.Status == core.StatusBigSlide && big.Head == h.ID) {
-				isProxy = true
-			}
-		}
+		// I2.3: children bound. The big node gets 6; the root head
+		// standing in for it — the moving big node's proxy, or the head
+		// that took over the big node's cell during a BIG_SLIDE (it
+		// inherits the big node's children) — gets the same bound.
 		limit := 3
 		if mode == Dynamic && !h.IsBig {
 			limit = 5
 		}
-		if h.IsBig || isProxy {
+		if h.IsBig || h.ID == root {
 			limit = 6
 		}
 		if len(h.Children) > limit {
@@ -607,18 +592,10 @@ func (ix *index) connected(start radio.NodeID, txRange float64) []bool {
 
 // checkMinDistTree verifies the strengthened F₁.₂ of GS³-D: the head
 // graph is a minimum-hop spanning tree of the head-neighbor graph
-// rooted at the big node (or its proxy).
+// rooted at the root head (core.Snapshot.Root).
 func checkMinDistTree(ix *index, r *Result) {
 	cfg := ix.snap.Config
-	root := ix.snap.BigID
-	if big, ok := ix.view(root); ok && !big.IsHead() {
-		switch {
-		case big.Status == core.StatusBigSlide && big.Head != radio.None:
-			root = big.Head
-		case big.Proxy != radio.None:
-			root = big.Proxy
-		}
-	}
+	root := ix.snap.Root()
 	if rv, ok := ix.view(root); !ok || rv.Blackout {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gs3/internal/field"
+	"gs3/internal/geom"
 	"gs3/internal/radio"
 	"gs3/internal/rng"
 	"gs3/internal/trace"
@@ -100,7 +101,7 @@ func checkFanOut(t *testing.T, nw *Network, org radio.NodeID, pw *fanOutPower) {
 			if nw.med.InBlackout(hid) {
 				pw.blackedOut++
 			}
-			if nw.med.OccludedPoints(p, hp) != nw.med.OccludedPoints(orgPos, hp) {
+			if obs := nw.med.Obstacles(); geom.AnyOccludes(obs, p, hp) != geom.AnyOccludes(obs, orgPos, hp) {
 				pw.occlusionSplit++
 			}
 		}

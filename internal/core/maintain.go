@@ -933,26 +933,14 @@ func (nw *Network) ParentSeek(id radio.NodeID) {
 	}
 }
 
-// isRootHead reports whether h anchors the head graph: the big node
-// acting as head, the proxy of a moving big node, or — during a
-// BIG_SLIDE — the head of the cell the big node is a member of.
-// Without the slide clause the head graph has no distance-0 root while
-// the big node's cell IL is away, and ParentSeek counts to infinity.
+// isRootHead reports whether h anchors the head graph: the big node,
+// or the head RootHead names in its place (the proxy of a moving big
+// node, or — during a BIG_SLIDE — the head of the cell the big node is
+// a member of). Without the slide case the head graph has no
+// distance-0 root while the big node's cell IL is away, and ParentSeek
+// counts to infinity.
 func (nw *Network) isRootHead(h *Node) bool {
-	if h.IsBig {
-		return true
-	}
-	big := nw.node(nw.bigID)
-	if big == nil {
-		return false
-	}
-	if big.Status == StatusBigMove && nw.coldOf(nw.bigID).Proxy == h.ID {
-		return true
-	}
-	if big.Status == StatusBigSlide && big.Head == h.ID {
-		return true
-	}
-	return false
+	return h.IsBig || h.ID == nw.RootHead()
 }
 
 // RescanAround runs HEAD_ORG at head id over the full circle of six

@@ -309,9 +309,6 @@ func (nw *Network) SetFaults(inj *fault.Injector) {
 	nw.med.SetFaults(inj)
 }
 
-// Faults returns the installed fault injector (nil when reliable).
-func (nw *Network) Faults() *fault.Injector { return nw.faults }
-
 // jittered applies the fault injector's delay jitter to a scheduling
 // delay; it is the identity when faults are off.
 func (nw *Network) jittered(d float64) float64 {
@@ -327,23 +324,30 @@ func (nw *Network) Reachable(id radio.NodeID) bool {
 // BigID returns the big node's ID, or radio.None if absent.
 func (nw *Network) BigID() radio.NodeID { return nw.bigID }
 
-// RootHead returns the head the parent tree currently drains to: the
-// big node while it holds the head role, otherwise the big node's live
-// proxy head (GS³-M), or radio.None in the transient instants of a
-// slide when neither is a head. It is the live-network analogue of the
-// snapshot-based root lookup in internal/gather.
+// RootHead returns the head the parent tree currently drains to (see
+// rootOf), or radio.None when the big node is absent. Snapshot.Root
+// applies the same rule to a snapshot.
 func (nw *Network) RootHead() radio.NodeID {
 	big := nw.node(nw.bigID)
 	if big == nil {
 		return radio.None
 	}
-	if big.Status.IsHeadRole() {
-		return nw.bigID
-	}
-	if proxy := nw.coldOf(nw.bigID).Proxy; proxy != radio.None {
-		if pn := nw.node(proxy); pn != nil && pn.Status.IsHeadRole() {
-			return proxy
-		}
+	return rootOf(nw.bigID, big.Status, big.Head, nw.coldOf(nw.bigID).Proxy)
+}
+
+// rootOf is the one rule naming the head the parent tree drains to,
+// from the big node's ID, status, cell head and proxy: the big node
+// itself while it holds the head role; during a BIG_SLIDE, the head of
+// the cell the big node is a member of; during a BIG_MOVE, its proxy.
+// In any other state the tree has no root and rootOf is radio.None.
+func rootOf(big radio.NodeID, st Status, head, proxy radio.NodeID) radio.NodeID {
+	switch {
+	case st.IsHeadRole():
+		return big
+	case st == StatusBigSlide:
+		return head
+	case st == StatusBigMove:
+		return proxy
 	}
 	return radio.None
 }

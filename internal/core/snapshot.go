@@ -111,6 +111,17 @@ func (nw *Network) Snapshot() Snapshot {
 	return s
 }
 
+// Root returns the head the snapshot's parent tree drains to, by the
+// rule Network.RootHead applies to the live network (see rootOf), or
+// radio.None when the big node is absent.
+func (s Snapshot) Root() radio.NodeID {
+	big, ok := s.View(s.BigID)
+	if !ok {
+		return radio.None
+	}
+	return rootOf(big.ID, big.Status, big.Head, big.Proxy)
+}
+
 // Heads returns the views of all head-role nodes.
 func (s Snapshot) Heads() []NodeView {
 	var out []NodeView

@@ -119,9 +119,9 @@ func Collect(snap core.Snapshot, readings map[radio.NodeID]float64) (Result, err
 
 	// Phase 2: convergecast up the parent tree. Process heads deepest
 	// first so each forwards exactly one merged aggregate.
-	root := rootHead(snap, views)
-	if root == radio.None {
-		return Result{}, fmt.Errorf("gather: no root head (big node absent and no proxy)")
+	root := snap.Root()
+	if rv, ok := views[root]; !ok || !rv.IsHead() {
+		return Result{}, fmt.Errorf("gather: no root head (root %d is not a live head)", root)
 	}
 	depth := treeDepths(views, root)
 	order := headsByDepthDesc(views, depth)
@@ -150,21 +150,6 @@ func Collect(snap core.Snapshot, readings map[radio.NodeID]float64) (Result, err
 	}
 	res.Root = pending[root]
 	return res, nil
-}
-
-// rootHead returns the head the tree drains to: the big node when it
-// holds the head role, otherwise its proxy.
-func rootHead(snap core.Snapshot, views map[radio.NodeID]core.NodeView) radio.NodeID {
-	big := views[snap.BigID]
-	if big.IsHead() {
-		return big.ID
-	}
-	if big.Proxy != radio.None {
-		if pv, ok := views[big.Proxy]; ok && pv.IsHead() {
-			return pv.ID
-		}
-	}
-	return radio.None
 }
 
 // treeDepths computes each head's hop depth from the root by walking

@@ -7,8 +7,10 @@ import (
 	"gs3/internal/check"
 	"gs3/internal/core"
 	"gs3/internal/field"
+	"gs3/internal/gather"
 	"gs3/internal/geom"
 	"gs3/internal/radio"
+	"gs3/internal/traffic"
 )
 
 func buildConfigured(t *testing.T, regionRadius float64) *Sim {
@@ -174,6 +176,52 @@ func TestBigSlideKeepsRootedTree(t *testing.T) {
 	}
 	if _, err := s.RunUntilStable(40); err != nil {
 		t.Fatalf("did not re-stabilize: %v", err)
+	}
+}
+
+// TestBigSlideRootServesGatherAndTraffic pins the one root rule on the
+// BIG_SLIDE field above: while the big node has ceded its head role,
+// the head of its cell roots the tree for the protocol, for a snapshot
+// (Snapshot.Root) and for the live network (RootHead). A gather drains
+// through that head, and every convergecast packet is delivered there.
+func TestBigSlideRootServesGatherAndTraffic(t *testing.T) {
+	opt := DefaultOptions(100, 300)
+	opt.Seed = 9
+	s, err := Build(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Configure(); err != nil {
+		t.Fatal(err)
+	}
+	s.Net.StartMaintenance(core.VariantD)
+	s.KillDisk(geom.Point{X: 30, Y: -20}, 60)
+	s.RunSweeps(13)
+	snap := s.Net.Snapshot()
+	big, _ := snap.View(s.Net.BigID())
+	if big.Status != core.StatusBigSlide {
+		t.Fatalf("scenario no longer holds BIG_SLIDE (big status %v)", big.Status)
+	}
+	if root := s.Net.RootHead(); root == radio.None || root != big.Head || root != snap.Root() {
+		t.Fatalf("RootHead %d, Snapshot.Root %d, want the big node's cell head %d", root, snap.Root(), big.Head)
+	}
+
+	readings := make(map[radio.NodeID]float64, len(snap.Nodes))
+	for _, v := range snap.Nodes {
+		readings[v.ID] = 1
+	}
+	if _, err := gather.Collect(snap, readings); err != nil {
+		t.Fatalf("Collect during BIG_SLIDE: %v", err)
+	}
+
+	plane, err := s.ServeTraffic(traffic.Config{Packets: 500, Rate: 200, P2PFraction: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := plane.Run()
+	if rep.Generated != 500 || rep.Delivered != rep.Generated {
+		t.Fatalf("delivered %d of %d (lost: noroute=%d hopfail=%d ttl=%d expired=%d)",
+			rep.Delivered, rep.Generated, rep.LostNoRoute, rep.LostHopFail, rep.LostTTL, rep.Expired)
 	}
 }
 

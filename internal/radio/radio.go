@@ -269,17 +269,7 @@ func (m *Medium) ResetStats() {
 // keep the externally observable accounting identical to having done
 // it: they credit the recorded per-sweep counter deltas instead.
 func (m *Medium) AddStats(d Stats) {
-	m.stats.Broadcasts += d.Broadcasts
-	m.stats.Unicasts += d.Unicasts
-	m.stats.Deliveries += d.Deliveries
-	m.stats.Dropped += d.Dropped
-	m.stats.RangeQueries += d.RangeQueries
-	m.stats.FaultDrops += d.FaultDrops
-	m.stats.FaultDups += d.FaultDups
-	m.stats.BlackoutDrops += d.BlackoutDrops
-	m.stats.Blackouts += d.Blackouts
-	m.stats.Retries += d.Retries
-	m.stats.OcclusionBlocks += d.OcclusionBlocks
+	m.stats = m.stats.Add(d)
 }
 
 // Sub returns the counter delta s−prev (field-wise). Meaningful when
@@ -328,22 +318,11 @@ func (m *Medium) TraceSend(id NodeID) {
 	}
 }
 
-// Tracing reports whether a traffic-trace collector is installed.
-func (m *Medium) Tracing() bool {
-	return m.trace != nil
-}
-
 // SetFaults installs (or, with nil, removes) a fault injector. The
 // medium owns no randomness of the injector; it only asks it questions,
 // in deterministic per-receiver order.
 func (m *Medium) SetFaults(inj *fault.Injector) {
 	m.inj = inj
-}
-
-// Faults returns the installed fault injector (nil when the medium is
-// reliable).
-func (m *Medium) Faults() *fault.Injector {
-	return m.inj
 }
 
 // SetObstacles installs the opaque polygons that occlude the medium
@@ -380,13 +359,6 @@ func (m *Medium) Occluded(a, b NodeID) bool {
 		return false
 	}
 	return geom.AnyOccludes(m.obstacles, m.pos[a], m.pos[b])
-}
-
-// OccludedPoints reports whether an obstacle blocks the line of sight
-// between two positions, independent of any node being there. The
-// invariant checker uses it to reason about links a snapshot implies.
-func (m *Medium) OccludedPoints(a, b geom.Point) bool {
-	return len(m.obstacles) != 0 && geom.AnyOccludes(m.obstacles, a, b)
 }
 
 // SetSendHook installs fn to observe every actual transmission (nil

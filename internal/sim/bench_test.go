@@ -6,11 +6,11 @@ import "testing"
 // a large standing population of timers at a small set of regular
 // deltas (maintenance heartbeats, radio deliveries), churned by
 // schedule/cancel/fire cycles. EXPERIMENTS.md records their numbers
-// for the container/heap engine and the calendar queue that replaced
-// it. They are timing references, not gates: the engine's exact
-// contract is pinned by TestEngineMatchesHeapRef and
-// TestEngineSteadyStateZeroAllocs, and events per workload by the pin
-// tests in the root package's bench_test.go.
+// for each engine the repo has had. They are timing references, not
+// gates: the engine's exact contract is pinned by
+// TestEngineMatchesHeapRef and TestEngineSteadyStateZeroAllocs, and
+// events per workload by the pin tests in the root package's
+// bench_test.go.
 
 // BenchmarkEngineSchedule is the steady-state schedule+fire cycle: a
 // warmed queue of pending events at the workload's regular deltas, each
@@ -56,8 +56,8 @@ func BenchmarkEngineSteadyChurn(b *testing.B) {
 
 // BenchmarkEngineRunUntilCanceled drains a queue that is 90% canceled
 // events through RunUntil — the StopMaintenance/retry-suppression
-// shape. The old engine paid two queue scans per fired event (peek,
-// then Step); the calendar queue pays one.
+// shape. RunUntil peeks at the heap's top and pops that same entry,
+// one scan per fired event.
 func BenchmarkEngineRunUntilCanceled(b *testing.B) {
 	nop := func() {}
 	handles := make([]Handle, 0, 10000)

@@ -8,14 +8,15 @@ import (
 	"testing"
 )
 
-// TestEngineMatchesHeapRef drives the calendar-queue Engine and the
-// retired binary-heap engine (heapref_test.go) through identical
-// randomized At/After/Cancel/Step/Run/RunUntil/RunWhile sequences and asserts that every observable matches after every
-// operation: the exact fire order (event ids in sequence), Now, Fired,
-// Scheduled, Pending (vs the oracle's livePending), and NextEventTime.
-// Fired callbacks occasionally schedule zero-delay and short-delay
-// follow-ups, which exercises inserts into the bucket being drained.
-// `make race` runs this under the race detector.
+// TestEngineMatchesHeapRef drives the Engine and the container/heap
+// oracle (heapref_test.go) through identical randomized
+// At/After/Cancel/Step/Run/RunUntil sequences and asserts that every
+// observable matches after every operation: the exact fire order (event
+// ids in sequence), Now, Fired, Scheduled, Pending (vs the oracle's
+// livePending), and NextEventTime. Fired callbacks occasionally
+// schedule zero-delay and short-delay follow-ups, which exercises
+// inserts at the current instant while the queue drains. `make race`
+// runs this under the race detector.
 func TestEngineMatchesHeapRef(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -53,7 +54,7 @@ func lockstep(t *testing.T, seed int64, ops int) {
 
 	// mkFn builds the callback for one scheduled id on one side: it
 	// records the fire, and with the given chain depth schedules a
-	// follow-up at zero or sub-bucket delay — the mid-drain insert path.
+	// follow-up at zero or short delay — the mid-drain insert path.
 	var mkFn func(s *side, schedule func(float64, func()), id, chain int) func()
 	mkFn = func(s *side, schedule func(float64, func()), id, chain int) func() {
 		return func() {
@@ -103,13 +104,13 @@ func lockstep(t *testing.T, seed int64, ops int) {
 	}
 
 	// Quantized delays collide times often, exercising the seq
-	// tie-break; the occasional huge delay exercises the overflow tier.
+	// tie-break; the occasional huge delay parks events deep in the heap.
 	delay := func() float64 {
 		switch rng.Intn(10) {
 		case 0:
 			return 0
 		case 1:
-			return float64(rng.Intn(4000)) // far future: overflow tier
+			return float64(rng.Intn(4000)) // far future
 		default:
 			return float64(rng.Intn(64)) / 8
 		}
@@ -175,20 +176,12 @@ func lockstep(t *testing.T, seed int64, ops int) {
 				t.Fatalf("RunUntil(%v) fired %d, oracle %d", deadline, n, r)
 			}
 			check("RunUntil")
-		case k < 96: // Run with a small cap
+		default: // Run with a small cap
 			limit := uint64(rng.Intn(5))
 			if n, r := eng.Run(limit), ref.Run(limit); n != r {
 				t.Fatalf("Run(%d) fired %d, oracle %d", limit, n, r)
 			}
 			check("Run")
-		default: // RunWhile toward a shared fired target
-			target := eng.Fired() + uint64(rng.Intn(4))
-			n, okN := eng.RunWhile(func() bool { return eng.Fired() < target }, 10)
-			r, okR := ref.RunWhile(func() bool { return ref.Fired() < target }, 10)
-			if n != r || okN != okR {
-				t.Fatalf("RunWhile fired %d (ok=%v), oracle %d (ok=%v)", n, okN, r, okR)
-			}
-			check("RunWhile")
 		}
 	}
 	// Drain both to the end: the full residual queues must agree too.
@@ -238,16 +231,16 @@ func TestPendingExcludesCanceled(t *testing.T) {
 
 // TestEngineSteadyStateZeroAllocs pins the steady-state schedule+fire
 // cycle — the path every radio delivery and heartbeat pays — at zero
-// allocations: the event pool recycles slots and the wheel's buckets
-// reach a steady capacity, after which After+Step allocate nothing.
+// allocations: the event pool recycles slots and the heap reaches a
+// steady capacity, after which After+Step allocate nothing.
 func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
 	for i := 0; i < 8192; i++ {
 		e.After(1+float64(i%64)/8, nop)
 	}
-	// Warm through several full wheel-rebuild cycles so every bucket
-	// and the pool free list reach their steady capacities.
+	// Warm until the heap and the pool free list reach their steady
+	// capacities.
 	for i := 0; i < 200000; i++ {
 		e.After(8, nop)
 		e.Step()
@@ -261,8 +254,8 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineSmokeMillionEvents is the scale gate for the calendar
-// queue, run by `make engine-smoke` under the race detector: a
+// TestEngineSmokeMillionEvents is the scale gate for the event
+// engine, run by `make engine-smoke` under the race detector: a
 // million-event schedule/cancel/fire churn with a sliding
 // ~100k-pending window, followed by a wide 300k-pending drain, all
 // with exact fire-order and live-count accounting asserted.
@@ -299,7 +292,7 @@ func TestEngineSmokeMillionEvents(t *testing.T) {
 		for b := 0; b < 64; b++ {
 			d := float64(rng.Intn(512)) / 16
 			if rng.Intn(100) == 0 {
-				d = float64(1000 + rng.Intn(2000)) // overflow tier
+				d = float64(1000 + rng.Intn(2000)) // far future
 			}
 			window = append(window, schedule(d))
 		}

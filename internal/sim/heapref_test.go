@@ -1,11 +1,12 @@
 package sim
 
-// This file preserves the binary-heap engine that the calendar queue
-// replaced, verbatim except for renames, as a test-only oracle. The
+// This file preserves the engine's original container/heap binary
+// heap, verbatim except for renames, as a test-only oracle. The
 // lockstep property test (engine_property_test.go) drives it and the
 // live Engine through identical operation sequences and asserts that
 // every observable — fire order, Now, Fired, Pending — matches, which
-// pins the calendar queue to the heap's exact (At, seq) total order.
+// pins the live 4-ary heap to this engine's exact (At, seq) total
+// order.
 //
 // One deliberate divergence: the heap engine's Pending() counted
 // canceled-but-undrained events (the over-count the live counter

@@ -4,36 +4,9 @@
 // Time is virtual, represented as a float64 number of abstract seconds.
 // Events are ordered by time with a stable sequence-number tie-break so
 // that runs are fully deterministic: two events scheduled for the same
-// instant fire in scheduling order.
-//
-// # Queue structure
-//
-// The engine is a two-tier calendar queue tuned for this workload's
-// shape: maintenance heartbeats and radio deliveries fire at a small
-// set of regular deltas, so almost every event lands a short, bounded
-// distance in the future. A near-future bucket wheel covers the window
-// [wheelStart, wheelEnd) with fixed-width buckets; scheduling appends
-// to the bucket its fire time falls in (O(1)), and a bucket is sorted
-// by (At, seq) only when it becomes the current one being drained.
-// Events beyond the wheel's horizon collect unsorted in an overflow
-// tier; when the wheel runs dry the overflow is re-bucketed into a
-// fresh wheel whose width adapts to the pending events' density (span
-// × 1.25 / buckets), so the amortized cost per event stays O(1)
-// regardless of how far ahead the workload schedules. If continuous
-// scheduling grows the population past 8× the bucket count before the
-// wheel drains, the wheel is evacuated and rebuilt at the new size
-// (with a population-doubling guard between resizes), so buckets stay
-// short under sustained load too.
-//
-// Fire order is exactly the total order (At, seq) — identical to the
-// binary-heap engine this replaced, which `TestEngineMatchesHeapRef`
-// pins operation-for-operation. Bucket boundaries cannot perturb it:
-// the bucket index is monotone in At, buckets drain in index order, and
-// each bucket is sorted by (At, seq) before it is drained, so the
-// concatenation of drained buckets is the sorted order. Events
-// scheduled into the current bucket mid-drain (e.g. zero-delay events)
-// append and re-sort the bucket's remaining suffix, which is correct
-// because At ≥ Now bounds them below by everything already fired.
+// instant fire in scheduling order. The queue is a 4-ary min-heap on
+// (at, seq); since seq is unique, that pair is a strict total order,
+// and popping the heap's minimum fires events in exactly that order.
 //
 // # Event pool
 //
@@ -44,7 +17,8 @@
 // Handle operation first checks that the slot still holds that
 // sequence number. A slot recycled to a new event no longer matches, so
 // Cancel/Canceled on a stale Handle are safe no-ops rather than actions
-// on an unrelated event.
+// on an unrelated event. Cancel is lazy: a canceled event keeps its
+// heap entry, and its slot is freed when the entry reaches the top.
 //
 // # Concurrency
 //
@@ -61,7 +35,6 @@ package sim
 import (
 	"errors"
 	"math"
-	"slices"
 )
 
 // Time is a virtual-time instant in abstract seconds. It is a plain
@@ -70,10 +43,9 @@ type Time = float64
 
 // event is one pooled slot of the engine's event store. A slot's
 // identity is its seq: freeing a slot overwrites seq with freedSeq and
-// recycling it installs a fresh one, so any Handle or queue entry that
-// recorded the old seq can detect that the slot moved on.
+// recycling it installs a fresh one, so any Handle that recorded the
+// old seq can detect that the slot moved on.
 type event struct {
-	at       Time
 	seq      uint64
 	fn       func()
 	canceled bool
@@ -83,13 +55,18 @@ type event struct {
 // have seq < freedSeq (nextSeq would need centuries to wrap).
 const freedSeq = math.MaxUint64
 
-// entry is a queue reference to a pooled event: the (at, seq) fire-
-// order key inline (so buckets sort without chasing pool slots) plus
-// the slot index to resolve at fire time.
+// entry is a heap reference to a pooled event: the (at, seq) fire-
+// order key inline (so sifting compares without chasing pool slots)
+// plus the slot index to resolve at fire time.
 type entry struct {
 	at  Time
 	seq uint64
 	idx int32
+}
+
+// before is the fire order: (at, seq) ascending.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Handle allows a scheduled event to be canceled before it fires. A
@@ -132,15 +109,6 @@ func (h Handle) Canceled() bool {
 // before the current virtual time.
 var ErrEventInPast = errors.New("sim: event scheduled in the past")
 
-// Wheel sizing bounds. The bucket count tracks the pending-event count
-// (about one event per bucket) between these clamps; the cap bounds
-// per-engine memory, trading O(1) buckets for short sorted runs when
-// millions of events are pending at once.
-const (
-	minBuckets = 64
-	maxBuckets = 1 << 16
-)
-
 // Engine is a deterministic discrete-event scheduler.
 //
 // An Engine is not safe for concurrent use: all scheduling, stepping,
@@ -158,30 +126,9 @@ type Engine struct {
 	pool []event
 	free []int32
 
-	// Near-future tier: fixed-width buckets covering
-	// [wheelStart, wheelEnd). Only buckets[:nb] are in use; cur is the
-	// lowest possibly-nonempty bucket, and buckets[cur] is kept sorted
-	// descending by (at, seq) — drained from the tail — whenever
-	// curSorted holds. wheelCount counts entries across buckets[cur:].
-	buckets    [][]entry
-	nb         int
-	width      Time
-	wheelStart Time
-	wheelEnd   Time
-	cur        int
-	curSorted  bool
-	wheelCount int
-
-	// Far-future tier: unsorted; re-bucketed by rebuild when the wheel
-	// runs dry. scratch is the spare slice rebuild compacts into.
-	overflow []entry
-	scratch  []entry
-
-	// lastRebuildN is the wheel population right after the last
-	// rebuild: the doubling baseline for load-factor resizes (see
-	// insert), which keeps a same-timestamp pileup — which no bucket
-	// width can split — from re-triggering a rebuild on every insert.
-	lastRebuildN int
+	// heap is a 4-ary min-heap under entry.before: the children of
+	// heap[i] are heap[4i+1 : 4i+5].
+	heap []entry
 }
 
 // NewEngine returns an engine at time zero with an empty queue.
@@ -230,9 +177,9 @@ func (e *Engine) At(at Time, fn func()) (Handle, error) {
 	}
 	seq := e.nextSeq
 	e.nextSeq++
-	e.pool[idx] = event{at: at, seq: seq, fn: fn}
+	e.pool[idx] = event{seq: seq, fn: fn}
 	e.live++
-	e.insert(entry{at: at, seq: seq, idx: idx})
+	e.push(entry{at: at, seq: seq, idx: idx})
 	return Handle{e: e, idx: idx, seq: seq}, nil
 }
 
@@ -246,77 +193,52 @@ func (e *Engine) After(delay float64, fn func()) Handle {
 	return h
 }
 
-// insert files an entry into the tier its fire time selects: the
-// bucket wheel when at < wheelEnd, the overflow otherwise. The bucket
-// index is monotone in at (clamped floor of a positive-width division),
-// which is all the fire order needs from it. An insert landing in the
-// already-sorted current bucket splices into sorted position instead
-// of forcing a re-sort; and when the wheel population outgrows the
-// bucket count (load factor > 8 with room to grow, population doubled
-// since the last rebuild) the wheel is evacuated and resized, so a
-// long-lived wheel under continuous scheduling cannot accumulate
-// pathologically large buckets.
-func (e *Engine) insert(ent entry) {
-	if e.nb == 0 || !(ent.at < e.wheelEnd) {
-		e.overflow = append(e.overflow, ent)
-		return
-	}
-	b := int((ent.at - e.wheelStart) / e.width)
-	if b < 0 {
-		b = 0
-	}
-	if b >= e.nb {
-		b = e.nb - 1
-	}
-	switch {
-	case b < e.cur:
-		// Re-opening an already-drained (hence empty) earlier bucket.
-		e.cur = b
-		e.buckets[b] = append(e.buckets[b], ent)
-		e.curSorted = len(e.buckets[b]) == 1
-	case b == e.cur && e.curSorted:
-		// Mid-drain insert into the current bucket: splice into sorted
-		// position (descending, so lower (at, seq) sits nearer the
-		// tail). Correct because at ≥ now bounds the entry below by
-		// everything already fired.
-		bk := e.buckets[b]
-		lo, hi := 0, len(bk)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if entryAfter(bk[mid], ent) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+// push adds ent to the heap, sifting it up past every parent it fires
+// before.
+func (e *Engine) push(ent entry) {
+	h := append(e.heap, ent)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ent.before(h[p]) {
+			break
 		}
-		bk = append(bk, entry{})
-		copy(bk[lo+1:], bk[lo:])
-		bk[lo] = ent
-		e.buckets[b] = bk
-	default:
-		// A future bucket (sorted lazily when it becomes current), or
-		// the current bucket while it is still awaiting its sort.
-		e.buckets[b] = append(e.buckets[b], ent)
+		h[i] = h[p]
+		i = p
 	}
-	e.wheelCount++
-	if e.wheelCount > 8*e.nb && e.nb < maxBuckets && e.wheelCount >= 2*e.lastRebuildN {
-		e.evacuate()
-	}
+	h[i] = ent
+	e.heap = h
 }
 
-// evacuate dumps every wheel entry back into the overflow tier and
-// rebuilds, resizing the wheel to the current population. Triggered by
-// insert's load-factor check; O(pending), amortized O(1) per insert by
-// the doubling guard.
-func (e *Engine) evacuate() {
-	for i := e.cur; i < e.nb; i++ {
-		if len(e.buckets[i]) > 0 {
-			e.overflow = append(e.overflow, e.buckets[i]...)
-			e.buckets[i] = e.buckets[i][:0]
-		}
+// pop removes the heap's top entry: the last entry takes its place and
+// sifts down past every child that fires before it.
+func (e *Engine) pop() {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	h := e.heap[:n]
+	e.heap = h
+	if n == 0 {
+		return
 	}
-	e.wheelCount = 0
-	e.rebuild()
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = last
 }
 
 // freeSlot returns a pool slot to the free list, dropping everything
@@ -326,148 +248,32 @@ func (e *Engine) freeSlot(idx int32) {
 	e.free = append(e.free, idx)
 }
 
-// entryAfter sorts entries descending by (at, seq), so the next event
-// to fire sits at a bucket's tail and popping it is O(1).
-func entryAfter(a, b entry) int {
-	switch {
-	case a.at > b.at:
-		return -1
-	case a.at < b.at:
-		return 1
-	case a.seq > b.seq:
-		return -1
-	case a.seq < b.seq:
-		return 1
-	}
-	return 0
-}
-
-// nextEntry readies and returns the earliest live entry without
-// consuming it: it advances past drained buckets, rebuilds the wheel
-// from the overflow when the wheel runs dry, sorts the current bucket
-// if needed, and discards canceled events (freeing their slots) from
-// the bucket tail. ok is false when no live events remain. After it
-// returns ok, the entry sits at the tail of buckets[cur] and consume
-// pops it in O(1) — the single-scan structure RunUntil and Step share.
+// nextEntry returns the earliest live entry without consuming it,
+// first popping canceled entries off the top and freeing their slots.
+// ok is false when no live events remain. After it returns ok, the
+// entry is the heap's top, which consume pops.
 func (e *Engine) nextEntry() (entry, bool) {
-	for {
-		for e.wheelCount > 0 && e.cur < e.nb && len(e.buckets[e.cur]) == 0 {
-			e.cur++
-			e.curSorted = false
+	for len(e.heap) > 0 {
+		top := e.heap[0]
+		if !e.pool[top.idx].canceled {
+			return top, true
 		}
-		if e.wheelCount == 0 {
-			if len(e.overflow) == 0 {
-				return entry{}, false
-			}
-			e.rebuild()
-			continue
-		}
-		b := e.buckets[e.cur]
-		if !e.curSorted {
-			slices.SortFunc(b, entryAfter)
-			e.curSorted = true
-		}
-		for len(b) > 0 {
-			ent := b[len(b)-1]
-			if !e.pool[ent.idx].canceled {
-				e.buckets[e.cur] = b
-				return ent, true
-			}
-			e.freeSlot(ent.idx)
-			b = b[:len(b)-1]
-			e.wheelCount--
-		}
-		e.buckets[e.cur] = b
+		e.pop()
+		e.freeSlot(top.idx)
 	}
+	return entry{}, false
 }
 
 // consume pops the entry nextEntry returned, frees its slot, advances
 // the clock, and returns the callback to run.
 func (e *Engine) consume(ent entry) func() {
-	n := len(e.buckets[e.cur]) - 1
-	e.buckets[e.cur] = e.buckets[e.cur][:n]
-	e.wheelCount--
+	e.pop()
 	fn := e.pool[ent.idx].fn
 	e.freeSlot(ent.idx)
 	e.live--
 	e.now = ent.at
 	e.fired++
 	return fn
-}
-
-// rebuild re-buckets the overflow tier into a fresh wheel anchored at
-// the earliest pending fire time. The bucket count tracks the pending
-// count (clamped to [minBuckets, maxBuckets]) and the width spreads
-// 1.25× the pending span across it, so the new wheel holds everything
-// in the common case; events still beyond the new horizon stay in the
-// overflow for a later rebuild. Canceled events are dropped here
-// rather than carried. The earliest event always enters the wheel, so
-// every rebuild makes progress.
-func (e *Engine) rebuild() {
-	old := e.overflow
-	minAt, maxAt := math.Inf(1), math.Inf(-1)
-	n := 0
-	for _, ent := range old {
-		ev := &e.pool[ent.idx]
-		if ev.seq != ent.seq {
-			continue
-		}
-		if ev.canceled {
-			e.freeSlot(ent.idx)
-			continue
-		}
-		n++
-		if ent.at < minAt {
-			minAt = ent.at
-		}
-		if ent.at > maxAt {
-			maxAt = ent.at
-		}
-	}
-	if n == 0 {
-		e.overflow = old[:0]
-		return
-	}
-	nb := minBuckets
-	for nb < n && nb < maxBuckets {
-		nb *= 2
-	}
-	width := 1.25 * (maxAt - minAt) / float64(nb)
-	if !(width > 0 && width < math.Inf(1)) {
-		width = 1 // zero span (or degenerate times): one hot bucket
-	}
-	for len(e.buckets) < nb {
-		e.buckets = append(e.buckets, nil)
-	}
-	e.nb = nb
-	e.width = width
-	e.wheelStart = minAt
-	e.wheelEnd = minAt + width*float64(nb)
-	e.cur = 0
-	e.curSorted = false
-	e.wheelCount = 0
-	keep := e.scratch[:0]
-	for _, ent := range old {
-		if e.pool[ent.idx].seq != ent.seq {
-			continue // canceled and freed above
-		}
-		if !(ent.at < e.wheelEnd) && ent.at > minAt {
-			keep = append(keep, ent)
-			continue
-		}
-		b := int((ent.at - e.wheelStart) / e.width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nb {
-			b = nb - 1
-		}
-		e.buckets[b] = append(e.buckets[b], ent)
-		e.wheelCount++
-	}
-	e.scratch = old[:0]
-	e.overflow = keep
-	e.lastRebuildN = e.wheelCount
 }
 
 // Step fires the next event. It returns false when the queue is empty.
@@ -498,11 +304,6 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 // RunUntil fires events with At ≤ deadline. Events scheduled beyond the
 // deadline remain queued; the engine's clock is advanced to the deadline
 // if it ran dry earlier. It returns the number of events fired.
-//
-// The loop is a single pop path: nextEntry leaves the upcoming event
-// parked at the current bucket's tail, so checking it against the
-// deadline and consuming it shares one scan — the binary-heap engine
-// paid a second O(log n) pop (peek, then Step) per fired event here.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	var n uint64
 	for {
@@ -518,24 +319,6 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 		e.now = deadline
 	}
 	return n
-}
-
-// RunWhile fires events while cond() holds, checking after every event,
-// with a hard cap on events to guard against livelock. It returns the
-// number of events fired and whether cond became false (true) or the
-// cap/empty queue stopped the run (false).
-func (e *Engine) RunWhile(cond func() bool, maxEvents uint64) (uint64, bool) {
-	var n uint64
-	for cond() {
-		if maxEvents > 0 && n >= maxEvents {
-			return n, false
-		}
-		if !e.Step() {
-			return n, false
-		}
-		n++
-	}
-	return n, true
 }
 
 // NextEventTime returns the time of the earliest pending event, or +Inf

@@ -134,29 +134,6 @@ func TestRunUntilAdvancesClockWhenDry(t *testing.T) {
 	}
 }
 
-func TestRunWhile(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 5; i++ {
-		e.After(float64(i), func() { count++ })
-	}
-	n, ok := e.RunWhile(func() bool { return count < 3 }, 0)
-	if !ok || n != 3 {
-		t.Errorf("n=%d ok=%v", n, ok)
-	}
-}
-
-func TestRunWhileCap(t *testing.T) {
-	e := NewEngine()
-	var tick func()
-	tick = func() { e.After(1, tick) }
-	e.After(1, tick)
-	n, ok := e.RunWhile(func() bool { return true }, 100)
-	if ok || n != 100 {
-		t.Errorf("n=%d ok=%v, want cap hit", n, ok)
-	}
-}
-
 func TestNextEventTime(t *testing.T) {
 	e := NewEngine()
 	if !math.IsInf(e.NextEventTime(), 1) {

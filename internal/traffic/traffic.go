@@ -432,16 +432,12 @@ func (p *Plane) step(pkt *packet) {
 
 // arrived reports whether pkt sits at its destination. Convergecast
 // packets arrive at the big node, or at the root head standing in for
-// it during a big-node slide or move.
+// it during a big-node slide or move (core.Network.RootHead).
 func (p *Plane) arrived(pkt *packet) bool {
 	if pkt.p2p {
 		return pkt.holder == pkt.dst
 	}
-	if pkt.holder == p.nw.BigID() {
-		return true
-	}
-	root := p.nw.RootHead()
-	return root != radio.None && root != p.nw.BigID() && pkt.holder == root
+	return pkt.holder == p.nw.BigID() || pkt.holder == p.nw.RootHead()
 }
 
 // stall retries the current hop after RetryWait, or drops the packet
