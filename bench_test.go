@@ -170,7 +170,7 @@ func settledLargeField(t *testing.T) *netsim.Sim {
 func TestSettledRoundWorkCounters(t *testing.T) {
 	s := settledLargeField(t)
 	eng, cfg := s.Net.Engine(), s.Opt.Config
-	for round := range cfg.BoundaryRescanEvery * cfg.SanityCheckEvery {
+	for round := range cfg.BoundaryRescanEvery * core.SanityCheckEvery {
 		fired := eng.Fired()
 		bodies, replays := s.Net.SweepWork()
 		s.RunSweeps(1)

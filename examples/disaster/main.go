@@ -25,7 +25,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	net, err := gs3.New(gs3.Options{CellRadius: 100, Seed: 31}, positions)
+	net, err := gs3.New(gs3.Options{CellRadius: 100}, positions)
 	if err != nil {
 		return err
 	}

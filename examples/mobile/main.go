@@ -23,7 +23,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	net, err := gs3.New(gs3.Options{CellRadius: 100, Seed: 11}, positions)
+	net, err := gs3.New(gs3.Options{CellRadius: 100}, positions)
 	if err != nil {
 		return err
 	}

@@ -36,7 +36,6 @@ func run() error {
 	}
 	net, err := gs3.New(gs3.Options{
 		CellRadius:       100,
-		Seed:             23,
 		InitialEnergy:    120,
 		EnergyRate:       1,
 		HeadEnergyFactor: 5,

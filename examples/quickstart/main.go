@@ -27,7 +27,6 @@ func run() error {
 
 	net, err := gs3.New(gs3.Options{
 		CellRadius: 100, // the ideal cell radius R
-		Seed:       42,
 	}, positions)
 	if err != nil {
 		return err

@@ -22,7 +22,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	net, err := gs3.New(gs3.Options{CellRadius: 100, Seed: 7}, positions)
+	net, err := gs3.New(gs3.Options{CellRadius: 100}, positions)
 	if err != nil {
 		return err
 	}

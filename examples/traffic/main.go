@@ -25,7 +25,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	net, err := gs3.New(gs3.Options{CellRadius: 60, Seed: 7}, positions)
+	net, err := gs3.New(gs3.Options{CellRadius: 60}, positions)
 	if err != nil {
 		return err
 	}

@@ -68,8 +68,6 @@ type Options struct {
 	// ReferenceDirection is the GR angle in radians (any consistent
 	// value works; defaults to 0).
 	ReferenceDirection float64
-	// Seed makes runs reproducible. Defaults to 1.
-	Seed uint64
 
 	// HeartbeatInterval is the maintenance period in virtual seconds.
 	// Defaults to 1.
@@ -110,13 +108,6 @@ func (o Options) toConfig() (core.Config, error) {
 	return cfg, nil
 }
 
-func (o Options) seed() uint64 {
-	if o.Seed == 0 {
-		return 1
-	}
-	return o.Seed
-}
-
 // Network is a GS³-managed network.
 type Network struct {
 	nw  *core.Network
@@ -138,7 +129,7 @@ func New(opts Options, positions []Point) (*Network, error) {
 		DiffusionSpeed:     cfg.SearchRadius(),
 		PerMessageOverhead: 0.001,
 	}
-	nw, err := core.NewNetwork(cfg, params, rng.New(opts.seed()))
+	nw, err := core.NewNetwork(cfg, params)
 	if err != nil {
 		return nil, err
 	}

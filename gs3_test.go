@@ -11,7 +11,7 @@ func demoNetwork(t *testing.T) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := New(Options{CellRadius: 100, Seed: 7}, pts)
+	net, err := New(Options{CellRadius: 100}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,6 @@ func TestEnergyModelThroughOptions(t *testing.T) {
 		InitialEnergy:    40,
 		EnergyRate:       1,
 		HeadEnergyFactor: 5,
-		Seed:             7,
 	}, pts)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +228,7 @@ func TestRunLiveMatchesStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLive(Options{CellRadius: 100, Seed: 7}, pts)
+	res, err := RunLive(Options{CellRadius: 100}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}

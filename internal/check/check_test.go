@@ -25,7 +25,7 @@ func configured(t *testing.T, regionRadius float64) (*core.Network, core.Config)
 		DiffusionSpeed:     cfg.SearchRadius(),
 		PerMessageOverhead: 0.001,
 	}
-	nw, err := core.NewNetwork(cfg, params, rng.New(1))
+	nw, err := core.NewNetwork(cfg, params)
 	if err != nil {
 		t.Fatal(err)
 	}

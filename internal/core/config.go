@@ -15,6 +15,22 @@ import (
 	"math"
 )
 
+// SanityCheckEvery is how many sweeps pass between SANITY_CHECK
+// executions at a head (the paper runs it "with low frequency").
+const SanityCheckEvery = 7
+
+// A head re-issues its organization broadcast after a timeout finds
+// its neighborhood still incomplete — the liveness repair for HEAD_ORG
+// replies lost by an unreliable radio — at most orgRetries times. The
+// first wait is retryBackoff HEAD_ORG round latencies, and it doubles
+// after every retry. Retry timers are armed only when a fault injector
+// is active: a reliable radio never drops a reply, so re-issuing could
+// only repeat work the proofs already cover.
+const (
+	orgRetries   = 4
+	retryBackoff = 2
+)
+
 // Config holds the protocol parameters.
 type Config struct {
 	// R is the ideal cell radius (problem statement requirement a).
@@ -32,25 +48,6 @@ type Config struct {
 	// BoundaryRescanEvery is how many sweeps pass between a boundary
 	// head's HEAD_ORG re-scans for newly appeared nodes.
 	BoundaryRescanEvery int
-	// SanityCheckEvery is how many sweeps pass between SANITY_CHECK
-	// executions at a head (the paper runs it "with low frequency").
-	SanityCheckEvery int
-
-	// AbandonSlack is the extra deviation (beyond the invariant's
-	// ±2·Rt) of the shifted IL's distance-to-neighbor-ILs that triggers
-	// cell abandonment.
-	AbandonSlack float64
-
-	// OrgRetries bounds how many times a head re-issues its
-	// organization broadcast after a timeout finds its neighborhood
-	// still incomplete — the liveness repair for HEAD_ORG replies lost
-	// by an unreliable radio. Retry timers are armed only when a fault
-	// injector is active: a reliable radio never drops a reply, so
-	// re-issuing could only repeat work the proofs already cover.
-	OrgRetries int
-	// RetryBackoff is the initial re-issue timeout in units of one
-	// HEAD_ORG round latency; the wait doubles after every retry.
-	RetryBackoff float64
 
 	// InitialEnergy is each small node's energy budget; 0 disables the
 	// energy model. The big node never runs out.
@@ -81,10 +78,6 @@ func DefaultConfig(r float64) Config {
 		GR:                   0,
 		HeartbeatInterval:    1,
 		BoundaryRescanEvery:  5,
-		SanityCheckEvery:     7,
-		AbandonSlack:         0,
-		OrgRetries:           4,
-		RetryBackoff:         2,
 		InitialEnergy:        0,
 		AssociateDissipation: 1,
 		HeadEnergyFactor:     5,
@@ -102,14 +95,8 @@ func (c Config) Validate() error {
 	if c.HeartbeatInterval <= 0 {
 		return fmt.Errorf("core: HeartbeatInterval must be positive, got %v", c.HeartbeatInterval)
 	}
-	if c.BoundaryRescanEvery <= 0 || c.SanityCheckEvery <= 0 {
-		return fmt.Errorf("core: rescan/sanity periods must be positive")
-	}
-	if c.OrgRetries < 0 {
-		return fmt.Errorf("core: negative OrgRetries %d", c.OrgRetries)
-	}
-	if c.RetryBackoff <= 0 {
-		return fmt.Errorf("core: RetryBackoff must be positive, got %v", c.RetryBackoff)
+	if c.BoundaryRescanEvery <= 0 {
+		return fmt.Errorf("core: BoundaryRescanEvery must be positive, got %d", c.BoundaryRescanEvery)
 	}
 	if c.InitialEnergy < 0 || c.AssociateDissipation < 0 || c.HeadEnergyFactor < 0 {
 		return fmt.Errorf("core: energy parameters must be non-negative")

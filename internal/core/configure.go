@@ -48,14 +48,14 @@ func (nw *Network) scheduleHeadOrg(id radio.NodeID, delay float64) {
 // with the head's neighborhood still incomplete — an unowned,
 // conflict-free neighboring IL with nodes in its candidate area, the
 // state a lost HEAD_ORG reply leaves behind — the head re-issues its
-// organization broadcast. Waits start at RetryBackoff round latencies
-// and double per attempt, bounded by OrgRetries. Reliable radios never
+// organization broadcast. Waits start at retryBackoff round latencies
+// and double per attempt, bounded by orgRetries. Reliable radios never
 // arm the timer.
 func (nw *Network) scheduleOrgRetry(id radio.NodeID, attempt int) {
-	if !nw.faults.Active() || attempt > nw.cfg.OrgRetries {
+	if !nw.faults.Active() || attempt > orgRetries {
 		return
 	}
-	wait := nw.cfg.RetryBackoff * nw.orgLatency() * float64(uint64(1)<<uint(attempt-1))
+	wait := retryBackoff * nw.orgLatency() * float64(uint64(1)<<uint(attempt-1))
 	nw.eng.After(nw.jittered(wait), func() { nw.orgRetry(id, attempt) })
 }
 

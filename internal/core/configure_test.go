@@ -21,7 +21,7 @@ func testRadioParams(cfg Config) radio.Params {
 // buildNetwork creates a network from a deployment and returns it.
 func buildNetwork(t *testing.T, cfg Config, dep field.Deployment) *Network {
 	t.Helper()
-	nw, err := NewNetwork(cfg, testRadioParams(cfg), rng.New(1))
+	nw, err := NewNetwork(cfg, testRadioParams(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func configureGrid(t *testing.T, r, regionRadius float64) (*Network, Config) {
 
 func TestStartConfigurationRequiresBigNode(t *testing.T) {
 	cfg := testConfig()
-	nw, err := NewNetwork(cfg, testRadioParams(cfg), rng.New(1))
+	nw, err := NewNetwork(cfg, testRadioParams(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestStartConfigurationRequiresBigNode(t *testing.T) {
 
 func TestAddNodeRejectsSecondBig(t *testing.T) {
 	cfg := testConfig()
-	nw, _ := NewNetwork(cfg, testRadioParams(cfg), rng.New(1))
+	nw, _ := NewNetwork(cfg, testRadioParams(cfg))
 	if _, err := nw.AddNode(geom.Point{}, true); err != nil {
 		t.Fatal(err)
 	}

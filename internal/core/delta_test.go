@@ -57,7 +57,7 @@ func TestCounterMirrorsCoverEveryField(t *testing.T) {
 	checkScaled(t, "statsDelta(3)", d.statsDelta(3), sBase, 3)
 	checkScaled(t, "metricsDelta(3)", d.metricsDelta(3), mBase, 3)
 
-	med, err := radio.NewMedium(radio.Params{MaxRange: 100, DiffusionSpeed: 100}, nil)
+	med, err := radio.NewMedium(radio.Params{MaxRange: 100, DiffusionSpeed: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

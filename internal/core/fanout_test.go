@@ -118,7 +118,7 @@ func TestFanOutMatchesPerReceiverQuery(t *testing.T) {
 	for name, f := range fanOutFields(t) {
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig(100)
-			nw, err := NewNetwork(cfg, testRadioParams(cfg), rng.New(1))
+			nw, err := NewNetwork(cfg, testRadioParams(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 // fuzzer to corrupt.
 func fuzzSeedSnapshot(f *testing.F) []byte {
 	cfg := DefaultConfig(100)
-	nw, err := NewNetwork(cfg, testRadioParams(cfg), rng.New(1))
+	nw, err := NewNetwork(cfg, testRadioParams(cfg))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -254,7 +254,7 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 		if n.Status.IsHeadRole() { // may have retreated
 			nw.headInterCell(n)
 		}
-		if n.Status.IsHeadRole() && nw.coldOf(id).sweep%uint32(nw.cfg.SanityCheckEvery) == 0 {
+		if n.Status.IsHeadRole() && nw.coldOf(id).sweep%SanityCheckEvery == 0 {
 			nw.SanityCheck(id)
 		}
 	case n.Status == StatusAssociate:
@@ -273,7 +273,7 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 // is still provably current — its flavor is recorded and no topology
 // epoch in its query cone moved since it was recorded — replay the
 // recorded accounting (a replay count, credited by creditReplays, and
-// for rescan sweeps the head-org trace and footprint sends) and skip
+// for rescan sweeps the HEAD_ORG trace event) and skip
 // the scans entirely. Returns false when the full sweep must run.
 func (nw *Network) quiescentSweep(n *Node) bool {
 	if n.IsBig || !nw.cacheable() {
@@ -291,7 +291,7 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 		if cd.pendingChildRepair || nw.lowEnergy(n) {
 			return false
 		}
-		if !c.sane && cd.sweep%uint32(nw.cfg.SanityCheckEvery) == 0 {
+		if !c.sane && cd.sweep%SanityCheckEvery == 0 {
 			return false
 		}
 		rescanDue = cd.sweep%uint32(nw.cfg.BoundaryRescanEvery) == 0
@@ -311,11 +311,9 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 	}
 	nw.deltas.replay(d)
 	if rescanDue {
-		// The elided rescan's externally visible side: the HEAD_ORG
-		// trace event and the two org broadcasts' footprint sends.
+		// The elided rescan's externally visible side: its HEAD_ORG
+		// trace event.
 		nw.emit(trace.KindHeadOrg, n.ID, radio.None, n.IL)
-		nw.med.TraceSend(n.ID)
-		nw.med.TraceSend(n.ID)
 	}
 	return true
 }
@@ -576,9 +574,9 @@ func (nw *Network) StrengthenCell(id radio.NodeID) {
 // ilDeviatesTooMuch implements the abandonment trigger: the distance
 // between the shifted IL and a living neighbor's IL must stay within
 // (0, 2·√3·R) — the bound the GS³-D invariant places on neighboring ILs
-// with different ⟨ICC, ICP⟩ — minus the configured slack.
+// with different ⟨ICC, ICP⟩.
 func (nw *Network) ilDeviatesTooMuch(h *Node, il geom.Point) bool {
-	limit := 2*nw.cfg.HeadSpacing() - nw.cfg.AbandonSlack
+	limit := 2 * nw.cfg.HeadSpacing()
 	for _, nid := range h.Neighbors {
 		nh := nw.node(nid)
 		if nh == nil || !nw.Alive(nid) || !nh.Status.IsHeadRole() {

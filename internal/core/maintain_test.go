@@ -276,7 +276,7 @@ func TestSanityCheckHealsCorruptedIL(t *testing.T) {
 	nw, cfg := configureDynamic(t, 400)
 	victim := someSmallHead(t, nw, 400, cfg.HeadSpacing())
 	nw.Corrupt(victim.ID, CorruptIL, 3*cfg.Rt)
-	runSweeps(nw, 3*cfg.SanityCheckEvery)
+	runSweeps(nw, 3*SanityCheckEvery)
 
 	if nw.Metrics().SanityRetreats == 0 {
 		t.Fatal("sanity check never fired")
@@ -327,7 +327,7 @@ func TestCorruptStatusHealed(t *testing.T) {
 	if !nw.Node(victim).Status.IsHeadRole() {
 		t.Fatal("corruption did not take")
 	}
-	runSweeps(nw, 4*cfg.SanityCheckEvery)
+	runSweeps(nw, 4*SanityCheckEvery)
 	if nw.Node(victim).Status.IsHeadRole() {
 		t.Error("fake head survived sanity checking")
 	}

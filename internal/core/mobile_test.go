@@ -177,7 +177,7 @@ func TestMovedHeadIsReplaced(t *testing.T) {
 	h := someSmallHead(t, nw, 400, cfg.HeadSpacing())
 	// Move the head beyond Rt of its IL: head shift must replace it.
 	nw.Move(h.ID, h.IL.Add(geom.Vec{X: 3 * cfg.Rt, Y: 0}))
-	runSweeps(nw, 3*cfg.SanityCheckEvery)
+	runSweeps(nw, 3*SanityCheckEvery)
 
 	snap := nw.Snapshot()
 	replaced := false

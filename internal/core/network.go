@@ -8,7 +8,6 @@ import (
 	"gs3/internal/fault"
 	"gs3/internal/geom"
 	"gs3/internal/radio"
-	"gs3/internal/rng"
 	"gs3/internal/sim"
 )
 
@@ -92,12 +91,10 @@ type Network struct {
 	tracer *trace.Log
 
 	// cacheOn gates the quiescent-sweep fast path (SetSweepCache). The
-	// cache additionally disables itself whenever the fault layer or a
-	// lossy radio is active: those paths consume randomness per query,
-	// and eliding work would shift the draw order.
+	// cache additionally disables itself whenever the fault layer is
+	// active: it consumes randomness per query, and eliding work would
+	// shift the draw order.
 	cacheOn bool
-	// lossy mirrors radio.Params.BroadcastLoss > 0 (fixed at build).
-	lossy bool
 
 	// batches maps a sweep fire time to the open batch of node IDs due
 	// then: one engine event per run of consecutively scheduled sweeps
@@ -149,14 +146,14 @@ type sweepBatch struct {
 
 // NewNetwork creates an empty network. The big node must be added first
 // via AddNode with big=true.
-func NewNetwork(cfg Config, radioParams radio.Params, src *rng.Source) (*Network, error) {
+func NewNetwork(cfg Config, radioParams radio.Params) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if radioParams.CellSize == 0 {
 		radioParams.CellSize = cfg.SearchRadius()
 	}
-	med, err := radio.NewMedium(radioParams, src)
+	med, err := radio.NewMedium(radioParams)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +163,6 @@ func NewNetwork(cfg Config, radioParams radio.Params, src *rng.Source) (*Network
 		eng:     sim.NewEngine(),
 		bigID:   radio.None,
 		cacheOn: true,
-		lossy:   radioParams.BroadcastLoss > 0,
 		batches: make(map[sim.Time]*sweepBatch),
 	}, nil
 }
@@ -257,14 +253,13 @@ func (nw *Network) addMetrics(d Metrics) {
 func (nw *Network) SetSweepCache(on bool) { nw.cacheOn = on }
 
 // cacheable reports whether sweep results may be cached at all. Any
-// active fault plan (loss, duplication, jitter, blackouts) or a lossy
-// broadcast model consumes randomness inside the swept queries, and
-// eliding those would shift every later draw — so chaos runs always
-// take the full path. Per-send energy costs also force the full path:
-// an elided broadcast drains no battery, so eliding would change when
-// nodes die.
+// active fault plan (loss, duplication, jitter, blackouts) consumes
+// randomness inside the swept queries, and eliding those would shift
+// every later draw — so chaos runs always take the full path. Per-send
+// energy costs also force the full path: an elided broadcast drains no
+// battery, so eliding would change when nodes die.
 func (nw *Network) cacheable() bool {
-	return nw.cacheOn && !nw.lossy && !nw.faults.Active() && !nw.sendCostsActive()
+	return nw.cacheOn && !nw.faults.Active() && !nw.sendCostsActive()
 }
 
 // sendCostsActive reports whether the per-transmission half of the

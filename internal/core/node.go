@@ -94,15 +94,15 @@ type Node struct {
 // (deltaTable), because a settled field produces only a few dozen
 // distinct ones; each node's cache holds table indices, not deltas.
 type sweepDelta struct {
-	stats   [11]uint16 // radio.Stats increments, field order as declared
+	stats   [10]uint16 // radio.Stats increments, field order as declared
 	metrics [10]uint16 // Metrics increments, field order as declared
 }
 
 // packDelta packs the given counter increments, failing if any of them
 // overflows uint16.
 func packDelta(s radio.Stats, m Metrics) (sweepDelta, bool) {
-	st := [11]uint64{
-		s.Broadcasts, s.Unicasts, s.Deliveries, s.Dropped, s.RangeQueries,
+	st := [10]uint64{
+		s.Broadcasts, s.Unicasts, s.Deliveries, s.RangeQueries,
 		s.FaultDrops, s.FaultDups, s.BlackoutDrops, s.Blackouts, s.Retries,
 		s.OcclusionBlocks,
 	}
@@ -132,11 +132,10 @@ func packDelta(s radio.Stats, m Metrics) (sweepDelta, bool) {
 func (d *sweepDelta) statsDelta(k uint64) radio.Stats {
 	return radio.Stats{
 		Broadcasts: k * uint64(d.stats[0]), Unicasts: k * uint64(d.stats[1]),
-		Deliveries: k * uint64(d.stats[2]), Dropped: k * uint64(d.stats[3]),
-		RangeQueries: k * uint64(d.stats[4]), FaultDrops: k * uint64(d.stats[5]),
-		FaultDups: k * uint64(d.stats[6]), BlackoutDrops: k * uint64(d.stats[7]),
-		Blackouts: k * uint64(d.stats[8]), Retries: k * uint64(d.stats[9]),
-		OcclusionBlocks: k * uint64(d.stats[10]),
+		Deliveries: k * uint64(d.stats[2]), RangeQueries: k * uint64(d.stats[3]),
+		FaultDrops: k * uint64(d.stats[4]), FaultDups: k * uint64(d.stats[5]),
+		BlackoutDrops: k * uint64(d.stats[6]), Blackouts: k * uint64(d.stats[7]),
+		Retries: k * uint64(d.stats[8]), OcclusionBlocks: k * uint64(d.stats[9]),
 	}
 }
 

@@ -3,15 +3,17 @@ package core
 import (
 	"testing"
 
+	"gs3/internal/fault"
 	"gs3/internal/field"
 	"gs3/internal/geom"
 	"gs3/internal/radio"
 	"gs3/internal/rng"
 )
 
-// buildLossy builds a network whose destination-unaware broadcasts drop
-// each receiver independently with the given probability (the system
-// model allows unreliable broadcast).
+// buildLossy builds a network whose radio loses each delivery
+// independently with the given probability: the fault layer's
+// per-delivery loss, which the system model allows for broadcast and
+// which also drops unicasts.
 func buildLossy(t *testing.T, loss float64) (*Network, Config) {
 	t.Helper()
 	cfg := DefaultConfig(100)
@@ -19,12 +21,15 @@ func buildLossy(t *testing.T, loss float64) (*Network, Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := testRadioParams(cfg)
-	params.BroadcastLoss = loss
-	nw, err := NewNetwork(cfg, params, rng.New(1))
+	nw, err := NewNetwork(cfg, testRadioParams(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	inj, err := fault.NewInjector(fault.Plan{Loss: loss}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.SetFaults(inj)
 	for i, p := range dep.Positions {
 		if _, err := nw.AddNode(p, i == 0); err != nil {
 			t.Fatal(err)
@@ -34,11 +39,11 @@ func buildLossy(t *testing.T, loss float64) (*Network, Config) {
 }
 
 func TestConfigureUnderBroadcastLoss(t *testing.T) {
-	// With 10% broadcast loss the initial diffusing computation may
-	// miss nodes and even whole cells, but GS³-D maintenance (boundary
-	// rescans, bootup re-choice every sweep) must converge to full
-	// coverage anyway — self-stabilization does not assume reliable
-	// broadcast.
+	// With 10% per-delivery loss (broadcast receivers and unicast
+	// replies alike) the initial diffusing computation may miss nodes
+	// and even whole cells, but GS³-D maintenance (boundary rescans,
+	// bootup re-choice every sweep) must converge to full coverage
+	// anyway — self-stabilization does not assume reliable broadcast.
 	nw, cfg := buildLossy(t, 0.10)
 	if err := nw.StartConfiguration(); err != nil {
 		t.Fatal(err)
@@ -64,9 +69,9 @@ func TestConfigureUnderBroadcastLoss(t *testing.T) {
 				bootup++
 			}
 		}
-		t.Fatalf("%d nodes still uncovered under broadcast loss", bootup)
+		t.Fatalf("%d nodes still uncovered under delivery loss", bootup)
 	}
-	if nw.Medium().Stats().Dropped == 0 {
+	if nw.Medium().Stats().FaultDrops == 0 {
 		t.Error("loss model never dropped anything")
 	}
 }
@@ -107,7 +112,7 @@ func TestChaosStorm(t *testing.T) {
 	}
 
 	// Quiet period: self-stabilization must clean everything up.
-	runSweeps(nw, 20*cfg.SanityCheckEvery)
+	runSweeps(nw, 20*SanityCheckEvery)
 
 	snap := nw.Snapshot()
 	for _, v := range snap.Nodes {

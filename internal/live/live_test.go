@@ -112,7 +112,7 @@ func TestLiveMatchesEventDriven(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Use the identical deployment: rebuild the network by hand.
-	nw, err := core.NewNetwork(cfg, opt.Radio, rng.New(1))
+	nw, err := core.NewNetwork(cfg, opt.Radio)
 	if err != nil {
 		t.Fatal(err)
 	}

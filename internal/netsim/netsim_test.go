@@ -263,7 +263,7 @@ func TestCorruptDiskHeals(t *testing.T) {
 	if n == 0 {
 		t.Fatal("nothing corrupted")
 	}
-	if _, err := s.RunUntilStable(25 * s.Opt.Config.SanityCheckEvery); err != nil {
+	if _, err := s.RunUntilStable(25 * core.SanityCheckEvery); err != nil {
 		t.Fatalf("corruption did not heal: %v", err)
 	}
 }
@@ -299,24 +299,6 @@ func TestHealingLocality(t *testing.T) {
 		if d := v.Pos.Dist(victim.Pos); d > limit {
 			t.Errorf("head %d at distance %.0f from the perturbation changed (limit %.0f)", id, d, limit)
 		}
-	}
-}
-
-func TestTrafficFootprint(t *testing.T) {
-	s := buildConfigured(t, 300)
-	c := geom.Point{X: 50, Y: 50}
-	got := s.TrafficFootprint(c, func() {
-		// One broadcast from the big node at the origin.
-		s.Net.Medium().Broadcast(s.Net.BigID(), 10)
-	})
-	want := c.Dist(geom.Point{})
-	if got < want-1e-9 || got > want+1e-9 {
-		t.Errorf("footprint = %v, want %v", got, want)
-	}
-	// Tracing must be off afterwards.
-	got2 := s.TrafficFootprint(c, func() {})
-	if got2 != 0 {
-		t.Errorf("footprint with no traffic = %v", got2)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // density regime as the protocol's search-region queries.
 func benchMedium(b *testing.B) *Medium {
 	b.Helper()
-	m, err := NewMedium(Params{MaxRange: 100, DiffusionSpeed: 100}, nil)
+	m, err := NewMedium(Params{MaxRange: 100, DiffusionSpeed: 100})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func BenchmarkBroadcast(b *testing.B) {
 // API: once the destination buffer has warmed up to the result size,
 // queries allocate nothing.
 func TestWithinRangeAppendZeroAlloc(t *testing.T) {
-	m, err := NewMedium(Params{MaxRange: 100, DiffusionSpeed: 100}, nil)
+	m, err := NewMedium(Params{MaxRange: 100, DiffusionSpeed: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

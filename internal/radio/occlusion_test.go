@@ -20,7 +20,7 @@ func wallBetween() geom.Polygon {
 
 func occlusionMedium(t *testing.T) *Medium {
 	t.Helper()
-	m, err := NewMedium(Params{MaxRange: 20, DiffusionSpeed: 100}, nil)
+	m, err := NewMedium(Params{MaxRange: 20, DiffusionSpeed: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestOcclusionBlocksUnicast(t *testing.T) {
 func TestOcclusionSymmetryOnMedium(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		m, err := NewMedium(Params{MaxRange: 40, DiffusionSpeed: 100}, nil)
+		m, err := NewMedium(Params{MaxRange: 40, DiffusionSpeed: 100})
 		if err != nil {
 			t.Fatal(err)
 		}

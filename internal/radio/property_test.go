@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"gs3/internal/fault"
 	"gs3/internal/geom"
 	"gs3/internal/rng"
 )
@@ -36,7 +37,7 @@ func TestWithinRangePropertyVsBruteForce(t *testing.T) {
 	for _, cellSize := range []float64{5, 30, 100} {
 		src := rng.New(uint64(1000 + int(cellSize)))
 		p := Params{MaxRange: 100, DiffusionSpeed: 100, CellSize: cellSize}
-		m, err := NewMedium(p, nil)
+		m, err := NewMedium(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func bruteHeadsWithinRange(m *Medium, p geom.Point, dist float64, exclude NodeID
 func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 	src := rng.New(99)
 	p := Params{MaxRange: 100, DiffusionSpeed: 100, CellSize: 30}
-	m, err := NewMedium(p, nil)
+	m, err := NewMedium(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,32 +175,41 @@ func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 	}
 }
 
-// TestBroadcastReceiverSetRegression pins the RNG consumption contract
-// of Broadcast for a fixed seed: one Float64 per in-range receiver, in
-// ascending ID order. A replayed source over the brute-force receiver
-// list must predict the surviving set exactly; any change to query
-// ordering or randomness consumption breaks experiment reproducibility.
+// TestBroadcastReceiverSetRegression pins the fault-draw contract of
+// Broadcast for a fixed seed: one DropDelivery per in-range receiver,
+// in ascending ID order. An injector replayed from the same seed over
+// the brute-force receiver list must predict the surviving set
+// exactly; any change to query ordering or randomness consumption
+// breaks experiment reproducibility.
 func TestBroadcastReceiverSetRegression(t *testing.T) {
 	const seed = 42
-	p := Params{MaxRange: 100, DiffusionSpeed: 100, BroadcastLoss: 0.3, CellSize: 40}
-	m, err := NewMedium(p, rng.New(seed))
+	plan := fault.Plan{Loss: 0.3}
+	newInjector := func() *fault.Injector {
+		inj, err := fault.NewInjector(plan, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inj
+	}
+	m, err := NewMedium(Params{MaxRange: 100, DiffusionSpeed: 100, CellSize: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetFaults(newInjector())
 	deploy := rng.New(7)
 	for id := NodeID(0); id < 80; id++ {
 		x, y := deploy.InRect(-150, -150, 150, 150)
 		m.Place(id, geom.Point{X: x, Y: y})
 	}
 
-	replay := rng.New(seed)
+	replay := newInjector()
 	for round := 0; round < 20; round++ {
 		sender := NodeID(round % 80)
 		pos, _ := m.Position(sender)
 		inRange := bruteWithinRange(m, pos, 100, sender)
 		var want []NodeID
 		for _, id := range inRange {
-			if replay.Float64() < p.BroadcastLoss {
+			if replay.DropDelivery() {
 				continue
 			}
 			want = append(want, id)

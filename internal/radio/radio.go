@@ -6,11 +6,13 @@
 //   - adjustable transmission range;
 //   - relative-location detection (range-bounded neighborhood queries);
 //   - reliable destination-aware transmission, with destination-unaware
-//     broadcast allowed to be unreliable (a configurable drop rate).
+//     broadcast allowed to be unreliable. The medium itself is reliable;
+//     an installed fault injector (SetFaults, internal/fault) makes it
+//     lossy, dropping each delivery — broadcast or unicast — with the
+//     plan's per-delivery loss.
 //
 // The medium also keeps the accounting the experiments need: message
-// counts, and the geographic footprint of traffic (so healing locality
-// can be measured as "how far from the perturbation did messages flow").
+// counts per kind, deliveries, range queries and fault losses (Stats).
 //
 // Propagation delay is distance/DiffusionSpeed plus a fixed per-message
 // overhead; convergence times in the paper are stated in units of
@@ -35,7 +37,6 @@ import (
 
 	"gs3/internal/fault"
 	"gs3/internal/geom"
-	"gs3/internal/rng"
 )
 
 // Unicast failure causes, exposed as sentinels so callers (the data
@@ -72,10 +73,6 @@ type Params struct {
 	DiffusionSpeed float64
 	// PerMessageOverhead is the fixed latency added to every message.
 	PerMessageOverhead float64
-	// BroadcastLoss is the per-receiver drop probability for
-	// destination-unaware transmissions. Destination-aware transmission
-	// is always reliable (the model's assumption).
-	BroadcastLoss float64
 	// CellSize is the spatial-index bucket size; 0 picks MaxRange.
 	CellSize float64
 }
@@ -91,9 +88,6 @@ func (p Params) Validate() error {
 	if p.PerMessageOverhead < 0 {
 		return fmt.Errorf("radio: negative PerMessageOverhead %v", p.PerMessageOverhead)
 	}
-	if p.BroadcastLoss < 0 || p.BroadcastLoss >= 1 {
-		return fmt.Errorf("radio: BroadcastLoss must be in [0,1), got %v", p.BroadcastLoss)
-	}
 	return nil
 }
 
@@ -104,7 +98,6 @@ type Stats struct {
 	Broadcasts   uint64 // destination-unaware sends
 	Unicasts     uint64 // destination-aware sends
 	Deliveries   uint64 // per-receiver deliveries
-	Dropped      uint64 // per-receiver broadcast losses (BroadcastLoss model)
 	RangeQueries uint64
 
 	FaultDrops    uint64 // deliveries lost to the fault injector
@@ -123,7 +116,6 @@ type Stats struct {
 // range query bumps a counter, so even reads mutate it.
 type Medium struct {
 	params Params
-	src    *rng.Source
 
 	// Per-node state, indexed by NodeID (struct-of-arrays): pos is the
 	// position, on marks presence on the medium, headRole mirrors the
@@ -151,7 +143,7 @@ type Medium struct {
 	bcastOut []NodeID
 
 	// inj injects message faults; nil means a perfectly reliable
-	// medium (beyond BroadcastLoss).
+	// medium.
 	inj *fault.Injector
 
 	// obstacles are opaque polygons: a link whose line of sight crosses
@@ -182,10 +174,6 @@ type Medium struct {
 	epochFloor uint64
 
 	stats Stats
-
-	// footprint tracks the positions of senders for locality analysis,
-	// gated by a collector set with TraceTraffic.
-	trace func(from geom.Point)
 }
 
 type gridKey struct{ x, y int }
@@ -198,14 +186,10 @@ type gridEntry struct {
 	pos geom.Point
 }
 
-// NewMedium returns an empty medium. src supplies broadcast-loss
-// randomness; it may be nil when BroadcastLoss is 0.
-func NewMedium(params Params, src *rng.Source) (*Medium, error) {
+// NewMedium returns an empty medium.
+func NewMedium(params Params) (*Medium, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
-	}
-	if params.BroadcastLoss > 0 && src == nil {
-		return nil, fmt.Errorf("radio: BroadcastLoss > 0 requires a random source")
 	}
 	cs := params.CellSize
 	if cs <= 0 {
@@ -213,7 +197,6 @@ func NewMedium(params Params, src *rng.Source) (*Medium, error) {
 	}
 	return &Medium{
 		params:   params,
-		src:      src,
 		grid:     make(map[gridKey][]gridEntry),
 		headGrid: make(map[gridKey][]gridEntry),
 		epochs:   make(map[gridKey]uint64),
@@ -279,7 +262,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		Broadcasts:    s.Broadcasts - prev.Broadcasts,
 		Unicasts:      s.Unicasts - prev.Unicasts,
 		Deliveries:    s.Deliveries - prev.Deliveries,
-		Dropped:       s.Dropped - prev.Dropped,
 		RangeQueries:  s.RangeQueries - prev.RangeQueries,
 		FaultDrops:    s.FaultDrops - prev.FaultDrops,
 		FaultDups:     s.FaultDups - prev.FaultDups,
@@ -297,7 +279,6 @@ func (s Stats) Add(d Stats) Stats {
 		Broadcasts:    s.Broadcasts + d.Broadcasts,
 		Unicasts:      s.Unicasts + d.Unicasts,
 		Deliveries:    s.Deliveries + d.Deliveries,
-		Dropped:       s.Dropped + d.Dropped,
 		RangeQueries:  s.RangeQueries + d.RangeQueries,
 		FaultDrops:    s.FaultDrops + d.FaultDrops,
 		FaultDups:     s.FaultDups + d.FaultDups,
@@ -306,15 +287,6 @@ func (s Stats) Add(d Stats) Stats {
 		Retries:       s.Retries + d.Retries,
 
 		OcclusionBlocks: s.OcclusionBlocks + d.OcclusionBlocks,
-	}
-}
-
-// TraceSend replays the traffic-trace hook for an elided transmission
-// from node id's current position, so footprint measurements see the
-// same sender positions whether or not the transmission was elided.
-func (m *Medium) TraceSend(id NodeID) {
-	if m.trace != nil && m.known(id) && m.on[id] {
-		m.trace(m.pos[id])
 	}
 }
 
@@ -400,12 +372,6 @@ func (m *Medium) SetBlackout(id NodeID, down bool) {
 // InBlackout reports whether id is currently blacked out.
 func (m *Medium) InBlackout(id NodeID) bool {
 	return m.nBlack > 0 && m.known(id) && m.blackout[id]
-}
-
-// TraceTraffic installs fn to be called with the sender position of
-// every transmission. Pass nil to stop tracing.
-func (m *Medium) TraceTraffic(fn func(from geom.Point)) {
-	m.trace = fn
 }
 
 func (m *Medium) key(p geom.Point) gridKey {
@@ -673,19 +639,17 @@ func (m *Medium) Delay(dist float64) float64 {
 }
 
 // Broadcast performs a destination-unaware transmission from sender to
-// all nodes within radius. Each receiver independently drops the message
-// with probability BroadcastLoss, and — when a fault injector is
-// installed — with the injector's per-delivery loss; surviving
-// deliveries may be duplicated (the receiver appears twice, adjacent).
-// It returns the surviving receiver IDs (non-decreasing) and the
-// worst-case delay (to the farthest receiver, jittered by the injector).
-// A blacked-out sender transmits nothing; blacked-out receivers hear
-// nothing.
+// all nodes within radius. When a fault injector is installed, each
+// receiver independently loses the delivery with the injector's
+// per-delivery loss, and surviving deliveries may be duplicated (the
+// receiver appears twice, adjacent). It returns the surviving receiver
+// IDs (non-decreasing) and the worst-case delay (to the farthest
+// receiver, jittered by the injector). A blacked-out sender transmits
+// nothing; blacked-out receivers hear nothing.
 //
-// Loss randomness is consumed once per in-range receiver in ascending
-// ID order — the determinism contract RNG-replay tests rely on. The
-// injector's draws come from its own source, in the same per-receiver
-// order, so they never perturb the BroadcastLoss stream.
+// The injector draws per in-range receiver in ascending ID order
+// (blacked-out receivers draw nothing) — the determinism contract
+// RNG-replay tests rely on.
 //
 // The returned slice is backed by a per-Medium buffer: it stays valid
 // across range queries and unicasts, but the next Broadcast on this
@@ -700,9 +664,6 @@ func (m *Medium) Broadcast(sender NodeID, radius float64) ([]NodeID, float64) {
 		return nil, 0
 	}
 	m.stats.Broadcasts++
-	if m.trace != nil {
-		m.trace(p)
-	}
 	if m.sendHook != nil {
 		m.sendHook(sender, true)
 	}
@@ -718,10 +679,6 @@ func (m *Medium) Broadcast(sender NodeID, radius float64) ([]NodeID, float64) {
 	for _, id := range ids {
 		if m.InBlackout(id) {
 			m.stats.BlackoutDrops++
-			continue
-		}
-		if m.params.BroadcastLoss > 0 && m.src.Float64() < m.params.BroadcastLoss {
-			m.stats.Dropped++
 			continue
 		}
 		if m.inj.DropDelivery() {
@@ -772,9 +729,6 @@ func (m *Medium) Unicast(from, to NodeID, maxRange float64) (float64, error) {
 		return 0, fmt.Errorf("radio: %d→%d: %w", from, to, ErrOccluded)
 	}
 	m.stats.Unicasts++
-	if m.trace != nil {
-		m.trace(pf)
-	}
 	if m.sendHook != nil {
 		m.sendHook(from, false)
 	}

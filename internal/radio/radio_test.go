@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"gs3/internal/fault"
 	"gs3/internal/geom"
 	"gs3/internal/rng"
 )
 
 func newTestMedium(t *testing.T, p Params) *Medium {
 	t.Helper()
-	m, err := NewMedium(p, rng.New(1))
+	m, err := NewMedium(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +32,6 @@ func TestParamsValidate(t *testing.T) {
 		{"zero range", Params{MaxRange: 0, DiffusionSpeed: 1}, false},
 		{"zero speed", Params{MaxRange: 1, DiffusionSpeed: 0}, false},
 		{"negative overhead", Params{MaxRange: 1, DiffusionSpeed: 1, PerMessageOverhead: -1}, false},
-		{"loss 1.0", Params{MaxRange: 1, DiffusionSpeed: 1, BroadcastLoss: 1}, false},
-		{"loss 0.5", Params{MaxRange: 1, DiffusionSpeed: 1, BroadcastLoss: 0.5}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -40,14 +39,6 @@ func TestParamsValidate(t *testing.T) {
 				t.Errorf("Validate() err = %v, ok = %v", err, tt.ok)
 			}
 		})
-	}
-}
-
-func TestLossRequiresSource(t *testing.T) {
-	p := defaultParams()
-	p.BroadcastLoss = 0.1
-	if _, err := NewMedium(p, nil); err == nil {
-		t.Error("nil source accepted with loss > 0")
 	}
 }
 
@@ -183,10 +174,15 @@ func TestBroadcastFromAbsentSender(t *testing.T) {
 	}
 }
 
+// TestBroadcastLossStatistics checks that the fault layer's
+// per-delivery loss drops each broadcast receiver independently.
 func TestBroadcastLossStatistics(t *testing.T) {
-	p := defaultParams()
-	p.BroadcastLoss = 0.3
-	m := newTestMedium(t, p)
+	m := newTestMedium(t, defaultParams())
+	inj, err := fault.NewInjector(fault.Plan{Loss: 0.3}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetFaults(inj)
 	m.Place(0, geom.Point{})
 	for id := NodeID(1); id <= 50; id++ {
 		m.Place(id, geom.Point{X: float64(id), Y: 0})
@@ -201,8 +197,8 @@ func TestBroadcastLossStatistics(t *testing.T) {
 	if math.Abs(frac-0.7) > 0.03 {
 		t.Errorf("delivery fraction = %v, want ≈0.7", frac)
 	}
-	if m.Stats().Dropped == 0 {
-		t.Error("no drops recorded")
+	if st := m.Stats(); st.FaultDrops != uint64(rounds*50-delivered) {
+		t.Errorf("FaultDrops = %d, want %d", st.FaultDrops, rounds*50-delivered)
 	}
 }
 
@@ -237,26 +233,6 @@ func TestDist(t *testing.T) {
 	}
 	if got := m.Dist(1, 9); !math.IsInf(got, 1) {
 		t.Errorf("Dist to absent = %v", got)
-	}
-}
-
-func TestTraceTraffic(t *testing.T) {
-	m := newTestMedium(t, defaultParams())
-	m.Place(1, geom.Point{X: 7, Y: 7})
-	m.Place(2, geom.Point{X: 8, Y: 7})
-	var seen []geom.Point
-	m.TraceTraffic(func(from geom.Point) { seen = append(seen, from) })
-	m.Broadcast(1, 50)
-	if _, err := m.Unicast(1, 2, 50); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("traced %d events, want 2", len(seen))
-	}
-	m.TraceTraffic(nil)
-	m.Broadcast(1, 50)
-	if len(seen) != 2 {
-		t.Error("trace continued after nil")
 	}
 }
 

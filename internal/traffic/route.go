@@ -12,8 +12,8 @@ import (
 // only state the holder legitimately knows: its own head/parent links
 // and its neighbor-head table. It returns (next, true), or (None,
 // false) when no usable hop exists right now — the caller then retries
-// after RetryWait, giving in-flight healing a chance to restore the
-// route.
+// after half a heartbeat, giving in-flight healing a chance to restore
+// the route.
 func (p *Plane) nextHop(pkt *packet) (radio.NodeID, bool) {
 	n := p.nw.Node(pkt.holder)
 	if n == nil {

@@ -66,20 +66,14 @@ type Config struct {
 	// (detour loops under heavy churn die here). Default 64.
 	TTL int
 	// HopRetries is the per-hop attempt budget: a packet whose send
-	// fails (loss, blackout, missing route) waits RetryWait and tries
+	// fails (loss, blackout, missing route) waits half a heartbeat
+	// interval — healing has a chance to repair the route — and tries
 	// again, up to this many extra attempts. Default 3.
 	HopRetries int
-	// RetryWait is the virtual time between per-hop attempts. Default
-	// half a heartbeat interval — healing has a chance to repair the
-	// route between attempts.
-	RetryWait float64
 	// Drain is how long after the last generated packet the plane keeps
 	// the run open for in-flight packets. Default 20 heartbeats;
 	// packets still in flight when it expires count lost.
 	Drain float64
-	// ForwardCost is the energy charged to a head per successful
-	// forward, the unit of the report's head energy columns. Default 1.
-	ForwardCost float64
 }
 
 // Validate reports configuration errors.
@@ -93,8 +87,8 @@ func (c Config) Validate() error {
 	if c.P2PFraction < 0 || c.P2PFraction > 1 {
 		return fmt.Errorf("traffic: P2PFraction must be in [0,1], got %v", c.P2PFraction)
 	}
-	if c.TTL < 0 || c.HopRetries < 0 || c.RetryWait < 0 || c.Drain < 0 || c.ForwardCost < 0 {
-		return fmt.Errorf("traffic: negative TTL/HopRetries/RetryWait/Drain/ForwardCost")
+	if c.TTL < 0 || c.HopRetries < 0 || c.Drain < 0 {
+		return fmt.Errorf("traffic: negative TTL/HopRetries/Drain")
 	}
 	return nil
 }
@@ -147,8 +141,8 @@ type Report struct {
 	// MeanHeadForwards and MaxHeadForwards summarize per-head load.
 	MeanHeadForwards float64
 	MaxHeadForwards  float64
-	// HeadEnergy is Forwards × ForwardCost; MaxHeadEnergy the largest
-	// single head's burn.
+	// HeadEnergy charges one energy unit per forward, so it equals
+	// Forwards; MaxHeadEnergy is the largest single head's burn.
 	HeadEnergy    float64
 	MaxHeadEnergy float64
 	// DeliveryRatio is Delivered / Generated (0 when nothing was
@@ -210,14 +204,8 @@ func New(nw *core.Network, cfg Config, src *rng.Source) (*Plane, error) {
 	if cfg.HopRetries == 0 {
 		cfg.HopRetries = 3
 	}
-	if cfg.RetryWait == 0 {
-		cfg.RetryWait = hb / 2
-	}
 	if cfg.Drain == 0 {
 		cfg.Drain = 20 * hb
-	}
-	if cfg.ForwardCost == 0 {
-		cfg.ForwardCost = 1
 	}
 	return &Plane{
 		nw:        nw,
@@ -306,8 +294,8 @@ func (p *Plane) Report() Report {
 	if r.HeadsUsed > 0 {
 		r.MeanHeadForwards = float64(r.Forwards) / float64(r.HeadsUsed)
 	}
-	r.HeadEnergy = float64(r.Forwards) * p.cfg.ForwardCost
-	r.MaxHeadEnergy = float64(maxFwd) * p.cfg.ForwardCost
+	r.HeadEnergy = float64(r.Forwards)
+	r.MaxHeadEnergy = float64(maxFwd)
 	return r
 }
 
@@ -440,8 +428,8 @@ func (p *Plane) arrived(pkt *packet) bool {
 	return pkt.holder == p.nw.BigID() || pkt.holder == p.nw.RootHead()
 }
 
-// stall retries the current hop after RetryWait, or drops the packet
-// into lost once the attempt budget is spent.
+// stall retries the current hop after half a heartbeat interval, or
+// drops the packet into lost once the attempt budget is spent.
 func (p *Plane) stall(pkt *packet, lost *uint64) {
 	pkt.attempts++
 	if pkt.attempts > p.cfg.HopRetries {
@@ -449,7 +437,7 @@ func (p *Plane) stall(pkt *packet, lost *uint64) {
 		return
 	}
 	p.rep.Retries++
-	p.nw.Engine().After(p.cfg.RetryWait, func() { p.step(pkt) })
+	p.nw.Engine().After(p.hb/2, func() { p.step(pkt) })
 }
 
 // deliver finalizes a delivered packet.

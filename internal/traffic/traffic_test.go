@@ -77,7 +77,7 @@ func TestConvergecastDeliversAll(t *testing.T) {
 		t.Fatalf("no head forwards recorded: %+v", rep)
 	}
 	if rep.HeadEnergy != float64(rep.Forwards) {
-		t.Fatalf("HeadEnergy %v != Forwards %d at unit ForwardCost", rep.HeadEnergy, rep.Forwards)
+		t.Fatalf("HeadEnergy %v != Forwards %d at one unit per forward", rep.HeadEnergy, rep.Forwards)
 	}
 }
 

@@ -39,9 +39,7 @@ func NewMulti(opts Options, bigNodes []Point, smallNodes []Point) (*MultiNetwork
 	}
 	m := &MultiNetwork{bigs: bigNodes}
 	for i, part := range partitions {
-		o := opts
-		o.Seed = opts.seed() + uint64(i)
-		net, err := New(o, part)
+		net, err := New(opts, part)
 		if err != nil {
 			return nil, fmt.Errorf("gs3: partition %d: %w", i, err)
 		}

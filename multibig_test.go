@@ -15,7 +15,7 @@ func multiSetup(t *testing.T) *MultiNetwork {
 		t.Fatal(err)
 	}
 	smalls = append(smalls, pts[1:]...) // drop the generated center big
-	m, err := NewMulti(Options{CellRadius: 100, Seed: 13}, bigs, smalls)
+	m, err := NewMulti(Options{CellRadius: 100}, bigs, smalls)
 	if err != nil {
 		t.Fatal(err)
 	}

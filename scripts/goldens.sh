@@ -2,8 +2,9 @@
 # Replays the archived experiment scenarios and either regenerates the
 # golden stdout files (generate) or diffs fresh output against them
 # (diff). The golden set covers zero-fault and chaos runs, serial and
-# parallel trial fan-out, healing, mobility, and the gs3bench tables —
-# the determinism contract every perf PR must preserve byte-for-byte.
+# parallel trial fan-out, healing, mobility, the gs3bench tables and the
+# examples/ programs — the determinism contract every perf PR must
+# preserve byte-for-byte.
 #
 # Usage: scripts/goldens.sh generate|diff
 set -eu
@@ -17,6 +18,10 @@ trap 'rm -rf "$bindir"' EXIT
 cd "$root"
 go build -o "$bindir/gs3sim" ./cmd/gs3sim
 go build -o "$bindir/gs3bench" ./cmd/gs3bench
+examples="quickstart selfhealing disaster mobile monitoring traffic"
+for ex in $examples; do
+    go build -o "$bindir/example_$ex" "./examples/$ex"
+done
 
 case "$mode" in
 generate) outdir="$golden"; mkdir -p "$outdir" ;;
@@ -52,6 +57,10 @@ run disaster_seed6 "$bindir/gs3sim" -region 300 -disaster 150,80,90 \
     -disaster-at 4 -sweeps 30 -seed 6
 run obstacle_seed8 "$bindir/gs3sim" -region 300 \
     -obstacle "120,-80,160,-80,160,80,120,80" -sweeps 30 -seed 8
+# The examples drive the public gs3 facade (New, Options, RunLive, ...).
+for ex in $examples; do
+    run "example_$ex" "$bindir/example_$ex"
+done
 
 if [ "$mode" = diff ]; then
     status=0

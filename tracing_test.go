@@ -9,7 +9,7 @@ func TestTracingCapturesConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := New(Options{CellRadius: 100, Seed: 7}, pts)
+	net, err := New(Options{CellRadius: 100}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestTracingCapturesHealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := New(Options{CellRadius: 100, Seed: 7}, pts)
+	net, err := New(Options{CellRadius: 100}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTracingDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := New(Options{CellRadius: 100, Seed: 7}, pts)
+	net, err := New(Options{CellRadius: 100}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
