@@ -206,12 +206,14 @@ func TestHealWorkCounters(t *testing.T) {
 
 // TestTrafficWorkCounters pins the traffic workload on the settled
 // field of BenchmarkServeTraffic. AllocsPerRun serves 2,000 packets
-// (30% point-to-point) twice, a warm-up run that grows the packet pool
-// and the engine's event slots and then the measured run; together
-// they fire exactly 20,763 engine events, and every packet arrives.
-// The measured run allocates 13,277 times (6.64 per packet: the
-// per-hop closures and per-packet bookkeeping); the budget of 7 per
-// packet fails on one more allocation per hop, about 4 per packet.
+// (30% point-to-point) twice, a warm-up run that grows the engine's
+// heap and then the measured run; together they fire exactly 20,763
+// engine events, and every packet arrives. A hop is an engine event
+// whose payload indexes the plane's dense packet slice, so the
+// measured run allocates only while its new plane grows its packet,
+// latency and counter slices and registers its event kinds: 32 times,
+// however many packets it serves. The flat budget of 64 fails on one
+// more allocation per hop: 8,294 allocations in this run.
 func TestTrafficWorkCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run alloc measurement")
@@ -240,8 +242,8 @@ func TestTrafficWorkCounters(t *testing.T) {
 	if events := eng.Fired() - fired; events != 20763 {
 		t.Errorf("warm-up and measured traffic runs fired %d engine events, want 20,763", events)
 	}
-	if allocs > 7*packets {
-		t.Errorf("traffic run allocates %.0f times (%.2f per packet), budget is 7 per packet", allocs, allocs/packets)
+	if allocs > 64 {
+		t.Errorf("traffic run allocates %.0f times, budget is 64 whatever the packet count", allocs)
 	}
 }
 

@@ -61,6 +61,25 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteTimes is the regression test for NaN times
+// reaching the engine: a NaN traffic rate used to make the run loop
+// forever, and a NaN disaster time used to strike at an arbitrary
+// point. Both runs must fail instead, as must fault-plan values that
+// would scale delays to NaN or infinity (an infinite jitter used to
+// hang the run too).
+func TestRunRejectsNonFiniteTimes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-region", "300", "-r", "50", "-sweeps", "5", "-packets", "2000", "-traffic-rate", "NaN", "-p2p", "0.3", "-seed", "4", "-q"},
+		{"-region", "300", "-disaster", "150,80,90", "-disaster-at", "NaN", "-sweeps", "10", "-q"},
+		{"-region", "200", "-r", "50", "-sweeps", "5", "-jitter", "Inf", "-q"},
+		{"-region", "200", "-r", "50", "-sweeps", "5", "-blackout-rate", "0.1", "-blackout-sweeps", "NaN", "-q"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run %v succeeded, want an error", args)
+		}
+	}
+}
+
 func TestParseDisk(t *testing.T) {
 	c, r, err := parseDisk("10, -5, 30")
 	if err != nil || c.X != 10 || c.Y != -5 || r != 30 {

@@ -10,20 +10,17 @@ import (
 	"testing"
 )
 
-// TestDocComments is the doc-comment lint pass for the simulation
-// substrate, the data plane, and the protocol core: every exported
-// symbol of internal/sim, internal/netsim, internal/runner,
-// internal/traffic, internal/gather, internal/core, internal/radio,
-// and internal/adversary must carry a doc comment (these are the
-// packages whose thread-safety contracts the concurrency model depends
-// on — including the single-goroutine event engine and the node store
-// — so their godoc is required to state them).
+// TestDocComments is the doc-comment lint pass over every package
+// under internal/: each exported symbol must carry a doc comment. The
+// concurrency model depends on the thread-safety contracts this godoc
+// states — the single-goroutine event engine, the node store, the
+// runner's fan-out — and every other package follows the same rule.
 func TestDocComments(t *testing.T) {
-	for _, dir := range []string{
-		"internal/sim", "internal/netsim", "internal/runner",
-		"internal/traffic", "internal/gather",
-		"internal/core", "internal/radio", "internal/adversary",
-	} {
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -33,7 +30,7 @@ func TestDocComments(t *testing.T) {
 		}
 		for _, pkg := range pkgs {
 			for path, file := range pkg.Files {
-				checkFileDocs(t, fset, filepath.Base(path), file)
+				checkFileDocs(t, fset, filepath.Join(dir, filepath.Base(path)), file)
 			}
 		}
 	}

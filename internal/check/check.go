@@ -24,6 +24,7 @@ type Violation struct {
 	Detail string
 }
 
+// String formats v as clause@node: detail.
 func (v Violation) String() string {
 	return fmt.Sprintf("%s@%d: %s", v.Clause, v.Node, v.Detail)
 }

@@ -86,14 +86,16 @@ func DefaultConfig(r float64) Config {
 
 // Validate reports parameter errors.
 func (c Config) Validate() error {
-	if c.R <= 0 {
-		return fmt.Errorf("core: R must be positive, got %v", c.R)
+	// R, Rt and HeartbeatInterval scale every scheduled delay, and the
+	// event engine rejects a NaN or infinite fire time.
+	if !(c.R > 0) || math.IsInf(c.R, 1) {
+		return fmt.Errorf("core: R must be positive and finite, got %v", c.R)
 	}
-	if c.Rt <= 0 || c.Rt > c.R {
+	if !(c.Rt > 0 && c.Rt <= c.R) {
 		return fmt.Errorf("core: Rt must be in (0, R], got %v", c.Rt)
 	}
-	if c.HeartbeatInterval <= 0 {
-		return fmt.Errorf("core: HeartbeatInterval must be positive, got %v", c.HeartbeatInterval)
+	if !(c.HeartbeatInterval > 0) || math.IsInf(c.HeartbeatInterval, 1) {
+		return fmt.Errorf("core: HeartbeatInterval must be positive and finite, got %v", c.HeartbeatInterval)
 	}
 	if c.BoundaryRescanEvery <= 0 {
 		return fmt.Errorf("core: BoundaryRescanEvery must be positive, got %d", c.BoundaryRescanEvery)

@@ -25,6 +25,13 @@ func TestConfigValidate(t *testing.T) {
 		{"zero heartbeat", func(c *Config) { c.HeartbeatInterval = 0 }, false},
 		{"zero rescan", func(c *Config) { c.BoundaryRescanEvery = 0 }, false},
 		{"negative energy", func(c *Config) { c.InitialEnergy = -1 }, false},
+		// Non-finite values would put NaN or infinite delays on the
+		// event engine, which rejects them.
+		{"NaN R", func(c *Config) { c.R = math.NaN() }, false},
+		{"infinite R", func(c *Config) { c.R = math.Inf(1) }, false},
+		{"NaN Rt", func(c *Config) { c.Rt = math.NaN() }, false},
+		{"NaN heartbeat", func(c *Config) { c.HeartbeatInterval = math.NaN() }, false},
+		{"infinite heartbeat", func(c *Config) { c.HeartbeatInterval = math.Inf(1) }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -59,9 +59,8 @@ func (nw *Network) StartMaintenance(v Variant) {
 	}
 }
 
-// StopMaintenance stops the sweep loop and eagerly drops every queued
-// sweep batch from the engine, so nothing keeps retaining the network
-// through dead closures.
+// StopMaintenance stops the sweep loop and cancels every queued sweep
+// batch's event, so the engine's Pending count drops by them at once.
 func (nw *Network) StopMaintenance() {
 	nw.maintaining = false
 	nw.med.SetSendHook(nil)
@@ -102,7 +101,7 @@ func (nw *Network) scheduleSweep(id radio.NodeID, delay float64) {
 		b.at = at
 		nw.batches[at] = b // seals any previous batch for this time
 		nw.lastBatch = b
-		b.handle = nw.eng.After(delay, b.fire)
+		b.handle = nw.eng.After(delay, nw.kinds.sweep, b.id)
 		nw.batchEvents++
 		b.seqMark = nw.eng.Scheduled()
 		b.evMark = nw.batchEvents
@@ -168,8 +167,8 @@ func (nw *Network) newBatch() *sweepBatch {
 		nw.batchFree = nw.batchFree[:n-1]
 		return b
 	}
-	b := &sweepBatch{}
-	b.fire = func() { nw.runSweepBatch(b) }
+	b := &sweepBatch{id: int32(len(nw.batchByID))}
+	nw.batchByID = append(nw.batchByID, b)
 	return b
 }
 
@@ -390,7 +389,7 @@ func (nw *Network) linksLocal(n *Node, cone float64) bool {
 // a crash/restart with stable storage, not a death.
 func (nw *Network) beginBlackout(id radio.NodeID, dur float64) {
 	nw.med.SetBlackout(id, true)
-	nw.eng.After(dur, func() { nw.restoreFromBlackout(id) })
+	nw.eng.After(dur, nw.kinds.restore, int32(id))
 }
 
 // restoreFromBlackout brings node id's radio back. A restored head whose
@@ -457,7 +456,7 @@ func (nw *Network) drainSendEnergy(sender radio.NodeID, broadcast bool) {
 	was := cd.Energy
 	cd.Energy -= cost
 	if was > 0 && cd.Energy <= 0 {
-		nw.eng.After(0, func() { nw.energyDeath(sender) })
+		nw.eng.After(0, nw.kinds.energyDeath, int32(sender))
 	}
 }
 

@@ -113,6 +113,15 @@ type Network struct {
 	batchFree   []*sweepBatch
 	batchEvents uint64
 
+	// batchByID indexes every batch ever made by its id, the payload of
+	// its sweep event.
+	batchByID []*sweepBatch
+
+	// The network's engine event kinds (see registerKinds).
+	kinds struct {
+		headOrg, orgRetry, sweep, restore, energyDeath sim.Kind
+	}
+
 	// sweepBodies and sweepReplays count the maintenance sweeps that
 	// ran their full body and those the quiescence cache replayed
 	// (SweepWork).
@@ -132,8 +141,8 @@ type Network struct {
 // scheduling since has been another batch's creation — a batch for a
 // different fire time cannot interleave at this one's instant, but any
 // other event might, and seals the batch. idx is the batch's position
-// in the network's pending list. fire is the batch's engine callback,
-// made once per pooled batch so reopening one allocates nothing.
+// in the network's pending list, and id its index in batchByID, the
+// payload of its sweep event.
 type sweepBatch struct {
 	ids     []radio.NodeID
 	at      sim.Time
@@ -141,7 +150,7 @@ type sweepBatch struct {
 	seqMark uint64
 	evMark  uint64
 	idx     int
-	fire    func()
+	id      int32
 }
 
 // NewNetwork creates an empty network. The big node must be added first
@@ -157,14 +166,31 @@ func NewNetwork(cfg Config, radioParams radio.Params) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Network{
+	nw := &Network{
 		cfg:     cfg,
 		med:     med,
 		eng:     sim.NewEngine(),
 		bigID:   radio.None,
 		cacheOn: true,
 		batches: make(map[sim.Time]*sweepBatch),
-	}, nil
+	}
+	nw.registerKinds()
+	return nw, nil
+}
+
+// registerKinds registers the network's event kinds on its engine. Each
+// payload names what the event acts on: a node ID, or a sweep batch's
+// id. An org retry packs the head's ID and the attempt (1..orgRetries)
+// into one payload.
+func (nw *Network) registerKinds() {
+	k, eng := &nw.kinds, nw.eng
+	k.headOrg = eng.Register(func(id int32) { nw.HeadOrg(radio.NodeID(id)) })
+	k.orgRetry = eng.Register(func(p int32) {
+		nw.orgRetry(radio.NodeID(p/(orgRetries+1)), int(p%(orgRetries+1)))
+	})
+	k.sweep = eng.Register(func(b int32) { nw.runSweepBatch(nw.batchByID[b]) })
+	k.restore = eng.Register(func(id int32) { nw.restoreFromBlackout(radio.NodeID(id)) })
+	k.energyDeath = eng.Register(func(id int32) { nw.energyDeath(radio.NodeID(id)) })
 }
 
 // AddNode places a new node at p and returns its ID. The first big node

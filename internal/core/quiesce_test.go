@@ -9,11 +9,11 @@ import (
 	"gs3/internal/rng"
 )
 
-// TestStopMaintenanceDrainsEngine pins the fix for the retention bug:
-// StopMaintenance must eagerly cancel every queued sweep batch, so no
-// closure keeps the Network reachable after the caller is done with
-// it. Under delay jitter every node draws its own fire time and so
-// sweeps in a one-node batch, which the same stop drains.
+// TestStopMaintenanceDrainsEngine pins that StopMaintenance eagerly
+// cancels every queued sweep batch's event, so the engine reports
+// nothing pending once the sweeps are stopped. Under delay jitter
+// every node draws its own fire time and so sweeps in a one-node
+// batch, which the same stop drains.
 func TestStopMaintenanceDrainsEngine(t *testing.T) {
 	nw, _ := configureDynamic(t, 300)
 	runSweeps(nw, 3)

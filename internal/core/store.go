@@ -27,8 +27,8 @@ import "gs3/internal/radio"
 // network's interned table of sweep deltas, whose counter increments
 // are packed as uint16 (node.go). Snapshot/JSON view types keep wide
 // ints, so none of this narrows the wire form. The other per-node line
-// item — the engine's event bookkeeping — is pooled slots plus 24-byte
-// queue entries in internal/sim.
+// item — the engine's event bookkeeping — is one 24-byte heap entry per
+// queued event in internal/sim.
 //
 // Link slices (Children/Neighbors) come from a chunk arena: fixed
 // eight-entry chunks carved out of slabs and recycled through a free

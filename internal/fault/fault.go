@@ -22,6 +22,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"gs3/internal/rng"
 )
@@ -56,22 +57,24 @@ func (p Plan) Active() bool {
 	return p.Loss > 0 || p.Dup > 0 || p.Jitter > 0 || p.BlackoutRate > 0
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every field must be finite:
+// Jitter and BlackoutSweeps scale scheduled delays, and the event
+// engine rejects a NaN or infinite fire time.
 func (p Plan) Validate() error {
-	if p.Loss < 0 || p.Loss >= 1 {
+	if !(p.Loss >= 0 && p.Loss < 1) {
 		return fmt.Errorf("fault: Loss must be in [0,1), got %v", p.Loss)
 	}
-	if p.Dup < 0 || p.Dup >= 1 {
+	if !(p.Dup >= 0 && p.Dup < 1) {
 		return fmt.Errorf("fault: Dup must be in [0,1), got %v", p.Dup)
 	}
-	if p.Jitter < 0 {
-		return fmt.Errorf("fault: negative Jitter %v", p.Jitter)
+	if !(p.Jitter >= 0) || math.IsInf(p.Jitter, 1) {
+		return fmt.Errorf("fault: Jitter must be non-negative and finite, got %v", p.Jitter)
 	}
-	if p.BlackoutRate < 0 || p.BlackoutRate >= 1 {
+	if !(p.BlackoutRate >= 0 && p.BlackoutRate < 1) {
 		return fmt.Errorf("fault: BlackoutRate must be in [0,1), got %v", p.BlackoutRate)
 	}
-	if p.BlackoutRate > 0 && p.BlackoutSweeps <= 0 {
-		return fmt.Errorf("fault: BlackoutRate %v needs a positive BlackoutSweeps", p.BlackoutRate)
+	if p.BlackoutRate > 0 && (!(p.BlackoutSweeps > 0) || math.IsInf(p.BlackoutSweeps, 1)) {
+		return fmt.Errorf("fault: BlackoutRate %v needs a positive, finite BlackoutSweeps, got %v", p.BlackoutRate, p.BlackoutSweeps)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"gs3/internal/rng"
@@ -21,6 +22,15 @@ func TestPlanValidate(t *testing.T) {
 		{"jitter negative", Plan{Jitter: -1}, false},
 		{"blackout rate one", Plan{BlackoutRate: 1, BlackoutSweeps: 2}, false},
 		{"blackout without duration", Plan{BlackoutRate: 0.1}, false},
+		// Non-finite values would put NaN or infinite delays on the
+		// event engine, which rejects them.
+		{"loss NaN", Plan{Loss: math.NaN()}, false},
+		{"dup NaN", Plan{Dup: math.NaN()}, false},
+		{"jitter NaN", Plan{Jitter: math.NaN()}, false},
+		{"jitter infinite", Plan{Jitter: math.Inf(1)}, false},
+		{"blackout rate NaN", Plan{BlackoutRate: math.NaN(), BlackoutSweeps: 2}, false},
+		{"blackout duration NaN", Plan{BlackoutRate: 0.1, BlackoutSweeps: math.NaN()}, false},
+		{"blackout duration infinite", Plan{BlackoutRate: 0.1, BlackoutSweeps: math.Inf(1)}, false},
 	}
 	for _, tc := range cases {
 		err := tc.plan.Validate()

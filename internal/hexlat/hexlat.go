@@ -65,17 +65,29 @@ func abs(x int) int {
 	return x
 }
 
-// Lattice is a hexagonal lattice embedded in the plane.
+// Lattice is a hexagonal lattice embedded in the plane. Build it with
+// New: Pitch and GR are fixed there, because Nearest uses a basis New
+// derives from them. Origin may be moved freely.
 type Lattice struct {
 	Origin geom.Point // lattice point (0,0)
 	Pitch  float64    // distance between neighboring lattice points
 	GR     float64    // orientation of the e₁ axis, radians
+
+	// e₁ = (c1, s1) and e₂ = (c2, s2), and det = (c1·s2 − c2·s1)·Pitch:
+	// the inverse basis Nearest needs, computed once.
+	c1, s1, c2, s2, det float64
 }
 
 // New returns the lattice anchored at origin with the given pitch and
 // global-reference orientation.
 func New(origin geom.Point, pitch, gr float64) Lattice {
-	return Lattice{Origin: origin, Pitch: pitch, GR: gr}
+	c1, s1 := math.Cos(gr), math.Sin(gr)
+	c2, s2 := math.Cos(gr+math.Pi/3), math.Sin(gr+math.Pi/3)
+	return Lattice{
+		Origin: origin, Pitch: pitch, GR: gr,
+		c1: c1, s1: s1, c2: c2, s2: s2,
+		det: (c1*s2 - c2*s1) * pitch,
+	}
 }
 
 // Center returns the planar location of lattice point c.
@@ -91,11 +103,8 @@ func (l Lattice) Nearest(p geom.Point) Axial {
 	// Invert p = Origin + Pitch·(a·e₁ + b·e₂). With e₁ = (c₁,s₁) and
 	// e₂ = (c₂,s₂), the determinant c₁s₂ − c₂s₁ = sin 60° exactly.
 	v := p.Sub(l.Origin)
-	c1, s1 := math.Cos(l.GR), math.Sin(l.GR)
-	c2, s2 := math.Cos(l.GR+math.Pi/3), math.Sin(l.GR+math.Pi/3)
-	det := (c1*s2 - c2*s1) * l.Pitch
-	a := (s2*v.X - c2*v.Y) / det
-	b := (-s1*v.X + c1*v.Y) / det
+	a := (l.s2*v.X - l.c2*v.Y) / l.det
+	b := (-l.s1*v.X + l.c1*v.Y) / l.det
 	return roundAxial(a, b)
 }
 

@@ -257,3 +257,25 @@ func TestHexDistanceMatchesPlanarShells(t *testing.T) {
 		}
 	}
 }
+
+// TestNearestMatchesPerCallBasis pins Nearest's precomputed basis to
+// the per-call trigonometry it replaced, bit for bit: the lattice
+// rounding decides routing, so any drift would move the goldens.
+func TestNearestMatchesPerCallBasis(t *testing.T) {
+	perCall := func(l Lattice, p geom.Point) Axial {
+		v := p.Sub(l.Origin)
+		c1, s1 := math.Cos(l.GR), math.Sin(l.GR)
+		c2, s2 := math.Cos(l.GR+math.Pi/3), math.Sin(l.GR+math.Pi/3)
+		det := (c1*s2 - c2*s1) * l.Pitch
+		return roundAxial((s2*v.X-c2*v.Y)/det, (-s1*v.X+c1*v.Y)/det)
+	}
+	f := func(ox, oy, px, py, pitch, gr float64) bool {
+		pitch = 1 + math.Abs(math.Mod(pitch, 200))
+		l := New(geom.Point{X: math.Mod(ox, 1e4), Y: math.Mod(oy, 1e4)}, pitch, math.Mod(gr, 2*math.Pi))
+		p := geom.Point{X: math.Mod(px, 1e4), Y: math.Mod(py, 1e4)}
+		return l.Nearest(p) == perCall(l, p)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}

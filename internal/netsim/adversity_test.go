@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"gs3/internal/check"
@@ -140,6 +141,21 @@ func TestScheduleDisasterInPast(t *testing.T) {
 	s := buildConfigured(t, 300)
 	if err := s.ScheduleDisaster(Disaster{At: s.Net.Engine().Now() - 1, Radius: 10}); err == nil {
 		t.Error("past disaster accepted")
+	}
+}
+
+// TestScheduleDisasterNonFinite is the regression test for a disaster
+// at NaN: it used to be accepted, fire at an arbitrary point of the
+// run, and leave the engine's clock at NaN.
+func TestScheduleDisasterNonFinite(t *testing.T) {
+	s := buildConfigured(t, 300)
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := s.ScheduleDisaster(Disaster{At: at, Radius: 10}); err == nil {
+			t.Errorf("disaster at %v accepted", at)
+		}
+	}
+	if got := s.Net.Engine().Pending(); got != 0 {
+		t.Fatalf("rejected disasters left %d events queued", got)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"gs3/internal/geom"
 	"gs3/internal/radio"
 	"gs3/internal/rng"
+	"gs3/internal/sim"
 )
 
 // Options describes a scenario. Options is plain data: copy it freely
@@ -92,8 +93,14 @@ type Sim struct {
 	Opt Options
 	Src *rng.Source
 
-	// disasterLog records executed scheduled disasters in firing order.
+	// disasters holds every scheduled disaster and churns every started
+	// churn process, addressed by the index their engine events carry.
+	// disasterLog records executed disasters in firing order.
+	disasters   []Disaster
+	churns      []*churn
 	disasterLog []DisasterRecord
+
+	disasterKind, churnKind sim.Kind
 }
 
 // Build creates the network (unconfigured) from the options. Every
@@ -160,7 +167,10 @@ func Build(opt Options) (*Sim, error) {
 			return nil, err
 		}
 	}
-	return &Sim{Net: nw, Dep: dep, Opt: opt, Src: src}, nil
+	s := &Sim{Net: nw, Dep: dep, Opt: opt, Src: src}
+	s.disasterKind = nw.Engine().Register(func(i int32) { s.strike(s.disasters[i]) })
+	s.churnKind = nw.Engine().Register(func(i int32) { s.churns[i].fire() })
+	return s, nil
 }
 
 // Configure runs the GS³-S diffusing computation to completion and
@@ -271,16 +281,19 @@ type DisasterRecord struct {
 
 // ScheduleDisaster queues d on the engine. Scheduling consumes no
 // randomness and a zero-disaster run is byte-identical to one that
-// never called this. An At in the past is an error.
+// never called this. An At in the past or not finite is an error.
 func (s *Sim) ScheduleDisaster(d Disaster) error {
-	_, err := s.Net.Engine().At(d.At, func() {
-		killed := s.KillDisk(d.Center, d.Radius)
-		s.disasterLog = append(s.disasterLog, DisasterRecord{Disaster: d, Killed: killed})
-	})
-	if err != nil {
+	if _, err := s.Net.Engine().At(d.At, s.disasterKind, int32(len(s.disasters))); err != nil {
 		return fmt.Errorf("netsim: disaster: %w", err)
 	}
+	s.disasters = append(s.disasters, d)
 	return nil
+}
+
+// strike executes scheduled disaster d and logs its kill count.
+func (s *Sim) strike(d Disaster) {
+	killed := s.KillDisk(d.Center, d.Radius)
+	s.disasterLog = append(s.disasterLog, DisasterRecord{Disaster: d, Killed: killed})
 }
 
 // Disasters returns the executed disasters in firing order (read-only).

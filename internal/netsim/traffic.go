@@ -19,12 +19,14 @@ func (s *Sim) ServeTraffic(cfg traffic.Config) (*traffic.Plane, error) {
 	return traffic.New(s.Net, cfg, s.Src.Fork())
 }
 
-// churn drives random membership turnover while traffic flows.
+// churn drives random membership turnover while traffic flows. id is
+// its index in the Sim's churns, the payload of its events.
 type churn struct {
 	s      *Sim
 	src    *rng.Source
 	period float64
 	left   int
+	id     int32
 }
 
 // StartChurn schedules events random membership events, one every
@@ -38,8 +40,9 @@ func (s *Sim) StartChurn(period float64, events int) {
 	if events <= 0 || period <= 0 {
 		return
 	}
-	c := &churn{s: s, src: s.Src.Fork(), period: period, left: events}
-	s.Net.Engine().After(period, c.fire)
+	c := &churn{s: s, src: s.Src.Fork(), period: period, left: events, id: int32(len(s.churns))}
+	s.churns = append(s.churns, c)
+	s.Net.Engine().After(period, s.churnKind, c.id)
 }
 
 // fire executes one kill+join event and reschedules itself until the
@@ -55,7 +58,7 @@ func (c *churn) fire() {
 	x, y := c.src.InDisk(c.s.Opt.RegionRadius)
 	c.s.Net.Join(geom.Point{X: x, Y: y})
 	if c.left > 0 {
-		c.s.Net.Engine().After(c.period, c.fire)
+		c.s.Net.Engine().After(c.period, c.s.churnKind, c.id)
 	}
 }
 

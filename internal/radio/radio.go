@@ -82,11 +82,13 @@ func (p Params) Validate() error {
 	if p.MaxRange <= 0 {
 		return fmt.Errorf("radio: MaxRange must be positive, got %v", p.MaxRange)
 	}
-	if p.DiffusionSpeed <= 0 {
+	// Delay derives every message latency from these two, and the event
+	// engine rejects a NaN or infinite fire time.
+	if !(p.DiffusionSpeed > 0) {
 		return fmt.Errorf("radio: DiffusionSpeed must be positive, got %v", p.DiffusionSpeed)
 	}
-	if p.PerMessageOverhead < 0 {
-		return fmt.Errorf("radio: negative PerMessageOverhead %v", p.PerMessageOverhead)
+	if !(p.PerMessageOverhead >= 0) || math.IsInf(p.PerMessageOverhead, 1) {
+		return fmt.Errorf("radio: PerMessageOverhead must be non-negative and finite, got %v", p.PerMessageOverhead)
 	}
 	return nil
 }

@@ -32,6 +32,9 @@ func TestParamsValidate(t *testing.T) {
 		{"zero range", Params{MaxRange: 0, DiffusionSpeed: 1}, false},
 		{"zero speed", Params{MaxRange: 1, DiffusionSpeed: 0}, false},
 		{"negative overhead", Params{MaxRange: 1, DiffusionSpeed: 1, PerMessageOverhead: -1}, false},
+		{"NaN speed", Params{MaxRange: 1, DiffusionSpeed: math.NaN()}, false},
+		{"NaN overhead", Params{MaxRange: 1, DiffusionSpeed: 1, PerMessageOverhead: math.NaN()}, false},
+		{"infinite overhead", Params{MaxRange: 1, DiffusionSpeed: 1, PerMessageOverhead: math.Inf(1)}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

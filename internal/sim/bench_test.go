@@ -18,15 +18,15 @@ import "testing"
 // path every radio delivery and heartbeat pays.
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := NewEngine()
-	nop := func() {}
+	nop := nopKind(e)
 	const pending = 8192
 	for i := 0; i < pending; i++ {
-		e.After(1+float64(i%64)/8, nop)
+		e.After(1+float64(i%64)/8, nop, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(8, nop)
+		e.After(8, nop, 0)
 		e.Step()
 	}
 }
@@ -37,18 +37,18 @@ func BenchmarkEngineSchedule(b *testing.B) {
 // canceled events stream through the queue.
 func BenchmarkEngineSteadyChurn(b *testing.B) {
 	e := NewEngine()
-	nop := func() {}
+	nop := nopKind(e)
 	const ring = 4096
 	handles := make([]Handle, ring)
 	for i := range handles {
-		handles[i] = e.After(1+float64(i%17)/17, nop)
+		handles[i] = e.After(1+float64(i%17)/17, nop, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % ring
-		retry := e.After(1+float64(j%17)/17, nop)
-		handles[j] = e.After(1+float64(j%17)/17, nop)
+		retry := e.After(1+float64(j%17)/17, nop, 0)
+		handles[j] = e.After(1+float64(j%17)/17, nop, 0)
 		retry.Cancel()
 		e.Step()
 	}
@@ -59,15 +59,15 @@ func BenchmarkEngineSteadyChurn(b *testing.B) {
 // shape. RunUntil peeks at the heap's top and pops that same entry,
 // one scan per fired event.
 func BenchmarkEngineRunUntilCanceled(b *testing.B) {
-	nop := func() {}
 	handles := make([]Handle, 0, 10000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e := NewEngine()
+		nop := nopKind(e)
 		handles = handles[:0]
 		for k := 0; k < 10000; k++ {
-			h, err := e.At(float64(k)/100, nop)
+			h, err := e.At(float64(k)/100, nop, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 // At/After/Cancel/Step/Run/RunUntil sequences and asserts that every
 // observable matches after every operation: the exact fire order (event
 // ids in sequence), Now, Fired, Scheduled, Pending (vs the oracle's
-// livePending), and NextEventTime. Fired callbacks occasionally
+// livePending), and NextEventTime. Fired events occasionally
 // schedule zero-delay and short-delay follow-ups, which exercises
 // inserts at the current instant while the queue drains. `make race`
 // runs this under the race detector.
@@ -48,31 +48,53 @@ func lockstep(t *testing.T, seed int64, ops int) {
 	var ns, rs side
 	fired := make(map[int]bool) // ids whose events have fired (either side; order is pinned equal)
 	var handles []*lockstepHandle
-	nextID := 1000000 // chained ids count down from here; driver ids count up from 0
+	nextID := 1000000 // chained ids count up from here; driver ids count up from 0
 	ns.chainID, rs.chainID = nextID, nextID
 	checked := 0 // logs compared up to this index
 
-	// mkFn builds the callback for one scheduled id on one side: it
-	// records the fire, and with the given chain depth schedules a
-	// follow-up at zero or short delay — the mid-drain insert path.
-	var mkFn func(s *side, schedule func(float64, func()), id, chain int) func()
-	mkFn = func(s *side, schedule func(float64, func()), id, chain int) func() {
+	// record logs one fire on side s, and with the given chain depth
+	// returns the id of a follow-up to schedule at zero or short delay
+	// — the mid-drain insert path.
+	record := func(s *side, id, chain int) (cid int, delay float64, ok bool) {
+		s.log = append(s.log, id)
+		fired[id] = true
+		if chain == 0 {
+			return 0, 0, false
+		}
+		cid = s.chainID
+		s.chainID++
+		if chain%2 == 0 {
+			delay = 0.25
+		}
+		return cid, delay, true
+	}
+
+	// The engine side registers one kind whose payload is the event id;
+	// chains remembers each id's remaining chain depth.
+	chains := make(map[int]int)
+	var kind Kind
+	kind = eng.Register(func(p int32) {
+		id := int(p)
+		chain := chains[id]
+		if cid, d, ok := record(&ns, id, chain); ok {
+			chains[cid] = chain - 1
+			eng.After(d, kind, int32(cid))
+		}
+	})
+	schedN := func(d float64, id, chain int) Handle {
+		chains[id] = chain
+		return eng.After(d, kind, int32(id))
+	}
+
+	// The oracle keeps its closures.
+	var mkFn func(id, chain int) func()
+	mkFn = func(id, chain int) func() {
 		return func() {
-			s.log = append(s.log, id)
-			fired[id] = true
-			if chain > 0 {
-				cid := s.chainID
-				s.chainID++
-				delay := 0.0
-				if chain%2 == 0 {
-					delay = 0.25
-				}
-				schedule(delay, mkFn(s, schedule, cid, chain-1))
+			if cid, d, ok := record(&rs, id, chain); ok {
+				ref.After(d, "chain", mkFn(cid, chain-1))
 			}
 		}
 	}
-	scheduleN := func(d float64, fn func()) { eng.After(d, fn) }
-	scheduleR := func(d float64, fn func()) { ref.After(d, "chain", fn) }
 
 	check := func(op string) {
 		t.Helper()
@@ -126,16 +148,17 @@ func lockstep(t *testing.T, seed int64, ops int) {
 				chain = 1 + rng.Intn(2)
 			}
 			h := &lockstepHandle{id: id}
-			h.n = eng.After(d, mkFn(&ns, scheduleN, id, chain))
-			h.r = ref.After(d, "ev", mkFn(&rs, scheduleR, id, chain))
+			h.n = schedN(d, id, chain)
+			h.r = ref.After(d, "ev", mkFn(id, chain))
 			handles = append(handles, h)
 			check("After")
 		case k < 45: // At, sometimes in the past
 			at := eng.Now() + delay() - float64(rng.Intn(3))
 			h := &lockstepHandle{id: id}
 			var errN, errR error
-			h.n, errN = eng.At(at, mkFn(&ns, scheduleN, id, 0))
-			h.r, errR = ref.At(at, "ev", mkFn(&rs, scheduleR, id, 0))
+			chains[id] = 0
+			h.n, errN = eng.At(at, kind, int32(id))
+			h.r, errR = ref.At(at, "ev", mkFn(id, 0))
 			if (errN != nil) != (errR != nil) {
 				t.Fatalf("At(%v): err=%v, oracle err=%v", at, errN, errR)
 			}
@@ -199,10 +222,10 @@ func lockstep(t *testing.T, seed int64, ops int) {
 // that shard.go's quiescence gate and the StopMaintenance tests read.
 func TestPendingExcludesCanceled(t *testing.T) {
 	e := NewEngine()
-	nop := func() {}
-	a := e.After(1, nop)
-	b := e.After(2, nop)
-	e.After(3, nop)
+	nop := nopKind(e)
+	a := e.After(1, nop, 0)
+	b := e.After(2, nop, 0)
+	e.After(3, nop, 0)
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("Pending=%d, want 3", got)
 	}
@@ -231,22 +254,21 @@ func TestPendingExcludesCanceled(t *testing.T) {
 
 // TestEngineSteadyStateZeroAllocs pins the steady-state schedule+fire
 // cycle — the path every radio delivery and heartbeat pays — at zero
-// allocations: the event pool recycles slots and the heap reaches a
-// steady capacity, after which After+Step allocate nothing.
+// allocations: the heap entry is the whole event, so once the heap
+// reaches a steady capacity After+Step allocate nothing.
 func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	e := NewEngine()
-	nop := func() {}
+	nop := nopKind(e)
 	for i := 0; i < 8192; i++ {
-		e.After(1+float64(i%64)/8, nop)
+		e.After(1+float64(i%64)/8, nop, 0)
 	}
-	// Warm until the heap and the pool free list reach their steady
-	// capacities.
+	// Warm until the heap reaches its steady capacity.
 	for i := 0; i < 200000; i++ {
-		e.After(8, nop)
+		e.After(8, nop, 0)
 		e.Step()
 	}
 	allocs := testing.AllocsPerRun(10000, func() {
-		e.After(8, nop)
+		e.After(8, nop, 0)
 		e.Step()
 	})
 	if allocs != 0 {
@@ -267,19 +289,19 @@ func TestEngineSmokeMillionEvents(t *testing.T) {
 	e := NewEngine()
 	var fired, scheduled, canceled uint64
 	lastAt, lastSeq := math.Inf(-1), uint64(0)
-	fn := func(at Time, seq uint64) func() {
-		return func() {
-			if at < lastAt || (at == lastAt && seq <= lastSeq) {
-				t.Fatalf("fire order violated: (%v, %d) after (%v, %d)", at, seq, lastAt, lastSeq)
-			}
-			lastAt, lastSeq = at, seq
-			fired++
+	// Every event is scheduled through schedule, so its payload, the
+	// Scheduled reading before it went in, is its seq; Now at the fire
+	// is its at.
+	k := e.Register(func(p int32) {
+		at, seq := e.Now(), uint64(p)
+		if at < lastAt || (at == lastAt && seq <= lastSeq) {
+			t.Fatalf("fire order violated: (%v, %d) after (%v, %d)", at, seq, lastAt, lastSeq)
 		}
-	}
+		lastAt, lastSeq = at, seq
+		fired++
+	})
 	schedule := func(d float64) Handle {
-		seq := e.Scheduled()
-		at := e.Now() + d
-		h := e.After(d, fn(at, seq))
+		h := e.After(d, k, int32(e.Scheduled()))
 		scheduled++
 		return h
 	}

@@ -8,11 +8,11 @@ import "testing"
 // zero handle changes nothing.
 func TestRemoveDeletesEagerly(t *testing.T) {
 	e := NewEngine()
-	var fired []string
-	mk := func(name string) func() { return func() { fired = append(fired, name) } }
-	e.After(1, mk("a"))
-	hb := e.After(1, mk("b"))
-	hc := e.After(1, mk("c"))
+	var fired []int32
+	k := logKind(e, &fired)
+	e.After(1, k, 'a')
+	hb := e.After(1, k, 'b')
+	hc := e.After(1, k, 'c')
 
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("Pending = %d, want 3", got)
@@ -26,8 +26,8 @@ func TestRemoveDeletesEagerly(t *testing.T) {
 	}
 
 	e.Run(0)
-	if len(fired) != 2 || fired[0] != "a" || fired[1] != "c" {
-		t.Fatalf("fired %v, want [a c]", fired)
+	if len(fired) != 2 || fired[0] != 'a' || fired[1] != 'c' {
+		t.Fatalf("fired %q, want [a c]", fired)
 	}
 
 	// Canceling a fired, an already-canceled, or a zero handle is a
@@ -45,10 +45,10 @@ func TestRemoveDeletesEagerly(t *testing.T) {
 func TestRemoveKeepsHeapOrder(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	log := func() { fired = append(fired, e.Now()) }
+	k := e.Register(func(int32) { fired = append(fired, e.Now()) })
 	var handles []Handle
 	for _, at := range []Time{5, 1, 4, 2, 3, 6, 0.5} {
-		h, err := e.At(at, log)
+		h, err := e.At(at, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,4 +66,82 @@ func TestRemoveKeepsHeapOrder(t *testing.T) {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
 	}
+}
+
+// TestHandleKeyOrder pins the key-order rule that replaced the pooled,
+// generation-counted handles: an event is gone exactly when its key is
+// at or before the last key popped, fired or drained.
+func TestHandleKeyOrder(t *testing.T) {
+	t.Run("cancel after fire is a no-op", func(t *testing.T) {
+		e := NewEngine()
+		k := nopKind(e)
+		h := e.After(1, k, 0)
+		e.After(2, k, 0)
+		e.Step()
+		h.Cancel()
+		if h.Canceled() || e.Pending() != 1 {
+			t.Fatalf("after canceling a fired event: Canceled=%v Pending=%d, want false and 1", h.Canceled(), e.Pending())
+		}
+	})
+	t.Run("cancel after drain decrements Pending once", func(t *testing.T) {
+		e := NewEngine()
+		var log []int32
+		k := logKind(e, &log)
+		e.After(1, k, 1)
+		e.Step() // Now = 1
+		h := e.After(0, k, 2)
+		e.After(1, k, 3)
+		h.Cancel()
+		if !h.Canceled() || e.Pending() != 1 {
+			t.Fatalf("before the drain: Canceled=%v Pending=%d, want true and 1", h.Canceled(), e.Pending())
+		}
+		// NextEventTime drains the canceled entry, due at Now, off the
+		// top; nothing fires before the second Cancel.
+		if got := e.NextEventTime(); got != 2 {
+			t.Fatalf("NextEventTime = %v, want 2", got)
+		}
+		if h.Canceled() {
+			t.Fatal("Canceled() still true after the entry was drained")
+		}
+		h.Cancel()
+		if e.Pending() != 1 {
+			t.Fatalf("Pending = %d after canceling a drained event, want 1", e.Pending())
+		}
+		e.Run(0)
+		if len(log) != 2 || log[1] != 3 {
+			t.Fatalf("fired %v, want [1 3]", log)
+		}
+	})
+	t.Run("zero handle is a no-op", func(t *testing.T) {
+		e := NewEngine()
+		e.After(1, nopKind(e), 0)
+		var zero Handle
+		zero.Cancel()
+		if zero.Canceled() || e.Pending() != 1 {
+			t.Fatalf("zero handle: Canceled=%v Pending=%d, want false and 1", zero.Canceled(), e.Pending())
+		}
+	})
+	// A canceled entry due after Now may sit on top while an earlier
+	// event is scheduled. NextEventTime must not drain it ahead of the
+	// clock: the earlier event's key would then be behind the last key
+	// popped, and its Handle would read as gone.
+	t.Run("no drain ahead of the clock", func(t *testing.T) {
+		e := NewEngine()
+		var log []int32
+		k := logKind(e, &log)
+		e.After(7, k, 7).Cancel()
+		e.After(9, k, 9)
+		if got := e.NextEventTime(); got != 9 {
+			t.Fatalf("NextEventTime = %v, want 9", got)
+		}
+		h := e.After(1, k, 1)
+		h.Cancel()
+		if !h.Canceled() || e.Pending() != 1 {
+			t.Fatalf("Canceled=%v Pending=%d, want true and 1", h.Canceled(), e.Pending())
+		}
+		e.Run(0)
+		if len(log) != 1 || log[0] != 9 {
+			t.Fatalf("fired %v, want [9]", log)
+		}
+	})
 }

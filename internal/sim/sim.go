@@ -8,22 +8,34 @@
 // (at, seq); since seq is unique, that pair is a strict total order,
 // and popping the heap's minimum fires events in exactly that order.
 //
-// # Event pool
+// # Kinds
 //
-// Event records are pooled: firing or canceling-and-draining an event
-// returns its slot to a free list, and steady-state schedule/fire churn
-// allocates nothing. Handles are generation counted — a Handle carries
-// the unique sequence number of the event it was issued for, and every
-// Handle operation first checks that the slot still holds that
-// sequence number. A slot recycled to a new event no longer matches, so
-// Cancel/Canceled on a stale Handle are safe no-ops rather than actions
-// on an unrelated event. Cancel is lazy: a canceled event keeps its
-// heap entry, and its slot is freed when the entry reaches the top.
+// An event is a kind and an int32 payload. Each owner registers its
+// kinds once, with one handler each (Register), and schedules events
+// of a kind with a payload that tells the handler what the event is
+// about: a node ID, a packet index, a batch index. The heap entry
+// {at, seq, payload, kind} is the whole event. Firing one calls the
+// kind's handler with the payload and reads nothing else, and
+// scheduling allocates nothing once the heap has reached its steady
+// capacity.
+//
+// # Handles
+//
+// A Handle is its event's key (at, seq). Entries leave the heap —
+// fired, or canceled and drained — in strictly increasing key order,
+// and an event scheduled later always has a larger key than every
+// entry already popped: At rejects times before Now, seq only grows,
+// and no call leaves a drained entry ahead of the clock (see next). So
+// an event is gone exactly when its key is at or before the last key
+// popped, and a Handle needs nothing but its key to tell. Cancel is lazy: it records the seq in a
+// set and Pending drops at once, and the entry is drained when it
+// reaches the top. The pop path consults the set only while it is
+// non-empty.
 //
 // # Concurrency
 //
-// The engine is deliberately single-threaded: an Engine, the events it
-// fires, and every Handle it hands out must be owned by exactly one
+// The engine is deliberately single-threaded: an Engine, the handlers
+// it calls, and every Handle it hands out must be owned by exactly one
 // goroutine for the engine's whole lifetime. Nothing in this package
 // locks, and nothing may be shared. Determinism depends on this — a
 // second goroutine touching the queue would make the event order (and
@@ -34,6 +46,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -41,27 +54,17 @@ import (
 // value; copies are independent.
 type Time = float64
 
-// event is one pooled slot of the engine's event store. A slot's
-// identity is its seq: freeing a slot overwrites seq with freedSeq and
-// recycling it installs a fresh one, so any Handle that recorded the
-// old seq can detect that the slot moved on.
-type event struct {
-	seq      uint64
-	fn       func()
-	canceled bool
-}
+// Kind names a family of events that share one handler. Register hands
+// kinds out; they are only meaningful on the engine that issued them.
+type Kind int32
 
-// freedSeq marks a pool slot that holds no event. Live events always
-// have seq < freedSeq (nextSeq would need centuries to wrap).
-const freedSeq = math.MaxUint64
-
-// entry is a heap reference to a pooled event: the (at, seq) fire-
-// order key inline (so sifting compares without chasing pool slots)
-// plus the slot index to resolve at fire time.
+// entry is one scheduled event, 24 bytes: its fire-order key (at, seq)
+// and the kind and payload its firing dispatches.
 type entry struct {
-	at  Time
-	seq uint64
-	idx int32
+	at      Time
+	seq     uint64
+	payload int32
+	kind    Kind
 }
 
 // before is the fire order: (at, seq) ascending.
@@ -71,43 +74,55 @@ func (a entry) before(b entry) bool {
 
 // Handle allows a scheduled event to be canceled before it fires. A
 // Handle is bound to its engine's goroutine: Cancel and Canceled must
-// not be called concurrently with the engine running. Handles are
-// generation-checked against the event pool (see the package comment),
-// so holding one after its event fired is harmless.
+// not be called concurrently with the engine running. A Handle is the
+// event's key (see the package comment), so holding one after its
+// event fired is harmless.
 type Handle struct {
 	e   *Engine
-	idx int32
+	at  Time
 	seq uint64
 }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (h Handle) Cancel() {
-	if h.e == nil {
-		return
-	}
-	ev := &h.e.pool[h.idx]
-	if ev.seq != h.seq || ev.canceled {
-		return
-	}
-	ev.canceled = true
-	ev.fn = nil // release whatever the closure retains now, not at drain
-	h.e.live--
+// gone reports whether h's event has left the queue: fired, or
+// canceled and drained.
+func (h Handle) gone() bool {
+	return !h.e.last.before(entry{at: h.at, seq: h.seq})
 }
 
-// Canceled reports whether Cancel was called on this handle before its
-// event fired.
+// Cancel prevents the event from firing. Canceling an already-fired or
+// already-canceled event, or the zero Handle, is a no-op.
+func (h Handle) Cancel() {
+	e := h.e
+	if e == nil || h.gone() {
+		return
+	}
+	if _, ok := e.canceled[h.seq]; ok {
+		return
+	}
+	if e.canceled == nil {
+		e.canceled = make(map[uint64]struct{})
+	}
+	e.canceled[h.seq] = struct{}{}
+	e.live--
+}
+
+// Canceled reports whether Cancel was called on this handle and its
+// event's entry has not yet been drained from the queue.
 func (h Handle) Canceled() bool {
 	if h.e == nil {
 		return false
 	}
-	ev := &h.e.pool[h.idx]
-	return ev.seq == h.seq && ev.canceled
+	_, ok := h.e.canceled[h.seq]
+	return ok
 }
 
 // ErrEventInPast is returned by Engine.At when an event is scheduled
 // before the current virtual time.
 var ErrEventInPast = errors.New("sim: event scheduled in the past")
+
+// ErrTimeNotFinite is returned by Engine.At when an event is scheduled
+// at NaN or +Inf: firing it would leave Now without a finite value.
+var ErrTimeNotFinite = errors.New("sim: event time is not finite")
 
 // Engine is a deterministic discrete-event scheduler.
 //
@@ -122,18 +137,31 @@ type Engine struct {
 	fired   uint64
 	live    int // scheduled, not yet fired, not canceled
 
-	// Event pool: slots recycled through the free list.
-	pool []event
-	free []int32
+	// handlers maps each registered Kind to its handler.
+	handlers []func(payload int32)
 
 	// heap is a 4-ary min-heap under entry.before: the children of
 	// heap[i] are heap[4i+1 : 4i+5].
 	heap []entry
+
+	// last is the key of the last entry popped, fired or drained; every
+	// event at or before it is gone (see Handle). canceled holds the
+	// seqs of canceled events whose entries are still queued.
+	last     entry
+	canceled map[uint64]struct{}
 }
 
 // NewEngine returns an engine at time zero with an empty queue.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{last: entry{at: math.Inf(-1)}}
+}
+
+// Register adds a kind of event whose firing calls fn with the event's
+// payload, and returns it. Each owner registers its kinds once, when it
+// attaches to the engine.
+func (e *Engine) Register(fn func(payload int32)) Kind {
+	e.handlers = append(e.handlers, fn)
+	return Kind(len(e.handlers) - 1)
 }
 
 // Now returns the current virtual time.
@@ -161,35 +189,39 @@ func (e *Engine) Pending() int {
 	return e.live
 }
 
-// At schedules fn to run at absolute time at. It returns a Handle that
-// can cancel the event, and ErrEventInPast if at precedes Now.
-func (e *Engine) At(at Time, fn func()) (Handle, error) {
+// At schedules an event of kind k carrying payload at absolute time at.
+// It returns a Handle that can cancel the event, ErrEventInPast if at
+// precedes Now, and ErrTimeNotFinite if at is NaN or +Inf. It panics
+// if k was not registered on this engine.
+func (e *Engine) At(at Time, k Kind, payload int32) (Handle, error) {
 	if at < e.now {
 		return Handle{}, ErrEventInPast
 	}
-	var idx int32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.pool = append(e.pool, event{})
-		idx = int32(len(e.pool) - 1)
+	if math.IsNaN(at) || math.IsInf(at, 1) {
+		return Handle{}, ErrTimeNotFinite
+	}
+	if uint(k) >= uint(len(e.handlers)) {
+		panic(fmt.Sprintf("sim: event kind %d is not registered", k))
 	}
 	seq := e.nextSeq
 	e.nextSeq++
-	e.pool[idx] = event{seq: seq, fn: fn}
 	e.live++
-	e.push(entry{at: at, seq: seq, idx: idx})
-	return Handle{e: e, idx: idx, seq: seq}, nil
+	e.push(entry{at: at, seq: seq, payload: payload, kind: k})
+	return Handle{e: e, at: at, seq: seq}, nil
 }
 
-// After schedules fn to run delay seconds from now. Negative delays are
-// clamped to zero.
-func (e *Engine) After(delay float64, fn func()) Handle {
+// After schedules an event of kind k carrying payload delay seconds
+// from now. Negative delays are clamped to zero. After has no error to
+// return and must not drop the event, so a delay that puts the event
+// at a time At rejects (NaN, infinite) panics.
+func (e *Engine) After(delay float64, k Kind, payload int32) Handle {
 	if delay < 0 {
 		delay = 0
 	}
-	h, _ := e.At(e.now+delay, fn) // cannot be in the past
+	h, err := e.At(e.now+delay, k, payload)
+	if err != nil {
+		panic(fmt.Sprintf("sim: After(%v): %v", delay, err))
+	}
 	return h
 }
 
@@ -241,49 +273,50 @@ func (e *Engine) pop() {
 	h[i] = last
 }
 
-// freeSlot returns a pool slot to the free list, dropping everything
-// it retains.
-func (e *Engine) freeSlot(idx int32) {
-	e.pool[idx] = event{seq: freedSeq}
-	e.free = append(e.free, idx)
-}
-
-// nextEntry returns the earliest live entry without consuming it,
-// first popping canceled entries off the top and freeing their slots.
-// ok is false when no live events remain. After it returns ok, the
-// entry is the heap's top, which consume pops.
-func (e *Engine) nextEntry() (entry, bool) {
+// next drains canceled entries due by horizon off the top of the heap
+// and returns the top entry. ok is false when the heap is empty or a
+// canceled entry due after horizon is on top. A drain past Now keeps
+// the key order Handles rely on only if the caller fires the returned
+// entry at once, so callers that may not fire pass a horizon the clock
+// reaches before they return.
+func (e *Engine) next(horizon Time) (entry, bool) {
 	for len(e.heap) > 0 {
 		top := e.heap[0]
-		if !e.pool[top.idx].canceled {
+		if len(e.canceled) == 0 {
 			return top, true
 		}
+		if _, c := e.canceled[top.seq]; !c {
+			return top, true
+		}
+		if !(top.at <= horizon) {
+			break
+		}
+		delete(e.canceled, top.seq)
 		e.pop()
-		e.freeSlot(top.idx)
+		e.last = top
 	}
 	return entry{}, false
 }
 
-// consume pops the entry nextEntry returned, frees its slot, advances
-// the clock, and returns the callback to run.
-func (e *Engine) consume(ent entry) func() {
+// fire pops ent, the live entry next returned, advances the clock to
+// it, and calls its kind's handler.
+func (e *Engine) fire(ent entry) {
 	e.pop()
-	fn := e.pool[ent.idx].fn
-	e.freeSlot(ent.idx)
+	e.last = ent
 	e.live--
 	e.now = ent.at
 	e.fired++
-	return fn
+	e.handlers[ent.kind](ent.payload)
 }
 
-// Step fires the next event. It returns false when the queue is empty.
+// Step fires the next event. It returns false when no live event is
+// queued.
 func (e *Engine) Step() bool {
-	ent, ok := e.nextEntry()
-	if !ok {
+	if e.live == 0 {
 		return false
 	}
-	fn := e.consume(ent)
-	fn()
+	ent, _ := e.next(math.Inf(1)) // a live entry is queued, so this finds it
+	e.fire(ent)
 	return true
 }
 
@@ -303,16 +336,16 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 
 // RunUntil fires events with At ≤ deadline. Events scheduled beyond the
 // deadline remain queued; the engine's clock is advanced to the deadline
-// if it ran dry earlier. It returns the number of events fired.
+// if it ran dry earlier. It returns the number of events fired. A NaN
+// deadline fires nothing.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	var n uint64
 	for {
-		ent, ok := e.nextEntry()
-		if !ok || ent.at > deadline {
+		ent, ok := e.next(deadline)
+		if !ok || !(ent.at <= deadline) {
 			break
 		}
-		fn := e.consume(ent)
-		fn()
+		e.fire(ent)
 		n++
 	}
 	if e.now < deadline {
@@ -322,10 +355,21 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 }
 
 // NextEventTime returns the time of the earliest pending event, or +Inf
-// if the queue is empty.
+// if none is pending.
 func (e *Engine) NextEventTime() Time {
-	if ent, ok := e.nextEntry(); ok {
+	if e.live == 0 {
+		return math.Inf(1)
+	}
+	if ent, ok := e.next(e.now); ok {
 		return ent.at
 	}
-	return math.Inf(1)
+	// A canceled entry due after Now is on top. Draining it would pop
+	// a key ahead of the clock, so scan for the earliest live entry.
+	next := math.Inf(1)
+	for _, ent := range e.heap {
+		if _, c := e.canceled[ent.seq]; !c && ent.at < next {
+			next = ent.at
+		}
+	}
+	return next
 }

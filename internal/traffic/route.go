@@ -4,7 +4,6 @@ package traffic
 
 import (
 	"gs3/internal/core"
-	"gs3/internal/geom"
 	"gs3/internal/radio"
 )
 
@@ -82,7 +81,13 @@ func (p *Plane) geoHop(pkt *packet, n *core.Node) (radio.NodeID, bool) {
 			target = hn.IL
 		}
 	}
-	here := p.cellDist(n.IL, target)
+	// Cell distances are measured on one lattice anchored at the
+	// holder's IL, so the target is rounded once and every candidate
+	// against it: the holder's cell is exactly a lattice point, and all
+	// candidates of one decision share a single consistent rounding.
+	p.lat.Origin = n.IL
+	tc := p.lat.Nearest(target)
+	here := tc.Ring()
 	if here == 0 {
 		// Holder's cell is the target cell but the destination is not
 		// (or no longer) its associate: hand it straight over.
@@ -103,7 +108,7 @@ func (p *Plane) geoHop(pkt *packet, n *core.Node) (radio.NodeID, bool) {
 		if nn == nil || !nn.Status.IsHeadRole() {
 			continue
 		}
-		d := p.cellDistFrom(n.IL, nn.IL, target)
+		d := tc.Add(p.lat.Nearest(nn.IL).Scale(-1)).Ring()
 		e := nn.IL.Dist(target)
 		if d < here {
 			if best == radio.None || d < bestDist || (d == bestDist && (e < bestEuclid || (e == bestEuclid && nb < best))) {
@@ -123,19 +128,4 @@ func (p *Plane) geoHop(pkt *packet, n *core.Node) (radio.NodeID, bool) {
 		return detour, true
 	}
 	return radio.None, false
-}
-
-// cellDist returns the hexagonal cell distance (lattice ring count)
-// from the cell anchored at `from` to the cell containing target.
-func (p *Plane) cellDist(from, target geom.Point) int {
-	p.lat.Origin = from
-	return p.lat.Nearest(target).Ring()
-}
-
-// cellDistFrom measures the cell distance from a candidate cell center
-// to the target on a lattice anchored at the current holder's IL, so
-// all candidates of one decision share a single consistent rounding.
-func (p *Plane) cellDistFrom(anchor, candidate, target geom.Point) int {
-	p.lat.Origin = anchor
-	return p.lat.Nearest(target).Add(p.lat.Nearest(candidate).Scale(-1)).Ring()
 }

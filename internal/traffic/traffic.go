@@ -38,6 +38,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"gs3/internal/core"
@@ -45,6 +46,7 @@ import (
 	"gs3/internal/hexlat"
 	"gs3/internal/radio"
 	"gs3/internal/rng"
+	"gs3/internal/sim"
 	"gs3/internal/stats"
 )
 
@@ -81,21 +83,25 @@ func (c Config) Validate() error {
 	if c.Packets <= 0 {
 		return fmt.Errorf("traffic: Packets must be positive, got %d", c.Packets)
 	}
-	if c.Rate <= 0 {
-		return fmt.Errorf("traffic: Rate must be positive, got %v", c.Rate)
+	if !(c.Rate > 0) || math.IsInf(c.Rate, 1) {
+		return fmt.Errorf("traffic: Rate must be positive and finite, got %v", c.Rate)
 	}
-	if c.P2PFraction < 0 || c.P2PFraction > 1 {
+	if !(c.P2PFraction >= 0 && c.P2PFraction <= 1) {
 		return fmt.Errorf("traffic: P2PFraction must be in [0,1], got %v", c.P2PFraction)
 	}
 	if c.TTL < 0 || c.HopRetries < 0 || c.Drain < 0 {
 		return fmt.Errorf("traffic: negative TTL/HopRetries/Drain")
 	}
+	if math.IsNaN(c.Drain) || math.IsInf(c.Drain, 1) {
+		return fmt.Errorf("traffic: Drain must be finite, got %v", c.Drain)
+	}
 	return nil
 }
 
-// packet is one in-flight datagram. Packets are pooled: finish/drop
-// return them to the free list, so steady-state generation reuses a
-// small working set instead of allocating per packet.
+// packet is one in-flight datagram. Packets live in the plane's dense
+// packets slice, addressed by index, and finish/drop return the index
+// to the free list, so steady-state generation reuses a small working
+// set instead of allocating per packet.
 type packet struct {
 	p2p      bool
 	src, dst radio.NodeID // dst is the big node for convergecast
@@ -173,23 +179,32 @@ type Plane struct {
 	cfg Config
 	src *rng.Source
 
-	lat      hexlat.Lattice // origin re-anchored per cell-distance query
+	lat      hexlat.Lattice // origin re-anchored per routing decision
 	maxRange float64
 	hb       float64
 
 	rep       Report
 	latencies []float64
 	hopsSum   uint64
-	forwards  map[radio.NodeID]uint64
+	forwards  []uint64 // successful head-role sends, by node ID
+
+	// packets holds every packet the plane has made; an index into it
+	// is the payload of the packet's hop events, and free lists the
+	// indices of finished packets for reuse.
+	packets []packet
+	free    []int32
+	hop     sim.Kind // one hop or retry of the packet in the payload
+	gen     sim.Kind // the generator's next arrival
 
 	inflight int
 	stopped  bool
-	free     []*packet
 }
 
 // New builds a plane over nw. src feeds the load generator and must be
 // a dedicated source (fork it from the trial's stream); the plane owns
-// it afterwards. Defaults are applied here; see Config.
+// it afterwards. Defaults are applied here; see Config. The plane
+// registers its two event kinds on nw's engine, so the network keeps
+// it reachable for as long as the network lives.
 func New(nw *core.Network, cfg Config, src *rng.Source) (*Plane, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -207,7 +222,7 @@ func New(nw *core.Network, cfg Config, src *rng.Source) (*Plane, error) {
 	if cfg.Drain == 0 {
 		cfg.Drain = 20 * hb
 	}
-	return &Plane{
+	p := &Plane{
 		nw:        nw,
 		cfg:       cfg,
 		src:       src,
@@ -215,8 +230,12 @@ func New(nw *core.Network, cfg Config, src *rng.Source) (*Plane, error) {
 		maxRange:  nw.Medium().Params().MaxRange,
 		hb:        hb,
 		latencies: make([]float64, 0, cfg.Packets),
-		forwards:  make(map[radio.NodeID]uint64),
-	}, nil
+		forwards:  make([]uint64, len(nw.SortedIDs())),
+	}
+	eng := nw.Engine()
+	p.hop = eng.Register(func(i int32) { p.step(i) })
+	p.gen = eng.Register(func(int32) { p.genFire() })
+	return p, nil
 }
 
 // Start schedules the first packet arrival on the engine. The caller
@@ -283,12 +302,12 @@ func (p *Plane) Report() Report {
 		r.LatencyP999 = stats.Percentile(sorted, 99.9)
 		r.LatencyMax = sorted[len(sorted)-1]
 	}
-	r.HeadsUsed = len(p.forwards)
 	var maxFwd uint64
 	for _, f := range p.forwards {
-		if f > maxFwd {
-			maxFwd = f
+		if f > 0 {
+			r.HeadsUsed++
 		}
+		maxFwd = max(maxFwd, f)
 	}
 	r.MaxHeadForwards = float64(maxFwd)
 	if r.HeadsUsed > 0 {
@@ -305,7 +324,7 @@ func (p *Plane) scheduleArrival() {
 	if p.GenerationDone() {
 		return
 	}
-	p.nw.Engine().After(p.src.Exp(1/p.cfg.Rate), p.genFire)
+	p.nw.Engine().After(p.src.Exp(1/p.cfg.Rate), p.gen, 0)
 }
 
 // genFire emits one packet and reschedules itself.
@@ -337,13 +356,15 @@ func (p *Plane) emit() {
 			return
 		}
 	}
-	pkt := p.newPacket()
-	pkt.p2p = p2p
-	pkt.src, pkt.dst = src, dst
-	pkt.holder, pkt.prev = src, radio.None
-	pkt.born = p.nw.Engine().Now()
+	i := p.newPacket()
+	p.packets[i] = packet{
+		p2p: p2p,
+		src: src, dst: dst,
+		holder: src, prev: radio.None,
+		born: p.nw.Engine().Now(),
+	}
 	p.inflight++
-	p.step(pkt)
+	p.step(i)
 }
 
 // pickNode draws a uniformly random alive small node other than
@@ -362,60 +383,71 @@ func (p *Plane) pickNode(exclude radio.NodeID) radio.NodeID {
 	return radio.None
 }
 
-// newPacket takes a packet from the pool (or allocates one).
-func (p *Plane) newPacket() *packet {
+// newPacket returns the index of a free packet slot, appending one when
+// none is free.
+func (p *Plane) newPacket() int32 {
 	if n := len(p.free); n > 0 {
-		pkt := p.free[n-1]
+		i := p.free[n-1]
 		p.free = p.free[:n-1]
-		*pkt = packet{}
-		return pkt
+		return i
 	}
-	return &packet{}
+	p.packets = append(p.packets, packet{})
+	return int32(len(p.packets) - 1)
 }
 
-// step advances pkt by one hop: delivered check, route lookup, and one
-// radio send. It runs as an engine event at each hop arrival (and at
-// each retry), so healing actions interleave between hops.
-func (p *Plane) step(pkt *packet) {
+// step advances packet i by one hop: delivered check, route lookup, and
+// one radio send. It runs as an engine event at each hop arrival (and
+// at each retry), so healing actions interleave between hops.
+func (p *Plane) step(i int32) {
 	if p.stopped {
 		return
 	}
+	pkt := &p.packets[i]
 	if p.arrived(pkt) {
-		p.deliver(pkt)
+		p.deliver(i)
 		return
 	}
 	if pkt.p2p && !p.nw.Alive(pkt.dst) {
-		p.drop(pkt, &p.rep.LostNoRoute)
+		p.drop(i, &p.rep.LostNoRoute)
 		return
 	}
 	if pkt.hops >= p.cfg.TTL {
-		p.drop(pkt, &p.rep.LostTTL)
+		p.drop(i, &p.rep.LostTTL)
 		return
 	}
 	if !p.nw.Alive(pkt.holder) {
 		// The node carrying the packet died: the packet died with it.
-		p.drop(pkt, &p.rep.LostHopFail)
+		p.drop(i, &p.rep.LostHopFail)
 		return
 	}
 	next, ok := p.nextHop(pkt)
 	if !ok {
-		p.stall(pkt, &p.rep.LostNoRoute)
+		p.stall(i, &p.rep.LostNoRoute)
 		return
 	}
 	delay, err := p.nw.Medium().Unicast(pkt.holder, next, p.maxRange)
 	if err != nil {
-		p.stall(pkt, &p.rep.LostHopFail)
+		p.stall(i, &p.rep.LostHopFail)
 		return
 	}
 	if n := p.nw.Node(pkt.holder); n != nil && n.Status.IsHeadRole() {
-		p.forwards[pkt.holder]++
-		p.rep.Forwards++
+		p.countForward(pkt.holder)
 	}
 	pkt.prev = pkt.holder
 	pkt.holder = next
 	pkt.hops++
 	pkt.attempts = 0
-	p.nw.Engine().After(delay, func() { p.step(pkt) })
+	p.nw.Engine().After(delay, p.hop, i)
+}
+
+// countForward credits one successful send to head id, growing the
+// per-node counters for nodes that joined after New.
+func (p *Plane) countForward(id radio.NodeID) {
+	if n := int(id) + 1; n > len(p.forwards) {
+		p.forwards = slices.Grow(p.forwards, n-len(p.forwards))[:n]
+	}
+	p.forwards[id]++
+	p.rep.Forwards++
 }
 
 // arrived reports whether pkt sits at its destination. Convergecast
@@ -428,37 +460,40 @@ func (p *Plane) arrived(pkt *packet) bool {
 	return pkt.holder == p.nw.BigID() || pkt.holder == p.nw.RootHead()
 }
 
-// stall retries the current hop after half a heartbeat interval, or
-// drops the packet into lost once the attempt budget is spent.
-func (p *Plane) stall(pkt *packet, lost *uint64) {
+// stall retries packet i's current hop after half a heartbeat
+// interval, or drops the packet into lost once the attempt budget is
+// spent.
+func (p *Plane) stall(i int32, lost *uint64) {
+	pkt := &p.packets[i]
 	pkt.attempts++
 	if pkt.attempts > p.cfg.HopRetries {
-		p.drop(pkt, lost)
+		p.drop(i, lost)
 		return
 	}
 	p.rep.Retries++
-	p.nw.Engine().After(p.hb/2, func() { p.step(pkt) })
+	p.nw.Engine().After(p.hb/2, p.hop, i)
 }
 
-// deliver finalizes a delivered packet.
-func (p *Plane) deliver(pkt *packet) {
+// deliver finalizes delivered packet i.
+func (p *Plane) deliver(i int32) {
+	pkt := &p.packets[i]
 	p.rep.Delivered++
 	p.latencies = append(p.latencies, p.nw.Engine().Now()-pkt.born)
 	p.hopsSum += uint64(pkt.hops)
 	if h := float64(pkt.hops); h > p.rep.MaxHops {
 		p.rep.MaxHops = h
 	}
-	p.release(pkt)
+	p.release(i)
 }
 
-// drop finalizes a lost packet against the given loss counter.
-func (p *Plane) drop(pkt *packet, lost *uint64) {
+// drop finalizes lost packet i against the given loss counter.
+func (p *Plane) drop(i int32, lost *uint64) {
 	*lost++
-	p.release(pkt)
+	p.release(i)
 }
 
-// release returns a finished packet to the pool.
-func (p *Plane) release(pkt *packet) {
+// release returns finished packet i's slot to the free list.
+func (p *Plane) release(i int32) {
 	p.inflight--
-	p.free = append(p.free, pkt)
+	p.free = append(p.free, i)
 }

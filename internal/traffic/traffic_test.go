@@ -1,6 +1,7 @@
 package traffic_test
 
 import (
+	"math"
 	"testing"
 
 	"gs3/internal/check"
@@ -41,6 +42,13 @@ func TestConfigValidate(t *testing.T) {
 		{Packets: 10, Rate: 0},
 		{Packets: 10, Rate: 1, P2PFraction: 1.5},
 		{Packets: 10, Rate: 1, TTL: -1},
+		// Non-finite values: a NaN rate used to pass and poison the
+		// engine's clock with NaN arrival times.
+		{Packets: 10, Rate: math.NaN()},
+		{Packets: 10, Rate: math.Inf(1)},
+		{Packets: 10, Rate: 1, P2PFraction: math.NaN()},
+		{Packets: 10, Rate: 1, Drain: math.NaN()},
+		{Packets: 10, Rate: 1, Drain: math.Inf(1)},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
