@@ -67,10 +67,11 @@ traffic-smoke:
 	$(GO) run ./cmd/gs3sim -region 300 -r 50 -sweeps 15 -packets 20000 -traffic-rate 500 \
 		-p2p 0.3 -loss 0.1 -blackout-rate 0.01 -churn 20 -seed 4 -q
 
-# Event-engine churn smoke: a million-event schedule/cancel/fire
-# mix (sliding-window churn plus a wide 300k-pending drain) under the
-# race detector, asserting exact (At, seq) fire order and live-event
-# accounting throughout. The scale gate for the event engine.
+# Event-engine churn smoke: a million-event schedule/fire churn
+# (a sliding ~100k-pending window plus a wide 300k-pending drain) under
+# the race detector, asserting exact (At, seq) fire order and
+# pending-event accounting throughout. The scale gate for the event
+# engine.
 engine-smoke:
 	GS3_ENGINE_SMOKE=1 $(GO) test -race -run TestEngineSmokeMillionEvents -v ./internal/sim
 

@@ -10,16 +10,18 @@ import (
 	"testing"
 )
 
-// TestDocComments is the doc-comment lint pass over every package
-// under internal/: each exported symbol must carry a doc comment. The
-// concurrency model depends on the thread-safety contracts this godoc
-// states — the single-goroutine event engine, the node store, the
-// runner's fan-out — and every other package follows the same rule.
+// TestDocComments is the doc-comment lint pass over the public gs3
+// package, both commands and every package under internal/: each
+// exported symbol must carry a doc comment. The concurrency model
+// depends on the thread-safety contracts this godoc states — the
+// single-goroutine event engine, the node store, the runner's fan-out
+// — and every other package follows the same rule.
 func TestDocComments(t *testing.T) {
 	dirs, err := filepath.Glob("internal/*")
 	if err != nil {
 		t.Fatal(err)
 	}
+	dirs = append(dirs, ".", "cmd/gs3sim", "cmd/gs3bench")
 	for _, dir := range dirs {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {

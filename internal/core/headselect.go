@@ -74,15 +74,11 @@ type Ranked struct {
 	A    float64 // signed angle (clockwise negative)
 }
 
-// rankKeyLess implements the paper's lexicographic order ⟨d, |A|, A⟩,
-// with node ID as a final deterministic tie-break (two nodes at the
-// exact same position are not distinguishable geometrically).
-func rankKeyLess(a, b Ranked) bool {
-	return rankKeyCmp(a, b) < 0
-}
-
-// rankKeyCmp is rankKeyLess as a three-way comparison for slices.SortFunc.
-// The key is total (ID breaks every tie), so the sort is deterministic.
+// rankKeyCmp compares two candidates in the paper's lexicographic order
+// ⟨d, |A|, A⟩, with node ID as a final deterministic tie-break (two
+// nodes at the exact same position are not distinguishable
+// geometrically). It is a three-way comparison for slices.SortFunc;
+// the key is total (ID breaks every tie), so the sort is deterministic.
 func rankKeyCmp(a, b Ranked) int {
 	switch {
 	case a.D != b.D:

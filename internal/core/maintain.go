@@ -6,7 +6,6 @@ import (
 	"gs3/internal/geom"
 	"gs3/internal/hexlat"
 	"gs3/internal/radio"
-	"gs3/internal/sim"
 	"gs3/internal/trace"
 )
 
@@ -59,19 +58,16 @@ func (nw *Network) StartMaintenance(v Variant) {
 	}
 }
 
-// StopMaintenance stops the sweep loop and cancels every queued sweep
-// batch's event, so the engine's Pending count drops by them at once.
+// StopMaintenance stops the sweep loop. It empties every queued sweep
+// batch, so the batch's event still fires, as a no-op: it sweeps
+// nobody, even after a restart that schedules the same nodes again.
 func (nw *Network) StopMaintenance() {
 	nw.maintaining = false
 	nw.med.SetSendHook(nil)
-	for _, b := range nw.pending {
-		b.handle.Cancel()
-		nw.recycleBatch(b)
-	}
-	nw.pending = nw.pending[:0]
 	nw.lastBatch = nil
-	for at := range nw.batches {
-		delete(nw.batches, at)
+	clear(nw.batches)
+	for _, b := range nw.batchByID {
+		b.ids = b.ids[:0]
 	}
 }
 
@@ -101,12 +97,10 @@ func (nw *Network) scheduleSweep(id radio.NodeID, delay float64) {
 		b.at = at
 		nw.batches[at] = b // seals any previous batch for this time
 		nw.lastBatch = b
-		b.handle = nw.eng.After(delay, nw.kinds.sweep, b.id)
+		nw.eng.After(delay, nw.kinds.sweep, b.id)
 		nw.batchEvents++
 		b.seqMark = nw.eng.Scheduled()
 		b.evMark = nw.batchEvents
-		b.idx = len(nw.pending)
-		nw.pending = append(nw.pending, b)
 	}
 	b.ids = append(b.ids, id)
 }
@@ -123,12 +117,12 @@ func (nw *Network) runSweepBatch(b *sweepBatch) {
 	if nw.lastBatch == b {
 		nw.lastBatch = nil
 	}
-	nw.unpend(b)
 	for _, id := range b.ids {
 		nw.sweep(id)
 	}
 	nw.creditReplays()
-	nw.recycleBatch(b)
+	b.ids = b.ids[:0]
+	nw.batchFree = append(nw.batchFree, b)
 }
 
 // creditReplays adds every replay counted since the last credit to the
@@ -149,18 +143,6 @@ func (nw *Network) creditReplays() {
 	t.due = t.due[:0]
 }
 
-// unpend swap-removes b from the pending list.
-func (nw *Network) unpend(b *sweepBatch) {
-	last := len(nw.pending) - 1
-	if b.idx < last {
-		moved := nw.pending[last]
-		nw.pending[b.idx] = moved
-		moved.idx = b.idx
-	}
-	nw.pending[last] = nil
-	nw.pending = nw.pending[:last]
-}
-
 func (nw *Network) newBatch() *sweepBatch {
 	if n := len(nw.batchFree); n > 0 {
 		b := nw.batchFree[n-1]
@@ -170,16 +152,6 @@ func (nw *Network) newBatch() *sweepBatch {
 	b := &sweepBatch{id: int32(len(nw.batchByID))}
 	nw.batchByID = append(nw.batchByID, b)
 	return b
-}
-
-func (nw *Network) recycleBatch(b *sweepBatch) {
-	b.ids = b.ids[:0]
-	b.at = 0
-	b.handle = sim.Handle{}
-	b.seqMark = 0
-	b.evMark = 0
-	b.idx = -1
-	nw.batchFree = append(nw.batchFree, b)
 }
 
 // sweep is one maintenance round at node id: heartbeat exchange,

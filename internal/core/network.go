@@ -104,12 +104,9 @@ type Network struct {
 	// a shared instant is exactly the per-event order (see
 	// scheduleSweep). lastBatch is the most recently opened batch, the
 	// one a draining batch's reschedules land in, checked before the
-	// map. pending tracks every undrained batch (open or sealed) so
-	// StopMaintenance can cancel it, and batchFree recycles drained
-	// ones.
+	// map. batchFree recycles drained batches.
 	batches     map[sim.Time]*sweepBatch
 	lastBatch   *sweepBatch
-	pending     []*sweepBatch
 	batchFree   []*sweepBatch
 	batchEvents uint64
 
@@ -140,16 +137,13 @@ type Network struct {
 // the batch's own event went in: an append is only legal while every
 // scheduling since has been another batch's creation — a batch for a
 // different fire time cannot interleave at this one's instant, but any
-// other event might, and seals the batch. idx is the batch's position
-// in the network's pending list, and id its index in batchByID, the
-// payload of its sweep event.
+// other event might, and seals the batch. id is the batch's index in
+// batchByID, the payload of its sweep event.
 type sweepBatch struct {
 	ids     []radio.NodeID
 	at      sim.Time
-	handle  sim.Handle
 	seqMark uint64
 	evMark  uint64
-	idx     int
 	id      int32
 }
 

@@ -60,7 +60,7 @@ func TestRankingTotalOrder(t *testing.T) {
 				return false
 			}
 			seen[r.ID] = true
-			if i > 0 && rankKeyLess(r, ranked[i-1]) {
+			if i > 0 && rankKeyCmp(r, ranked[i-1]) < 0 {
 				return false // out of order
 			}
 		}

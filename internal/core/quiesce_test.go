@@ -9,36 +9,69 @@ import (
 	"gs3/internal/rng"
 )
 
-// TestStopMaintenanceDrainsEngine pins that StopMaintenance eagerly
-// cancels every queued sweep batch's event, so the engine reports
-// nothing pending once the sweeps are stopped. Under delay jitter
-// every node draws its own fire time and so sweeps in a one-node
+// stopDrains stops maintenance on nw and runs two heartbeats: the
+// queued sweep events fire as no-ops, so no sweep runs and the engine
+// drains. A bounded run, because Run(0) never returns if the stop
+// leaves the sweep loop running.
+func stopDrains(t *testing.T, nw *Network, leg string) {
+	t.Helper()
+	bodies, replays := nw.SweepWork()
+	nw.StopMaintenance()
+	runSweeps(nw, 2)
+	if b, r := nw.SweepWork(); b != bodies || r != replays {
+		t.Errorf("%s: %d bodies and %d replays ran after StopMaintenance, want 0",
+			leg, b-bodies, r-replays)
+	}
+	if got := nw.Engine().Pending(); got != 0 {
+		t.Errorf("%s: Engine().Pending() = %d two heartbeats after StopMaintenance, want 0", leg, got)
+	}
+}
+
+// restartSweeps restarts maintenance on nw and returns how many sweeps,
+// bodies plus replays, its first heartbeat runs.
+func restartSweeps(nw *Network) uint64 {
+	bodies, replays := nw.SweepWork()
+	nw.StartMaintenance(VariantD)
+	runSweeps(nw, 1)
+	b, r := nw.SweepWork()
+	return b - bodies + r - replays
+}
+
+// TestStopMaintenanceDrainsEngine pins StopMaintenance's contract. The
+// engine cannot cancel, so every queued sweep batch is emptied and its
+// event fires as a no-op: a stop drains the engine without a sweep, and
+// a restart while those stale events are still queued sweeps exactly as
+// a restart from a drained engine, never a node twice. Under delay
+// jitter every node draws its own fire time and so sweeps in a one-node
 // batch, which the same stop drains.
 func TestStopMaintenanceDrainsEngine(t *testing.T) {
 	nw, _ := configureDynamic(t, 300)
 	runSweeps(nw, 3)
-	if nw.Engine().Pending() == 0 {
-		t.Fatal("expected queued sweep events while maintaining")
+	stopDrains(t, nw, "stop")
+	want := restartSweeps(nw)
+	alive := 0
+	for _, id := range nw.SortedIDs() {
+		if nw.Alive(id) {
+			alive++
+		}
 	}
-	nw.StopMaintenance()
-	if got := nw.Engine().Pending(); got != 0 {
-		t.Fatalf("Engine().Pending() = %d after StopMaintenance, want 0", got)
-	}
-	if len(nw.pending) != 0 || len(nw.batches) != 0 {
-		t.Fatalf("batch bookkeeping not cleared: pending=%d batches=%d",
-			len(nw.pending), len(nw.batches))
-	}
-	// Restart must work from the drained state.
-	nw.StartMaintenance(VariantD)
-	if nw.Engine().Pending() == 0 {
-		t.Fatal("restart scheduled nothing")
-	}
-	runSweeps(nw, 2)
-	nw.StopMaintenance()
-	if got := nw.Engine().Pending(); got != 0 {
-		t.Fatalf("Engine().Pending() = %d after second stop, want 0", got)
+	if want < uint64(alive) {
+		t.Fatalf("restart from a drained engine ran %d sweeps in its first heartbeat, want at least one per alive node (%d)",
+			want, alive)
 	}
 
+	stale, _ := configureDynamic(t, 300)
+	runSweeps(stale, 3)
+	stale.StopMaintenance()
+	if stale.Engine().Pending() == 0 {
+		t.Fatal("expected stale sweep events still queued right after StopMaintenance")
+	}
+	if got := restartSweeps(stale); got != want {
+		t.Errorf("restart with stale sweep events queued ran %d sweeps in its first heartbeat, want %d as from a drained engine",
+			got, want)
+	}
+
+	stopDrains(t, nw, "stop after restart")
 	inj, err := fault.NewInjector(fault.Plan{Jitter: 0.2}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
@@ -46,20 +79,10 @@ func TestStopMaintenanceDrainsEngine(t *testing.T) {
 	nw.SetFaults(inj)
 	nw.StartMaintenance(VariantD)
 	runSweeps(nw, 2)
-	alive := 0
-	for _, id := range nw.SortedIDs() {
-		if nw.Alive(id) {
-			alive++
-		}
+	if got := nw.Engine().Pending(); got != alive {
+		t.Fatalf("jittered sweeps: %d pending events, want one per alive node (%d)", got, alive)
 	}
-	if len(nw.pending) != alive || nw.Engine().Pending() != alive {
-		t.Fatalf("jittered sweeps: %d batches, %d pending events, want one per alive node (%d)",
-			len(nw.pending), nw.Engine().Pending(), alive)
-	}
-	nw.StopMaintenance()
-	if got := nw.Engine().Pending(); got != 0 {
-		t.Fatalf("Engine().Pending() = %d after stopping jittered sweeps, want 0", got)
-	}
+	stopDrains(t, nw, "jittered stop")
 }
 
 // TestQuiescentSweepZeroAllocs pins the steady-state fast path at zero

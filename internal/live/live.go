@@ -89,7 +89,7 @@ func (r *router) broadcast(from radio.NodeID, radius float64, m message) int {
 			continue
 		}
 		if n.pos.Dist(src.pos) <= radius {
-			n.inbox <- m
+			n.inbox.put(m)
 			count++
 		}
 	}
@@ -102,7 +102,7 @@ func (r *router) unicast(to radio.NodeID, m message) {
 	n := r.nodes[to]
 	r.mu.Unlock()
 	if n != nil {
-		n.inbox <- m
+		n.inbox.put(m)
 	}
 }
 
@@ -130,6 +130,53 @@ func (r *router) release(id radio.NodeID) {
 	r.resMu.Unlock()
 }
 
+// mailbox is a node's inbox. put never blocks, so the router can
+// deliver a broadcast to every node in range while it holds its lock,
+// and the queue's memory follows the messages actually sent rather than
+// the size of the network. Only the owning node takes messages out.
+type mailbox struct {
+	mu   sync.Mutex
+	msgs []message
+	wake chan struct{} // 1-buffered: a put leaves a token for a waiting get
+}
+
+func newMailbox() *mailbox {
+	return &mailbox{wake: make(chan struct{}, 1)}
+}
+
+// put queues m and wakes the owner if it waits.
+func (b *mailbox) put(m message) {
+	b.mu.Lock()
+	b.msgs = append(b.msgs, m)
+	b.mu.Unlock()
+	select {
+	case b.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
+}
+
+// tryGet takes the oldest queued message, if there is one.
+func (b *mailbox) tryGet() (message, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.msgs) == 0 {
+		return message{}, false
+	}
+	m := b.msgs[0]
+	b.msgs = b.msgs[1:]
+	return m, true
+}
+
+// get takes the oldest queued message, waiting for one if none is.
+func (b *mailbox) get() message {
+	for {
+		if m, ok := b.tryGet(); ok {
+			return m
+		}
+		<-b.wake
+	}
+}
+
 // knownHead is a head a small node has heard about.
 type knownHead struct {
 	pos geom.Point
@@ -142,7 +189,7 @@ type liveNode struct {
 	pos   geom.Point
 	isBig bool
 
-	inbox chan message
+	inbox *mailbox
 
 	// head state (set when selected)
 	head     bool
@@ -203,7 +250,7 @@ func Run(cfg core.Config, dep field.Deployment) (Result, error) {
 			id:    radio.NodeID(i),
 			pos:   p,
 			isBig: i == 0,
-			inbox: make(chan message, 4*dep.N()+64),
+			inbox: newMailbox(),
 			heads: make(map[radio.NodeID]knownHead),
 		}
 		nodes[i] = n
@@ -224,9 +271,9 @@ func Run(cfg core.Config, dep field.Deployment) (Result, error) {
 	big.parentIL = big.pos
 	big.parent = big.id
 	big.hops = 0
-	big.inbox <- message{Kind: msgHeadSet, From: big.id,
+	big.inbox.put(message{Kind: msgHeadSet, From: big.id,
 		Selected: []selection{{ID: big.id, IL: big.pos}},
-		HeadPos:  big.pos, HeadIL: big.pos}
+		HeadPos:  big.pos, HeadIL: big.pos})
 
 	var wg sync.WaitGroup
 	for _, n := range nodes {
@@ -248,7 +295,7 @@ func Run(cfg core.Config, dep field.Deployment) (Result, error) {
 	// Shut everyone down and collect reports.
 	reports := make(chan Report, dep.N())
 	for _, n := range nodes {
-		n.inbox <- message{Kind: msgShutdown}
+		n.inbox.put(message{Kind: msgShutdown})
 	}
 	wg.Wait()
 	for _, n := range nodes {
@@ -304,7 +351,7 @@ func (n *liveNode) next() message {
 		n.pending = n.pending[1:]
 		return m
 	}
-	return <-n.inbox
+	return n.inbox.get()
 }
 
 // noteHeadSet records every head announced in a HeadSet for the final
@@ -333,18 +380,17 @@ func (n *liveNode) headOrg(cfg core.Config, r *router, completions chan<- int) {
 	// Acquire the channel reservation, serving org requests from peers
 	// in the meantime (they hold reservations and wait on our reply).
 	for !r.tryReserve(n.id, n.il, radius) {
-		select {
-		case m := <-n.inbox:
-			if m.Kind == msgOrg {
-				r.unicast(m.From, message{
-					Kind: msgOrgReply, From: n.id, OrgID: m.OrgID,
-					Pos: n.pos, IsHead: true, IL: n.il,
-				})
-			} else {
-				n.pending = append(n.pending, m)
-			}
-		default:
+		m, ok := n.inbox.tryGet()
+		switch {
+		case !ok:
 			runtime.Gosched()
+		case m.Kind == msgOrg:
+			r.unicast(m.From, message{
+				Kind: msgOrgReply, From: n.id, OrgID: m.OrgID,
+				Pos: n.pos, IsHead: true, IL: n.il,
+			})
+		default:
+			n.pending = append(n.pending, m)
 		}
 	}
 	defer r.release(n.id)
@@ -361,7 +407,7 @@ func (n *liveNode) headOrg(cfg core.Config, r *router, completions chan<- int) {
 	}
 	replies := make([]resp, 0, count)
 	for len(replies) < count {
-		m := <-n.inbox
+		m := n.inbox.get()
 		if m.Kind == msgOrgReply && m.OrgID == orgID {
 			replies = append(replies, resp{m.From, m.Pos, m.IsHead, m.IL})
 			continue

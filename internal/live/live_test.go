@@ -1,6 +1,7 @@
 package live
 
 import (
+	"runtime"
 	"testing"
 
 	"gs3/internal/core"
@@ -19,6 +20,34 @@ func liveDeployment(t *testing.T, regionRadius float64) (core.Config, field.Depl
 		t.Fatal(err)
 	}
 	return cfg, dep
+}
+
+// TestRunAllocsPerNode pins live.Run's memory to the messages actually
+// sent. Each node's inbox used to be a channel buffered for 4N+64
+// messages, O(N²) bytes in all: 1,578 MB, ~880 KB per node, on this
+// 1,794-node field. The mailboxes total 6.0–6.5 KB per node here, with
+// and without the race detector; the budget leaves room for scheduling
+// variation, not for a buffer that grows with N.
+func TestRunAllocsPerNode(t *testing.T) {
+	cfg := core.DefaultConfig(50)
+	dep, err := field.Grid(250, cfg.Rt*0.9, 0.15, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dep.N() != 1794 {
+		t.Fatalf("field has %d nodes, want 1794", dep.N())
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg, dep); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 32 << 10 // bytes per node
+	if perNode := (after.TotalAlloc - before.TotalAlloc) / uint64(dep.N()); perNode > budget {
+		t.Errorf("Run allocated %d B per node, budget %d", perNode, budget)
+	}
 }
 
 func TestRunEmptyDeployment(t *testing.T) {

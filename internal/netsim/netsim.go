@@ -283,7 +283,7 @@ type DisasterRecord struct {
 // randomness and a zero-disaster run is byte-identical to one that
 // never called this. An At in the past or not finite is an error.
 func (s *Sim) ScheduleDisaster(d Disaster) error {
-	if _, err := s.Net.Engine().At(d.At, s.disasterKind, int32(len(s.disasters))); err != nil {
+	if err := s.Net.Engine().At(d.At, s.disasterKind, int32(len(s.disasters))); err != nil {
 		return fmt.Errorf("netsim: disaster: %w", err)
 	}
 	s.disasters = append(s.disasters, d)
@@ -340,16 +340,6 @@ func (s *Sim) CorruptDisk(c geom.Point, radius float64, kind core.CorruptionKind
 }
 
 // ---- Measurement ----
-
-// HeadSet returns the set of current head IDs.
-func (s *Sim) HeadSet() map[radio.NodeID]bool {
-	snap := s.Net.Snapshot()
-	out := make(map[radio.NodeID]bool, len(snap.Nodes))
-	for _, h := range snap.Heads() {
-		out[h.ID] = true
-	}
-	return out
-}
 
 // StructureDiff compares the current head set and parent assignments
 // against a snapshot taken earlier and returns the IDs of heads whose

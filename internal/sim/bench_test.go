@@ -5,12 +5,11 @@ import "testing"
 // The engine benchmarks model the shapes the harness actually produces:
 // a large standing population of timers at a small set of regular
 // deltas (maintenance heartbeats, radio deliveries), churned by
-// schedule/cancel/fire cycles. EXPERIMENTS.md records their numbers
-// for each engine the repo has had. They are timing references, not
-// gates: the engine's exact contract is pinned by
-// TestEngineMatchesHeapRef and TestEngineSteadyStateZeroAllocs, and
-// events per workload by the pin tests in the root package's
-// bench_test.go.
+// schedule/fire cycles. EXPERIMENTS.md records their numbers for each
+// engine the repo has had. They are timing references, not gates: the
+// engine's exact contract is pinned by TestEngineMatchesHeapRef and
+// TestEngineSteadyStateZeroAllocs, and events per workload by the pin
+// tests in the root package's bench_test.go.
 
 // BenchmarkEngineSchedule is the steady-state schedule+fire cycle: a
 // warmed queue of pending events at the workload's regular deltas, each
@@ -32,55 +31,23 @@ func BenchmarkEngineSchedule(b *testing.B) {
 }
 
 // BenchmarkEngineSteadyChurn is the maintenance-era mix: every
-// iteration queues a heartbeat and a retry, cancels the retry again,
-// and fires one event, so the live population stays constant while
-// canceled events stream through the queue.
+// iteration queues a heartbeat and a retry and fires two events, so the
+// population stays constant while retries, which find nothing left to
+// do, stream through the queue as no-ops.
 func BenchmarkEngineSteadyChurn(b *testing.B) {
 	e := NewEngine()
 	nop := nopKind(e)
 	const ring = 4096
-	handles := make([]Handle, ring)
-	for i := range handles {
-		handles[i] = e.After(1+float64(i%17)/17, nop, 0)
+	for i := 0; i < ring; i++ {
+		e.After(1+float64(i%17)/17, nop, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % ring
-		retry := e.After(1+float64(j%17)/17, nop, 0)
-		handles[j] = e.After(1+float64(j%17)/17, nop, 0)
-		retry.Cancel()
+		d := 1 + float64(i%ring%17)/17
+		e.After(d, nop, 0) // retry
+		e.After(d, nop, 0) // heartbeat
 		e.Step()
-	}
-}
-
-// BenchmarkEngineRunUntilCanceled drains a queue that is 90% canceled
-// events through RunUntil — the StopMaintenance/retry-suppression
-// shape. RunUntil peeks at the heap's top and pops that same entry,
-// one scan per fired event.
-func BenchmarkEngineRunUntilCanceled(b *testing.B) {
-	handles := make([]Handle, 0, 10000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := NewEngine()
-		nop := nopKind(e)
-		handles = handles[:0]
-		for k := 0; k < 10000; k++ {
-			h, err := e.At(float64(k)/100, nop, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			handles = append(handles, h)
-		}
-		for k, h := range handles {
-			if k%10 != 0 {
-				h.Cancel()
-			}
-		}
-		b.StartTimer()
-		if fired := e.RunUntil(100); fired != 1000 {
-			b.Fatalf("fired %d events, want 1000", fired)
-		}
+		e.Step()
 	}
 }

@@ -19,29 +19,16 @@
 // scheduling allocates nothing once the heap has reached its steady
 // capacity.
 //
-// # Handles
-//
-// A Handle is its event's key (at, seq). Entries leave the heap —
-// fired, or canceled and drained — in strictly increasing key order,
-// and an event scheduled later always has a larger key than every
-// entry already popped: At rejects times before Now, seq only grows,
-// and no call leaves a drained entry ahead of the clock (see next). So
-// an event is gone exactly when its key is at or before the last key
-// popped, and a Handle needs nothing but its key to tell. Cancel is lazy: it records the seq in a
-// set and Pending drops at once, and the entry is drained when it
-// reaches the top. The pop path consults the set only while it is
-// non-empty.
-//
 // # Concurrency
 //
-// The engine is deliberately single-threaded: an Engine, the handlers
-// it calls, and every Handle it hands out must be owned by exactly one
-// goroutine for the engine's whole lifetime. Nothing in this package
-// locks, and nothing may be shared. Determinism depends on this — a
-// second goroutine touching the queue would make the event order (and
-// therefore every simulation result) scheduling-dependent. Parallelism
-// lives one level up: run many engines, one per independent trial,
-// each on its own goroutine (see internal/runner).
+// The engine is deliberately single-threaded: an Engine and the
+// handlers it calls must be owned by exactly one goroutine for the
+// engine's whole lifetime. Nothing in this package locks, and nothing
+// may be shared. Determinism depends on this — a second goroutine
+// touching the queue would make the event order (and therefore every
+// simulation result) scheduling-dependent. Parallelism lives one level
+// up: run many engines, one per independent trial, each on its own
+// goroutine (see internal/runner).
 package sim
 
 import (
@@ -72,50 +59,6 @@ func (a entry) before(b entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// Handle allows a scheduled event to be canceled before it fires. A
-// Handle is bound to its engine's goroutine: Cancel and Canceled must
-// not be called concurrently with the engine running. A Handle is the
-// event's key (see the package comment), so holding one after its
-// event fired is harmless.
-type Handle struct {
-	e   *Engine
-	at  Time
-	seq uint64
-}
-
-// gone reports whether h's event has left the queue: fired, or
-// canceled and drained.
-func (h Handle) gone() bool {
-	return !h.e.last.before(entry{at: h.at, seq: h.seq})
-}
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event, or the zero Handle, is a no-op.
-func (h Handle) Cancel() {
-	e := h.e
-	if e == nil || h.gone() {
-		return
-	}
-	if _, ok := e.canceled[h.seq]; ok {
-		return
-	}
-	if e.canceled == nil {
-		e.canceled = make(map[uint64]struct{})
-	}
-	e.canceled[h.seq] = struct{}{}
-	e.live--
-}
-
-// Canceled reports whether Cancel was called on this handle and its
-// event's entry has not yet been drained from the queue.
-func (h Handle) Canceled() bool {
-	if h.e == nil {
-		return false
-	}
-	_, ok := h.e.canceled[h.seq]
-	return ok
-}
-
 // ErrEventInPast is returned by Engine.At when an event is scheduled
 // before the current virtual time.
 var ErrEventInPast = errors.New("sim: event scheduled in the past")
@@ -135,7 +78,6 @@ type Engine struct {
 	now     Time
 	nextSeq uint64
 	fired   uint64
-	live    int // scheduled, not yet fired, not canceled
 
 	// handlers maps each registered Kind to its handler.
 	handlers []func(payload int32)
@@ -143,17 +85,11 @@ type Engine struct {
 	// heap is a 4-ary min-heap under entry.before: the children of
 	// heap[i] are heap[4i+1 : 4i+5].
 	heap []entry
-
-	// last is the key of the last entry popped, fired or drained; every
-	// event at or before it is gone (see Handle). canceled holds the
-	// seqs of canceled events whose entries are still queued.
-	last     entry
-	canceled map[uint64]struct{}
 }
 
 // NewEngine returns an engine at time zero with an empty queue.
 func NewEngine() *Engine {
-	return &Engine{last: entry{at: math.Inf(-1)}}
+	return &Engine{}
 }
 
 // Register adds a kind of event whose firing calls fn with the event's
@@ -182,47 +118,41 @@ func (e *Engine) Scheduled() uint64 {
 	return e.nextSeq
 }
 
-// Pending returns the number of live events still queued: scheduled,
-// not yet fired, and not canceled. Canceled events awaiting lazy
-// removal from the queue are not counted.
+// Pending returns the number of events still queued: scheduled and not
+// yet fired.
 func (e *Engine) Pending() int {
-	return e.live
+	return len(e.heap)
 }
 
 // At schedules an event of kind k carrying payload at absolute time at.
-// It returns a Handle that can cancel the event, ErrEventInPast if at
-// precedes Now, and ErrTimeNotFinite if at is NaN or +Inf. It panics
-// if k was not registered on this engine.
-func (e *Engine) At(at Time, k Kind, payload int32) (Handle, error) {
+// It returns ErrEventInPast if at precedes Now, and ErrTimeNotFinite if
+// at is NaN or +Inf. It panics if k was not registered on this engine.
+func (e *Engine) At(at Time, k Kind, payload int32) error {
 	if at < e.now {
-		return Handle{}, ErrEventInPast
+		return ErrEventInPast
 	}
 	if math.IsNaN(at) || math.IsInf(at, 1) {
-		return Handle{}, ErrTimeNotFinite
+		return ErrTimeNotFinite
 	}
 	if uint(k) >= uint(len(e.handlers)) {
 		panic(fmt.Sprintf("sim: event kind %d is not registered", k))
 	}
-	seq := e.nextSeq
+	e.push(entry{at: at, seq: e.nextSeq, payload: payload, kind: k})
 	e.nextSeq++
-	e.live++
-	e.push(entry{at: at, seq: seq, payload: payload, kind: k})
-	return Handle{e: e, at: at, seq: seq}, nil
+	return nil
 }
 
 // After schedules an event of kind k carrying payload delay seconds
 // from now. Negative delays are clamped to zero. After has no error to
 // return and must not drop the event, so a delay that puts the event
 // at a time At rejects (NaN, infinite) panics.
-func (e *Engine) After(delay float64, k Kind, payload int32) Handle {
+func (e *Engine) After(delay float64, k Kind, payload int32) {
 	if delay < 0 {
 		delay = 0
 	}
-	h, err := e.At(e.now+delay, k, payload)
-	if err != nil {
+	if err := e.At(e.now+delay, k, payload); err != nil {
 		panic(fmt.Sprintf("sim: After(%v): %v", delay, err))
 	}
-	return h
 }
 
 // push adds ent to the heap, sifting it up past every parent it fires
@@ -273,50 +203,22 @@ func (e *Engine) pop() {
 	h[i] = last
 }
 
-// next drains canceled entries due by horizon off the top of the heap
-// and returns the top entry. ok is false when the heap is empty or a
-// canceled entry due after horizon is on top. A drain past Now keeps
-// the key order Handles rely on only if the caller fires the returned
-// entry at once, so callers that may not fire pass a horizon the clock
-// reaches before they return.
-func (e *Engine) next(horizon Time) (entry, bool) {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if len(e.canceled) == 0 {
-			return top, true
-		}
-		if _, c := e.canceled[top.seq]; !c {
-			return top, true
-		}
-		if !(top.at <= horizon) {
-			break
-		}
-		delete(e.canceled, top.seq)
-		e.pop()
-		e.last = top
-	}
-	return entry{}, false
-}
-
-// fire pops ent, the live entry next returned, advances the clock to
-// it, and calls its kind's handler.
-func (e *Engine) fire(ent entry) {
+// fire pops the heap's top entry, advances the clock to it, and calls
+// its kind's handler.
+func (e *Engine) fire() {
+	ent := e.heap[0]
 	e.pop()
-	e.last = ent
-	e.live--
 	e.now = ent.at
 	e.fired++
 	e.handlers[ent.kind](ent.payload)
 }
 
-// Step fires the next event. It returns false when no live event is
-// queued.
+// Step fires the next event. It returns false when no event is queued.
 func (e *Engine) Step() bool {
-	if e.live == 0 {
+	if len(e.heap) == 0 {
 		return false
 	}
-	ent, _ := e.next(math.Inf(1)) // a live entry is queued, so this finds it
-	e.fire(ent)
+	e.fire()
 	return true
 }
 
@@ -340,12 +242,8 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 // deadline fires nothing.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	var n uint64
-	for {
-		ent, ok := e.next(deadline)
-		if !ok || !(ent.at <= deadline) {
-			break
-		}
-		e.fire(ent)
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
+		e.fire()
 		n++
 	}
 	if e.now < deadline {
@@ -357,19 +255,8 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 // NextEventTime returns the time of the earliest pending event, or +Inf
 // if none is pending.
 func (e *Engine) NextEventTime() Time {
-	if e.live == 0 {
+	if len(e.heap) == 0 {
 		return math.Inf(1)
 	}
-	if ent, ok := e.next(e.now); ok {
-		return ent.at
-	}
-	// A canceled entry due after Now is on top. Draining it would pop
-	// a key ahead of the clock, so scan for the earliest live entry.
-	next := math.Inf(1)
-	for _, ent := range e.heap {
-		if _, c := e.canceled[ent.seq]; !c && ent.at < next {
-			next = ent.at
-		}
-	}
-	return next
+	return e.heap[0].at
 }

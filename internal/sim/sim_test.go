@@ -75,7 +75,7 @@ func TestAtInPast(t *testing.T) {
 	k := nopKind(e)
 	e.After(10, k, 0)
 	e.Run(0)
-	if _, err := e.At(5, k, 0); !errors.Is(err, ErrEventInPast) {
+	if err := e.At(5, k, 0); !errors.Is(err, ErrEventInPast) {
 		t.Errorf("err = %v, want ErrEventInPast", err)
 	}
 }
@@ -88,11 +88,11 @@ func TestAtRejectsNonFiniteTimes(t *testing.T) {
 	e := NewEngine()
 	k := nopKind(e)
 	for _, at := range []Time{math.NaN(), math.Inf(1)} {
-		if _, err := e.At(at, k, 0); !errors.Is(err, ErrTimeNotFinite) {
+		if err := e.At(at, k, 0); !errors.Is(err, ErrTimeNotFinite) {
 			t.Errorf("At(%v): err = %v, want ErrTimeNotFinite", at, err)
 		}
 	}
-	if _, err := e.At(math.Inf(-1), k, 0); !errors.Is(err, ErrEventInPast) {
+	if err := e.At(math.Inf(-1), k, 0); !errors.Is(err, ErrEventInPast) {
 		t.Errorf("At(-Inf): err = %v, want ErrEventInPast", err)
 	}
 	if e.Pending() != 0 || e.Scheduled() != 0 {
@@ -140,32 +140,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	e.Run(0)
 	if len(log) != 1 || e.Now() != 0 {
 		t.Errorf("fired=%v now=%v", log, e.Now())
-	}
-}
-
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	var log []int32
-	h := e.After(1, logKind(e, &log), 1)
-	h.Cancel()
-	if !h.Canceled() {
-		t.Error("Canceled() = false after Cancel")
-	}
-	e.Run(0)
-	if len(log) != 0 {
-		t.Error("canceled event fired")
-	}
-}
-
-func TestCancelIdempotent(t *testing.T) {
-	e := NewEngine()
-	h := e.After(1, nopKind(e), 0)
-	h.Cancel()
-	h.Cancel() // must not panic
-	var zero Handle
-	zero.Cancel() // zero handle must not panic
-	if zero.Canceled() {
-		t.Error("zero handle reports canceled")
 	}
 }
 
@@ -234,14 +208,14 @@ func TestNextEventTime(t *testing.T) {
 		t.Error("empty queue should report +Inf")
 	}
 	k := nopKind(e)
-	h := e.After(7, k, 0)
+	e.After(7, k, 0)
 	e.After(9, k, 0)
 	if e.NextEventTime() != 7 {
 		t.Errorf("NextEventTime = %v", e.NextEventTime())
 	}
-	h.Cancel()
+	e.Step()
 	if e.NextEventTime() != 9 {
-		t.Errorf("NextEventTime after cancel = %v", e.NextEventTime())
+		t.Errorf("NextEventTime after a fire = %v", e.NextEventTime())
 	}
 }
 

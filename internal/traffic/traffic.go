@@ -251,12 +251,6 @@ func (p *Plane) GenerationDone() bool {
 	return p.rep.Generated >= uint64(p.cfg.Packets)
 }
 
-// InFlight returns the number of packets generated but not yet
-// delivered or lost.
-func (p *Plane) InFlight() int {
-	return p.inflight
-}
-
 // Run drives the engine until every packet is generated, then keeps it
 // running through the drain window until the last packet lands or the
 // window closes, and returns the final report. Maintenance sweeps
