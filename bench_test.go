@@ -139,7 +139,7 @@ func TestConfigureWorkCounters(t *testing.T) {
 // BenchmarkSweepSteadyStateLarge and settles it the way perfbench's
 // maintain workload does: GS³-D to the dynamic fixpoint, then two
 // boundary-rescan cycles so both sweep-cache flavors are recorded.
-func settledLargeField(t *testing.T) *netsim.Sim {
+func settledLargeField(t testing.TB) *netsim.Sim {
 	t.Helper()
 	s, err := netsim.Build(netsim.DefaultOptions(100, 850))
 	if err != nil {
@@ -341,6 +341,52 @@ func BenchmarkInvariantCheck(b *testing.B) {
 		if r := check.Invariant(snap, check.Static); !r.OK() {
 			b.Fatal("invariant violated")
 		}
+	}
+}
+
+// BenchmarkFixpointCheck is the cost of machine-checking DF, the check
+// netsim.RunToFixpoint makes once per heartbeat, on the settled 5,179-
+// node field of the work pins and on that field one heartbeat into
+// healing a crater of one search radius.
+func BenchmarkFixpointCheck(b *testing.B) {
+	s := settledLargeField(b)
+	settled := s.Net.Snapshot()
+	s.KillDisk(geom.Point{X: 300}, s.Opt.Config.SearchRadius())
+	s.RunSweeps(1)
+	healing := s.Net.Snapshot()
+	for _, c := range []struct {
+		name string
+		snap core.Snapshot
+		ok   bool
+	}{{"settled", settled, true}, {"healing", healing, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if r := check.Fixpoint(c.snap, check.Dynamic); r.OK() != c.ok {
+					b.Fatalf("fixpoint holds: %v, want %v", r.OK(), c.ok)
+				}
+			}
+		})
+	}
+}
+
+// TestFixpointAllocBudget pins the allocations of one Fixpoint(Dynamic)
+// check of the settled 5,179-node field at 64; it makes 49. The index
+// and the F₄ search are dense arrays and grids carved in a few
+// allocations each, so the count grows only with the logarithm of the
+// field (slices appended to while a grid fills); one allocation per
+// node or per cell fails here by thousands.
+func TestFixpointAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("settles a 5,179-node field")
+	}
+	snap := settledLargeField(t).Net.Snapshot()
+	allocs := testing.AllocsPerRun(5, func() {
+		if r := check.Fixpoint(snap, check.Dynamic); !r.OK() {
+			t.Fatalf("dynamic fixpoint violated: %v", r.Violations[0])
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("Fixpoint allocates %.0f times per check, budget is 64", allocs)
 	}
 }
 

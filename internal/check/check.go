@@ -55,132 +55,146 @@ func (r *Result) addf(clause string, node radio.NodeID, format string, args ...a
 	})
 }
 
-// index provides O(1) lookups over a snapshot: ID→view resolution, the
-// head list, per-head member lists, and a head-position grid that
-// answers "which heads are near p" in output-sensitive time, so the
-// neighbor-band clauses cost O(heads) overall instead of O(heads²).
+// index holds what the clauses look up in one snapshot: the ID→position
+// table, the heads and their member lists, each head's boundary flag,
+// and a grid of head positions that answers "which heads lie within d
+// of p" in output-sensitive time, so the neighbor-band clauses cost
+// O(heads) overall instead of O(heads²).
 //
-// Node IDs are allocated densely from 0 (see radio.NodeID), so the
-// ID→view table is a flat slice rather than a map, and the member lists
-// are one counting-sorted backing array — building an index costs a
-// fixed handful of allocations instead of a few per node, which keeps
-// Invariant off the allocator on benchmark hot paths.
+// The per-node fields the clauses scan — position, status, blackout,
+// chosen head — are copied once into dense arrays, in the struct-of-
+// arrays layout of core's node store, so a pass over all nodes reads
+// a few bytes per node rather than a whole view; views are otherwise
+// read by pointer into the snapshot, never copied. Node IDs are
+// allocated densely from 0 (see radio.NodeID), so the ID→position table
+// is a flat slice, and the member lists are one counting-sorted backing
+// array: building an index costs a fixed handful of allocations, not a
+// few per node.
 type index struct {
-	snap core.Snapshot
-	// byID maps a node ID to its position in snap.Nodes (-1 if absent).
-	byID  []int32
-	heads []core.NodeView
-	// headNode[i] is the snap.Nodes index of heads[i]; headOrd[j] is the
-	// head ordinal of snap.Nodes[j] (-1 for non-heads).
-	headNode []int32
-	headOrd  []int32
+	snap  core.Snapshot
+	nodes []core.NodeView // snap.Nodes
+	// byID maps a node ID to its position in nodes (-1 if absent).
+	byID []int32
 
-	// Associates grouped by head ordinal: membersOf(i) is
-	// memberIDs[memberOff[i]:memberOff[i+1]], ascending by ID within
-	// each group (snapshot order is ascending and the counting sort is
-	// stable).
+	// Dense per-node copies, indexed by position in nodes: position,
+	// status, blackout flag, and for an associate its Head resolved:
+	// the head's ordinal, headNotHead if Head is in the snapshot but not
+	// a head, headAbsent if it is not in the snapshot. headOf is -1 for
+	// every other node.
+	pos    []geom.Point
+	status []core.Status
+	down   []bool
+	headOf []int32
+
+	// heads[o] is the position in nodes of the head with ordinal o;
+	// ordinals ascend with ID, because nodes do. headOrd maps a position
+	// back to its ordinal, -1 for non-heads.
+	heads   []int32
+	headOrd []int32
+
+	// The associates of head o are members[memberOff[o]:memberOff[o+1]],
+	// positions in nodes, ascending by ID within each head (the counting
+	// sort is stable). Associates whose Head is not a live head are in no
+	// list: the membership clauses report them.
 	memberOff []int32
-	memberIDs []radio.NodeID
+	members   []int32
 
-	// headGrid buckets head ordinals by position; cell is the bucket
-	// edge (the neighbor-band radius, so band queries scan a 3×3 ring).
-	// Bucket slices are carved from one backing array. nearBuf is the
-	// reusable result buffer of headsNear.
-	headGrid map[gridKey][]int32
-	cell     float64
-	nearBuf  []int
+	// boundary[o] reports whether head o is a boundary cell head (see
+	// checkI2, which computes it and runs before checkI3 reads it).
+	boundary []bool
 
-	// mark/markGen form an O(1)-reset visited set for the tree walks:
-	// mark[j] == markGen means snap.Nodes[j] is visited in the current
-	// walk.
+	// headGrid buckets head ordinals by position in cells as wide as the
+	// neighbor band; nearBuf is headsNear's result buffer.
+	headGrid grid
+	nearBuf  []int32
+
+	// mark/markGen form an O(1)-reset visited set over head ordinals for
+	// the tree walks: mark[o] == markGen means head o is visited in the
+	// current walk.
 	mark    []int32
 	markGen int32
 }
 
-type gridKey struct{ x, y int }
+// headOf values of associates whose Head is not a live head.
+const (
+	headNotHead = -2
+	headAbsent  = -3
+)
 
 func newIndex(s core.Snapshot) *index {
+	nodes := s.Nodes
+	n := len(nodes)
 	maxID := radio.NodeID(-1)
 	nHeads := 0
-	for i := range s.Nodes {
-		if s.Nodes[i].ID > maxID {
-			maxID = s.Nodes[i].ID
-		}
-		if s.Nodes[i].IsHead() {
+	for i := range nodes {
+		maxID = max(maxID, nodes[i].ID)
+		if nodes[i].Status.IsHeadRole() {
 			nHeads++
 		}
 	}
 	ix := &index{
 		snap:     s,
+		nodes:    nodes,
 		byID:     make([]int32, maxID+1),
-		heads:    make([]core.NodeView, 0, nHeads),
-		headNode: make([]int32, 0, nHeads),
-		headOrd:  make([]int32, len(s.Nodes)),
-		mark:     make([]int32, len(s.Nodes)),
-		cell:     s.Config.NeighborDistMax(),
+		pos:      make([]geom.Point, n),
+		status:   make([]core.Status, n),
+		down:     make([]bool, n),
+		headOf:   make([]int32, n),
+		heads:    make([]int32, 0, nHeads),
+		headOrd:  make([]int32, n),
+		boundary: make([]bool, nHeads),
+		mark:     make([]int32, nHeads),
 	}
 	for i := range ix.byID {
 		ix.byID[i] = -1
 	}
-	for j := range s.Nodes {
-		v := &s.Nodes[j]
+	headPos := make([]geom.Point, 0, nHeads)
+	for j := range nodes {
+		v := &nodes[j]
 		ix.byID[v.ID] = int32(j)
+		ix.pos[j], ix.status[j], ix.down[j] = v.Pos, v.Status, v.Blackout
+		ix.headOf[j] = int32(v.Head) // resolved below, once byID is complete
 		ix.headOrd[j] = -1
-		if v.IsHead() {
+		if v.Status.IsHeadRole() {
 			ix.headOrd[j] = int32(len(ix.heads))
-			ix.heads = append(ix.heads, *v)
-			ix.headNode = append(ix.headNode, int32(j))
+			ix.heads = append(ix.heads, int32(j))
+			headPos = append(headPos, v.Pos)
 		}
 	}
+	ix.headGrid = newGrid(s.Config.NeighborDistMax()+1e-9, headPos)
 
-	// Members: counting layout. Associates whose Head does not resolve
-	// to a live head are dropped — member lists are only ever queried
-	// for actual heads, and the membership clauses report those nodes
-	// separately.
+	// Resolve associates' heads and lay the members out by counting.
 	ix.memberOff = make([]int32, nHeads+1)
-	for j := range s.Nodes {
-		if s.Nodes[j].Status == core.StatusAssociate {
-			if ho := ix.headOrdOf(s.Nodes[j].Head); ho >= 0 {
-				ix.memberOff[ho+1]++
-			}
+	for j, h := range ix.headOf {
+		ix.headOf[j] = -1
+		if ix.status[j] != core.StatusAssociate {
+			continue
+		}
+		switch hj := ix.nodeIdx(radio.NodeID(h)); {
+		case hj < 0:
+			ix.headOf[j] = headAbsent
+		case ix.headOrd[hj] < 0:
+			ix.headOf[j] = headNotHead
+		default:
+			ix.headOf[j] = ix.headOrd[hj]
+			ix.memberOff[ix.headOrd[hj]+1]++
 		}
 	}
 	for i := 1; i <= nHeads; i++ {
 		ix.memberOff[i] += ix.memberOff[i-1]
 	}
-	ix.memberIDs = make([]radio.NodeID, ix.memberOff[nHeads])
-	cursor := make([]int32, nHeads)
-	copy(cursor, ix.memberOff[:nHeads])
-	for j := range s.Nodes {
-		if s.Nodes[j].Status == core.StatusAssociate {
-			if ho := ix.headOrdOf(s.Nodes[j].Head); ho >= 0 {
-				ix.memberIDs[cursor[ho]] = s.Nodes[j].ID
-				cursor[ho]++
-			}
+	ix.members = make([]int32, ix.memberOff[nHeads])
+	cursor := slices.Clone(ix.memberOff[:nHeads])
+	for j, ho := range ix.headOf {
+		if ho >= 0 {
+			ix.members[cursor[ho]] = int32(j)
+			cursor[ho]++
 		}
-	}
-
-	// Head grid: count per bucket first, then carve every bucket from
-	// one backing array so the fill pass never reallocates.
-	counts := make(map[gridKey]int32, nHeads)
-	for i := range ix.heads {
-		counts[ix.keyOf(ix.heads[i].Pos)]++
-	}
-	backing := make([]int32, nHeads)
-	ix.headGrid = make(map[gridKey][]int32, len(counts))
-	n := int32(0)
-	for k, c := range counts {
-		ix.headGrid[k] = backing[n : n : n+c]
-		n += c
-	}
-	for i := range ix.heads {
-		k := ix.keyOf(ix.heads[i].Pos)
-		ix.headGrid[k] = append(ix.headGrid[k], int32(i))
 	}
 	return ix
 }
 
-// nodeIdx returns the snap.Nodes position of id, or -1.
+// nodeIdx returns the position of id in nodes, or -1.
 func (ix *index) nodeIdx(id radio.NodeID) int32 {
 	if id < 0 || int(id) >= len(ix.byID) {
 		return -1
@@ -188,57 +202,62 @@ func (ix *index) nodeIdx(id radio.NodeID) int32 {
 	return ix.byID[id]
 }
 
-// headOrdOf returns the head ordinal of id, or -1 if id is absent or
-// not a head.
-func (ix *index) headOrdOf(id radio.NodeID) int32 {
-	j := ix.nodeIdx(id)
-	if j < 0 {
-		return -1
+// view returns the snapshot view of id, or nil if id is absent.
+func (ix *index) view(id radio.NodeID) *core.NodeView {
+	if j := ix.nodeIdx(id); j >= 0 {
+		return &ix.nodes[j]
 	}
-	return ix.headOrd[j]
+	return nil
 }
 
-// view resolves id to its snapshot view, the dense-slice equivalent of
-// the old views-map lookup.
-func (ix *index) view(id radio.NodeID) (core.NodeView, bool) {
-	j := ix.nodeIdx(id)
-	if j < 0 {
-		return core.NodeView{}, false
-	}
-	return ix.snap.Nodes[j], true
+// head returns the view of the head with ordinal o.
+func (ix *index) head(o int32) *core.NodeView {
+	return &ix.nodes[ix.heads[o]]
 }
 
-// membersOf returns the associate IDs of the head with ordinal ho,
-// ascending. The slice aliases the index's backing array: read-only.
-func (ix *index) membersOf(ho int) []radio.NodeID {
-	return ix.memberIDs[ix.memberOff[ho]:ix.memberOff[ho+1]]
+// membersOf returns the positions in nodes of the associates of the
+// head with ordinal o, ascending. The slice aliases the index's backing
+// array: read-only.
+func (ix *index) membersOf(o int) []int32 {
+	return ix.members[ix.memberOff[o]:ix.memberOff[o+1]]
 }
 
-func (ix *index) keyOf(p geom.Point) gridKey {
-	return gridKey{int(math.Floor(p.X / ix.cell)), int(math.Floor(p.Y / ix.cell))}
-}
-
-// headsNear returns the indices (into ix.heads) of all heads within
-// dist of p, in ascending index order — which is ascending ID order,
-// because heads is built from the ID-sorted snapshot. The slice aliases
-// the index's scratch buffer: it is valid until the next headsNear
-// call. A head exactly at p (e.g. the query head itself) is included.
-func (ix *index) headsNear(p geom.Point, dist float64) []int {
-	ix.nearBuf = ix.nearBuf[:0]
-	r := int(math.Ceil(dist / ix.cell))
+// headsNear returns the ordinals of all heads within dist of p, in no
+// particular order. The slice is the index's scratch buffer, valid until
+// the next headsNear call. A head exactly at p (e.g. the query head
+// itself) is included. The scan reads the cells that can hold such a
+// head, or every head when there are more of those cells than occupied
+// ones (see grid.cellRange): a query never costs more than a scan of
+// every head, however far it reaches.
+func (ix *index) headsNear(p geom.Point, dist float64) []int32 {
+	g := &ix.headGrid
 	r2 := dist * dist
-	base := ix.keyOf(p)
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			for _, i := range ix.headGrid[gridKey{base.x + dx, base.y + dy}] {
-				if ix.heads[i].Pos.Dist2(p) <= r2 {
-					ix.nearBuf = append(ix.nearBuf, int(i))
-				}
+	ix.nearBuf = ix.nearBuf[:0]
+	x0, y0, x1, y1, ok := g.cellRange(p, dist)
+	if !ok {
+		ix.appendNear(0, int32(len(g.pts)), p, r2)
+		return ix.nearBuf
+	}
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			if c := g.find(cellKey{int32(x), int32(y)}); c >= 0 {
+				ix.appendNear(g.start[c], g.start[c+1], p, r2)
 			}
 		}
 	}
-	slices.Sort(ix.nearBuf)
+	ix.appendNear(g.wild(), int32(len(g.pts)), p, r2)
 	return ix.nearBuf
+}
+
+// appendNear adds to nearBuf the heads of head-grid slots lo:hi within
+// squared distance r2 of p.
+func (ix *index) appendNear(lo, hi int32, p geom.Point, r2 float64) {
+	g := &ix.headGrid
+	for s := lo; s < hi; s++ {
+		if g.pts[s].Dist2(p) <= r2 {
+			ix.nearBuf = append(ix.nearBuf, g.items[s])
+		}
+	}
 }
 
 // occluded reports whether an obstacle blocks the line of sight between
@@ -248,22 +267,24 @@ func (ix *index) occluded(a, b geom.Point) bool {
 	return len(ix.snap.Obstacles) != 0 && geom.AnyOccludes(ix.snap.Obstacles, a, b)
 }
 
-// isBoundary reports whether head h is a boundary cell head: one with
-// fewer than 6 heads in the neighbor distance band around it. The
-// paper's boundary cells (geographic edge or next to an R_t-gap region)
-// are exactly the cells missing lattice neighbors. Heads behind an
-// obstacle do not count: an unhearable lattice neighbor is a missing
-// one, so cells lining an obstacle are boundary cells — exactly like
-// cells lining an R_t-gap.
-func (ix *index) isBoundary(h core.NodeView) bool {
-	cfg := ix.snap.Config
-	count := 0
-	for _, oi := range ix.headsNear(h.Pos, cfg.NeighborDistMax()+1e-9) {
-		if ix.heads[oi].ID != h.ID && !ix.occluded(h.Pos, ix.heads[oi].Pos) {
-			count++
+// closerHead returns the ordinal of the lowest-ID head that an
+// associate at p can hear — up, and in sight — and that is closer to p
+// than its chosen head, the one with ordinal own at distance chosen, by
+// more than 1e-9; with that head's distance. It returns -1 if there is
+// none. Any such head lies within chosen of p, so the grid query bounds
+// the scan.
+func (ix *index) closerHead(p geom.Point, own int32, chosen float64) (int32, float64) {
+	best, bestD := int32(-1), 0.0
+	for _, oi := range ix.headsNear(p, chosen) {
+		if oi == own || best >= 0 && oi > best {
+			continue
+		}
+		oj := ix.heads[oi]
+		if d := p.Dist(ix.pos[oj]); d < chosen-1e-9 && !ix.down[oj] && !ix.occluded(p, ix.pos[oj]) {
+			best, bestD = oi, d
 		}
 	}
-	return count < 6
+	return best, bestD
 }
 
 // Invariant checks SI (mode Static) or DI (mode Dynamic) on the
@@ -287,22 +308,22 @@ func invariantOn(ix *index, mode Mode, r *Result) {
 // edges) and I₁.₂ (the head graph is a tree rooted at the big node).
 func checkI1(ix *index, r *Result) {
 	cfg := ix.snap.Config
-	bigID := ix.snap.BigID
-	big, haveBig := ix.view(bigID)
-
-	for _, h := range ix.heads {
+	reach := cfg.SearchRadius() + 2*cfg.Rt + 1e-9
+	for _, j := range ix.heads {
+		h := &ix.nodes[j]
 		// I1.1: parent and children within local-coordination range,
 		// hence physically connected (nodes can reach √3R+2Rt).
 		if h.Parent != radio.None && h.Parent != h.ID {
-			if p, ok := ix.view(h.Parent); ok && p.IsHead() {
-				if d := h.Pos.Dist(p.Pos); d > cfg.SearchRadius()+2*cfg.Rt+1e-9 {
+			if pj := ix.nodeIdx(h.Parent); pj >= 0 && ix.headOrd[pj] >= 0 {
+				if d := h.Pos.Dist(ix.pos[pj]); d > reach {
 					r.addf("I1.1", h.ID, "parent %d at distance %.3g beyond range", h.Parent, d)
 				}
 			}
 		}
 	}
 
-	if haveBig && !(big.IsHead() || big.Status == core.StatusBigSlide || big.Status == core.StatusBigMove) {
+	if big := ix.view(ix.snap.BigID); big != nil &&
+		!(big.Status.IsHeadRole() || big.Status == core.StatusBigSlide || big.Status == core.StatusBigMove) {
 		return // big node in no root-bearing state: nothing to root at; skip
 	}
 
@@ -311,10 +332,12 @@ func checkI1(ix *index, r *Result) {
 	// a BIG_SLIDE — the head of the cell the big node belongs to
 	// (core.Snapshot.Root).
 	root := ix.snap.Root()
-	for _, h := range ix.heads {
+	for _, j := range ix.heads {
+		h := &ix.nodes[j]
 		ix.markGen++
-		cur := h
+		cj := j
 		for {
+			cur := &ix.nodes[cj]
 			if cur.ID == root {
 				break
 			}
@@ -325,51 +348,68 @@ func checkI1(ix *index, r *Result) {
 				// progress, not a violation.
 				break
 			}
-			if ci := ix.nodeIdx(cur.ID); ix.mark[ci] == ix.markGen {
+			if co := ix.headOrd[cj]; ix.mark[co] == ix.markGen {
 				r.addf("I1.2", h.ID, "cycle through %d", cur.ID)
 				break
 			} else {
-				ix.mark[ci] = ix.markGen
+				ix.mark[co] = ix.markGen
 			}
 			if cur.Parent == radio.None || cur.Parent == cur.ID {
 				r.addf("I1.2", h.ID, "walk stuck at %d (parent %d)", cur.ID, cur.Parent)
 				break
 			}
-			next, ok := ix.view(cur.Parent)
-			if !ok || !next.IsHead() {
+			next := ix.nodeIdx(cur.Parent)
+			if next < 0 || ix.headOrd[next] < 0 {
 				r.addf("I1.2", h.ID, "parent %d of %d is not a live head", cur.Parent, cur.ID)
 				break
 			}
-			cur = next
+			cj = next
 		}
 	}
 }
 
-// checkI2 verifies the hexagonal-structure clauses I₂.₁–I₂.₄.
+// checkI2 verifies the hexagonal-structure clauses I₂.₁–I₂.₄, and
+// records each head's boundary flag for checkI3.
 func checkI2(ix *index, mode Mode, r *Result) {
 	cfg := ix.snap.Config
 	lo, hi := cfg.NeighborDistMin(), cfg.NeighborDistMax()
 	root := ix.snap.Root()
 
-	for ho := range ix.heads {
-		h := ix.heads[ho]
-		boundary := ix.isBoundary(h)
+	for ho, j := range ix.heads {
+		h := &ix.nodes[j]
 
 		// Head within Rt of its IL (Corollary 2's bounded deviation).
 		if d := h.Pos.Dist(h.IL); d > cfg.Rt+1e-9 {
 			r.addf("I2.0", h.ID, "head %.3g from its IL (Rt=%.3g)", d, cfg.Rt)
 		}
 
-		// I2.1 / I2.2: neighbor-head distances. The grid returns the
-		// in-band heads directly, ascending by ID like the full scan did.
-		// Pairs involving a blacked-out head are skipped: a replacement
-		// head legitimately coexists near its down predecessor until the
-		// predecessor restores and yields. Occluded pairs are skipped for
-		// the same reason: heads that cannot hear each other are not
-		// protocol neighbors, however close an obstacle lets them stand.
-		for _, oi := range ix.headsNear(h.Pos, hi+1e-9) {
-			o := ix.heads[oi]
-			if o.ID == h.ID || h.Blackout || o.Blackout || ix.occluded(h.Pos, o.Pos) {
+		// I2.1 / I2.2: neighbor-head distances, over the in-band heads in
+		// ascending ID order. Pairs involving a blacked-out head are
+		// skipped: a replacement head legitimately coexists near its
+		// down predecessor until the predecessor restores and yields.
+		// Occluded pairs are skipped for the same reason: heads that
+		// cannot hear each other are not protocol neighbors, however
+		// close an obstacle lets them stand.
+		//
+		// The same scan counts the heads h hears in the band. A boundary
+		// cell head hears fewer than 6: the paper's boundary cells
+		// (geographic edge or next to an R_t-gap region) are exactly the
+		// cells missing lattice neighbors, and an unhearable lattice
+		// neighbor is a missing one, so cells lining an obstacle are
+		// boundary cells — exactly like cells lining an R_t-gap.
+		band := ix.headsNear(h.Pos, hi+1e-9)
+		slices.Sort(band)
+		heard := 0
+		for _, oi := range band {
+			if int(oi) == ho {
+				continue
+			}
+			o := ix.head(oi)
+			if ix.occluded(h.Pos, o.Pos) {
+				continue
+			}
+			heard++
+			if h.Blackout || o.Blackout {
 				continue
 			}
 			d := h.Pos.Dist(o.Pos)
@@ -389,6 +429,8 @@ func checkI2(ix *index, mode Mode, r *Result) {
 				r.addf("I2.1", h.ID, "neighbor %d at %.4g < %.4g", o.ID, d, lo)
 			}
 		}
+		boundary := heard < 6
+		ix.boundary[ho] = boundary
 
 		// I2.3: children bound. The big node gets 6; the root head
 		// standing in for it — the moving big node's proxy, or the head
@@ -406,21 +448,20 @@ func checkI2(ix *index, mode Mode, r *Result) {
 		}
 
 		// I2.4: cell radius. Inner cells: R + 2Rt/√3; dynamic mode with
-		// differing ⟨ICC,ICP⟩ relaxes to 2R + Rt; boundary cells to
-		// √3R + 2Rt (+ the gap-region diameter, which we cannot see
-		// locally, so boundary cells get the base bound only when no
-		// violation is certain).
+		// differing ⟨ICC,ICP⟩ relaxes to 2R + Rt. Boundary cells would
+		// get √3R + 2Rt plus the gap-region diameter, which we cannot
+		// see locally, so no violation of theirs is certain: they are
+		// not checked.
+		if boundary {
+			continue
+		}
 		bound := cfg.CellRadiusBound()
 		if mode == Dynamic {
 			bound = 2*cfg.R + cfg.Rt
 		}
-		if boundary {
-			bound = cfg.HeadSpacing() + 2*cfg.Rt
-		}
 		for _, m := range ix.membersOf(ho) {
-			mv, _ := ix.view(m)
-			if d := mv.Pos.Dist(h.Pos); d > bound+1e-9 && !boundary {
-				r.addf("I2.4", m, "associate %.4g from head %d, bound %.4g", d, h.ID, bound)
+			if d := ix.pos[m].Dist(h.Pos); d > bound+1e-9 {
+				r.addf("I2.4", ix.nodes[m].ID, "associate %.4g from head %d, bound %.4g", d, h.ID, bound)
 			}
 		}
 	}
@@ -433,39 +474,34 @@ func checkI2(ix *index, mode Mode, r *Result) {
 // their next sweep, so full optimality is a fixpoint property (F₃)
 // rather than an invariant under intra-cell maintenance.
 func checkI3(ix *index, mode Mode, r *Result) {
-	for _, v := range ix.snap.Nodes {
-		if v.Status != core.StatusAssociate {
+	coordination := ix.snap.Config.SearchRadius() + 1e-9
+	for j, ho := range ix.headOf {
+		if ix.status[j] != core.StatusAssociate {
 			continue
 		}
-		hv, ok := ix.view(v.Head)
-		if !ok || !hv.IsHead() {
+		if ho < 0 {
+			v := &ix.nodes[j]
 			r.addf("I3", v.ID, "associate of %d which is not a live head", v.Head)
 			continue
 		}
+		hj := ix.heads[ho]
 		if mode == Dynamic {
-			if d := v.Pos.Dist(hv.Pos); d > ix.snap.Config.SearchRadius()+1e-9 {
+			if d := ix.pos[j].Dist(ix.pos[hj]); d > coordination {
+				v := &ix.nodes[j]
 				r.addf("I3", v.ID, "associate %.4g from head %d, beyond coordination range", d, v.Head)
 			}
 			continue
 		}
-		if ix.isBoundary(hv) {
+		if ix.boundary[ho] {
 			continue
 		}
-		if v.Blackout || hv.Blackout {
+		if ix.down[j] || ix.down[hj] {
 			continue // down node or down head: re-choice pending restore
 		}
-		// Any head beating the chosen one lies within chosen of the
-		// associate, so the grid query bounds the scan.
-		chosen := v.Pos.Dist(hv.Pos)
-		for _, oi := range ix.headsNear(v.Pos, chosen) {
-			o := ix.heads[oi]
-			if o.Blackout || ix.occluded(v.Pos, o.Pos) {
-				continue // unhearable: cannot be chosen
-			}
-			if d := v.Pos.Dist(o.Pos); d < chosen-1e-9 {
-				r.addf("I3", v.ID, "head %d at %.4g closer than chosen %d at %.4g", o.ID, d, v.Head, chosen)
-				break
-			}
+		chosen := ix.pos[j].Dist(ix.pos[hj])
+		if o, d := ix.closerHead(ix.pos[j], ho, chosen); o >= 0 {
+			v := &ix.nodes[j]
+			r.addf("I3", v.ID, "head %d at %.4g closer than chosen %d at %.4g", ix.head(o).ID, d, v.Head, chosen)
 		}
 	}
 }
@@ -488,27 +524,17 @@ func Fixpoint(s core.Snapshot, mode Mode) Result {
 
 // checkF3: every associate (boundary cells included) has the best head.
 func checkF3(ix *index, r *Result) {
-	for _, v := range ix.snap.Nodes {
-		if v.Status != core.StatusAssociate {
-			continue
+	for j, ho := range ix.headOf {
+		if ho < 0 {
+			continue // not an associate, or reported by I3 already
 		}
-		hv, ok := ix.view(v.Head)
-		if !ok || !hv.IsHead() {
-			continue // reported by I3 already
-		}
-		if v.Blackout || hv.Blackout {
+		hj := ix.heads[ho]
+		if ix.down[j] || ix.down[hj] {
 			continue // down node or down head: re-choice pending restore
 		}
-		chosen := v.Pos.Dist(hv.Pos)
-		for _, oi := range ix.headsNear(v.Pos, chosen) {
-			o := ix.heads[oi]
-			if o.Blackout || ix.occluded(v.Pos, o.Pos) {
-				continue // a live associate cannot hear a down head
-			}
-			if d := v.Pos.Dist(o.Pos); d < chosen-1e-9 {
-				r.addf("F3", v.ID, "head %d at %.4g closer than chosen %.4g", o.ID, d, chosen)
-				break
-			}
+		chosen := ix.pos[j].Dist(ix.pos[hj])
+		if o, d := ix.closerHead(ix.pos[j], ho, chosen); o >= 0 {
+			r.addf("F3", ix.nodes[j].ID, "head %d at %.4g closer than chosen %.4g", ix.head(o).ID, d, chosen)
 		}
 	}
 }
@@ -519,19 +545,17 @@ func checkF3(ix *index, r *Result) {
 // occludes do not exist, so pockets of nodes an obstacle walls off from
 // the big node owe no coverage — they legitimately stay at bootup.
 func checkF4(ix *index, r *Result) {
-	cfg := ix.snap.Config
-	reach := ix.connected(ix.snap.BigID, cfg.SearchRadius())
-	for i, v := range ix.snap.Nodes {
-		if !reach[i] || v.Blackout {
+	reach := ix.connected(ix.snap.BigID, ix.snap.Config.SearchRadius())
+	for j, ok := range reach {
+		if !ok || ix.down[j] {
 			continue
 		}
-		switch v.Status {
-		case core.StatusBootup:
-			r.addf("F4", v.ID, "connected node left at bootup")
-		case core.StatusAssociate:
-			if _, ok := ix.view(v.Head); !ok {
-				r.addf("F4", v.ID, "associate of vanished head %d", v.Head)
-			}
+		switch {
+		case ix.status[j] == core.StatusBootup:
+			r.addf("F4", ix.nodes[j].ID, "connected node left at bootup")
+		case ix.headOf[j] == headAbsent:
+			v := &ix.nodes[j]
+			r.addf("F4", v.ID, "associate of vanished head %d", v.Head)
 		}
 	}
 }
@@ -539,56 +563,179 @@ func checkF4(ix *index, r *Result) {
 // connected computes, for every snapshot node, whether it is connected
 // to start in the physical graph where mutually visible nodes within
 // txRange share an edge; the result is indexed by position in
-// snap.Nodes. Nodes are
-// bucketed into a txRange-sized grid — carved from one backing array,
-// like the head grid — so each BFS hop scans only the 3×3 ring around
-// the current node instead of every node.
+// snap.Nodes.
+//
+// The search runs over units rather than nodes. Nodes are bucketed into
+// cells of side txRange/2, whose diagonal is 0.71·txRange, so any two
+// nodes of a cell are in range of each other. A cell no obstacle comes
+// near is therefore a clique of the graph, and it is one unit, reached
+// as a whole. A node in any other cell, or a wild node of the grid, is
+// a unit of its own. Two units share an edge when some pair of their
+// nodes does; only units within two cells of each other can, and the
+// pair test stops at the first linked pair. The search expands every
+// unit to its eight adjacent cells before it tries any unit's outer
+// ring: in a dense field adjacent cells link at their first pairs and
+// reach nearly everything, so the outer rings, whose pairs are mostly
+// out of range, then rarely hold an unreached unit to test.
 func (ix *index) connected(start radio.NodeID, txRange float64) []bool {
-	s := ix.snap
-	key := func(p geom.Point) gridKey {
-		return gridKey{int(math.Floor(p.X / txRange)), int(math.Floor(p.Y / txRange))}
-	}
-	counts := make(map[gridKey]int32, len(s.Nodes))
-	for i := range s.Nodes {
-		counts[key(s.Nodes[i].Pos)]++
-	}
-	backing := make([]int32, len(s.Nodes))
-	grid := make(map[gridKey][]int32, len(counts))
-	n := int32(0)
-	for k, c := range counts {
-		grid[k] = backing[n : n : n+c]
-		n += c
-	}
-	for i := range s.Nodes {
-		k := key(s.Nodes[i].Pos)
-		grid[k] = append(grid[k], int32(i))
-	}
-	reach := make([]bool, len(s.Nodes))
+	reach := make([]bool, len(ix.nodes))
 	si := ix.nodeIdx(start)
 	if si < 0 {
 		return reach
 	}
-	r2 := txRange * txRange
-	queue := make([]int32, 0, len(s.Nodes))
-	queue = append(queue, si)
-	reach[si] = true
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		cp := s.Nodes[cur].Pos
-		base := key(cp)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range grid[gridKey{base.x + dx, base.y + dy}] {
-					if !reach[j] && s.Nodes[j].Pos.Dist2(cp) <= r2 &&
-						!ix.occluded(cp, s.Nodes[j].Pos) {
-						reach[j] = true
-						queue = append(queue, j)
-					}
-				}
-			}
+	// A hair over txRange/2, so that the rounding maxCell bounds cannot
+	// push a node within txRange out of the ±2 ring scanned below.
+	side := txRange / 2 * (1 + 0x1p-20)
+	u := units{ix: ix, g: newGrid(side, ix.pos), r2: txRange * txRange}
+	g := &u.g
+	u.clique = u.cliques()
+	u.reached = make([]bool, len(ix.nodes))
+	u.queue = make([]int32, 0, len(g.keys))
+
+	s0 := int32(slices.Index(g.items, si))
+	if k, ok := g.keyOf(g.pts[s0]); ok && u.clique[g.find(k)] {
+		u.reachCell(g.find(k))
+	} else {
+		u.reachSlot(s0)
+	}
+	for near, far := 0, 0; far < len(u.queue); {
+		if near < len(u.queue) {
+			u.expand(u.queue[near], 1)
+			near++
+		} else {
+			u.expand(u.queue[far], 2)
+			far++
+		}
+	}
+	for s, ok := range u.reached {
+		if ok {
+			reach[g.items[s]] = true
 		}
 	}
 	return reach
+}
+
+// units is the state of one connected search over the node grid g. A
+// queued unit is a clique cell c ≥ 0, or ^s for the lone node in slot s.
+type units struct {
+	ix      *index
+	g       grid
+	r2      float64
+	clique  []bool // per cell
+	reached []bool // per slot
+	queue   []int32
+}
+
+// expand reaches what unit q links to in the cells at Chebyshev ring
+// distance ring (1 or 2) from its own, the cell itself included in ring
+// 1, and among the wild nodes. A wild unit has no cell: it tries every
+// cell, on ring 1 only.
+func (u *units) expand(q int32, ring int32) {
+	g := &u.g
+	lo, hi := ^q, ^q+1
+	if q >= 0 {
+		lo, hi = g.start[q], g.start[q+1]
+	}
+	k, ok := g.keyOf(g.pts[lo])
+	switch {
+	case ok:
+		for y := k.y - ring; y <= k.y+ring; y++ {
+			for x := k.x - ring; x <= k.x+ring; x++ {
+				if max(x-k.x, k.x-x, y-k.y, k.y-y) < ring-1 {
+					continue // an inner ring's cell: already expanded
+				}
+				if c := g.find(cellKey{x, y}); c >= 0 {
+					u.visitCell(lo, hi, c)
+				}
+			}
+		}
+	case ring == 1:
+		for c := range g.keys {
+			u.visitCell(lo, hi, int32(c))
+		}
+	}
+	if ring == 1 {
+		u.visitSlots(lo, hi, g.wild(), int32(len(g.pts)))
+	}
+}
+
+func (u *units) reachCell(c int32) {
+	for s := u.g.start[c]; s < u.g.start[c+1]; s++ {
+		u.reached[s] = true
+	}
+	u.queue = append(u.queue, c)
+}
+
+func (u *units) reachSlot(s int32) {
+	u.reached[s] = true
+	u.queue = append(u.queue, ^s)
+}
+
+// visitCell reaches, from the reached slots lo:hi, what is unreached and
+// linked to them in cell c: the whole cell if it is a clique, else each
+// linked node.
+func (u *units) visitCell(lo, hi, c int32) {
+	from, to := u.g.start[c], u.g.start[c+1]
+	if !u.clique[c] {
+		u.visitSlots(lo, hi, from, to)
+	} else if !u.reached[from] && u.linked(lo, hi, from, to) {
+		u.reachCell(c)
+	}
+}
+
+// visitSlots reaches, from the reached slots lo:hi, each unreached node
+// among slots from:to linked to one of them.
+func (u *units) visitSlots(lo, hi, from, to int32) {
+	for s := from; s < to; s++ {
+		if !u.reached[s] && u.linked(lo, hi, s, s+1) {
+			u.reachSlot(s)
+		}
+	}
+}
+
+// linked reports whether some node in slots lo:hi and some node in slots
+// from:to are within range and in sight of each other.
+func (u *units) linked(lo, hi, from, to int32) bool {
+	pts := u.g.pts
+	for a := lo; a < hi; a++ {
+		pa := pts[a]
+		for b := from; b < to; b++ {
+			if pts[b].Dist2(pa) <= u.r2 && !u.ix.occluded(pa, pts[b]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// cliques reports, per cell, whether the cell is a clique: its nodes are
+// in range of each other by the cell's size, and in sight of each other
+// unless an obstacle reaches into the cell. A cell within one cell of
+// an obstacle's bounding box is taken not to be a clique; the margin
+// keeps the claim clear of float rounding at the box's edge. An obstacle
+// whose box is not finite reaches every cell.
+func (u *units) cliques() []bool {
+	g := &u.g
+	clique := make([]bool, len(g.keys))
+	for c := range clique {
+		clique[c] = true
+	}
+	for _, pg := range u.ix.snap.Obstacles {
+		x0, y0, x1, y1 := math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)
+		for _, v := range pg {
+			x0, y0, x1, y1 = min(x0, v.X), min(y0, v.Y), max(x1, v.X), max(y1, v.Y)
+		}
+		x0, y0 = math.Floor(x0/g.side)-1, math.Floor(y0/g.side)-1
+		x1, y1 = math.Floor(x1/g.side)+1, math.Floor(y1/g.side)+1
+		for c, k := range g.keys {
+			// Written so that a NaN bound keeps the cell out.
+			x, y := float64(k.x), float64(k.y)
+			if !(x < x0 || x > x1 || y < y0 || y > y1) {
+				clique[c] = false
+			}
+		}
+	}
+	return clique
 }
 
 // checkMinDistTree verifies the strengthened F₁.₂ of GS³-D: the head
@@ -597,15 +744,15 @@ func (ix *index) connected(start radio.NodeID, txRange float64) []bool {
 func checkMinDistTree(ix *index, r *Result) {
 	cfg := ix.snap.Config
 	root := ix.snap.Root()
-	if rv, ok := ix.view(root); !ok || rv.Blackout {
+	if rv := ix.view(root); rv == nil || rv.Blackout {
 		return
 	}
 	// BFS over the head-neighbor graph Ghn (heads within √3R+2Rt).
 	// Transiently-down heads are excluded: ParentSeek only considers
 	// reachable heads, so the protocol's hop counts are shortest paths
-	// in the blackout-excluded graph. dist is indexed by snap.Nodes
-	// position; -1 marks unreached.
-	dist := make([]int32, len(ix.snap.Nodes))
+	// in the blackout-excluded graph. dist is indexed by position in
+	// nodes; -1 marks unreached.
+	dist := make([]int32, len(ix.nodes))
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -613,24 +760,26 @@ func checkMinDistTree(ix *index, r *Result) {
 	dist[ri] = 0
 	queue := make([]int32, 0, len(ix.heads)+1)
 	queue = append(queue, ri)
+	band := cfg.NeighborDistMax() + 1e-9
 	for qi := 0; qi < len(queue); qi++ {
 		cur := queue[qi]
-		cv := ix.snap.Nodes[cur]
+		cp := ix.pos[cur]
 		// The band query is fully consumed before the next headsNear
 		// call (next queue pop), so the scratch-backed slice is safe.
-		for _, oi := range ix.headsNear(cv.Pos, cfg.NeighborDistMax()+1e-9) {
-			o := ix.heads[oi]
-			if o.ID == cv.ID || o.Blackout || ix.occluded(cv.Pos, o.Pos) {
+		for _, oi := range ix.headsNear(cp, band) {
+			oj := ix.heads[oi]
+			if oj == cur || ix.down[oj] || ix.occluded(cp, ix.pos[oj]) {
 				continue
 			}
-			if oj := ix.headNode[oi]; dist[oj] < 0 {
+			if dist[oj] < 0 {
 				dist[oj] = dist[cur] + 1
 				queue = append(queue, oj)
 			}
 		}
 	}
-	for hi, h := range ix.heads {
-		want := dist[ix.headNode[hi]]
+	for _, j := range ix.heads {
+		h := &ix.nodes[j]
+		want := dist[j]
 		if want < 0 || h.Blackout {
 			continue
 		}
@@ -655,28 +804,33 @@ func Stats(s core.Snapshot) StructureStats {
 	ix := newIndex(s)
 	cfg := s.Config
 	var st StructureStats
-	for _, v := range s.Nodes {
+	for i := range s.Nodes {
+		v := &s.Nodes[i]
 		switch {
-		case v.IsHead():
+		case v.Status.IsHeadRole():
 			st.Heads++
 			if d := v.Pos.Dist(v.IL); d > st.MaxILDeviation {
 				st.MaxILDeviation = d
 			}
 		case v.Status == core.StatusAssociate:
 			st.Associates++
-			if hv, ok := ix.view(v.Head); ok {
+			if hv := ix.view(v.Head); hv != nil {
 				st.CellRadii = append(st.CellRadii, v.Pos.Dist(hv.Pos))
 			}
 		case v.Status == core.StatusBootup:
 			st.Bootup++
 		}
 	}
-	for i, h := range ix.heads {
-		// Grid-pruned upper-triangle scan: oi > i keeps each pair once,
-		// in the same (i ascending, then j ascending) order as before.
-		for _, oi := range ix.headsNear(h.Pos, cfg.NeighborDistMax()+1e-9) {
-			if oi > i {
-				st.NeighborDists = append(st.NeighborDists, h.Pos.Dist(ix.heads[oi].Pos))
+	band := cfg.NeighborDistMax() + 1e-9
+	for i, j := range ix.heads {
+		p := ix.pos[j]
+		// Upper-triangle scan: oi > i keeps each pair once, in (i
+		// ascending, then oi ascending) order.
+		near := ix.headsNear(p, band)
+		slices.Sort(near)
+		for _, oi := range near {
+			if int(oi) > i {
+				st.NeighborDists = append(st.NeighborDists, p.Dist(ix.pos[ix.heads[oi]]))
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package check
 
 import (
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,14 +14,27 @@ import (
 	"gs3/internal/rng"
 )
 
-// configured returns a freshly configured static network snapshot plus
-// the network for mutation.
+// configured returns a freshly configured static network plus its
+// configuration.
 func configured(t *testing.T, regionRadius float64) (*core.Network, core.Config) {
 	t.Helper()
+	nw := configuredField(t, regionRadius, 7, nil)
+	return nw, nw.Config()
+}
+
+// configuredField configures a jittered grid of the given radius, drawn
+// from seed, with cell radius 100: the field gs3.GridDeployment(radius,
+// 22.5, 0.15, seed) gives. The obstacles, if any, clear the nodes inside
+// them and occlude the medium from the start.
+func configuredField(t testing.TB, regionRadius float64, seed uint64, obstacles []geom.Polygon) *core.Network {
+	t.Helper()
 	cfg := core.DefaultConfig(100)
-	dep, err := field.Grid(regionRadius, cfg.Rt*0.9, 0.15, rng.New(7))
+	dep, err := field.Grid(regionRadius, cfg.Rt*0.9, 0.15, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(obstacles) > 0 {
+		dep = field.WithObstacles(dep, obstacles)
 	}
 	params := radio.Params{
 		MaxRange:           cfg.SearchRadius() + cfg.Rt,
@@ -29,6 +45,9 @@ func configured(t *testing.T, regionRadius float64) (*core.Network, core.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(obstacles) > 0 {
+		nw.Medium().SetObstacles(obstacles)
+	}
 	for i, p := range dep.Positions {
 		if _, err := nw.AddNode(p, i == 0); err != nil {
 			t.Fatal(err)
@@ -38,7 +57,7 @@ func configured(t *testing.T, regionRadius float64) (*core.Network, core.Config)
 		t.Fatal(err)
 	}
 	nw.Engine().Run(0)
-	return nw, cfg
+	return nw
 }
 
 func TestInvariantHoldsAfterConfiguration(t *testing.T) {
@@ -215,9 +234,90 @@ func TestResultOK(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// farAssociate configures gs3.GridDeployment(400, 22.5, 0.15, 1) with
+// cell radius 100 (1,153 nodes) and carries its highest-ID associate to
+// (d, d) without letting it re-choose its head.
+func farAssociate(t *testing.T, d float64) (core.Snapshot, radio.NodeID) {
+	t.Helper()
+	nw := configuredField(t, 400, 1, nil)
+	snap := nw.Snapshot()
+	if len(snap.Nodes) != 1153 {
+		t.Fatalf("field has %d nodes, want 1,153", len(snap.Nodes))
 	}
-	return b
+	id := radio.None
+	for _, v := range snap.Nodes {
+		if v.Status == core.StatusAssociate {
+			id = v.ID
+		}
+	}
+	nw.Move(id, geom.Point{X: d, Y: d})
+	return nw.Snapshot(), id
+}
+
+// An associate carried far from its head costs the closest-head scans
+// time linear in the heads, not in the square of the distance: the
+// scans stop at the occupied cells. Before they did, Fixpoint took 48 ms
+// at d = 1e5 and 5 s at d = 1e6, and never finished at d = 1e12. The
+// stray is reported twice, beyond coordination range (I3) and nearer
+// other heads than its own (F3), exactly as the reference reports it
+// where the reference finishes.
+func TestFixpointFarAssociate(t *testing.T) {
+	snap, id := farAssociate(t, 1e5)
+	got := Fixpoint(snap, Dynamic)
+	if want := refFixpoint(snap, Dynamic); !reflect.DeepEqual(got, want) {
+		t.Fatalf("d=1e5: Fixpoint = %v, reference %v", got.Violations, want.Violations)
+	}
+	snap, id = farAssociate(t, 1e12)
+	var clauses []string
+	for _, v := range Fixpoint(snap, Dynamic).Violations {
+		if v.Node != id {
+			t.Errorf("d=1e12: unexpected violation %v", v)
+		}
+		clauses = append(clauses, v.Clause)
+	}
+	if !slices.Equal(clauses, []string{"I3", "F3"}) {
+		t.Errorf("d=1e12: clauses %v for the stray associate, want [I3 F3]", clauses)
+	}
+}
+
+// A head carried to a wild coordinate is no associate's closest head:
+// F3 reports every associate of its that is up, naming the lowest-ID
+// head it can hear. (The reference misses these: its ring arithmetic
+// overflows at such distances, and on amd64 the ring collapses to a
+// single cell — see extremes.)
+func TestFarHeadLosesItsAssociates(t *testing.T) {
+	nw := configuredField(t, 400, 1, nil)
+	base := nw.Snapshot()
+	var head core.NodeView
+	for _, h := range base.Heads() {
+		if !h.IsBig && len(base.Members(h.ID)) > 0 {
+			head = h
+			break
+		}
+	}
+	members := base.Members(head.ID)
+	if len(members) < 2 {
+		t.Fatalf("head %d has %d associates, want at least 2", head.ID, len(members))
+	}
+	for _, p := range []geom.Point{{X: 1e300, Y: -1e300}, {X: math.Inf(1), Y: 0}} {
+		snap := withNodes(base)
+		for j := range snap.Nodes {
+			switch snap.Nodes[j].ID {
+			case head.ID:
+				snap.Nodes[j].Pos = p
+			case members[0]:
+				snap.Nodes[j].Blackout = true // down: re-choice pending restore
+			}
+		}
+		var flagged []radio.NodeID
+		for _, v := range Fixpoint(snap, Dynamic).Violations {
+			if v.Clause == "F3" {
+				flagged = append(flagged, v.Node)
+			}
+		}
+		want := members[1:]
+		if !slices.Equal(flagged, want) {
+			t.Errorf("head %d at %v: F3 flags %v, want its up associates %v", head.ID, p, flagged, want)
+		}
+	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"gs3/internal/geom"
 	"gs3/internal/radio"
 )
 
@@ -111,5 +113,50 @@ func TestCorrectHeadHoldsUnderCorruptedNeighbor(t *testing.T) {
 	}
 	if nw.Metrics().SanityRetreats != before+1 {
 		t.Error("corrupt parent did not retreat on its own check")
+	}
+}
+
+// A head whose own IL is displaced between Rt and 2·Rt is self-evidently
+// corrupt and must retreat at once, even when a neighbor could not
+// attest: here its small parent P, a neighbor, is corrupt too (IL off by
+// 3·Rt), so the attestation path would wait on P instead of retreating.
+// This pins the self-evident threshold at Rt: the corruption tests above
+// displace ILs by Rt/3 or 3·Rt, both on the same side of Rt and 2·Rt.
+func TestSelfEvidentRetreatDespiteCorruptNeighbor(t *testing.T) {
+	nw, cfg := configureDynamic(t, 600)
+	var a, p NodeView
+	found := false
+	for _, h := range nw.Snapshot().Heads() {
+		if h.IsBig || h.Parent == radio.None || h.Parent == h.ID {
+			continue
+		}
+		pn := nw.Node(h.Parent)
+		if pn == nil || pn.IsBig || !pn.Status.IsHeadRole() || !slices.Contains(h.Neighbors, h.Parent) {
+			continue
+		}
+		// Where Corrupt will move A's IL: keep A only if its position
+		// then lies between Rt and 2·Rt from the IL.
+		il := h.IL.Add(geom.UnitAt(float64(h.ID)).Scale(1.5 * cfg.Rt))
+		if d := h.Pos.Dist(il); d > cfg.Rt && d <= 2*cfg.Rt {
+			a, found = h, true
+			p, _ = nw.Snapshot().View(h.Parent)
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no non-big head with a small parent among its neighbors")
+	}
+
+	nw.Corrupt(p.ID, CorruptIL, 3*cfg.Rt)
+	nw.Corrupt(a.ID, CorruptIL, 1.5*cfg.Rt)
+	if nw.headStateValid(nw.Node(p.ID)) {
+		t.Fatal("parent's corruption left it attestable")
+	}
+	before := nw.Metrics().SanityRetreats
+	if nw.SanityCheck(a.ID) {
+		t.Fatal("head with its IL displaced beyond Rt passed its sanity check")
+	}
+	if got := nw.Metrics().SanityRetreats - before; got != 1 {
+		t.Errorf("retreats rose by %d, want 1: the displacement is self-evident", got)
 	}
 }

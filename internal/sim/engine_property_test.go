@@ -12,11 +12,10 @@ import (
 // oracle (heapref_test.go) through identical randomized
 // At/After/Step/Run/RunUntil sequences and asserts that every
 // observable matches after every operation: the exact fire order (event
-// ids in sequence), Now, Fired, Scheduled, Pending (vs the oracle's
-// livePending), and NextEventTime. Fired events occasionally
-// schedule zero-delay and short-delay follow-ups, which exercises
-// inserts at the current instant while the queue drains. `make race`
-// runs this under the race detector.
+// ids in sequence), Now, Fired, Scheduled, Pending, and NextEventTime.
+// Fired events occasionally schedule zero-delay and short-delay
+// follow-ups, which exercises inserts at the current instant while the
+// queue drains. `make race` runs this under the race detector.
 func TestEngineMatchesHeapRef(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -101,8 +100,8 @@ func lockstep(t *testing.T, seed int64, ops int) {
 		if eng.Scheduled() != ref.Scheduled() {
 			t.Fatalf("%s: Scheduled=%d, oracle %d", op, eng.Scheduled(), ref.Scheduled())
 		}
-		if got, want := eng.Pending(), ref.livePending(); got != want {
-			t.Fatalf("%s: Pending=%d, oracle live count %d", op, got, want)
+		if got, want := eng.Pending(), ref.Pending(); got != want {
+			t.Fatalf("%s: Pending=%d, oracle %d", op, got, want)
 		}
 		gn, rn := eng.NextEventTime(), ref.NextEventTime()
 		if gn != rn && !(math.IsInf(gn, 1) && math.IsInf(rn, 1)) {

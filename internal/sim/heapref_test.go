@@ -1,18 +1,12 @@
 package sim
 
 // This file preserves the engine's original container/heap binary
-// heap, verbatim except for renames, as a test-only oracle. The
-// lockstep property test (engine_property_test.go) drives it and the
-// live Engine through identical operation sequences and asserts that
-// every observable — fire order, Now, Fired, Pending — matches, which
-// pins the live 4-ary heap to this engine's exact (At, seq) total
-// order.
-//
-// One deliberate divergence: the heap engine's Pending() counted
-// canceled-but-undrained events (the over-count the live counter
-// fixed), so the oracle exposes livePending() — an O(n) scan for
-// non-canceled queued events — as the reference for the fixed
-// semantics.
+// heap, verbatim except for renames and for its cancellation, which the
+// engine no longer has, as a test-only oracle. The lockstep property
+// test (engine_property_test.go) drives it and the live Engine through
+// identical operation sequences and asserts that every observable —
+// fire order, Now, Fired, Pending — matches, which pins the live 4-ary
+// heap to this engine's exact (At, seq) total order.
 
 import (
 	"container/heap"
@@ -24,33 +18,12 @@ type heapEvent struct {
 	Name string
 	Fn   func()
 
-	seq      uint64
-	index    int
-	canceled bool
+	seq   uint64
+	index int
 }
 
 type heapHandle struct {
 	ev *heapEvent
-}
-
-func (h heapHandle) Cancel() {
-	if h.ev != nil {
-		h.ev.canceled = true
-	}
-}
-
-func (h heapHandle) Canceled() bool {
-	return h.ev != nil && h.ev.canceled
-}
-
-func (e *heapEngine) Remove(h heapHandle) {
-	if h.ev == nil {
-		return
-	}
-	h.ev.canceled = true
-	if h.ev.index >= 0 {
-		heap.Remove(&e.queue, h.ev.index)
-	}
 }
 
 type heapEventQueue []*heapEvent
@@ -96,19 +69,7 @@ func newHeapEngine() *heapEngine {
 func (e *heapEngine) Now() Time         { return e.now }
 func (e *heapEngine) Fired() uint64     { return e.fired }
 func (e *heapEngine) Scheduled() uint64 { return e.nextSeq }
-
-// livePending counts queued, non-canceled events: the reference for the
-// live Engine's fixed Pending semantics (the original heap Pending
-// returned len(queue), canceled included).
-func (e *heapEngine) livePending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (e *heapEngine) Pending() int      { return len(e.queue) }
 
 func (e *heapEngine) At(at Time, name string, fn func()) (heapHandle, error) {
 	if at < e.now {
@@ -129,17 +90,14 @@ func (e *heapEngine) After(delay float64, name string, fn func()) heapHandle {
 }
 
 func (e *heapEngine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*heapEvent)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.At
-		e.fired++
-		ev.Fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.queue).(*heapEvent)
+	e.now = ev.At
+	e.fired++
+	ev.Fn()
+	return true
 }
 
 func (e *heapEngine) Run(maxEvents uint64) uint64 {
@@ -188,14 +146,10 @@ func (e *heapEngine) RunWhile(cond func() bool, maxEvents uint64) (uint64, bool)
 }
 
 func (e *heapEngine) peek() *heapEvent {
-	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if !ev.canceled {
-			return ev
-		}
-		heap.Pop(&e.queue)
+	if len(e.queue) == 0 {
+		return nil
 	}
-	return nil
+	return e.queue[0]
 }
 
 func (e *heapEngine) NextEventTime() Time {
