@@ -268,7 +268,7 @@ func BenchmarkGapRegionDiameter(b *testing.B) {
 // BenchmarkPerNodeState is experiment T1 (Appendix 1 row 1).
 func BenchmarkPerNodeState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := exp.PerNodeState(runner.Seq, 100, []float64{300, 500}, 7)
+		t, err := exp.PerNodeState(runner.Parallel(1), 100, []float64{300, 500}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func BenchmarkPerNodeState(b *testing.B) {
 // BenchmarkStructureLifetime is experiment T2 (Appendix 1 row 2).
 func BenchmarkStructureLifetime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := exp.StructureLifetime(runner.Seq, 100, 260, []float64{30, 18}, 40, 7)
+		t, err := exp.StructureLifetime(runner.Parallel(1), 100, 260, []float64{30, 18}, 40, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func BenchmarkStructureLifetime(b *testing.B) {
 // BenchmarkPerturbationConvergence is experiment T3 (Appendix 1 row 3).
 func BenchmarkPerturbationConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, _, err := exp.PerturbationConvergence(runner.Seq, 100, 700, []float64{170, 400, 600}, 7)
+		t, _, err := exp.PerturbationConvergence(runner.Parallel(1), 100, 700, []float64{170, 400, 600}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func BenchmarkPerturbationConvergence(b *testing.B) {
 // Theorem 4).
 func BenchmarkStaticConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, fit, err := exp.StaticConvergence(runner.Seq, 100, []float64{300, 450, 600}, 7)
+		t, fit, err := exp.StaticConvergence(runner.Parallel(1), 100, []float64{300, 450, 600}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func BenchmarkStaticConvergence(b *testing.B) {
 // 5, Theorem 7).
 func BenchmarkArbitraryStateConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := exp.ArbitraryStateConvergence(runner.Seq, 100, 500, []float64{150, 300}, 7)
+		t, err := exp.ArbitraryStateConvergence(runner.Parallel(1), 100, 500, []float64{150, 300}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -393,7 +393,7 @@ func TestFixpointAllocBudget(t *testing.T) {
 // BenchmarkBigNodeMoveLocality is experiment M1 (Theorem 11).
 func BenchmarkBigNodeMoveLocality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := exp.BigMoveLocality(runner.Seq, 100, 500, []float64{1.5, 2.5}, 7)
+		t, err := exp.BigMoveLocality(runner.Parallel(1), 100, 500, []float64{1.5, 2.5}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func BenchmarkStructureSlide(b *testing.B) {
 // BenchmarkVsLEACH is experiment B1 (Related Work vs LEACH).
 func BenchmarkVsLEACH(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := exp.VsLEACH(runner.Seq, 100, []float64{300, 450}, 7)
+		t, err := exp.VsLEACH(runner.Parallel(1), 100, []float64{300, 450}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -451,7 +451,7 @@ func BenchmarkFrequencyReuse(b *testing.B) {
 // BenchmarkRtSweepAblation is ablation A1 (Rt tolerance vs tightness).
 func BenchmarkRtSweepAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := exp.RtSweep(runner.Seq, 100, 350, []float64{0.15, 0.4}, 7)
+		t, err := exp.RtSweep(runner.Parallel(1), 100, 350, []float64{0.15, 0.4}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func BenchmarkRtSweepAblation(b *testing.B) {
 // healing latency).
 func BenchmarkRescanPeriodAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := exp.RescanPeriodAblation(runner.Seq, 100, 500, []int{2, 8}, 7)
+		t, err := exp.RescanPeriodAblation(runner.Parallel(1), 100, 500, []int{2, 8}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -475,7 +475,7 @@ func BenchmarkRescanPeriodAblation(b *testing.B) {
 // masking latency).
 func BenchmarkHeartbeatAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := exp.HeartbeatAblation(runner.Seq, 100, 350, []float64{0.5, 2}, 7)
+		t, err := exp.HeartbeatAblation(runner.Parallel(1), 100, 350, []float64{0.5, 2}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -690,7 +690,7 @@ func BenchmarkScalingSweepSerial(b *testing.B) {
 		b.Skip("heavy scaling sweep")
 	}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := exp.StaticConvergence(runner.Seq, 100, smokeSweepRadii, 7); err != nil {
+		if _, _, err := exp.StaticConvergence(runner.Parallel(1), 100, smokeSweepRadii, 7); err != nil {
 			b.Fatal(err)
 		}
 	}

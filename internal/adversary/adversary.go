@@ -75,8 +75,6 @@ func (sc Scenario) normalized() Scenario {
 // batches, so the daemon can hit just after the structure finished
 // rescanning (the slowest moment to notice damage).
 type Action struct {
-	// Label names the heuristic that proposed the strike.
-	Label string
 	// Center is where the disaster disk lands.
 	Center geom.Point
 	// Delay is extra sweeps past the warmup before the strike.
@@ -85,8 +83,6 @@ type Action struct {
 
 // Outcome is the replayed consequence of one Action on one Scenario.
 type Outcome struct {
-	// Action is the perturbation that was applied.
-	Action Action
 	// Killed is how many nodes the strike destroyed.
 	Killed int
 	// Report is the chaos watchdog's verdict on the healing run.
@@ -117,7 +113,7 @@ func (o Outcome) Score(sc Scenario) float64 {
 // with the most children (widest subtree severed), an articulation
 // head whose removal disconnects the head graph, and the farthest head
 // (longest repair path) — each at two strike phases relative to the
-// boundary-rescan period. Duplicate targets keep their first label, so
+// boundary-rescan period. A head two heuristics pick is struck once, so
 // the set stays lean while remaining identical across calls.
 func Candidates(sc Scenario) ([]Action, error) {
 	sc = sc.normalized()
@@ -131,21 +127,12 @@ func Candidates(sc Scenario) ([]Action, error) {
 	snap := s.Net.Snapshot()
 	heads := snap.Heads()
 
-	type pick struct {
-		label string
-		id    radio.NodeID
+	picks := []radio.NodeID{
+		rootAdjacentHead(snap, heads),
+		maxChildrenHead(heads),
+		articulationHead(snap, heads),
+		farthestHead(heads),
 	}
-	var picks []pick
-	add := func(label string, id radio.NodeID) {
-		if id == radio.None {
-			return
-		}
-		picks = append(picks, pick{label, id})
-	}
-	add("root-adjacent", rootAdjacentHead(snap, heads))
-	add("max-children", maxChildrenHead(heads))
-	add("articulation", articulationHead(snap, heads))
-	add("farthest", farthestHead(heads))
 
 	// Strike phases: immediately, and just after a boundary-rescan
 	// batch has fired (the structure's slowest moment to re-notice).
@@ -156,17 +143,17 @@ func Candidates(sc Scenario) ([]Action, error) {
 
 	var out []Action
 	seen := make(map[radio.NodeID]bool)
-	for _, p := range picks {
-		if seen[p.id] {
+	for _, id := range picks {
+		if id == radio.None || seen[id] {
 			continue
 		}
-		seen[p.id] = true
-		v, ok := snap.View(p.id)
+		seen[id] = true
+		v, ok := snap.View(id)
 		if !ok {
 			continue
 		}
 		for _, d := range phases {
-			out = append(out, Action{Label: p.label, Center: v.Pos, Delay: d})
+			out = append(out, Action{Center: v.Pos, Delay: d})
 		}
 	}
 	if len(out) == 0 {
@@ -280,7 +267,6 @@ func Replay(sc Scenario, a Action) (Outcome, error) {
 	killed := s.KillDisk(a.Center, sc.Radius)
 	rep := s.RunChaos(check.Dynamic, sc.Streak, sc.Budget)
 	return Outcome{
-		Action:  a,
 		Killed:  killed,
 		Report:  rep,
 		Quality: StructureQuality(s.Net.Snapshot()),

@@ -3,7 +3,9 @@ package adversary
 import (
 	"testing"
 
+	"gs3/internal/geom"
 	"gs3/internal/netsim"
+	"gs3/internal/radio"
 )
 
 // smallScenario is the cheapest structure worth attacking: a 250-radius
@@ -36,23 +38,56 @@ func TestCandidatesDeterministic(t *testing.T) {
 			t.Fatalf("candidate %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	// Both strike phases must appear, and every heuristic label that
-	// appears must be one of the documented four.
-	labels := map[string]bool{}
+	// Both strike phases must appear.
 	delays := map[int]bool{}
 	for _, c := range a {
-		labels[c.Label] = true
 		delays[c.Delay] = true
-	}
-	for l := range labels {
-		switch l {
-		case "root-adjacent", "max-children", "articulation", "farthest":
-		default:
-			t.Errorf("unknown heuristic label %q", l)
-		}
 	}
 	if len(delays) < 2 {
 		t.Errorf("only one strike phase generated: %v", delays)
+	}
+}
+
+// TestCandidatesStrikeEveryHeuristicTarget rebuilds the probe structure
+// Candidates inspects and checks that each heuristic's head is struck
+// at every phase. On smallScenario's grid every heuristic picks the
+// same head; on this 450-radius grid three of them pick different ones.
+func TestCandidatesStrikeEveryHeuristicTarget(t *testing.T) {
+	sc := Scenario{Name: "grid-450", Opt: netsim.DefaultOptions(100, 450), Warmup: 2}
+	a, err := Candidates(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	struck := map[geom.Point]int{}
+	for _, c := range a {
+		struck[c.Center]++
+	}
+	s, err := netsim.Build(sc.normalized().Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Configure(); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Net.Snapshot()
+	heads := snap.Heads()
+	phases := 2 // immediately, and just after a boundary-rescan batch
+	for _, h := range []struct {
+		name string
+		id   radio.NodeID
+	}{
+		{"root-adjacent", rootAdjacentHead(snap, heads)},
+		{"max-children", maxChildrenHead(heads)},
+		{"articulation", articulationHead(snap, heads)},
+		{"farthest", farthestHead(heads)},
+	} {
+		if h.id == radio.None {
+			continue
+		}
+		v, _ := snap.View(h.id)
+		if struck[v.Pos] != phases {
+			t.Errorf("%s head %d at %v struck %d times, want %d", h.name, h.id, v.Pos, struck[v.Pos], phases)
+		}
 	}
 }
 

@@ -13,10 +13,7 @@
 //     2R·α/(1−α)² (Figure 8).
 package analysis
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Alpha returns the probability that a disk of radius rt contains no
 // node at density lambda: e^{−λ·rt²}.
@@ -31,12 +28,6 @@ func NonIdealCellRatio(lambda, rt float64) float64 {
 	return Alpha(lambda, rt)
 }
 
-// ExpectedNonIdealCells returns E[G_e] = n·α, the expected number of
-// non-ideal cells among n ideal cells.
-func ExpectedNonIdealCells(n int, lambda, rt float64) float64 {
-	return float64(n) * Alpha(lambda, rt)
-}
-
 // GapRegionDiameter returns the expected diameter of an R_t-gap
 // perturbed region (paper Figure 8): 2R·Σ k·α^k = 2R·α/(1−α)².
 // It returns +Inf when α = 1 (zero density or zero tolerance).
@@ -48,55 +39,6 @@ func GapRegionDiameter(lambda, rt, r float64) float64 {
 	return 2 * r * a / ((1 - a) * (1 - a))
 }
 
-// PoissonPMF returns P[count = k] for a Poisson variable with the given
-// mean, computed in log space to stay finite for large means.
-func PoissonPMF(mean float64, k int) float64 {
-	if mean < 0 || k < 0 {
-		return 0
-	}
-	if mean == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(float64(k) + 1)
-	return math.Exp(float64(k)*math.Log(mean) - mean - lg)
-}
-
-// CellNodeCountMean returns the mean number of nodes in a disk of radius
-// r at density lambda: λ·r².
-func CellNodeCountMean(lambda, r float64) float64 {
-	return lambda * r * r
-}
-
-// CurvePoint is one (R_t/R, value) sample of a Figure 7/8 series.
-type CurvePoint struct {
-	RtOverR float64
-	Value   float64
-}
-
-// Figure7Curve returns the analytic series of Figure 7 — the expected
-// ratio of non-ideal cells as a function of R_t/R — for the paper's
-// setting (λ, cell radius R), sampled at the given R_t/R values.
-func Figure7Curve(lambda, r float64, ratios []float64) []CurvePoint {
-	out := make([]CurvePoint, len(ratios))
-	for i, q := range ratios {
-		out[i] = CurvePoint{RtOverR: q, Value: NonIdealCellRatio(lambda, q*r)}
-	}
-	return out
-}
-
-// Figure8Curve returns the analytic series of Figure 8 — the expected
-// diameter of an R_t-gap perturbed region as a function of R_t/R.
-func Figure8Curve(lambda, r float64, ratios []float64) []CurvePoint {
-	out := make([]CurvePoint, len(ratios))
-	for i, q := range ratios {
-		out[i] = CurvePoint{RtOverR: q, Value: GapRegionDiameter(lambda, q*r, r)}
-	}
-	return out
-}
-
 // DefaultRatios returns the R_t/R sampling grid used in the paper's
 // figures, which plot the range where the curves fall to ≈0 (both are
 // ≈0 once R_t/R ≥ 0.02 at λ = 10, system radius 1000, R = 100).
@@ -106,45 +48,4 @@ func DefaultRatios() []float64 {
 		out = append(out, q)
 	}
 	return out
-}
-
-// FormatCurve renders a curve as aligned text rows (one per point).
-func FormatCurve(name string, pts []CurvePoint) string {
-	s := fmt.Sprintf("# %s\n# Rt/R\tvalue\n", name)
-	for _, p := range pts {
-		s += fmt.Sprintf("%.4f\t%.6g\n", p.RtOverR, p.Value)
-	}
-	return s
-}
-
-// CandidateCountMean returns the expected number of head candidates in
-// a cell: the nodes within Rt of the current IL, λ·Rt² under the
-// paper's density convention. Cell shift exists exactly because this
-// pool is finite.
-func CandidateCountMean(lambda, rt float64) float64 {
-	return lambda * rt * rt
-}
-
-// CandidateSetEmptyProb returns the probability that a fresh candidate
-// area is empty — the per-shift failure probability of cell shift,
-// which equals the R_t-gap probability α.
-func CandidateSetEmptyProb(lambda, rt float64) float64 {
-	return Alpha(lambda, rt)
-}
-
-// LifetimeFactor returns the expected factor by which head/cell shift
-// lengthens the structure's lifetime over a static head, in the
-// paper's Ω(n_c) claim: with per-head energy cost dominating (factor f
-// over the idle rate), a static cell dies after E/(f·rate) while a
-// rotating cell spends the whole cell's energy budget:
-//
-//	factor = n_c·E / (E·(1 + (n_c−1)·idle/f·…)) ≈ n_c·f / (f + n_c·idleRatio·f)
-//
-// expressed here directly: lifetime_rotating/lifetime_static =
-// n_c / (1 + n_c·idleRatio) where idleRatio = idle rate / head rate.
-func LifetimeFactor(nc, idleRatio float64) float64 {
-	if nc <= 0 {
-		return 0
-	}
-	return nc / (1 + nc*idleRatio)
 }

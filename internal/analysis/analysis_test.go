@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -67,69 +66,32 @@ func TestGapRegionDiameterFormula(t *testing.T) {
 	}
 }
 
-func TestExpectedNonIdealCells(t *testing.T) {
-	got := ExpectedNonIdealCells(1000, math.Ln2, 1) // α = 0.5
-	if math.Abs(got-500) > 1e-9 {
-		t.Errorf("E[Ge] = %v, want 500", got)
-	}
-}
-
-func TestPoissonPMF(t *testing.T) {
-	// Sum over k should be ≈1.
-	sum := 0.0
-	for k := 0; k < 100; k++ {
-		p := PoissonPMF(10, k)
-		if p < 0 {
-			t.Fatalf("negative pmf at k=%d", k)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("pmf sums to %v", sum)
-	}
-	if PoissonPMF(0, 0) != 1 || PoissonPMF(0, 3) != 0 {
-		t.Error("degenerate mean=0 pmf wrong")
-	}
-	if PoissonPMF(-1, 2) != 0 || PoissonPMF(5, -1) != 0 {
-		t.Error("invalid inputs should yield 0")
-	}
-}
-
-func TestPoissonPMFLargeMean(t *testing.T) {
-	// Must not overflow/underflow for large means.
-	p := PoissonPMF(1e4, 1e4)
-	if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-		t.Errorf("pmf(1e4,1e4) = %v", p)
-	}
-}
-
-func TestCellNodeCountMean(t *testing.T) {
-	if got := CellNodeCountMean(10, 100); got != 1e5 {
-		t.Errorf("mean = %v", got)
-	}
-}
-
+// TestFigure7CurveDecreasing checks the analytic series exp.Figure7
+// tabulates over the paper's R_t/R grid: it falls monotonically to ≈0.
 func TestFigure7CurveDecreasing(t *testing.T) {
-	pts := Figure7Curve(10, 100, DefaultRatios())
-	if len(pts) == 0 {
-		t.Fatal("empty curve")
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Value > pts[i-1].Value {
-			t.Fatalf("Figure 7 curve not decreasing at %v", pts[i].RtOverR)
+	prev := math.Inf(1)
+	for _, q := range DefaultRatios() {
+		v := NonIdealCellRatio(10, q*100)
+		if v > prev {
+			t.Fatalf("Figure 7 curve not decreasing at %v", q)
 		}
+		prev = v
 	}
-	if pts[len(pts)-1].Value > 1e-10 {
-		t.Errorf("tail value = %v", pts[len(pts)-1].Value)
+	if prev > 1e-10 {
+		t.Errorf("tail value = %v", prev)
 	}
 }
 
+// TestFigure8CurveDecreasing is the same check for exp.Figure8's
+// analytic series, the expected R_t-gap region diameter.
 func TestFigure8CurveDecreasing(t *testing.T) {
-	pts := Figure8Curve(10, 100, DefaultRatios())
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Value > pts[i-1].Value {
-			t.Fatalf("Figure 8 curve not decreasing at %v", pts[i].RtOverR)
+	prev := math.Inf(1)
+	for _, q := range DefaultRatios() {
+		v := GapRegionDiameter(10, q*100, 100)
+		if v > prev {
+			t.Fatalf("Figure 8 curve not decreasing at %v", q)
 		}
+		prev = v
 	}
 }
 
@@ -140,54 +102,5 @@ func TestDefaultRatiosRange(t *testing.T) {
 	}
 	if rs[0] > 0.0011 || rs[len(rs)-1] < 0.035 {
 		t.Errorf("ratio range [%v, %v]", rs[0], rs[len(rs)-1])
-	}
-}
-
-func TestFormatCurve(t *testing.T) {
-	out := FormatCurve("fig7", []CurvePoint{{0.01, 0.5}})
-	if !strings.Contains(out, "fig7") || !strings.Contains(out, "0.0100") {
-		t.Errorf("format output: %q", out)
-	}
-}
-
-func TestCandidateCountMean(t *testing.T) {
-	if got := CandidateCountMean(10, 25); got != 6250 {
-		t.Errorf("mean = %v", got)
-	}
-}
-
-func TestCandidateSetEmptyProb(t *testing.T) {
-	if CandidateSetEmptyProb(10, 2) != Alpha(10, 2) {
-		t.Error("empty prob must equal alpha")
-	}
-}
-
-func TestLifetimeFactor(t *testing.T) {
-	// With zero idle cost, rotation gives the full nc factor.
-	if got := LifetimeFactor(50, 0); got != 50 {
-		t.Errorf("factor = %v", got)
-	}
-	// Idle cost caps the factor at f/idle = 1/idleRatio for large nc.
-	big := LifetimeFactor(1e9, 0.0125)
-	if math.Abs(big-80) > 1 {
-		t.Errorf("asymptote = %v, want ≈80", big)
-	}
-	// Monotone in nc.
-	if LifetimeFactor(20, 0.0125) >= LifetimeFactor(100, 0.0125) {
-		t.Error("factor not monotone in nc")
-	}
-	if LifetimeFactor(0, 0.1) != 0 {
-		t.Error("nc=0 should give 0")
-	}
-	// Spot-check the formula at the T2 experiment's regime (idleRatio =
-	// 1/80). These are the ideal upper envelopes; the measured T2
-	// factors (8.6/24.6/37.6) sit below them because the experiment's
-	// lifetime threshold (half the heads gone) fires before the full
-	// energy budget is spent.
-	for _, tc := range []struct{ nc, want float64 }{{37.4, 25.5}, {71.4, 37.8}, {135.6, 50.3}} {
-		got := LifetimeFactor(tc.nc, 0.0125)
-		if math.Abs(got-tc.want) > 1 {
-			t.Errorf("factor(%v) = %v, want ≈%v", tc.nc, got, tc.want)
-		}
 	}
 }

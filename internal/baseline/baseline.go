@@ -157,8 +157,6 @@ type DataRoundReport struct {
 	Delivered int
 	// HeadTx counts transmissions by heads (one per head per round).
 	HeadTx int
-	// DeliveryRatio is Delivered / Generated.
-	DeliveryRatio float64
 }
 
 // DataRound plays one LEACH steady-state data round over an existing
@@ -203,9 +201,6 @@ func DataRound(c Clustering, loss float64, src *rng.Source) (DataRoundReport, er
 		if src.Float64() >= loss && headUp[cl] {
 			rep.Delivered++
 		}
-	}
-	if rep.Generated > 0 {
-		rep.DeliveryRatio = float64(rep.Delivered) / float64(rep.Generated)
 	}
 	return rep, nil
 }

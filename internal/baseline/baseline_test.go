@@ -229,8 +229,8 @@ func TestDataRoundZeroLoss(t *testing.T) {
 	if rep.Generated != dep.N() {
 		t.Errorf("generated %d readings, want %d", rep.Generated, dep.N())
 	}
-	if rep.DeliveryRatio != 1.0 {
-		t.Errorf("zero-loss delivery ratio %v, want exactly 1.0", rep.DeliveryRatio)
+	if rep.Delivered != rep.Generated {
+		t.Errorf("zero-loss round delivered %d of %d readings", rep.Delivered, rep.Generated)
 	}
 	if rep.HeadTx != len(c.Heads) {
 		t.Errorf("HeadTx %d, want one per head (%d)", rep.HeadTx, len(c.Heads))
@@ -251,8 +251,8 @@ func TestDataRoundLossy(t *testing.T) {
 	// A member reading needs two independent survivals: expect roughly
 	// (1-loss)^2, within a loose tolerance.
 	want := (1 - loss) * (1 - loss)
-	if math.Abs(rep.DeliveryRatio-want) > 0.1 {
-		t.Errorf("lossy delivery ratio %v, expected ≈%v", rep.DeliveryRatio, want)
+	if ratio := float64(rep.Delivered) / float64(rep.Generated); math.Abs(ratio-want) > 0.1 {
+		t.Errorf("lossy delivery ratio %v, expected ≈%v", ratio, want)
 	}
 	// Determinism: same clustering, same seed, same report.
 	rep2, err := DataRound(c, loss, rng.New(1))

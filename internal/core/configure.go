@@ -391,24 +391,3 @@ func (nw *Network) chooseHeadAmong(n *Node, p geom.Point, heads []radio.NodeID) 
 	}
 	return best
 }
-
-// SettleAssociates runs ChooseHead for every alive non-head small node,
-// in ID order. It is the network-wide equivalent of every node having
-// heard the org broadcasts of all nearby heads, and is used by the
-// harness to verify fixpoint F₃ (each associate has the best head).
-// It returns the number of nodes whose head changed.
-func (nw *Network) SettleAssociates() int {
-	changed := 0
-	for _, id := range nw.SortedIDs() {
-		n := nw.node(id)
-		if n == nil || !nw.Alive(id) || n.Status.IsHeadRole() || n.IsBig {
-			continue
-		}
-		before := n.Head
-		nw.ChooseHead(id)
-		if n.Head != before {
-			changed++
-		}
-	}
-	return changed
-}

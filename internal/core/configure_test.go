@@ -310,7 +310,21 @@ func TestConfigureConvergenceTimeLinearInRadius(t *testing.T) {
 
 func TestSettleAssociatesIdempotentAfterConfigure(t *testing.T) {
 	nw, _ := configureGrid(t, 100, 450)
-	if changed := nw.SettleAssociates(); changed != 0 {
+	// Re-running ChooseHead on every alive associate moves none:
+	// configuration leaves each on its best head (fixpoint F₃).
+	changed := 0
+	for _, id := range nw.SortedIDs() {
+		n := nw.node(id)
+		if n == nil || !nw.Alive(id) || n.Status.IsHeadRole() || n.IsBig {
+			continue
+		}
+		before := n.Head
+		nw.ChooseHead(id)
+		if n.Head != before {
+			changed++
+		}
+	}
+	if changed != 0 {
 		t.Errorf("configuration left %d associates on non-best heads", changed)
 	}
 }

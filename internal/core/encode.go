@@ -103,7 +103,16 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 		cfg.HeartbeatInterval = in.Config.HeartbeatInterval
 	}
 	out := Snapshot{Config: cfg, Time: in.Time, BigID: in.BigID}
-	for _, v := range in.Nodes {
+	for i, v := range in.Nodes {
+		// Network.Snapshot lists nodes by strictly ascending ID ≥ 0;
+		// View binary-searches that order, and the checker indexes
+		// tables by ID.
+		if v.ID < 0 {
+			return fmt.Errorf("core: decode snapshot: negative node ID %d", v.ID)
+		}
+		if i > 0 && v.ID <= in.Nodes[i-1].ID {
+			return fmt.Errorf("core: decode snapshot: node ID %d after %d: IDs must be strictly ascending", v.ID, in.Nodes[i-1].ID)
+		}
 		st, ok := statusByName[v.Status]
 		if !ok {
 			return fmt.Errorf("core: decode snapshot: unknown status %q", v.Status)

@@ -76,4 +76,17 @@ func TestSnapshotJSONRejectsGarbage(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{`), &s); err == nil {
 		t.Error("malformed JSON accepted")
 	}
+	// Node IDs must be strictly ascending and non-negative, as
+	// Network.Snapshot emits them: View binary-searches them and the
+	// checker indexes by them.
+	for name, nodes := range map[string]string{
+		"negative":     `[{"id":-1,"status":"head"}]`,
+		"duplicate":    `[{"id":3,"status":"head"},{"id":3,"status":"associate"}]`,
+		"out of order": `[{"id":0,"status":"head"},{"id":5,"status":"head"},{"id":2,"status":"associate"}]`,
+	} {
+		data := `{"config":{"r":100,"rt":25},"nodes":` + nodes + `}`
+		if err := json.Unmarshal([]byte(data), &s); err == nil {
+			t.Errorf("%s node IDs accepted: %s", name, nodes)
+		}
+	}
 }

@@ -15,7 +15,7 @@ func perSendNetwork(t *testing.T) *Network {
 	nw.cfg.BroadcastCost = 0.5
 	nw.cfg.UnicastCost = 0.25
 	for _, id := range nw.SortedIDs() {
-		nw.SetEnergy(id, 1e6)
+		nw.coldOf(id).Energy = 1e6
 	}
 	nw.StartMaintenance(VariantD)
 	return nw
@@ -58,10 +58,10 @@ func TestEnergyDepletionKillsAfterAction(t *testing.T) {
 	// One broadcast (cost 0.5) empties this battery; death must follow
 	// at the latest after the periodic boundary rescan (every 5th
 	// sweep), which every head's inter-cell duty runs unconditionally.
-	nw.SetEnergy(victim.ID, 0.4)
+	nw.coldOf(victim.ID).Energy = 0.4
 	runSweeps(nw, 6)
 	if n := nw.node(victim.ID); n.Status != StatusDead {
-		t.Fatalf("depleted head still %v with energy %v", n.Status, nw.Energy(victim.ID))
+		t.Fatalf("depleted head still %v with energy %v", n.Status, nw.coldOf(victim.ID).Energy)
 	}
 	// Healing proceeds: a head-role node reappears near the victim's IL.
 	runSweeps(nw, 4)
@@ -97,9 +97,9 @@ func TestSendHookRemovedOnStop(t *testing.T) {
 	runSweeps(nw, 1)
 	nw.StopMaintenance()
 	victim := someSmallHead(t, nw, 400, nw.cfg.HeadSpacing())
-	before := nw.Energy(victim.ID)
+	before := nw.coldOf(victim.ID).Energy
 	nw.med.Broadcast(victim.ID, nw.cfg.SearchRadius())
-	if got := nw.Energy(victim.ID); got != before {
+	if got := nw.coldOf(victim.ID).Energy; got != before {
 		t.Errorf("broadcast after StopMaintenance drained %v", before-got)
 	}
 }

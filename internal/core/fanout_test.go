@@ -83,7 +83,7 @@ func checkFanOut(t *testing.T, nw *Network, org radio.NodeID, pw *fanOutPower) {
 	sr := cfg.SearchRadius()
 	orgPos := nw.Position(org)
 	gather := nw.gatherHeads(org)
-	for _, rid := range nw.med.WithinRange(orgPos, sr+cfg.Rt, org) {
+	for _, rid := range nw.med.WithinRangeAppend(nil, orgPos, sr+cfg.Rt, org) {
 		p := nw.Position(rid)
 		got := slices.Clone(nw.headsHeard(gather, p))
 		want := nw.reachableHeadsAt(p, sr)
@@ -142,15 +142,17 @@ func TestFanOutMatchesPerReceiverQuery(t *testing.T) {
 					if !nw.Engine().Step() {
 						return
 					}
-					for _, ev := range log.Filter(trace.KindHeadOrg) {
-						checkFanOut(t, nw, ev.Node, &pw)
-						orgs++
-					}
-					if f.blackout != nil {
-						var selected []radio.NodeID
-						for _, ev := range log.Filter(trace.KindHeadSelected) {
+					var selected []radio.NodeID
+					for _, ev := range log.Events() {
+						switch ev.Kind {
+						case trace.KindHeadOrg:
+							checkFanOut(t, nw, ev.Node, &pw)
+							orgs++
+						case trace.KindHeadSelected:
 							selected = append(selected, ev.Node)
 						}
+					}
+					if f.blackout != nil {
 						f.blackout(nw, selected)
 					}
 				}

@@ -38,8 +38,9 @@ func fuzzSeedSnapshot(f *testing.F) []byte {
 }
 
 // FuzzSnapshotUnmarshal feeds corrupt snapshot bytes to UnmarshalJSON:
-// it must either decode successfully or return an error — never panic —
-// and anything it accepts must survive a marshal/unmarshal round-trip.
+// it must either decode successfully or return an error — never panic.
+// Anything it accepts lists strictly ascending node IDs ≥ 0, so View
+// finds every node, and survives a marshal/unmarshal round-trip.
 func FuzzSnapshotUnmarshal(f *testing.F) {
 	valid := fuzzSeedSnapshot(f)
 	f.Add(valid)
@@ -55,6 +56,14 @@ func FuzzSnapshotUnmarshal(f *testing.F) {
 		var s Snapshot
 		if err := s.UnmarshalJSON(data); err != nil {
 			return
+		}
+		for i, v := range s.Nodes {
+			if v.ID < 0 || (i > 0 && v.ID <= s.Nodes[i-1].ID) {
+				t.Fatalf("accepted node %d: IDs not strictly ascending from 0", v.ID)
+			}
+			if got, ok := s.View(v.ID); !ok || got.ID != v.ID {
+				t.Fatalf("View(%d) misses an accepted node", v.ID)
+			}
 		}
 		// Accepted input: the decoded snapshot must re-encode and decode
 		// to the same thing (the wire form is a fixpoint).

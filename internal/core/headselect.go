@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"gs3/internal/geom"
 	"gs3/internal/radio"
@@ -77,8 +76,8 @@ type Ranked struct {
 // rankKeyCmp compares two candidates in the paper's lexicographic order
 // ⟨d, |A|, A⟩, with node ID as a final deterministic tie-break (two
 // nodes at the exact same position are not distinguishable
-// geometrically). It is a three-way comparison for slices.SortFunc;
-// the key is total (ID breaks every tie), so the sort is deterministic.
+// geometrically). The key is total (ID breaks every tie), so the best
+// candidate is unique.
 func rankKeyCmp(a, b Ranked) int {
 	switch {
 	case a.D != b.D:
@@ -102,20 +101,6 @@ func cmpFloat(a, b float64) int {
 	return 1
 }
 
-// RankCandidates orders the nodes in CA(il) — candidates for heading the
-// cell whose ideal location is il — by the paper's ⟨d, |A|, A⟩ key
-// (HEAD_SELECT Step 4). pos maps candidate IDs to their positions; gr is
-// the global reference direction.
-func RankCandidates(il geom.Point, gr float64, ids []radio.NodeID, pos func(radio.NodeID) geom.Point) []Ranked {
-	ref := geom.UnitAt(gr)
-	out := make([]Ranked, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, rankOf(il, ref, id, pos(id)))
-	}
-	slices.SortFunc(out, rankKeyCmp)
-	return out
-}
-
 // rankOf computes one node's ⟨d, |A|, A⟩ ranking key.
 func rankOf(il geom.Point, ref geom.Vec, id radio.NodeID, p geom.Point) Ranked {
 	v := p.Sub(il)
@@ -129,7 +114,7 @@ func rankOf(il geom.Point, ref geom.Vec, id radio.NodeID, p geom.Point) Ranked {
 // BestCandidate returns the highest-ranked node of CA(il), or
 // (radio.None, false) if ids is empty. The ranking key is a total order
 // (ID breaks every tie), so a single min-scan finds exactly the node a
-// full RankCandidates sort would put first — without allocating or
+// full sort by rankKeyCmp would put first — without allocating or
 // sorting, which matters because this runs inside every HEAD_SELECT,
 // ChooseHead, and candidate election. The scan compares d first, as
 // rankKeyCmp does, and computes the ⟨|A|, A⟩ angles only when a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gs3/internal/geom"
@@ -107,7 +108,7 @@ func TestNeighborILsSmallHead(t *testing.T) {
 		// Forward ILs are within ±60° of the outward direction.
 		a := geom.SignedAngle(outward, p.Sub(il))
 		if math.Abs(a) > math.Pi/3+1e-9 {
-			t.Errorf("IL %d at angle %v beyond ±60°", i, geom.ToDegrees(a))
+			t.Errorf("IL %d at angle %v rad beyond ±60°", i, a)
 		}
 		// None of the forward ILs is the parent's IL.
 		if p.Dist(parentIL) < 1e-9 {
@@ -194,6 +195,21 @@ func TestSearchSectorSmallHead(t *testing.T) {
 	}
 }
 
+// rankCandidates orders the nodes in CA(il) — candidates for heading the
+// cell whose ideal location is il — by the paper's ⟨d, |A|, A⟩ key
+// (HEAD_SELECT Step 4). pos maps candidate IDs to their positions; gr is
+// the global reference direction. It is the full-sort oracle that
+// BestCandidate's single min-scan must agree with.
+func rankCandidates(il geom.Point, gr float64, ids []radio.NodeID, pos func(radio.NodeID) geom.Point) []Ranked {
+	ref := geom.UnitAt(gr)
+	out := make([]Ranked, 0, len(ids))
+	for _, id := range ids {
+		out = append(out, rankOf(il, ref, id, pos(id)))
+	}
+	slices.SortFunc(out, rankKeyCmp)
+	return out
+}
+
 func TestRankCandidatesOrder(t *testing.T) {
 	il := geom.Point{}
 	pos := map[radio.NodeID]geom.Point{
@@ -203,7 +219,7 @@ func TestRankCandidatesOrder(t *testing.T) {
 		4: {X: 0, Y: -5}, // d=5, A=−90°
 		5: {X: -5, Y: 0}, // d=5, A=180°
 	}
-	ranked := RankCandidates(il, 0, []radio.NodeID{1, 2, 3, 4, 5}, func(id radio.NodeID) geom.Point { return pos[id] })
+	ranked := rankCandidates(il, 0, []radio.NodeID{1, 2, 3, 4, 5}, func(id radio.NodeID) geom.Point { return pos[id] })
 	// d has highest significance: 2,3,4 (d=5) before 1 (d=10).
 	// At equal d and equal |A|, negative (clockwise) A ranks first.
 	wantOrder := []radio.NodeID{2, 4, 3, 5, 1}
@@ -218,7 +234,7 @@ func TestRankCandidatesTieBreakByID(t *testing.T) {
 	il := geom.Point{}
 	samePos := geom.Point{X: 3, Y: 4}
 	pos := func(radio.NodeID) geom.Point { return samePos }
-	ranked := RankCandidates(il, 0, []radio.NodeID{9, 2, 5}, pos)
+	ranked := rankCandidates(il, 0, []radio.NodeID{9, 2, 5}, pos)
 	if ranked[0].ID != 2 || ranked[1].ID != 5 || ranked[2].ID != 9 {
 		t.Errorf("tie-break order: %+v", ranked)
 	}
@@ -241,7 +257,7 @@ func TestBestCandidateAtIL(t *testing.T) {
 
 // TestBestCandidateTiesMatchRanking checks BestCandidate, which
 // computes the ⟨|A|, A⟩ angles only on exact distance ties, against
-// the full RankCandidates sort on candidate sets built to tie: integer
+// the full rankCandidates sort on candidate sets built to tie: integer
 // Pythagorean offsets around the IL (d = 5, 10 exactly), pairs
 // mirrored about GR (|A| ties, A decides), and coincident positions
 // (the ID decides). Every permutation of every set must pick the
@@ -268,13 +284,13 @@ func TestBestCandidateTiesMatchRanking(t *testing.T) {
 		}
 		at := func(id radio.NodeID) geom.Point { return pos[id] }
 		for _, gr := range []float64{0, math.Pi / 2, math.Pi, -math.Pi / 2, 0.3} {
-			want := RankCandidates(il, gr, set, at)[0].ID
+			want := rankCandidates(il, gr, set, at)[0].ID
 			perm := append([]radio.NodeID(nil), set...)
 			n := 0
 			permute(perm, len(perm), func() {
 				n++
 				if got, ok := BestCandidate(il, gr, perm, at); !ok || got != want {
-					t.Fatalf("set %d, GR %.3f, order %v: BestCandidate = %d, RankCandidates first = %d", si, gr, perm, got, want)
+					t.Fatalf("set %d, GR %.3f, order %v: BestCandidate = %d, rankCandidates first = %d", si, gr, perm, got, want)
 				}
 			})
 			if want := factorial(len(set)); n != want {

@@ -433,8 +433,8 @@ func (nw *Network) drainSendEnergy(sender radio.NodeID, broadcast bool) {
 }
 
 // energyDeath finalizes a depletion detected by drainSendEnergy. It
-// re-checks both liveness and energy: the node may already be dead, or
-// a scenario may have recharged it (SetEnergy) in the meantime.
+// re-checks both liveness and energy: the node may already be dead, and
+// a node with charge left is never killed.
 func (nw *Network) energyDeath(id radio.NodeID) {
 	n := nw.node(id)
 	if n == nil || n.Status == StatusDead || nw.coldOf(id).Energy > 0 {

@@ -108,7 +108,7 @@ func TestCellShiftWhenCandidatesDie(t *testing.T) {
 	// Kill every node within Rt of the IL except the head itself: the
 	// candidate set is now empty, so the head's next intra-cell sweep
 	// must shift the cell's IL to a populated candidate area.
-	for _, id := range nw.Medium().WithinRange(h.IL, cfg.Rt, h.ID) {
+	for _, id := range nw.Medium().WithinRangeAppend(nil, h.IL, cfg.Rt, h.ID) {
 		nw.Kill(id)
 	}
 	runSweeps(nw, 4)
@@ -143,7 +143,7 @@ func TestHeadAndCandidateDiskDeathHealsViaNeighbors(t *testing.T) {
 	nw, cfg := configureDynamic(t, 400)
 	h := someSmallHead(t, nw, 400, cfg.HeadSpacing())
 	members := nw.Snapshot().Members(h.ID)
-	for _, id := range nw.Medium().WithinRange(h.IL, cfg.Rt, radio.None) {
+	for _, id := range nw.Medium().WithinRangeAppend(nil, h.IL, cfg.Rt, radio.None) {
 		nw.Kill(id)
 	}
 	nw.Kill(h.ID)
@@ -167,7 +167,7 @@ func TestStrengthenCellAdvancesSpiral(t *testing.T) {
 
 	// Empty the candidate area around the current IL (but not the
 	// head itself), then force a strengthen.
-	for _, id := range nw.Medium().WithinRange(h.IL, cfg.Rt, h.ID) {
+	for _, id := range nw.Medium().WithinRangeAppend(nil, h.IL, cfg.Rt, h.ID) {
 		nw.Kill(id)
 	}
 	nw.StrengthenCell(h.ID)
@@ -196,7 +196,7 @@ func TestAbandonCellWhenEmpty(t *testing.T) {
 
 	// Kill everything in the cell's coverage except the head: no IL can
 	// be strengthened, so the cell must be abandoned.
-	for _, id := range nw.Medium().WithinRange(h.OIL, cfg.R+cfg.Rt, h.ID) {
+	for _, id := range nw.Medium().WithinRangeAppend(nil, h.OIL, cfg.R+cfg.Rt, h.ID) {
 		if !nw.Node(id).IsBig {
 			nw.Kill(id)
 		}
@@ -381,7 +381,7 @@ func TestEnergyDrainKillsAndStructureSurvives(t *testing.T) {
 	nw.cfg.AssociateDissipation = 1
 	nw.cfg.HeadEnergyFactor = 5
 	for _, id := range nw.SortedIDs() {
-		nw.SetEnergy(id, 60)
+		nw.coldOf(id).Energy = 60
 	}
 	headCount := len(nw.Snapshot().Heads())
 	nw.StartMaintenance(VariantD)

@@ -34,11 +34,11 @@ func TestBigMoveRetreatsAndAdoptsProxy(t *testing.T) {
 	if big.Status != StatusBigMove {
 		t.Fatalf("big node status = %v, want big_move", big.Status)
 	}
-	if nw.Proxy(nw.BigID()) == radio.None {
+	if nw.coldOf(nw.BigID()).Proxy == radio.None {
 		t.Fatal("no proxy adopted")
 	}
 	// The proxy is the closest head.
-	proxyDist := nw.Medium().Dist(nw.BigID(), nw.Proxy(nw.BigID()))
+	proxyDist := nw.Medium().Dist(nw.BigID(), nw.coldOf(nw.BigID()).Proxy)
 	for _, h := range nw.Snapshot().Heads() {
 		if h.IsBig {
 			continue
@@ -54,10 +54,10 @@ func TestBigMoveProxyBecomesHopRoot(t *testing.T) {
 	nw.Move(nw.BigID(), geom.Point{X: cfg.HeadSpacing() / 2, Y: cfg.R / 3})
 	runSweeps(nw, 6)
 	big := nw.Node(nw.BigID())
-	if big.Status != StatusBigMove || nw.Proxy(nw.BigID()) == radio.None {
+	if big.Status != StatusBigMove || nw.coldOf(nw.BigID()).Proxy == radio.None {
 		t.Skip("proxy path not reached")
 	}
-	if got := nw.Node(nw.Proxy(nw.BigID())).Hops; got != 0 {
+	if got := nw.Node(nw.coldOf(nw.BigID()).Proxy).Hops; got != 0 {
 		t.Errorf("proxy hops = %d, want 0", got)
 	}
 	// All other heads have hops = parent's + 1 (tree re-rooted).
@@ -67,7 +67,7 @@ func TestBigMoveProxyBecomesHopRoot(t *testing.T) {
 		views[v.ID] = v
 	}
 	for _, h := range snap.Heads() {
-		if h.ID == nw.Proxy(nw.BigID()) || h.IsBig {
+		if h.ID == nw.coldOf(nw.BigID()).Proxy || h.IsBig {
 			continue
 		}
 		p, ok := views[h.Parent]
@@ -92,7 +92,7 @@ func TestBigNodeReclaimsCellOnReturn(t *testing.T) {
 	if big.IL.Dist(home) > cfg.Rt+1e-9 {
 		t.Errorf("big node heads a cell with IL %v away from home", big.IL.Dist(home))
 	}
-	if nw.Proxy(nw.BigID()) != radio.None {
+	if nw.coldOf(nw.BigID()).Proxy != radio.None {
 		t.Error("proxy not cleared after reclaim")
 	}
 	if big.Hops != 0 {

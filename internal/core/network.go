@@ -373,32 +373,6 @@ func (nw *Network) Node(id radio.NodeID) *Node {
 	return nw.node(id)
 }
 
-// Proxy returns the big-node mobility proxy recorded for id (GS³-M),
-// or radio.None.
-func (nw *Network) Proxy(id radio.NodeID) radio.NodeID {
-	if nw.node(id) == nil {
-		return radio.None
-	}
-	return nw.coldOf(id).Proxy
-}
-
-// Energy returns the remaining energy recorded for id (0 for unknown
-// IDs).
-func (nw *Network) Energy(id radio.NodeID) float64 {
-	if nw.node(id) == nil {
-		return 0
-	}
-	return nw.coldOf(id).Energy
-}
-
-// SetEnergy overwrites the remaining energy recorded for id (test and
-// scenario setup hook; the protocol itself only drains).
-func (nw *Network) SetEnergy(id radio.NodeID, e float64) {
-	if nw.node(id) != nil {
-		nw.coldOf(id).Energy = e
-	}
-}
-
 // Position returns a node's current position. It returns the zero point
 // for nodes no longer on the medium.
 func (nw *Network) Position(id radio.NodeID) geom.Point {

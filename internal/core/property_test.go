@@ -28,7 +28,10 @@ func TestRankingPermutationInvariant(t *testing.T) {
 		best1, ok1 := BestCandidate(geom.Point{}, 0.3, ids, at)
 
 		shuffled := append([]radio.NodeID(nil), ids...)
-		src.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := src.Intn(i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		}
 		best2, ok2 := BestCandidate(geom.Point{}, 0.3, shuffled, at)
 		return ok1 == ok2 && best1 == best2
 	}
@@ -50,7 +53,7 @@ func TestRankingTotalOrder(t *testing.T) {
 			ids[i] = radio.NodeID(i)
 			pos[radio.NodeID(i)] = geom.Point{X: x, Y: y}
 		}
-		ranked := RankCandidates(geom.Point{X: 1, Y: 2}, 0.7, ids, func(id radio.NodeID) geom.Point { return pos[id] })
+		ranked := rankCandidates(geom.Point{X: 1, Y: 2}, 0.7, ids, func(id radio.NodeID) geom.Point { return pos[id] })
 		if len(ranked) != count {
 			return false
 		}

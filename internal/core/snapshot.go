@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"gs3/internal/geom"
@@ -137,7 +138,7 @@ func (s Snapshot) Heads() []NodeView {
 // Nodes, which is ascending by ID by construction.
 func (s Snapshot) View(id radio.NodeID) (NodeView, bool) {
 	i, ok := slices.BinarySearchFunc(s.Nodes, id, func(v NodeView, id radio.NodeID) int {
-		return int(v.ID - id)
+		return cmp.Compare(v.ID, id)
 	})
 	if !ok {
 		return NodeView{}, false

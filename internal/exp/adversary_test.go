@@ -8,7 +8,7 @@ import (
 
 func TestDisasterSweepDeterminism(t *testing.T) {
 	radii := []float64{60, 120}
-	serial, err := DisasterSweep(runner.Seq, 100, 250, radii, 3, 60, 5)
+	serial, err := DisasterSweep(runner.Parallel(1), 100, 250, radii, 3, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestDisasterSweepDeterminism(t *testing.T) {
 
 func TestAdversaryMatrixGreedyAtLeastRandom(t *testing.T) {
 	scenarios := AdversaryScenarios(100, 250)
-	serial, err := AdversaryMatrix(runner.Seq, scenarios, 2, 9)
+	serial, err := AdversaryMatrix(runner.Parallel(1), scenarios, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

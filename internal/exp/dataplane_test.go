@@ -9,10 +9,10 @@ import (
 // TestDataPlaneDeterminism extends the parallel-serial contract to the
 // data plane: D1 runs millions of scheduled packet deliveries through
 // the fault layer and churn generator, and its table must still format
-// to the same bytes under Seq and a multi-worker pool.
+// to the same bytes under Parallel(1) and a multi-worker pool.
 func TestDataPlaneDeterminism(t *testing.T) {
 	rates := []float64{0, 0.2}
-	serial, err := DataPlane(runner.Seq, 10, 45, rates, 2000, 7)
+	serial, err := DataPlane(runner.Parallel(1), 10, 45, rates, 2000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestDataPlaneDeterminism(t *testing.T) {
 // deliver everything at zero loss, and GS³'s retried hop-by-hop relay
 // must not fall below LEACH's unretried two-leg round under loss.
 func TestDataGatherVsLEACH(t *testing.T) {
-	tab, err := DataGatherVsLEACH(runner.Seq, 10, 45, []float64{0, 0.2}, 2000, 7)
+	tab, err := DataGatherVsLEACH(runner.Parallel(1), 10, 45, []float64{0, 0.2}, 2000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

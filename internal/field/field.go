@@ -23,11 +23,6 @@ type Deployment struct {
 	Radius float64
 }
 
-// Big returns the big node's position.
-func (d Deployment) Big() geom.Point {
-	return d.Positions[0]
-}
-
 // N returns the number of nodes, including the big node.
 func (d Deployment) N() int {
 	return len(d.Positions)
@@ -171,17 +166,4 @@ func inObstacle(p geom.Point, obs []Obstacle) bool {
 		}
 	}
 	return false
-}
-
-// HasRtGap reports whether some disk of radius rt centered at one of the
-// probe points contains no node. It is the empirical R_t-gap detector
-// used by the Figure 7/8 experiments: probes are typically the ideal
-// cell centers.
-func HasRtGap(d Deployment, probe geom.Point, rt float64) bool {
-	for _, p := range d.Positions {
-		if p.Dist(probe) <= rt {
-			return false
-		}
-	}
-	return true
 }

@@ -32,8 +32,8 @@ func TestPoissonBigNodeAtCenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Big() != (geom.Point{}) {
-		t.Errorf("big node at %v", d.Big())
+	if big := d.Positions[0]; big != (geom.Point{}) {
+		t.Errorf("big node at %v", big)
 	}
 }
 
@@ -105,7 +105,11 @@ func TestGridDense(t *testing.T) {
 	// Every disk of radius 2 centered inside the region (margin for the
 	// boundary) must contain a node.
 	for _, probe := range []geom.Point{{X: 10, Y: 10}, {X: -15, Y: 3}, {X: 0, Y: -20}} {
-		if HasRtGap(d, probe, 2) {
+		covered := false
+		for _, p := range d.Positions {
+			covered = covered || p.Dist(probe) <= 2
+		}
+		if !covered {
 			t.Errorf("unexpected gap at %v", probe)
 		}
 	}
@@ -138,7 +142,7 @@ func TestWithGaps(t *testing.T) {
 	gap := Gap{Center: geom.Point{X: 0, Y: 0}, Radius: 3}
 	g := WithGaps(d, []Gap{gap})
 	// Big node survives even inside the gap.
-	if g.Big() != (geom.Point{}) {
+	if g.Positions[0] != (geom.Point{}) {
 		t.Error("big node removed by gap")
 	}
 	for _, p := range g.Positions[1:] {
@@ -160,7 +164,7 @@ func TestWithObstacles(t *testing.T) {
 	}
 	o := WithObstacles(d, []Obstacle{obs})
 	// Big node survives even inside the obstacle.
-	if o.Big() != (geom.Point{}) {
+	if o.Positions[0] != (geom.Point{}) {
 		t.Error("big node removed by obstacle")
 	}
 	for _, p := range o.Positions[1:] {
@@ -186,15 +190,5 @@ func TestWithObstacles(t *testing.T) {
 	id := WithObstacles(d, nil)
 	if id.N() != d.N() {
 		t.Errorf("nil obstacles changed size: %d vs %d", id.N(), d.N())
-	}
-}
-
-func TestHasRtGap(t *testing.T) {
-	d := Deployment{Positions: []geom.Point{{}, {X: 10, Y: 0}}}
-	if HasRtGap(d, geom.Point{X: 10, Y: 0}, 1) {
-		t.Error("gap reported at an occupied probe")
-	}
-	if !HasRtGap(d, geom.Point{X: 5, Y: 5}, 1) {
-		t.Error("no gap reported at an empty probe")
 	}
 }

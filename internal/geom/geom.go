@@ -71,27 +71,6 @@ func (v Vec) Angle() float64 {
 	return math.Atan2(v.Y, v.X)
 }
 
-// Unit returns the unit vector in the direction of v.
-// The zero vector is returned unchanged.
-func (v Vec) Unit() Vec {
-	l := v.Len()
-	if l == 0 {
-		return v
-	}
-	return Vec{v.X / l, v.Y / l}
-}
-
-// Rotate returns v rotated counter-clockwise by theta radians.
-func (v Vec) Rotate(theta float64) Vec {
-	s, c := math.Sincos(theta)
-	return Vec{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
-
-// Dot returns the dot product v·w.
-func (v Vec) Dot(w Vec) float64 {
-	return v.X*w.X + v.Y*w.Y
-}
-
 // Cross returns the z-component of the 3-D cross product v×w.
 // It is positive when w lies counter-clockwise of v.
 func (v Vec) Cross(w Vec) float64 {
@@ -152,14 +131,4 @@ func (s Sector) Contains(p Point) bool {
 	return (a >= s.Lo && a <= s.Hi) ||
 		(a+2*math.Pi >= s.Lo && a+2*math.Pi <= s.Hi) ||
 		(a-2*math.Pi >= s.Lo && a-2*math.Pi <= s.Hi)
-}
-
-// Degrees converts d degrees to radians.
-func Degrees(d float64) float64 {
-	return d * math.Pi / 180
-}
-
-// ToDegrees converts r radians to degrees.
-func ToDegrees(r float64) float64 {
-	return r * 180 / math.Pi
 }

@@ -104,40 +104,6 @@ func TestVecAngle(t *testing.T) {
 	}
 }
 
-func TestRotate(t *testing.T) {
-	v := Vec{1, 0}.Rotate(math.Pi / 2)
-	if !almostEq(v.X, 0) || !almostEq(v.Y, 1) {
-		t.Errorf("Rotate 90° = %v, want {0 1}", v)
-	}
-	// Rotation preserves length.
-	f := func(x, y, theta float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(theta) ||
-			math.IsInf(x, 0) || math.IsInf(y, 0) || math.IsInf(theta, 0) {
-			return true
-		}
-		// Clamp to reasonable magnitudes to avoid float overflow noise.
-		x = math.Mod(x, 1e6)
-		y = math.Mod(y, 1e6)
-		w := Vec{x, y}
-		r := w.Rotate(theta)
-		return math.Abs(w.Len()-r.Len()) < 1e-6*(1+w.Len())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUnit(t *testing.T) {
-	u := Vec{3, 4}.Unit()
-	if !almostEq(u.Len(), 1) {
-		t.Errorf("Unit length = %v, want 1", u.Len())
-	}
-	z := Vec{0, 0}.Unit()
-	if z != (Vec{0, 0}) {
-		t.Errorf("Unit of zero = %v, want zero", z)
-	}
-}
-
 func TestUnitAt(t *testing.T) {
 	for _, theta := range []float64{0, 1, -1, math.Pi, -math.Pi / 3, 2.7} {
 		v := UnitAt(theta)
@@ -228,8 +194,8 @@ func TestSectorContains(t *testing.T) {
 	s := Sector{
 		Apex:   Point{0, 0},
 		Ref:    Vec{1, 0},
-		Lo:     Degrees(-60),
-		Hi:     Degrees(60),
+		Lo:     -math.Pi / 3,
+		Hi:     math.Pi / 3,
 		Radius: 10,
 	}
 	tests := []struct {
@@ -269,8 +235,8 @@ func TestSectorWrapAround(t *testing.T) {
 	s := Sector{
 		Apex:   Point{0, 0},
 		Ref:    Vec{-1, 0},
-		Lo:     Degrees(-60),
-		Hi:     Degrees(60),
+		Lo:     -math.Pi / 3,
+		Hi:     math.Pi / 3,
 		Radius: 10,
 	}
 	if !s.Contains(Point{-5, 0}) {
@@ -284,19 +250,8 @@ func TestSectorWrapAround(t *testing.T) {
 	}
 }
 
-func TestDegreesRoundTrip(t *testing.T) {
-	for _, d := range []float64{0, 30, 60, 90, 180, -45, 360} {
-		if got := ToDegrees(Degrees(d)); !almostEq(got, d) {
-			t.Errorf("round trip %v = %v", d, got)
-		}
-	}
-}
-
-func TestDotCross(t *testing.T) {
+func TestCross(t *testing.T) {
 	v, w := Vec{1, 2}, Vec{3, 4}
-	if got := v.Dot(w); got != 11 {
-		t.Errorf("Dot = %v, want 11", got)
-	}
 	if got := v.Cross(w); got != -2 {
 		t.Errorf("Cross = %v, want -2", got)
 	}

@@ -32,15 +32,6 @@ var axialDirs = [6]Axial{
 	{1, 0}, {0, 1}, {-1, 1}, {-1, 0}, {0, -1}, {1, -1},
 }
 
-// Neighbors returns the six lattice neighbors of c.
-func (c Axial) Neighbors() [6]Axial {
-	var out [6]Axial
-	for i, d := range axialDirs {
-		out[i] = Axial{c.A + d.A, c.B + d.B}
-	}
-	return out
-}
-
 // Add returns c translated by d.
 func (c Axial) Add(d Axial) Axial {
 	return Axial{c.A + d.A, c.B + d.B}
@@ -158,15 +149,6 @@ type SpiralIndex struct {
 	ICP int32 // clockwise position on the ring (Intra-Cycle Position)
 }
 
-// Less reports whether s precedes t in the lexicographic ⟨ICC, ICP⟩
-// order the paper uses to advance a cell's current IL.
-func (s SpiralIndex) Less(t SpiralIndex) bool {
-	if s.ICC != t.ICC {
-		return s.ICC < t.ICC
-	}
-	return s.ICP < t.ICP
-}
-
 // SpiralPoint returns the lattice point at the given spiral index.
 func SpiralPoint(idx SpiralIndex) Axial {
 	return RingPoints(int(idx.ICC))[idx.ICP]
@@ -183,54 +165,4 @@ func NextSpiral(idx SpiralIndex) SpiralIndex {
 		return SpiralIndex{ICC: idx.ICC, ICP: idx.ICP + 1}
 	}
 	return SpiralIndex{ICC: idx.ICC + 1, ICP: 0}
-}
-
-// Spiral returns the first n lattice points in ⟨ICC, ICP⟩ order,
-// starting with the origin.
-func Spiral(n int) []Axial {
-	out := make([]Axial, 0, n)
-	for k := 0; len(out) < n; k++ {
-		for _, p := range RingPoints(k) {
-			out = append(out, p)
-			if len(out) == n {
-				return out
-			}
-		}
-	}
-	return out
-}
-
-// SpiralIndexOf returns the ⟨ICC, ICP⟩ rank of lattice point c.
-func SpiralIndexOf(c Axial) SpiralIndex {
-	k := c.Ring()
-	if k == 0 {
-		return SpiralIndex{}
-	}
-	for i, p := range RingPoints(k) {
-		if p == c {
-			return SpiralIndex{ICC: int32(k), ICP: int32(i)}
-		}
-	}
-	// Unreachable: every axial coordinate of ring k appears in
-	// RingPoints(k).
-	return SpiralIndex{ICC: int32(k)}
-}
-
-// CellsWithinRadius returns all lattice points whose centers lie within
-// radius of the lattice origin, in ⟨ICC, ICP⟩ order. Useful for
-// enumerating the ideal virtual structure covering a deployment region.
-func (l Lattice) CellsWithinRadius(radius float64) []Axial {
-	if l.Pitch <= 0 {
-		return nil
-	}
-	maxRing := int(radius/l.Pitch) + 2
-	var out []Axial
-	for k := 0; k <= maxRing; k++ {
-		for _, c := range RingPoints(k) {
-			if l.Center(c).Dist(l.Origin) <= radius {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
 }

@@ -31,7 +31,7 @@ func TestRingDistance(t *testing.T) {
 }
 
 func TestNeighborsAreRingOne(t *testing.T) {
-	for _, n := range (Axial{0, 0}).Neighbors() {
+	for _, n := range axialDirs {
 		if n.Ring() != 1 {
 			t.Errorf("neighbor %v has ring %d", n, n.Ring())
 		}
@@ -42,8 +42,8 @@ func TestNeighborDistancesEqualPitch(t *testing.T) {
 	l := New(geom.Point{X: 10, Y: -5}, 7.3, 0.4)
 	c := Axial{2, -1}
 	center := l.Center(c)
-	for _, n := range c.Neighbors() {
-		d := center.Dist(l.Center(n))
+	for _, dir := range axialDirs {
+		d := center.Dist(l.Center(c.Add(dir)))
 		if math.Abs(d-7.3) > 1e-9 {
 			t.Errorf("neighbor distance = %v, want pitch 7.3", d)
 		}
@@ -81,7 +81,8 @@ func TestNearestRoundTripProperty(t *testing.T) {
 func TestNearestWithJitter(t *testing.T) {
 	l := New(geom.Point{}, 10, 0)
 	// A point slightly off a center must still round to that center.
-	for _, c := range Spiral(30) {
+	for idx := (SpiralIndex{}); idx.ICC < 4; idx = NextSpiral(idx) {
+		c := SpiralPoint(idx)
 		p := l.Center(c).Add(geom.Vec{X: 1.2, Y: -0.8}) // well within pitch/2
 		if got := l.Nearest(p); got != c {
 			t.Errorf("Nearest(jittered %v) = %v", c, got)
@@ -160,10 +161,12 @@ func TestRingWalkIsContiguous(t *testing.T) {
 	}
 }
 
+// TestSpiral checks the ⟨ICC, ICP⟩ walk cell shift takes: the origin,
+// then the six points of ring 1, then ring 2.
 func TestSpiral(t *testing.T) {
-	s := Spiral(8)
-	if len(s) != 8 {
-		t.Fatalf("len = %d", len(s))
+	var s []Axial
+	for idx := (SpiralIndex{}); len(s) < 8; idx = NextSpiral(idx) {
+		s = append(s, SpiralPoint(idx))
 	}
 	if s[0] != (Axial{0, 0}) {
 		t.Errorf("spiral[0] = %v", s[0])
@@ -179,11 +182,25 @@ func TestSpiral(t *testing.T) {
 	}
 }
 
+// spiralIndexOf returns the ⟨ICC, ICP⟩ rank of lattice point c: the
+// inverse of SpiralPoint, found by searching c's ring.
+func spiralIndexOf(c Axial) SpiralIndex {
+	k := c.Ring()
+	for i, p := range RingPoints(k) {
+		if p == c {
+			return SpiralIndex{ICC: int32(k), ICP: int32(i)}
+		}
+	}
+	return SpiralIndex{ICC: int32(k)} // not on its ring: the round trip fails
+}
+
 func TestSpiralIndexRoundTrip(t *testing.T) {
-	for _, c := range Spiral(60) {
-		idx := SpiralIndexOf(c)
-		if got := SpiralPoint(idx); got != c {
-			t.Errorf("SpiralPoint(SpiralIndexOf(%v)) = %v", c, got)
+	for a := -4; a <= 4; a++ {
+		for b := -4; b <= 4; b++ {
+			c := Axial{a, b}
+			if got := SpiralPoint(spiralIndexOf(c)); got != c {
+				t.Errorf("SpiralPoint(spiralIndexOf(%v)) = %v", c, got)
+			}
 		}
 	}
 }
@@ -205,40 +222,6 @@ func TestNextSpiralCoversAll(t *testing.T) {
 	}
 	if idx.ICC != 3 {
 		t.Errorf("final ICC = %d, want 3", idx.ICC)
-	}
-}
-
-func TestSpiralIndexLess(t *testing.T) {
-	a := SpiralIndex{ICC: 1, ICP: 5}
-	b := SpiralIndex{ICC: 2, ICP: 0}
-	c := SpiralIndex{ICC: 2, ICP: 1}
-	if !a.Less(b) || !b.Less(c) || c.Less(a) {
-		t.Error("spiral index ordering broken")
-	}
-	if a.Less(a) {
-		t.Error("Less must be irreflexive")
-	}
-}
-
-func TestCellsWithinRadius(t *testing.T) {
-	l := New(geom.Point{}, 10, 0)
-	cells := l.CellsWithinRadius(25)
-	// Ring 0 (1), ring 1 at distance 10 (6), ring 2 at distances 20 and
-	// 10√3 ≈ 17.3 (12): all within 25.
-	if len(cells) != 19 {
-		t.Errorf("got %d cells, want 19", len(cells))
-	}
-	for _, c := range cells {
-		if d := l.Center(c).Dist(geom.Point{}); d > 25 {
-			t.Errorf("cell %v at distance %v > 25", c, d)
-		}
-	}
-}
-
-func TestCellsWithinRadiusZeroPitch(t *testing.T) {
-	l := New(geom.Point{}, 0, 0)
-	if got := l.CellsWithinRadius(10); got != nil {
-		t.Errorf("zero pitch should yield nil, got %v", got)
 	}
 }
 

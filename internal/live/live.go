@@ -207,30 +207,15 @@ type liveNode struct {
 
 // Report is a node's final state after the computation terminates.
 type Report struct {
-	ID        radio.NodeID
-	Pos       geom.Point
-	IsHead    bool
-	IL        geom.Point
-	Parent    radio.NodeID
-	Head      radio.NodeID
-	Candidate bool
-	Hops      int
+	ID     radio.NodeID
+	IsHead bool
+	IL     geom.Point
+	Head   radio.NodeID
 }
 
 // Result is the outcome of a live run.
 type Result struct {
 	Reports []Report // ascending ID
-}
-
-// Heads returns the IDs of nodes that ended as heads.
-func (r Result) Heads() []radio.NodeID {
-	var out []radio.NodeID
-	for _, rep := range r.Reports {
-		if rep.IsHead {
-			out = append(out, rep.ID)
-		}
-	}
-	return out
 }
 
 // Run executes the GS³-S diffusing computation over the deployment with
@@ -480,7 +465,7 @@ func owned(il geom.Point, headILs []geom.Point, rt float64) bool {
 // report computes the node's final view: heads report their cell,
 // associates pick the best (closest, ⟨d,|A|,A⟩-ranked) head they heard.
 func (n *liveNode) report(cfg core.Config) Report {
-	rep := Report{ID: n.id, Pos: n.pos, IsHead: n.head, IL: n.il, Parent: n.parent, Head: radio.None}
+	rep := Report{ID: n.id, IsHead: n.head, IL: n.il, Head: radio.None}
 	if n.head {
 		return rep
 	}
@@ -501,6 +486,5 @@ func (n *liveNode) report(cfg core.Config) Report {
 		return rep
 	}
 	rep.Head = best
-	rep.Candidate = n.pos.Dist(n.heads[best].il) <= cfg.Rt
 	return rep
 }

@@ -22,6 +22,18 @@ func liveDeployment(t *testing.T, regionRadius float64) (core.Config, field.Depl
 	return cfg, dep
 }
 
+// headIDs returns the IDs of the nodes that ended a run as heads, in
+// ascending order.
+func headIDs(r Result) []radio.NodeID {
+	var out []radio.NodeID
+	for _, rep := range r.Reports {
+		if rep.IsHead {
+			out = append(out, rep.ID)
+		}
+	}
+	return out
+}
+
 // TestRunAllocsPerNode pins live.Run's memory to the messages actually
 // sent. Each node's inbox used to be a channel buffered for 4N+64
 // messages, O(N²) bytes in all: 1,578 MB, ~880 KB per node, on this
@@ -74,7 +86,7 @@ func TestRunTerminatesAndCovers(t *testing.T) {
 	if len(res.Reports) != dep.N() {
 		t.Fatalf("reports = %d, want %d", len(res.Reports), dep.N())
 	}
-	heads := res.Heads()
+	heads := headIDs(res)
 	if len(heads) < 7 {
 		t.Fatalf("only %d heads", len(heads))
 	}
@@ -96,8 +108,8 @@ func TestRunHeadsNearILs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rep := range res.Reports {
-		if rep.IsHead && rep.Pos.Dist(rep.IL) > cfg.Rt+1e-9 {
-			t.Errorf("head %d is %v from its IL", rep.ID, rep.Pos.Dist(rep.IL))
+		if d := dep.Positions[rep.ID].Dist(rep.IL); rep.IsHead && d > cfg.Rt+1e-9 {
+			t.Errorf("head %d is %v from its IL", rep.ID, d)
 		}
 	}
 }
@@ -116,7 +128,7 @@ func TestRunNeighborHeadDistances(t *testing.T) {
 	}
 	for i, a := range headReports {
 		for _, b := range headReports[i+1:] {
-			d := a.Pos.Dist(b.Pos)
+			d := dep.Positions[a.ID].Dist(dep.Positions[b.ID])
 			if d <= cfg.NeighborDistMax()+1e-9 && d < cfg.NeighborDistMin()-1e-9 {
 				t.Errorf("heads %d,%d at %v inside the forbidden band", a.ID, b.ID, d)
 			}
@@ -161,7 +173,7 @@ func TestLiveMatchesEventDriven(t *testing.T) {
 		evHeads[h.ID] = true
 	}
 	liveHeads := map[radio.NodeID]bool{}
-	for _, id := range res.Heads() {
+	for _, id := range headIDs(res) {
 		liveHeads[id] = true
 	}
 	if len(evHeads) != len(liveHeads) {
@@ -210,7 +222,7 @@ func TestRunRepeatedStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := first.Heads(), res.Heads()
+		a, b := headIDs(first), headIDs(res)
 		if len(a) != len(b) {
 			t.Fatalf("run %d: head count %d vs %d", i, len(b), len(a))
 		}
@@ -218,33 +230,6 @@ func TestRunRepeatedStable(t *testing.T) {
 			if a[j] != b[j] {
 				t.Fatalf("run %d: head sets differ at %d: %d vs %d", i, j, b[j], a[j])
 			}
-		}
-	}
-}
-
-func TestCandidatesWithinRt(t *testing.T) {
-	cfg, dep := liveDeployment(t, 300)
-	res, err := Run(cfg, dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ilOf := map[radio.NodeID]geom.Point{}
-	for _, rep := range res.Reports {
-		if rep.IsHead {
-			ilOf[rep.ID] = rep.IL
-		}
-	}
-	for _, rep := range res.Reports {
-		if rep.IsHead || !rep.Candidate {
-			continue
-		}
-		il, ok := ilOf[rep.Head]
-		if !ok {
-			t.Errorf("candidate %d of unknown head %d", rep.ID, rep.Head)
-			continue
-		}
-		if rep.Pos.Dist(il) > cfg.Rt+1e-9 {
-			t.Errorf("candidate %d is %v from its cell IL", rep.ID, rep.Pos.Dist(il))
 		}
 	}
 }

@@ -30,8 +30,8 @@ func TestKillDiskBoundaryInclusive(t *testing.T) {
 	// Pick any small node and kill a disk whose radius is exactly its
 	// distance from the center: the boundary node must die.
 	var target radio.NodeID = radio.None
-	for _, id := range s.Net.Medium().IDs() {
-		if id != s.Net.BigID() {
+	for _, id := range s.Net.SortedIDs() {
+		if id != s.Net.BigID() && s.Net.Alive(id) {
 			target = id
 			break
 		}
@@ -90,11 +90,11 @@ func TestKillDiskReachesBehindObstacles(t *testing.T) {
 	// Nodes on both sides of the wall within 100 of (145, 0):
 	c := geom.Point{X: 145, Y: 0}
 	killed := s.KillDisk(c, 100)
-	for _, id := range s.Net.Medium().IDs() {
-		if id == s.Net.BigID() {
+	for _, id := range s.Net.SortedIDs() {
+		p, alive := s.Net.Medium().Position(id)
+		if id == s.Net.BigID() || !alive {
 			continue
 		}
-		p, _ := s.Net.Medium().Position(id)
 		if p.Dist(c) <= 100 {
 			t.Errorf("node %d at %v inside blast survived", id, p)
 		}
@@ -173,7 +173,7 @@ func TestConfigureAroundObstacle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No node deployed inside the obstacle.
-	for _, id := range s.Net.Medium().IDs() {
+	for _, id := range s.Net.SortedIDs() {
 		p, _ := s.Net.Medium().Position(id)
 		if id != s.Net.BigID() && opt.Obstacles[0].Contains(p) {
 			t.Fatalf("node %d deployed inside obstacle", id)

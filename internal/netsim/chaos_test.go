@@ -60,7 +60,7 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 		}
 		return out
 	}
-	serial := run(runner.Seq)
+	serial := run(runner.Parallel(1))
 	parallel := run(runner.Parallel(4))
 	for i := range serial {
 		if serial[i] != parallel[i] {

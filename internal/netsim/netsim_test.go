@@ -67,7 +67,7 @@ func TestBuildWithGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range s.Net.Medium().IDs() {
+	for _, id := range s.Net.SortedIDs() {
 		if id == s.Net.BigID() {
 			continue
 		}

@@ -27,8 +27,7 @@ func benchMedium(b *testing.B) *Medium {
 
 // BenchmarkWithinRange measures the spatial query hot path. The
 // "append" case is the steady-state protocol path and must report
-// 0 allocs/op (TestWithinRangeAppendZeroAlloc enforces it); the
-// "alloc" case is the compatibility wrapper.
+// 0 allocs/op (TestWithinRangeAppendZeroAlloc enforces it).
 func BenchmarkWithinRange(b *testing.B) {
 	center := geom.Point{X: 500, Y: 500}
 	b.Run("append", func(b *testing.B) {
@@ -39,16 +38,6 @@ func BenchmarkWithinRange(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			buf = m.WithinRangeAppend(buf[:0], center, 100, None)
 			if len(buf) == 0 {
-				b.Fatal("empty result")
-			}
-		}
-	})
-	b.Run("alloc", func(b *testing.B) {
-		m := benchMedium(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if ids := m.WithinRange(center, 100, None); len(ids) == 0 {
 				b.Fatal("empty result")
 			}
 		}

@@ -32,19 +32,10 @@ func occlusionMedium(t *testing.T) *Medium {
 
 func TestOccludedPairs(t *testing.T) {
 	m := occlusionMedium(t)
-	if m.Occluded(0, 1) {
-		t.Error("free space reports occlusion")
+	if d := m.Dist(0, 1); d != 10 {
+		t.Errorf("free-space Dist = %v, want 10", d)
 	}
 	m.SetObstacles([]geom.Polygon{wallBetween()})
-	if !m.Occluded(0, 1) {
-		t.Error("wall does not occlude the pair straddling it")
-	}
-	if m.Occluded(0, 2) {
-		t.Error("wall occludes a same-side pair")
-	}
-	if m.Occluded(0, 99) {
-		t.Error("absent node reported occluded")
-	}
 	if !math.IsInf(m.Dist(0, 1), 1) {
 		t.Error("Dist across the wall should be +Inf")
 	}
@@ -52,18 +43,18 @@ func TestOccludedPairs(t *testing.T) {
 		t.Errorf("same-side Dist = %v, want 5", d)
 	}
 	m.SetObstacles(nil)
-	if m.Occluded(0, 1) {
-		t.Error("occlusion persists after obstacles removed")
+	if d := m.Dist(0, 1); d != 10 {
+		t.Errorf("Dist after obstacles removed = %v, want 10", d)
 	}
 }
 
 func TestOcclusionFiltersRangeQueries(t *testing.T) {
 	m := occlusionMedium(t)
 	m.SetObstacles([]geom.Polygon{wallBetween()})
-	got := m.WithinRange(geom.Point{X: 0, Y: 0}, 20, 0)
+	got := m.WithinRangeAppend(nil, geom.Point{X: 0, Y: 0}, 20, 0)
 	want := []NodeID{2}
 	if len(got) != 1 || got[0] != want[0] {
-		t.Errorf("WithinRange across wall = %v, want %v", got, want)
+		t.Errorf("WithinRangeAppend across wall = %v, want %v", got, want)
 	}
 	// WithinDisk ignores obstacles: disasters reach across walls.
 	disk := m.WithinDisk(geom.Point{X: 0, Y: 0}, 20, 0)
@@ -105,8 +96,8 @@ func TestOcclusionBlocksUnicast(t *testing.T) {
 
 // TestOcclusionSymmetryOnMedium is the medium-level half of the
 // symmetry property: for random node pairs and a random star-shaped
-// obstacle, Occluded(a,b) == Occluded(b,a) and the visibility each way
-// through range queries agrees.
+// obstacle, Dist(a,b) == Dist(b,a) and the visibility each way through
+// range queries agrees with it.
 func TestOcclusionSymmetryOnMedium(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -127,16 +118,17 @@ func TestOcclusionSymmetryOnMedium(t *testing.T) {
 			pg[i] = geom.Point{X: cx + r*math.Cos(theta), Y: cy + r*math.Sin(theta)}
 		}
 		m.SetObstacles([]geom.Polygon{pg})
-		if m.Occluded(0, 1) != m.Occluded(1, 0) {
-			t.Fatalf("trial %d: Occluded asymmetric", trial)
+		occluded := math.IsInf(m.Dist(0, 1), 1)
+		if occluded != math.IsInf(m.Dist(1, 0), 1) {
+			t.Fatalf("trial %d: Dist asymmetric", trial)
 		}
-		aSeesB := len(m.WithinRange(pa, 40, 0)) == 1
-		bSeesA := len(m.WithinRange(pb, 40, 1)) == 1
+		aSeesB := len(m.WithinRangeAppend(nil, pa, 40, 0)) == 1
+		bSeesA := len(m.WithinRangeAppend(nil, pb, 40, 1)) == 1
 		if aSeesB != bSeesA {
 			t.Fatalf("trial %d: asymmetric visibility: a sees b=%v, b sees a=%v", trial, aSeesB, bSeesA)
 		}
-		if aSeesB == m.Occluded(0, 1) {
-			t.Fatalf("trial %d: visibility disagrees with Occluded", trial)
+		if aSeesB == occluded {
+			t.Fatalf("trial %d: visibility disagrees with Dist", trial)
 		}
 	}
 }

@@ -243,11 +243,6 @@ func (m *Medium) Stats() Stats {
 	return m.stats
 }
 
-// ResetStats zeroes the traffic counters.
-func (m *Medium) ResetStats() {
-	m.stats = Stats{}
-}
-
 // AddStats credits d onto the traffic counters. It exists for callers
 // that elide provably redundant work (a sweep whose every query and
 // broadcast would reproduce the previous result bit-for-bit) but must
@@ -319,20 +314,6 @@ func (m *Medium) SetObstacles(obs []geom.Polygon) {
 // nil in free space).
 func (m *Medium) Obstacles() []geom.Polygon {
 	return m.obstacles
-}
-
-// Occluded reports whether an obstacle blocks the line of sight between
-// two on-medium nodes. Absent nodes are never occluded (they are not on
-// the medium at all); with no obstacles installed it is constant false.
-// Occlusion is symmetric: Occluded(a, b) == Occluded(b, a).
-func (m *Medium) Occluded(a, b NodeID) bool {
-	if len(m.obstacles) == 0 {
-		return false
-	}
-	if !m.known(a) || !m.on[a] || !m.known(b) || !m.on[b] {
-		return false
-	}
-	return geom.AnyOccludes(m.obstacles, m.pos[a], m.pos[b])
 }
 
 // SetSendHook installs fn to observe every actual transmission (nil
@@ -505,11 +486,6 @@ func (m *Medium) SetHeadRole(id NodeID, head bool) {
 	}
 }
 
-// HeadRole reports whether id is currently flagged as a head-role node.
-func (m *Medium) HeadRole(id NodeID) bool {
-	return m.known(id) && m.headRole[id]
-}
-
 func removeFromGrid(grid map[gridKey][]gridEntry, id NodeID, p geom.Point, cellSize float64) {
 	k := gridKey{int(math.Floor(p.X / cellSize)), int(math.Floor(p.Y / cellSize))}
 	bucket := grid[k]
@@ -541,30 +517,11 @@ func (m *Medium) Count() int {
 	return m.count
 }
 
-// IDs returns all node IDs currently on the medium, in ascending order.
-func (m *Medium) IDs() []NodeID {
-	out := make([]NodeID, 0, m.count)
-	for i, on := range m.on {
-		if on {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
-// WithinRange returns the IDs of nodes within dist of point p,
-// excluding exclude (pass None to exclude nobody). The result order is
-// deterministic: ascending ID. The returned slice is freshly allocated;
-// hot paths that can reuse a buffer should call WithinRangeAppend.
-func (m *Medium) WithinRange(p geom.Point, dist float64, exclude NodeID) []NodeID {
-	return m.WithinRangeAppend(nil, p, dist, exclude)
-}
-
 // WithinDisk returns the IDs of nodes geometrically within dist of p,
 // ignoring obstacles: it answers "who is in this disk", not "who can
 // hear a transmission from p". Disasters use it — an obstacle does not
 // shield nodes from a blast the way it blocks radio. It counts as one
-// range query, so swapping it for WithinRange in obstacle-free runs
+// range query, so swapping it for WithinRangeAppend in obstacle-free runs
 // leaves the stats identical.
 func (m *Medium) WithinDisk(p geom.Point, dist float64, exclude NodeID) []NodeID {
 	m.stats.RangeQueries++
@@ -574,9 +531,8 @@ func (m *Medium) WithinDisk(p geom.Point, dist float64, exclude NodeID) []NodeID
 // WithinRangeAppend appends the IDs of nodes within dist of point p —
 // excluding exclude (pass None to exclude nobody) — to dst and returns
 // the extended slice. The appended IDs are in ascending order, so with
-// dst nil or empty the result obeys the same determinism contract as
-// WithinRange. Passing a reused dst[:0] makes steady-state queries
-// allocation-free.
+// dst nil or empty the result is deterministic. Passing a reused dst[:0]
+// makes steady-state queries allocation-free.
 func (m *Medium) WithinRangeAppend(dst []NodeID, p geom.Point, dist float64, exclude NodeID) []NodeID {
 	m.stats.RangeQueries++
 	return gridRange(m.grid, m.cellSize, m.obstacles, dst, p, dist, exclude)

@@ -64,11 +64,11 @@ func TestMoveUpdatesGrid(t *testing.T) {
 	m := newTestMedium(t, defaultParams())
 	m.Place(1, geom.Point{X: 0, Y: 0})
 	m.Place(1, geom.Point{X: 500, Y: 500})
-	near := m.WithinRange(geom.Point{}, 50, None)
+	near := m.WithinRangeAppend(nil, geom.Point{}, 50, None)
 	if len(near) != 0 {
 		t.Errorf("stale grid entry: %v", near)
 	}
-	far := m.WithinRange(geom.Point{X: 500, Y: 500}, 50, None)
+	far := m.WithinRangeAppend(nil, geom.Point{X: 500, Y: 500}, 50, None)
 	if len(far) != 1 || far[0] != 1 {
 		t.Errorf("moved node not found: %v", far)
 	}
@@ -81,7 +81,7 @@ func TestRemove(t *testing.T) {
 	if m.Alive(1) || m.Count() != 0 {
 		t.Error("node survived Remove")
 	}
-	if got := m.WithinRange(geom.Point{}, 10, None); len(got) != 0 {
+	if got := m.WithinRangeAppend(nil, geom.Point{}, 10, None); len(got) != 0 {
 		t.Errorf("removed node still in grid: %v", got)
 	}
 	m.Remove(99) // absent: no-op, no panic
@@ -92,9 +92,9 @@ func TestWithinRange(t *testing.T) {
 	m.Place(1, geom.Point{X: 10, Y: 0})
 	m.Place(2, geom.Point{X: 0, Y: 20})
 	m.Place(3, geom.Point{X: 100, Y: 100})
-	got := m.WithinRange(geom.Point{}, 25, None)
+	got := m.WithinRangeAppend(nil, geom.Point{}, 25, None)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("WithinRange = %v", got)
+		t.Errorf("WithinRangeAppend = %v", got)
 	}
 }
 
@@ -102,16 +102,16 @@ func TestWithinRangeExclude(t *testing.T) {
 	m := newTestMedium(t, defaultParams())
 	m.Place(1, geom.Point{})
 	m.Place(2, geom.Point{X: 1, Y: 1})
-	got := m.WithinRange(geom.Point{}, 10, 1)
+	got := m.WithinRangeAppend(nil, geom.Point{}, 10, 1)
 	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("WithinRange with exclude = %v", got)
+		t.Errorf("WithinRangeAppend with exclude = %v", got)
 	}
 }
 
 func TestWithinRangeBoundaryInclusive(t *testing.T) {
 	m := newTestMedium(t, defaultParams())
 	m.Place(1, geom.Point{X: 25, Y: 0})
-	if got := m.WithinRange(geom.Point{}, 25, None); len(got) != 1 {
+	if got := m.WithinRangeAppend(nil, geom.Point{}, 25, None); len(got) != 1 {
 		t.Errorf("boundary node excluded: %v", got)
 	}
 }
@@ -121,7 +121,7 @@ func TestWithinRangeSortedDeterministic(t *testing.T) {
 	for id := NodeID(20); id >= 1; id-- {
 		m.Place(id, geom.Point{X: float64(id), Y: 0})
 	}
-	got := m.WithinRange(geom.Point{}, 100, None)
+	got := m.WithinRangeAppend(nil, geom.Point{}, 100, None)
 	for i := 1; i < len(got); i++ {
 		if got[i] <= got[i-1] {
 			t.Fatalf("not sorted: %v", got)
@@ -134,7 +134,7 @@ func TestWithinRangeLargerThanCell(t *testing.T) {
 	p.CellSize = 5 // queries span many buckets
 	m := newTestMedium(t, p)
 	m.Place(1, geom.Point{X: 80, Y: -60})
-	if got := m.WithinRange(geom.Point{}, 100, None); len(got) != 1 {
+	if got := m.WithinRangeAppend(nil, geom.Point{}, 100, None); len(got) != 1 {
 		t.Errorf("cross-bucket query missed node: %v", got)
 	}
 }
@@ -239,37 +239,10 @@ func TestDist(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	m := newTestMedium(t, defaultParams())
-	m.Place(1, geom.Point{})
-	m.Broadcast(1, 10)
-	m.ResetStats()
-	if st := m.Stats(); st.Broadcasts != 0 || st.RangeQueries != 0 {
-		t.Errorf("stats not reset: %+v", st)
-	}
-}
-
-func TestIDs(t *testing.T) {
-	m := newTestMedium(t, defaultParams())
-	m.Place(3, geom.Point{})
-	m.Place(7, geom.Point{X: 1})
-	ids := m.IDs()
-	if len(ids) != 2 {
-		t.Fatalf("ids = %v", ids)
-	}
-	seen := map[NodeID]bool{}
-	for _, id := range ids {
-		seen[id] = true
-	}
-	if !seen[3] || !seen[7] {
-		t.Errorf("ids = %v", ids)
-	}
-}
-
 func TestNegativeCoordinatesGrid(t *testing.T) {
 	m := newTestMedium(t, defaultParams())
 	m.Place(1, geom.Point{X: -250, Y: -310})
-	got := m.WithinRange(geom.Point{X: -255, Y: -305}, 20, None)
+	got := m.WithinRangeAppend(nil, geom.Point{X: -255, Y: -305}, 20, None)
 	if len(got) != 1 {
 		t.Errorf("negative-coordinate node missed: %v", got)
 	}

@@ -109,20 +109,6 @@ func (s *Source) InDisk(radius float64) (x, y float64) {
 	return r * math.Cos(theta), r * math.Sin(theta)
 }
 
-// InRect returns a uniform point in the axis-aligned rectangle
-// [x0,x1) × [y0,y1).
-func (s *Source) InRect(x0, y0, x1, y1 float64) (x, y float64) {
-	return s.Range(x0, x1), s.Range(y0, y1)
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Fork returns a new Source whose stream is derived from, but
 // independent of, this one. Useful for giving each subsystem its own
 // stream so adding draws in one place does not perturb another.

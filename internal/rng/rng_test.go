@@ -184,29 +184,6 @@ func TestInDisk(t *testing.T) {
 	}
 }
 
-func TestInRect(t *testing.T) {
-	s := New(37)
-	for i := 0; i < 1000; i++ {
-		x, y := s.InRect(-1, -2, 3, 4)
-		if x < -1 || x >= 3 || y < -2 || y >= 4 {
-			t.Fatalf("InRect out of bounds: (%v,%v)", x, y)
-		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	s := New(41)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Errorf("shuffle lost elements: %v", xs)
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	a := New(99)
 	f := a.Fork()

@@ -20,7 +20,7 @@
 //     failing trial — exactly the error a serial run would have
 //     returned first.
 //
-// Consequently Map(Seq, ...) and Map(Pool{Workers: n}, ...) produce
+// Consequently Map(Parallel(1), ...) and Map(Parallel(n), ...) produce
 // byte-identical results (and identical errors) for the same inputs;
 // parallelism changes only the wall-clock time.
 package runner
@@ -45,11 +45,6 @@ type Pool struct {
 	// at all — the serial reference execution.
 	Workers int
 }
-
-// Seq is the serial pool: trials run one at a time, in order, on the
-// calling goroutine. Every parallel run is defined to be observably
-// equivalent to running under Seq.
-var Seq = Pool{Workers: 1}
 
 // Parallel returns a pool with n workers; n <= 0 means GOMAXPROCS.
 func Parallel(n int) Pool { return Pool{Workers: n} }

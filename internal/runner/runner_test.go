@@ -33,7 +33,7 @@ func TestMapMatchesSerial(t *testing.T) {
 	fn := func(i int) (string, error) {
 		return fmt.Sprintf("trial-%03d", i), nil
 	}
-	serial, err := Map(Seq, 50, fn)
+	serial, err := Map(Parallel(1), 50, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,8 @@ func TestPoolSizeClamps(t *testing.T) {
 	if got := (Pool{Workers: -5}).size(100); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("size = %d, want GOMAXPROCS", got)
 	}
-	if got := Seq.size(100); got != 1 {
-		t.Errorf("Seq size = %d", got)
+	if got := Parallel(1).size(100); got != 1 {
+		t.Errorf("Parallel(1) size = %d", got)
 	}
 }
 

@@ -133,50 +133,6 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 	return fit, nil
 }
 
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Bins     []int
-	Below    int // samples < Lo
-	Above    int // samples ≥ Hi
-	binWidth float64
-}
-
-// NewHistogram returns a histogram with n equal-width bins over
-// [lo, hi). It panics if n ≤ 0 or hi ≤ lo, which are programmer errors.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n), binWidth: (hi - lo) / float64(n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Below++
-	case x >= h.Hi:
-		h.Above++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Bins) { // float edge case at the upper boundary
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range
-// ones.
-func (h *Histogram) Total() int {
-	n := h.Below + h.Above
-	for _, b := range h.Bins {
-		n += b
-	}
-	return n
-}
-
 // String renders the summary as one compact line.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g",

@@ -153,34 +153,6 @@ func TestLinearFitConstantY(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Below != 1 || h.Above != 2 {
-		t.Errorf("below=%d above=%d", h.Below, h.Above)
-	}
-	if h.Bins[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Bins[0])
-	}
-	if h.Bins[1] != 1 || h.Bins[2] != 1 || h.Bins[4] != 1 {
-		t.Errorf("bins = %v", h.Bins)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if got := s.String(); got == "" {

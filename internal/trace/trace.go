@@ -118,17 +118,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Filter returns the retained events of the given kind, oldest first.
-func (l *Log) Filter(kind Kind) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Counts returns a histogram of retained events by kind.
 func (l *Log) Counts() map[Kind]int {
 	out := map[Kind]int{}

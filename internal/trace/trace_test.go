@@ -53,14 +53,11 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestFilterAndCounts(t *testing.T) {
+func TestCounts(t *testing.T) {
 	l := NewLog(10)
 	l.Record(Event{Kind: KindJoin})
 	l.Record(Event{Kind: KindDeath})
 	l.Record(Event{Kind: KindJoin})
-	if got := len(l.Filter(KindJoin)); got != 2 {
-		t.Errorf("joins = %d", got)
-	}
 	c := l.Counts()
 	if c[KindJoin] != 2 || c[KindDeath] != 1 {
 		t.Errorf("counts = %v", c)

@@ -104,7 +104,7 @@ func (c Config) Validate() error {
 // set instead of allocating per packet.
 type packet struct {
 	p2p      bool
-	src, dst radio.NodeID // dst is the big node for convergecast
+	dst      radio.NodeID // the big node for convergecast
 	born     float64
 	hops     int
 	attempts int          // failed attempts at the current hop
@@ -352,8 +352,8 @@ func (p *Plane) emit() {
 	}
 	i := p.newPacket()
 	p.packets[i] = packet{
-		p2p: p2p,
-		src: src, dst: dst,
+		p2p:    p2p,
+		dst:    dst,
 		holder: src, prev: radio.None,
 		born: p.nw.Engine().Now(),
 	}

@@ -1,0 +1,359 @@
+package gs3
+
+import (
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The two lints below read the same production source: every non-test
+// Go file under the module root, found by one directory walk, so a new
+// cmd/, examples/ or internal/ directory is linted without being listed.
+
+// modulePath is the import path of the module rooted here. perfbench, a
+// nested module, replaces it with this same tree.
+const modulePath = "gs3"
+
+// readerOnlyDir holds production code that reads the module's API but is
+// not linted itself: the benchmark module, which changes only on its own.
+const readerOnlyDir = "perfbench"
+
+// source is the tree's production code, parsed once.
+type source struct {
+	fset  *token.FileSet
+	dirs  []string // every package directory, in walk order ("." first)
+	files map[string][]*ast.File
+}
+
+func parseSource(t *testing.T) *source {
+	t.Helper()
+	src := &source{fset: token.NewFileSet(), files: map[string][]*ast.File{}}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// The directories the go tool ignores.
+			name := d.Name()
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(src.fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		if src.files[dir] == nil {
+			src.dirs = append(src.dirs, dir)
+		}
+		src.files[dir] = append(src.files[dir], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// linted reports whether the lints hold dir's declarations to their rules.
+func linted(dir string) bool {
+	return dir != readerOnlyDir && !strings.HasPrefix(dir, readerOnlyDir+string(filepath.Separator))
+}
+
+// TestDocComments is the doc-comment lint pass over every package of the
+// module: each exported symbol must carry a doc comment. The concurrency
+// model depends on the thread-safety contracts this godoc states — the
+// single-goroutine event engine, the node store, the runner's fan-out —
+// and every other package follows the same rule.
+func TestDocComments(t *testing.T) {
+	src := parseSource(t)
+	for _, dir := range src.dirs {
+		if !linted(dir) {
+			continue
+		}
+		for _, file := range src.files[dir] {
+			checkFileDocs(t, src.fset, file)
+		}
+	}
+}
+
+// receiverExported reports whether fn is a plain function or a method
+// whose receiver type is itself exported.
+func receiverExported(fn *ast.FuncDecl) bool {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return true
+	}
+	typ := fn.Recv.List[0].Type
+	for {
+		switch tt := typ.(type) {
+		case *ast.StarExpr:
+			typ = tt.X
+		case *ast.IndexExpr:
+			typ = tt.X
+		case *ast.Ident:
+			return tt.IsExported()
+		default:
+			return true
+		}
+	}
+}
+
+func checkFileDocs(t *testing.T, fset *token.FileSet, file *ast.File) {
+	t.Helper()
+	report := func(pos token.Pos, what string) {
+		p := fset.Position(pos)
+		t.Errorf("%s:%d: exported %s has no doc comment", p.Filename, p.Line, what)
+	}
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			// Methods on unexported types (e.g. heap plumbing) are not
+			// part of the package's godoc surface.
+			if d.Name.IsExported() && d.Doc == nil && receiverExported(d) {
+				report(d.Pos(), "func "+d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() && d.Doc == nil && s.Doc == nil {
+						report(s.Pos(), "type "+s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() && d.Doc == nil && s.Doc == nil {
+							report(s.Pos(), "value "+n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// testHooks are the production identifiers that only tests read, each
+// kept for the reason given. An entry that production code reads, or
+// that no longer exists, fails the lint.
+var testHooks = map[string]string{
+	"core.Network.SetSweepCache":   "switches the sweep cache off: the brute-force reference of the lockstep suites",
+	"core.Network.StopMaintenance": "ends the heartbeat chain: the engine-drain contract",
+	"core.Network.SweepWork":       "counts sweep bodies and replays: the work pins",
+	"sim.Engine.Pending":           "read by runLockstep and the engine lockstep",
+	"sim.Engine.NextEventTime":     "read by runLockstep and the engine lockstep",
+}
+
+// interfaceMethods are methods the standard library calls through its
+// own interfaces (fmt.Stringer, error, json.Marshaler, ...); production
+// code declares no interfaces of its own.
+var interfaceMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true,
+}
+
+// TestEveryIdentifierHasAProductionReader fails on production code that
+// only tests read: every package-level identifier, method and struct
+// field declared outside the public gs3 API must have a reader in some
+// non-test file, perfbench included. Writes are not reads: assignment
+// targets, ++/-- operands and struct-literal keys. Code nothing runs
+// except a test does not pay rent; it is deleted, moved into the test
+// that needs it, or named in testHooks with its reason.
+func TestEveryIdentifierHasAProductionReader(t *testing.T) {
+	src := parseSource(t)
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	imp := &moduleImporter{
+		src:  src,
+		std:  importer.ForCompiler(src.fset, "source", nil),
+		info: info,
+		pkgs: map[string]*types.Package{},
+	}
+	var pkgs []*types.Package
+	for _, dir := range src.dirs {
+		pkg, err := imp.Import(importPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if linted(dir) {
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	reads := productionReads(src, info)
+
+	hooksFound := map[string]bool{}
+	var findings []string
+	check := func(obj types.Object, name string) {
+		at, read := reads[obj]
+		if _, hook := testHooks[name]; hook {
+			hooksFound[name] = true
+			if read {
+				t.Errorf("testHooks[%q]: read by production code at %s", name, src.fset.Position(at))
+			}
+			return
+		}
+		// The root package's exported names are the public library surface.
+		if read || obj.Name() == "_" || obj.Pkg().Path() == modulePath && obj.Exported() {
+			return
+		}
+		p := src.fset.Position(obj.Pos())
+		findings = append(findings, fmt.Sprintf("%s:%d %s", p.Filename, p.Line, name))
+	}
+	for _, pkg := range pkgs {
+		scope := pkg.Scope()
+		for _, n := range scope.Names() {
+			obj := scope.Lookup(n)
+			name := pkg.Name() + "." + n
+			if _, isFunc := obj.(*types.Func); isFunc && (n == "main" || n == "init") {
+				continue
+			}
+			check(obj, name)
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); !interfaceMethods[m.Name()] {
+					check(m, name+"."+m.Name())
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					f := st.Field(i)
+					check(f, name+"."+f.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(findings)
+	for _, f := range findings {
+		t.Errorf("%s: no production code reads it", f)
+	}
+	for name := range testHooks {
+		if !hooksFound[name] {
+			t.Errorf("testHooks[%q]: no such identifier", name)
+		}
+	}
+}
+
+// importPath maps a package directory of the tree to its import path.
+func importPath(dir string) string {
+	if dir == "." {
+		return modulePath
+	}
+	return modulePath + "/" + filepath.ToSlash(dir)
+}
+
+// moduleImporter type-checks the tree's packages from the parsed source,
+// recording uses in info, and takes the standard library from GOROOT
+// source, so the lint needs neither a build nor a network.
+type moduleImporter struct {
+	src  *source
+	std  types.Importer
+	info *types.Info
+	pkgs map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
+		return m.std.Import(path)
+	}
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir := "."
+	if path != modulePath {
+		dir = filepath.FromSlash(strings.TrimPrefix(path, modulePath+"/"))
+	}
+	files := m.src.files[dir]
+	if len(files) == 0 {
+		return nil, fmt.Errorf("import %q: no production files in %s", path, dir)
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.src.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// productionReads maps each object the production source reads to the
+// position of its first read. A field reached through an embedded field
+// reads the embedded field too.
+func productionReads(src *source, info *types.Info) map[types.Object]token.Pos {
+	writes := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		e = ast.Unparen(e)
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			e = sel.Sel
+		}
+		if id, ok := e.(*ast.Ident); ok {
+			writes[id] = true
+		}
+	}
+	for _, dir := range src.dirs {
+		for _, f := range src.files[dir] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+							writes[id] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	reads := map[types.Object]token.Pos{}
+	read := func(obj types.Object, pos token.Pos) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if old, ok := reads[obj]; !ok || pos < old {
+			reads[obj] = pos
+		}
+	}
+	for id, obj := range info.Uses {
+		if !writes[id] {
+			read(obj, id.Pos())
+		}
+	}
+	for sel, s := range info.Selections {
+		typ := s.Recv()
+		idx := s.Index()
+		for _, i := range idx[:len(idx)-1] {
+			if p, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			f := typ.Underlying().(*types.Struct).Field(i)
+			read(f, sel.Sel.Pos())
+			typ = f.Type()
+		}
+	}
+	return reads
+}
