@@ -117,8 +117,10 @@ func TestConfigureAllocBudget(t *testing.T) {
 // HEAD_ORG, two broadcasts per HEAD_ORG (org and HeadSet), and one
 // range query per broadcast, per head gather answering that HEAD_ORG's
 // ASSOCIATE_ORG_RESP fan-out, and per IL owner/conflict probe of
-// HEAD_SELECT. A return to one head query per receiver (6,344 range
-// queries on this field) fails here exactly.
+// HEAD_SELECT. The HeadSet broadcast goes to the org broadcast's
+// audience, so its range query is credited, not run. A return to one
+// head query per receiver (6,344 range queries on this field) fails
+// here exactly.
 func TestConfigureWorkCounters(t *testing.T) {
 	s, err := netsim.Build(netsim.DefaultOptions(100, 400))
 	if err != nil {

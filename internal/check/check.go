@@ -8,6 +8,7 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -65,15 +66,17 @@ func (r *Result) addf(clause string, node radio.NodeID, format string, args ...a
 // chosen head — are copied once into dense arrays, in the struct-of-
 // arrays layout of core's node store, so a pass over all nodes reads
 // a few bytes per node rather than a whole view; views are otherwise
-// read by pointer into the snapshot, never copied. Node IDs are
-// allocated densely from 0 (see radio.NodeID), so the ID→position table
-// is a flat slice, and the member lists are one counting-sorted backing
-// array: building an index costs a fixed handful of allocations, not a
-// few per node.
+// read by pointer into the snapshot, never copied. The simulator
+// allocates node IDs densely from 0 (see radio.NodeID), so the
+// ID→position table is a flat slice, and the member lists are one
+// counting-sorted backing array: building an index costs a fixed
+// handful of allocations, not a few per node.
 type index struct {
 	snap  core.Snapshot
 	nodes []core.NodeView // snap.Nodes
-	// byID maps a node ID to its position in nodes (-1 if absent).
+	// byID maps a node ID to its position in nodes (-1 if absent). It
+	// is nil when the IDs are too sparse for a table of O(len(nodes)):
+	// then nodeIdx binary-searches nodes, which ascend by ID.
 	byID []int32
 
 	// Dense per-node copies, indexed by position in nodes: position,
@@ -124,10 +127,10 @@ const (
 func newIndex(s core.Snapshot) *index {
 	nodes := s.Nodes
 	n := len(nodes)
-	maxID := radio.NodeID(-1)
+	maxID := -1
 	nHeads := 0
 	for i := range nodes {
-		maxID = max(maxID, nodes[i].ID)
+		maxID = max(maxID, int(nodes[i].ID))
 		if nodes[i].Status.IsHeadRole() {
 			nHeads++
 		}
@@ -135,7 +138,6 @@ func newIndex(s core.Snapshot) *index {
 	ix := &index{
 		snap:     s,
 		nodes:    nodes,
-		byID:     make([]int32, maxID+1),
 		pos:      make([]geom.Point, n),
 		status:   make([]core.Status, n),
 		down:     make([]bool, n),
@@ -145,13 +147,21 @@ func newIndex(s core.Snapshot) *index {
 		boundary: make([]bool, nHeads),
 		mark:     make([]int32, nHeads),
 	}
-	for i := range ix.byID {
-		ix.byID[i] = -1
+	// A snapshot of the simulator holds at least a quarter of the IDs
+	// up to its largest unless three quarters of its nodes have died; a
+	// decoded one may hold a single node with ID 2³¹−1.
+	if maxID < 4*n {
+		ix.byID = make([]int32, maxID+1)
+		for i := range ix.byID {
+			ix.byID[i] = -1
+		}
 	}
 	headPos := make([]geom.Point, 0, nHeads)
 	for j := range nodes {
 		v := &nodes[j]
-		ix.byID[v.ID] = int32(j)
+		if ix.byID != nil {
+			ix.byID[v.ID] = int32(j)
+		}
 		ix.pos[j], ix.status[j], ix.down[j] = v.Pos, v.Status, v.Blackout
 		ix.headOf[j] = int32(v.Head) // resolved below, once byID is complete
 		ix.headOrd[j] = -1
@@ -196,6 +206,15 @@ func newIndex(s core.Snapshot) *index {
 
 // nodeIdx returns the position of id in nodes, or -1.
 func (ix *index) nodeIdx(id radio.NodeID) int32 {
+	if ix.byID == nil {
+		j, ok := slices.BinarySearchFunc(ix.nodes, id, func(v core.NodeView, id radio.NodeID) int {
+			return cmp.Compare(v.ID, id)
+		})
+		if !ok {
+			return -1
+		}
+		return int32(j)
+	}
 	if id < 0 || int(id) >= len(ix.byID) {
 		return -1
 	}

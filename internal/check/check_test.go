@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -319,5 +320,96 @@ func TestFarHeadLosesItsAssociates(t *testing.T) {
 		if !slices.Equal(flagged, want) {
 			t.Errorf("head %d at %v: F3 flags %v, want its up associates %v", head.ID, p, flagged, want)
 		}
+	}
+}
+
+// shiftIDs returns a copy of snap with every node ID, and every
+// reference to one, moved up by off.
+func shiftIDs(snap core.Snapshot, off radio.NodeID) core.Snapshot {
+	move := func(id radio.NodeID) radio.NodeID {
+		if id == radio.None {
+			return id
+		}
+		return id + off
+	}
+	moveAll := func(ids []radio.NodeID) []radio.NodeID {
+		out := make([]radio.NodeID, len(ids))
+		for i, id := range ids {
+			out[i] = move(id)
+		}
+		return out
+	}
+	out := snap
+	out.BigID = move(snap.BigID)
+	out.Nodes = slices.Clone(snap.Nodes)
+	for i := range out.Nodes {
+		v := &out.Nodes[i]
+		v.ID, v.Parent, v.Head, v.Proxy = move(v.ID), move(v.Parent), move(v.Head), move(v.Proxy)
+		v.Children, v.Neighbors = moveAll(v.Children), moveAll(v.Neighbors)
+	}
+	return out
+}
+
+// TestSparseIDsCheckAsRenumbered: a decoded snapshot whose IDs reach
+// 2³¹−1, or just below, checks exactly as the same snapshot with its IDs
+// renumbered from 0, in O(len(Nodes)) memory. A table indexed by ID
+// would need ~8 GB for such a snapshot, or panic sizing it.
+func TestSparseIDsCheckAsRenumbered(t *testing.T) {
+	nw, cfg := configured(t, 250)
+	for _, h := range nw.Snapshot().Heads() {
+		if !h.IsBig {
+			nw.Corrupt(h.ID, core.CorruptIL, 3*cfg.Rt)
+			break
+		}
+	}
+	field := nw.Snapshot()
+	lone := func(id radio.NodeID) core.Snapshot {
+		var s core.Snapshot
+		data := fmt.Sprintf(`{"config":{"r":100,"rt":25},"nodes":[{"id":%d,"status":"head"}]}`, id)
+		if err := s.UnmarshalJSON([]byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	type check struct {
+		name string
+		run  func(core.Snapshot) Result
+	}
+	checks := []check{
+		{"Invariant(Static)", func(s core.Snapshot) Result { return Invariant(s, Static) }},
+		{"Invariant(Dynamic)", func(s core.Snapshot) Result { return Invariant(s, Dynamic) }},
+		{"Fixpoint(Dynamic)", func(s core.Snapshot) Result { return Fixpoint(s, Dynamic) }},
+	}
+	compare := func(base, sparse core.Snapshot, off radio.NodeID) {
+		t.Helper()
+		for _, c := range checks {
+			want, got := c.run(base), c.run(sparse)
+			if len(got.Violations) != len(want.Violations) {
+				t.Fatalf("IDs up by %d, %d nodes: %s found %d violations, renumbered from 0 %d", off, len(base.Nodes), c.name, len(got.Violations), len(want.Violations))
+			}
+			for i, v := range got.Violations {
+				if w := want.Violations[i]; v.Clause != w.Clause || v.Node != w.Node+off {
+					t.Fatalf("IDs up by %d: %s violation %d is %v, renumbered from 0 %v", off, c.name, i, v, w)
+				}
+			}
+			if len(want.Violations) == 0 {
+				t.Fatalf("%s: the snapshot checks clean", c.name)
+			}
+		}
+	}
+	for _, top := range []radio.NodeID{math.MaxInt32, math.MaxInt32 - 1} {
+		// The corrupted field with IDs moved up to top, through JSON.
+		off := top - field.Nodes[len(field.Nodes)-1].ID
+		data, err := shiftIDs(field, off).MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sparse core.Snapshot
+		if err := sparse.UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
+		}
+		compare(field, sparse, off)
+		// A lone head with ID top, whose references name the absent ID 0.
+		compare(shiftIDs(lone(top), -top), lone(top), top)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gs3/internal/geom"
 	"gs3/internal/hexlat"
@@ -118,10 +119,8 @@ func (nw *Network) HeadOrg(id radio.NodeID) {
 	nw.emit(trace.KindHeadOrg, id, radio.None, h.IL)
 	cfg := nw.cfg
 
-	// The org broadcast must reach the whole search region, whose apex
-	// is IL(i); the head itself may sit up to Rt from its IL, so it
-	// widens its transmission range by Rt.
-	receivers, _ := nw.med.Broadcast(id, cfg.SearchRadius()+cfg.Rt)
+	audience := nw.orgAudience(id)
+	receivers := nw.med.Broadcast(id, audience)
 
 	isRoot := h.IsBig && h.Parent == id
 	sector := SearchSector(cfg, h.IL, h.ParentIL, isRoot)
@@ -154,7 +153,7 @@ func (nw *Network) HeadOrg(id radio.NodeID) {
 	nw.orgSmall, nw.orgAll = smallNodes, allSmall
 
 	nw.headSelect(h, neighborILsAppend(nw.ilBuf[:0], cfg, h.IL, h.ParentIL, isRoot), smallNodes)
-	nw.associateOrgResp(id, allSmall)
+	nw.associateOrgResp(id, audience, allSmall)
 
 	if h.Status != StatusWork {
 		nw.setStatus(h, StatusWork) // Head→Work: no head-role flip
@@ -193,14 +192,28 @@ func (nw *Network) headSelect(h *Node, ils []geom.Point, smallNodes []radio.Node
 	}
 }
 
-// associateOrgResp sends head id's HeadSet broadcast and lets every
-// small node among receivers re-choose its best head
-// (ASSOCIATE_ORG_RESP), shared by HeadOrg and RescanAround. A choice
-// writes only the chooser's own state, never a head role, so every
-// receiver chooses against the same head set, and one head gather
-// answers them all (see gatherHeads) instead of a range query each.
-func (nw *Network) associateOrgResp(id radio.NodeID, receivers []radio.NodeID) {
-	nw.med.Broadcast(id, nw.cfg.SearchRadius()+nw.cfg.Rt)
+// orgAudience returns the audience of head id's org broadcast (see
+// radio.Medium.Audience). The broadcast must reach the whole search
+// region, whose apex is IL(i); the head itself may sit up to Rt from its
+// IL, so it widens its transmission range by Rt. The result aliases the
+// network's audience scratch, which lives across the whole HEAD_ORG or
+// rescan: its HeadSet broadcast goes to the same audience.
+func (nw *Network) orgAudience(id radio.NodeID) []radio.NodeID {
+	nw.audience = nw.med.Audience(nw.audience[:0], id, nw.cfg.SearchRadius()+nw.cfg.Rt)
+	return nw.audience
+}
+
+// associateOrgResp sends head id's HeadSet broadcast to audience, the
+// audience of its org broadcast, and lets every small node among
+// receivers re-choose its best head (ASSOCIATE_ORG_RESP), shared by
+// HeadOrg and RescanAround. The audience is still current: HEAD_SELECT,
+// which runs between the two broadcasts, changes roles and links but
+// moves no node, removes none and blacks none out. A choice writes only
+// the chooser's own state, never a head role, so every receiver chooses
+// against the same head set, and one head gather answers them all (see
+// gatherHeads) instead of a range query each.
+func (nw *Network) associateOrgResp(id radio.NodeID, audience, receivers []radio.NodeID) {
+	nw.med.Broadcast(id, audience)
 	if len(receivers) == 0 {
 		return
 	}
@@ -208,7 +221,8 @@ func (nw *Network) associateOrgResp(id radio.NodeID, receivers []radio.NodeID) {
 	for _, rid := range receivers {
 		if n := nw.chooser(rid); n != nil {
 			p := nw.Position(rid)
-			nw.chooseHeadAmong(n, p, nw.headsHeard(gather, p))
+			head, cand := nw.headChoice(p, nw.headsHeard(gather, p))
+			nw.adoptHead(n, head, cand)
 		}
 	}
 }
@@ -240,20 +254,43 @@ func (nw *Network) gatherHeads(id radio.NodeID) []gatheredHead {
 	return out
 }
 
+// heardHead is a head a small node hears, with its squared distance.
+type heardHead struct {
+	id radio.NodeID
+	d2 float64
+}
+
 // headsHeard filters a head gather down to the heads a small node at p
-// hears: exactly reachableHeadsAt(p, SR), in the same ascending ID
-// order, without a range query of its own. It applies the medium's
-// range predicate with the same operands (head.Dist2(p) ≤ SR·SR) and
-// tests occlusion from p, as the medium does for a query at p. The
-// result aliases the network's heard scratch.
+// hears, then to those BestCandidate could pick among them. The heads
+// heard are exactly reachableHeadsAt(p, SR), found without a range
+// query of its own: it applies the medium's range predicate with the
+// same operands (head.Dist2(p) ≤ SR·SR) and tests occlusion from p, as
+// the medium does for a query at p. Of those it keeps, in the same
+// ascending ID order, the heads inside the band of the nearest one (see
+// geom.SurelyFarther): any other is strictly farther by Hypot than the
+// nearest, so it cannot be BestCandidate's pick, and BestCandidate over
+// what remains — usually the nearest head alone — picks exactly what it
+// would over every head heard. The result aliases the network's heard
+// scratch.
 func (nw *Network) headsHeard(gather []gatheredHead, p geom.Point) []radio.NodeID {
 	sr := nw.cfg.SearchRadius()
 	r2 := sr * sr
 	obs := nw.med.Obstacles()
-	out := nw.heard[:0]
+	near := nw.near[:0]
+	nearest := math.Inf(1)
 	for _, g := range gather {
-		if g.pos.Dist2(p) <= r2 && (len(obs) == 0 || !geom.AnyOccludes(obs, p, g.pos)) {
-			out = append(out, g.id)
+		if d2 := g.pos.Dist2(p); d2 <= r2 && (len(obs) == 0 || !geom.AnyOccludes(obs, p, g.pos)) {
+			near = append(near, heardHead{g.id, d2})
+			if d2 < nearest {
+				nearest = d2
+			}
+		}
+	}
+	nw.near = near
+	out := nw.heard[:0]
+	for _, h := range near {
+		if !geom.SurelyFarther(h.d2, nearest) {
+			out = append(out, h.id)
 		}
 	}
 	nw.heard = out
@@ -289,7 +326,7 @@ func (nw *Network) ilConflicts(il geom.Point) bool {
 func (nw *Network) caOf(il geom.Point, smallNodes []radio.NodeID) []radio.NodeID {
 	out := nw.caBuf[:0]
 	for _, id := range smallNodes {
-		if nw.Position(id).Dist(il) <= nw.cfg.Rt {
+		if nw.Position(id).Within(il, nw.cfg.Rt) {
 			out = append(out, id)
 		}
 	}
@@ -347,7 +384,9 @@ func (nw *Network) ChooseHead(id radio.NodeID) radio.NodeID {
 		return radio.None
 	}
 	p := nw.Position(id)
-	return nw.chooseHeadAmong(n, p, nw.reachableHeadsAt(p, nw.cfg.SearchRadius()))
+	head, cand := nw.headChoice(p, nw.reachableHeadsAt(p, nw.cfg.SearchRadius()))
+	nw.adoptHead(n, head, cand)
+	return head
 }
 
 // chooser returns node id if it may run ASSOCIATE_ORG_RESP — an alive
@@ -361,26 +400,37 @@ func (nw *Network) chooser(id radio.NodeID) *Node {
 	return n
 }
 
-// chooseHeadAmong is the ASSOCIATE_ORG_RESP decision of small node n at
-// p, given the heads it hears (reachableHeadsAt(p, SR), or the same
-// list filtered from a head gather): associate with the best of them,
-// or become bootup when there is none.
-func (nw *Network) chooseHeadAmong(n *Node, p geom.Point, heads []radio.NodeID) radio.NodeID {
+// headChoice is the ASSOCIATE_ORG_RESP decision of a small node at p,
+// given the heads it hears (reachableHeadsAt(p, SR), or the list
+// headsHeard filters from a head gather, on which BestCandidate picks
+// the same head): the best of them, and whether p lies within Rt of that
+// head's IL, which makes it a candidate of the cell. It returns
+// radio.None when the node hears no head.
+func (nw *Network) headChoice(p geom.Point, heads []radio.NodeID) (head radio.NodeID, cand bool) {
 	best, ok := BestCandidate(p, nw.cfg.GR, heads, nw.Position)
 	if !ok {
+		return radio.None, false
+	}
+	return best, p.Within(nw.node(best).IL, nw.cfg.Rt)
+}
+
+// adoptHead applies small node n's headChoice: associate with head, as a
+// candidate of its cell when cand, or become bootup when head is
+// radio.None.
+func (nw *Network) adoptHead(n *Node, head radio.NodeID, cand bool) {
+	if head == radio.None {
 		if n.Status != StatusBootup || n.Head != radio.None || n.Candidate {
 			nw.becomeBootup(n)
 			nw.touch(n.ID)
 		}
-		return radio.None
+		return
 	}
-	bn := nw.node(best)
-	cand := p.Dist(bn.IL) <= nw.cfg.Rt
+	bn := nw.node(head)
 	// Guarded on change: a settled associate re-choosing the same head
 	// (the steady-state outcome every sweep) stays epoch-quiet.
-	if n.Status != StatusAssociate || n.Head != best || n.Candidate != cand ||
+	if n.Status != StatusAssociate || n.Head != head || n.Candidate != cand ||
 		(cand && (n.CellIL != bn.IL || n.CellOIL != bn.OIL || n.CellSpiral != bn.Spiral)) {
-		nw.becomeAssociate(n, best)
+		nw.becomeAssociate(n, head)
 		n.Candidate = cand
 		if cand {
 			// Candidates replicate the cell state from the HeadSet
@@ -389,5 +439,4 @@ func (nw *Network) chooseHeadAmong(n *Node, p geom.Point, heads []radio.NodeID) 
 		}
 		nw.touch(n.ID)
 	}
-	return best
 }

@@ -98,7 +98,7 @@ func TestSendHookRemovedOnStop(t *testing.T) {
 	nw.StopMaintenance()
 	victim := someSmallHead(t, nw, 400, nw.cfg.HeadSpacing())
 	before := nw.coldOf(victim.ID).Energy
-	nw.med.Broadcast(victim.ID, nw.cfg.SearchRadius())
+	nw.med.Broadcast(victim.ID, nw.med.Audience(nil, victim.ID, nw.cfg.SearchRadius()))
 	if got := nw.coldOf(victim.ID).Energy; got != before {
 		t.Errorf("broadcast after StopMaintenance drained %v", before-got)
 	}

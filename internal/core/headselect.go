@@ -49,20 +49,14 @@ func neighborILsAppend(dst []geom.Point, cfg Config, il, parentIL geom.Point, is
 // √3·R + 2·Rt.
 func SearchSector(cfg Config, il, parentIL geom.Point, isRoot bool) geom.Sector {
 	if isRoot {
-		return geom.Sector{Apex: il, Ref: geom.UnitAt(cfg.GR), Lo: -math.Pi, Hi: math.Pi, Radius: cfg.SearchRadius()}
+		return geom.NewSector(il, geom.UnitAt(cfg.GR), -math.Pi, math.Pi, cfg.SearchRadius())
 	}
 	ref := il.Sub(parentIL)
 	if ref.Len() == 0 {
 		ref = geom.UnitAt(cfg.GR)
 	}
 	a := cfg.Alpha()
-	return geom.Sector{
-		Apex:   il,
-		Ref:    ref,
-		Lo:     -math.Pi/3 - a,
-		Hi:     math.Pi/3 + a,
-		Radius: cfg.SearchRadius(),
-	}
+	return geom.NewSector(il, ref, -math.Pi/3-a, math.Pi/3+a, cfg.SearchRadius())
 }
 
 // Ranked is a node together with its HEAD_SELECT ranking key.
@@ -118,12 +112,17 @@ func rankOf(il geom.Point, ref geom.Vec, id radio.NodeID, p geom.Point) Ranked {
 // sorting, which matters because this runs inside every HEAD_SELECT,
 // ChooseHead, and candidate election. The scan compares d first, as
 // rankKeyCmp does, and computes the ⟨|A|, A⟩ angles only when a
-// distance ties the best one exactly: nothing else consults them.
+// distance ties the best one exactly: nothing else consults them. A
+// lone node wins with no distance computed at all.
 func BestCandidate(il geom.Point, gr float64, ids []radio.NodeID, pos func(radio.NodeID) geom.Point) (radio.NodeID, bool) {
 	if len(ids) == 0 {
 		return radio.None, false
 	}
-	bestID, bestP := ids[0], pos(ids[0])
+	bestID := ids[0]
+	if len(ids) == 1 {
+		return bestID, true
+	}
+	bestP := pos(bestID)
 	bestD := il.Dist(bestP)
 	var ref geom.Vec
 	var best Ranked // the best's full key, valid once ranked

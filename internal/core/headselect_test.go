@@ -259,44 +259,60 @@ func TestBestCandidateAtIL(t *testing.T) {
 // computes the ⟨|A|, A⟩ angles only on exact distance ties, against
 // the full rankCandidates sort on candidate sets built to tie: integer
 // Pythagorean offsets around the IL (d = 5, 10 exactly), pairs
-// mirrored about GR (|A| ties, A decides), and coincident positions
-// (the ID decides). Every permutation of every set must pick the
-// sort's first node, for GR along and off the axes.
+// mirrored about GR (|A| ties, A decides), coincident positions (the ID
+// decides), and distances an ulp apart (5 and the next float up, each
+// reached along several directions, around an IL at the origin, where
+// the offsets keep every bit). Every permutation of every set must pick
+// the sort's first node, for GR along and off the axes.
 func TestBestCandidateTiesMatchRanking(t *testing.T) {
-	il := geom.Point{X: 100, Y: -40}
-	sets := [][]geom.Vec{
-		{{X: 3, Y: 4}, {X: 4, Y: 3}, {X: 5, Y: 0}, {X: 0, Y: -5}, {X: -3, Y: 4}, {X: -4, Y: -3}, {X: 0, Y: 5}},
-		{{X: 6, Y: 8}, {X: 10, Y: 0}, {X: 3, Y: -4}, {X: 8, Y: -6}, {X: -5, Y: 0}, {X: 0, Y: -10}, {X: 4, Y: 3}},
-		{{X: 3, Y: 4}, {X: 3, Y: -4}, {X: 4, Y: 3}, {X: 4, Y: -3}, {X: -3, Y: 4}, {X: -3, Y: -4}, {X: 0, Y: 5}},
-		{{X: 4, Y: 3}, {X: -4, Y: 3}, {X: 3, Y: 4}, {X: -3, Y: 4}, {X: 0, Y: -5}, {X: 5, Y: 0}, {X: -5, Y: 0}},
-		{{X: 3, Y: 4}, {X: 3, Y: 4}, {X: 3, Y: -4}, {X: 3, Y: -4}, {X: 5, Y: 0}, {X: 6, Y: 8}, {X: 5, Y: 0}},
-		{{}, {}, {X: 3, Y: 4}, {}, {X: 6, Y: 8}, {X: 0, Y: 5}},
+	up := math.Nextafter(5, 6)
+	cases := []struct {
+		il   geom.Point
+		sets [][]geom.Vec
+	}{
+		{geom.Point{X: 100, Y: -40}, [][]geom.Vec{
+			{{X: 3, Y: 4}, {X: 4, Y: 3}, {X: 5, Y: 0}, {X: 0, Y: -5}, {X: -3, Y: 4}, {X: -4, Y: -3}, {X: 0, Y: 5}},
+			{{X: 6, Y: 8}, {X: 10, Y: 0}, {X: 3, Y: -4}, {X: 8, Y: -6}, {X: -5, Y: 0}, {X: 0, Y: -10}, {X: 4, Y: 3}},
+			{{X: 3, Y: 4}, {X: 3, Y: -4}, {X: 4, Y: 3}, {X: 4, Y: -3}, {X: -3, Y: 4}, {X: -3, Y: -4}, {X: 0, Y: 5}},
+			{{X: 4, Y: 3}, {X: -4, Y: 3}, {X: 3, Y: 4}, {X: -3, Y: 4}, {X: 0, Y: -5}, {X: 5, Y: 0}, {X: -5, Y: 0}},
+			{{X: 3, Y: 4}, {X: 3, Y: 4}, {X: 3, Y: -4}, {X: 3, Y: -4}, {X: 5, Y: 0}, {X: 6, Y: 8}, {X: 5, Y: 0}},
+			{{}, {}, {X: 3, Y: 4}, {}, {X: 6, Y: 8}, {X: 0, Y: 5}},
+		}},
+		{geom.Point{}, [][]geom.Vec{
+			{{X: 5}, {X: up}, {Y: 5}, {Y: -up}, {X: -5}, {X: -up}, {X: 3, Y: 4}},
+			{{X: up}, {X: -up}, {Y: up}, {Y: -up}, {X: 3, Y: -4}, {X: 5}, {X: 4, Y: math.Nextafter(3, 4)}},
+		}},
 	}
 	// IDs deliberately out of position order, so the ID tie-break is
 	// not the input order.
 	ids := []radio.NodeID{41, 7, 19, 3, 28, 12, 35}
-	for si, offs := range sets {
-		pos := make(map[radio.NodeID]geom.Point, len(offs))
-		set := make([]radio.NodeID, len(offs))
-		for i, o := range offs {
-			set[i] = ids[i]
-			pos[ids[i]] = il.Add(o)
-		}
-		at := func(id radio.NodeID) geom.Point { return pos[id] }
-		for _, gr := range []float64{0, math.Pi / 2, math.Pi, -math.Pi / 2, 0.3} {
-			want := rankCandidates(il, gr, set, at)[0].ID
-			perm := append([]radio.NodeID(nil), set...)
-			n := 0
-			permute(perm, len(perm), func() {
-				n++
-				if got, ok := BestCandidate(il, gr, perm, at); !ok || got != want {
-					t.Fatalf("set %d, GR %.3f, order %v: BestCandidate = %d, rankCandidates first = %d", si, gr, perm, got, want)
+	for ci, c := range cases {
+		for si, offs := range c.sets {
+			pos := make(map[radio.NodeID]geom.Point, len(offs))
+			set := make([]radio.NodeID, len(offs))
+			for i, o := range offs {
+				set[i] = ids[i]
+				pos[ids[i]] = c.il.Add(o)
+			}
+			at := func(id radio.NodeID) geom.Point { return pos[id] }
+			for _, gr := range []float64{0, math.Pi / 2, math.Pi, -math.Pi / 2, 0.3} {
+				want := rankCandidates(c.il, gr, set, at)[0].ID
+				perm := append([]radio.NodeID(nil), set...)
+				n := 0
+				permute(perm, len(perm), func() {
+					n++
+					if got, ok := BestCandidate(c.il, gr, perm, at); !ok || got != want {
+						t.Fatalf("case %d set %d, GR %.3f, order %v: BestCandidate = %d, rankCandidates first = %d", ci, si, gr, perm, got, want)
+					}
+				})
+				if want := factorial(len(set)); n != want {
+					t.Fatalf("case %d set %d: visited %d permutations, want %d", ci, si, n, want)
 				}
-			})
-			if want := factorial(len(set)); n != want {
-				t.Fatalf("set %d: visited %d permutations, want %d", si, n, want)
 			}
 		}
+	}
+	if d := (geom.Point{}).Dist(geom.Point{X: up}); d != math.Nextafter(5, 6) {
+		t.Fatalf("the ulp sets' distances are %v and 5, not an ulp apart", d)
 	}
 }
 

@@ -601,7 +601,7 @@ func (nw *Network) transferHeadRole(old, repl *Node) {
 		nw.resetHeadState(old)
 	} else {
 		nw.becomeAssociate(old, repl.ID)
-		old.Candidate = nw.Position(old.ID).Dist(repl.IL) <= nw.cfg.Rt
+		old.Candidate = nw.Position(old.ID).Within(repl.IL, nw.cfg.Rt)
 	}
 	nw.setStatus(repl, StatusWork)
 }
@@ -684,7 +684,7 @@ func (nw *Network) associateIntraCell(n *Node) {
 		// Heartbeat succeeded: re-evaluate candidacy and head choice.
 		// Writes are guarded on change so a settled cell stays
 		// epoch-quiet sweep after sweep.
-		cand := nw.Position(n.ID).Dist(head.IL) <= nw.cfg.Rt
+		cand := nw.Position(n.ID).Within(head.IL, nw.cfg.Rt)
 		if cand {
 			if !n.Candidate || n.CellIL != head.IL || n.CellOIL != head.OIL || n.CellSpiral != head.Spiral {
 				n.Candidate = true
@@ -923,7 +923,8 @@ func (nw *Network) RescanAround(id radio.NodeID) {
 	}
 	nw.metrics.HeadOrgs++
 	nw.emit(trace.KindHeadOrg, id, radio.None, h.IL)
-	receivers, _ := nw.med.Broadcast(id, nw.cfg.SearchRadius()+nw.cfg.Rt)
+	audience := nw.orgAudience(id)
+	receivers := nw.med.Broadcast(id, audience)
 
 	// Every receiver replies; every small one is a HEAD_SELECT candidate
 	// and re-chooses its head afterwards.
@@ -941,7 +942,7 @@ func (nw *Network) RescanAround(id radio.NodeID) {
 	nw.orgAll = smallNodes
 
 	nw.headSelect(h, nw.sixILs(h), smallNodes)
-	nw.associateOrgResp(id, smallNodes)
+	nw.associateOrgResp(id, audience, smallNodes)
 }
 
 // sixILs returns the six neighboring-cell ILs around h's cell, oriented

@@ -71,16 +71,19 @@ type Network struct {
 	caBuf []radio.NodeID
 
 	// ilBuf backs the neighboring ILs of a HEAD_ORG (neighborILsAppend,
-	// sixILs). orgSmall and orgAll are its receiver-partition scratch
-	// (small nodes eligible for promotion; all small receivers). All
-	// three live across the whole HEAD_ORG or rescan — including its
-	// nested queries and head choices — so they are separate from the
-	// query scratches above. gather and heard back the ASSOCIATE_ORG_RESP
-	// fan-out (gatherHeads, headsHeard).
+	// sixILs), audience its broadcasts' audience (orgAudience), and
+	// orgSmall and orgAll its receiver-partition scratch (small nodes
+	// eligible for promotion; all small receivers). All four live
+	// across the whole HEAD_ORG or rescan — including its nested
+	// queries and head choices — so they are separate from the query
+	// scratches above. gather, near and heard back the
+	// ASSOCIATE_ORG_RESP fan-out (gatherHeads, headsHeard).
 	ilBuf    [6]geom.Point
+	audience []radio.NodeID
 	orgSmall []radio.NodeID
 	orgAll   []radio.NodeID
 	gather   []gatheredHead
+	near     []heardHead
 	heard    []radio.NodeID
 
 	// faults, when set, injects radio unreliability and node blackouts

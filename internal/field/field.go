@@ -19,8 +19,6 @@ import (
 // position. Index 0 of Positions is always the big node.
 type Deployment struct {
 	Positions []geom.Point
-	// Region radius used to generate the deployment (0 for rectangles).
-	Radius float64
 }
 
 // N returns the number of nodes, including the big node.
@@ -83,7 +81,7 @@ func Poisson(cfg Config, src *rng.Source) (Deployment, error) {
 		}
 		pts = append(pts, p)
 	}
-	return Deployment{Positions: pts, Radius: cfg.Radius}, nil
+	return Deployment{Positions: pts}, nil
 }
 
 func inGap(p geom.Point, gaps []Gap) bool {
@@ -128,13 +126,13 @@ func Grid(radius, spacing, jitter float64, src *rng.Source) (Deployment, error) 
 			}
 		}
 	}
-	return Deployment{Positions: pts, Radius: radius}, nil
+	return Deployment{Positions: pts}, nil
 }
 
 // WithGaps returns a copy of d with nodes inside any gap removed. The
 // big node (index 0) is never removed.
 func WithGaps(d Deployment, gaps []Gap) Deployment {
-	out := Deployment{Positions: make([]geom.Point, 0, len(d.Positions)), Radius: d.Radius}
+	out := Deployment{Positions: make([]geom.Point, 0, len(d.Positions))}
 	out.Positions = append(out.Positions, d.Positions[0])
 	for _, p := range d.Positions[1:] {
 		if !inGap(p, gaps) {
@@ -149,7 +147,7 @@ func WithGaps(d Deployment, gaps []Gap) Deployment {
 // WithGaps: the big node anchors the structure and experiments place
 // obstacles away from it.
 func WithObstacles(d Deployment, obs []Obstacle) Deployment {
-	out := Deployment{Positions: make([]geom.Point, 0, len(d.Positions)), Radius: d.Radius}
+	out := Deployment{Positions: make([]geom.Point, 0, len(d.Positions))}
 	out.Positions = append(out.Positions, d.Positions[0])
 	for _, p := range d.Positions[1:] {
 		if !inObstacle(p, obs) {

@@ -42,6 +42,68 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
+// Within reports whether p.Dist(q) <= r, with the same result bit for
+// bit, deciding from squared distances wherever they can (see cmpSq)
+// and calling Hypot only where they cannot.
+func (p Point) Within(q Point, r float64) bool {
+	if c := cmpSq(p.Dist2(q), radiusSq(r)); c != 0 {
+		return c < 0
+	}
+	return p.Dist(q) <= r
+}
+
+// SurelyFarther reports whether the distance whose square is d2 is
+// strictly greater, as Dist computes both, than the one whose square is
+// ref2, deciding from the squares alone: it is cmpSq(d2, ref2) > 0.
+// Both squares must be computed as Dist2 computes them. A false answer
+// decides nothing: within the band of ref2, only Hypot can order the
+// two.
+func SurelyFarther(d2, ref2 float64) bool {
+	return normal(d2) && normal(ref2) && d2 > ref2*(1+band)
+}
+
+// band is the relative width of the band around a square inside which a
+// squared distance cannot stand in for Hypot. Dist2 (or a product r·r)
+// and Hypot each stay within 5 ulps (~1.1e-15) of the exact square or
+// distance, so two squares farther apart than the band order their
+// Hypot distances the same way: the band is wider than their combined
+// error by five orders of magnitude.
+const band = 1e-9
+
+// cmpSq compares two distances, a and b, from their squares a2 and b2,
+// each computed as Dist2 computes it or as the product b·b: −1 when a is
+// surely below b by Hypot, +1 when surely above, and 0 when only Hypot
+// can tell. It answers 0 for a2 within the band of b2, and whenever a2
+// or b2 is not a normal finite number — NaN, ±Inf, an overflowing or a
+// subnormal square, whose rounding error the band does not bound.
+func cmpSq(a2, b2 float64) int {
+	if !normal(a2) || !normal(b2) {
+		return 0
+	}
+	switch {
+	case a2 < b2*(1-band):
+		return -1
+	case a2 > b2*(1+band):
+		return 1
+	}
+	return 0
+}
+
+// radiusSq returns r·r as cmpSq's second square, or NaN, on which cmpSq
+// decides nothing, when r is not positive: a negative r has a positive
+// square, yet no distance is at most r.
+func radiusSq(r float64) float64 {
+	if r > 0 {
+		return r * r
+	}
+	return math.NaN()
+}
+
+// normal reports whether x is a positive, normal, finite float64.
+func normal(x float64) bool {
+	return x >= 0x1p-1022 && x <= math.MaxFloat64
+}
+
 // Midpoint returns the midpoint of segment pq.
 func (p Point) Midpoint(q Point) Point {
 	return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2}
@@ -102,33 +164,75 @@ func SignedAngle(ref, dir Vec) float64 {
 }
 
 // Sector is an angular region around an apex, measured relative to a
-// reference direction: all directions whose signed angle from Ref lies
-// in [Lo, Hi]. Lo and Hi are in radians; Lo ≤ Hi. A full circle is
-// Lo = −π, Hi = π (or any span ≥ 2π).
+// reference direction: the points within radius of the apex whose
+// direction's signed angle from ref lies in [lo, hi] (radians, lo ≤ hi;
+// a span of 2π or more is the full disk). Build one with NewSector.
 type Sector struct {
-	Apex   Point
-	Ref    Vec
-	Lo, Hi float64
-	Radius float64
+	apex    Point
+	ref     Vec
+	lo, hi  float64
+	radius  float64
+	radius2 float64 // radiusSq(radius)
+
+	// Edge data NewSector precomputes, so that Contains decides most
+	// directions with a dot product and calls SignedAngle only near an
+	// edge. full: the span covers every direction. When fast is set,
+	// mid is the unit bisector of the span and cosIn, cosOut bound the
+	// cosine of the half-span from above and below by the band: a
+	// direction whose cosine to mid exceeds cosIn is surely inside, and
+	// one below cosOut surely outside.
+	full, fast    bool
+	mid           Vec
+	cosIn, cosOut float64
 }
 
-// Contains reports whether p lies inside the sector (within Radius of
+// NewSector returns the sector of directions whose signed angle from ref
+// lies in [lo, hi], out to radius around apex.
+//
+// Contains matches the translate test of SignedAngle against [lo, hi]
+// bit for bit. Away from an edge that test is exact geometry: the angle
+// it computes is within ~1e-14 rad of the true one, and for
+// −2π ≤ lo ≤ hi ≤ 2π its three translates of the angle cover every
+// representative in [lo, hi]. So outside the band around the edges,
+// the cosine of the angle to the bisector decides the same way. Other
+// spans, and a ref whose angle is not finite, take SignedAngle for
+// every direction.
+func NewSector(apex Point, ref Vec, lo, hi, radius float64) Sector {
+	s := Sector{apex: apex, ref: ref, lo: lo, hi: hi, radius: radius, radius2: radiusSq(radius), full: hi-lo >= 2*math.Pi}
+	base := ref.Angle()
+	if !s.full && -2*math.Pi <= lo && lo <= hi && hi <= 2*math.Pi && !math.IsNaN(base) && !math.IsInf(base, 0) {
+		half := math.Cos((hi - lo) / 2)
+		s.fast, s.mid = true, UnitAt(base+(lo+hi)/2)
+		s.cosIn, s.cosOut = half+band, half-band
+	}
+	return s
+}
+
+// Contains reports whether p lies inside the sector (within radius of
 // the apex and within the angular span).
-func (s Sector) Contains(p Point) bool {
-	v := p.Sub(s.Apex)
-	if v.Len() > s.Radius {
+func (s *Sector) Contains(p Point) bool {
+	v := p.Sub(s.apex)
+	d2 := p.Dist2(s.apex)
+	if c := cmpSq(d2, s.radius2); c > 0 || c == 0 && v.Len() > s.radius {
 		return false
 	}
-	if s.Hi-s.Lo >= 2*math.Pi {
+	if s.full || v.X == 0 && v.Y == 0 {
 		return true
 	}
-	if v.X == 0 && v.Y == 0 {
-		return true
+	if s.fast && normal(d2) {
+		// |v|·cos of the angle between v and the bisector.
+		c, n := s.mid.X*v.X+s.mid.Y*v.Y, math.Sqrt(d2)
+		if c > s.cosIn*n {
+			return true
+		}
+		if c < s.cosOut*n {
+			return false
+		}
 	}
-	a := SignedAngle(s.Ref, v)
+	a := SignedAngle(s.ref, v)
 	// The span may straddle the ±π wrap once normalized; test both the
 	// direct value and its 2π translates.
-	return (a >= s.Lo && a <= s.Hi) ||
-		(a+2*math.Pi >= s.Lo && a+2*math.Pi <= s.Hi) ||
-		(a-2*math.Pi >= s.Lo && a-2*math.Pi <= s.Hi)
+	return (a >= s.lo && a <= s.hi) ||
+		(a+2*math.Pi >= s.lo && a+2*math.Pi <= s.hi) ||
+		(a-2*math.Pi >= s.lo && a-2*math.Pi <= s.hi)
 }

@@ -44,14 +44,17 @@ func BenchmarkWithinRange(b *testing.B) {
 	})
 }
 
-// BenchmarkBroadcast measures the zero-allocation broadcast path (the
-// per-Medium receiver buffer).
+// BenchmarkBroadcast measures the zero-allocation broadcast path: the
+// audience query into a reused buffer, then the delivery into the
+// per-Medium receiver buffer.
 func BenchmarkBroadcast(b *testing.B) {
 	m := benchMedium(b)
+	var audience []NodeID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ids, _ := m.Broadcast(820, 100); len(ids) == 0 {
+		audience = m.Audience(audience[:0], 820, 100)
+		if ids := m.Broadcast(820, audience); len(ids) == 0 {
 			b.Fatal("no receivers")
 		}
 	}
@@ -82,7 +85,8 @@ func TestWithinRangeAppendZeroAlloc(t *testing.T) {
 		t.Errorf("WithinRangeAppend steady state: %v allocs/op, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		if ids, _ := m.Broadcast(0, 100); len(ids) == 0 {
+		buf = m.Audience(buf[:0], 0, 100)
+		if ids := m.Broadcast(0, buf); len(ids) == 0 {
 			t.Fatal("no receivers")
 		}
 	})

@@ -71,7 +71,7 @@ func TestOcclusionFiltersRangeQueries(t *testing.T) {
 		t.Errorf("HeadsWithinDisk = %v, want [1 2]", got)
 	}
 	// Broadcast inherits the filter.
-	rcv, _ := m.Broadcast(0, 20)
+	rcv := broadcast(m, 0, 20)
 	if len(rcv) != 1 || rcv[0] != 2 {
 		t.Errorf("Broadcast receivers = %v, want [2]", rcv)
 	}
@@ -141,7 +141,7 @@ func TestSendHookFires(t *testing.T) {
 		sends = append(sends, id)
 		kinds = append(kinds, broadcast)
 	})
-	m.Broadcast(0, 20)
+	broadcast(m, 0, 20)
 	if _, err := m.Unicast(1, 2, 20); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSendHookFires(t *testing.T) {
 		t.Errorf("kinds = %v, want [true false]", kinds)
 	}
 	m.SetSendHook(nil)
-	m.Broadcast(0, 20)
+	broadcast(m, 0, 20)
 	if len(sends) != 2 {
 		t.Error("hook fired after removal")
 	}

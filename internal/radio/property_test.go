@@ -174,13 +174,15 @@ func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 
 // TestBroadcastReceiverSetRegression pins the fault-draw contract of
 // Broadcast for a fixed seed: one DropDelivery per in-range receiver,
-// in ascending ID order. An injector replayed from the same seed over
-// the brute-force receiver list must predict the surviving set
-// exactly; any change to query ordering or randomness consumption
-// breaks experiment reproducibility.
+// in ascending ID order, a DupDelivery per survivor, then one jitter
+// draw per broadcast. An injector replayed from the same seed over the
+// brute-force receiver list must predict the surviving set exactly, and
+// end each broadcast at the same point of the stream; any change to
+// query ordering or randomness consumption breaks experiment
+// reproducibility.
 func TestBroadcastReceiverSetRegression(t *testing.T) {
 	const seed = 42
-	plan := fault.Plan{Loss: 0.3}
+	plan := fault.Plan{Loss: 0.3, Dup: 0.1, Jitter: 0.2}
 	newInjector := func() *fault.Injector {
 		inj, err := fault.NewInjector(plan, rng.New(seed))
 		if err != nil {
@@ -210,8 +212,12 @@ func TestBroadcastReceiverSetRegression(t *testing.T) {
 				continue
 			}
 			want = append(want, id)
+			if replay.DupDelivery() {
+				want = append(want, id)
+			}
 		}
-		got, _ := m.Broadcast(sender, 100)
+		replay.JitterDelay(1)
+		got := m.Broadcast(sender, m.Audience(nil, sender, 100))
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d: Broadcast(%d) = %v, want %v", round, sender, got, want)
 		}

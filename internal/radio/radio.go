@@ -136,13 +136,10 @@ type Medium struct {
 
 	// bcast is the reusable receiver buffer for Broadcast: steady-state
 	// broadcasts allocate nothing. It is distinct from any caller-owned
-	// WithinRangeAppend destination, so a Broadcast result stays valid
-	// across interleaved range queries (but not across Broadcasts).
+	// Audience or WithinRangeAppend destination, so a Broadcast result
+	// stays valid across interleaved range queries (but not across
+	// Broadcasts).
 	bcast []NodeID
-	// bcastOut is the surviving-receiver buffer used when a fault
-	// injector is active: duplication can emit two IDs per receiver, so
-	// the in-place ids[:0] aliasing of the fault-free path is unsafe.
-	bcastOut []NodeID
 
 	// inj injects message faults; nil means a perfectly reliable
 	// medium.
@@ -596,45 +593,52 @@ func (m *Medium) Delay(dist float64) float64 {
 	return m.params.PerMessageOverhead + dist/m.params.DiffusionSpeed
 }
 
+// Audience appends to dst the nodes a broadcast from sender over radius
+// reaches on the medium as it stands: every other node within radius
+// and in line of sight, in ascending ID order. It appends nothing when
+// sender is not on the medium. The query is the one every Broadcast
+// over the audience counts, so Audience counts nothing itself: a caller
+// that broadcasts twice over one unchanged audience (HEAD_ORG's org and
+// HeadSet broadcasts) runs the query once and is credited twice, as
+// replays are credited for the queries they skip.
+func (m *Medium) Audience(dst []NodeID, sender NodeID, radius float64) []NodeID {
+	if !m.known(sender) || !m.on[sender] {
+		return dst
+	}
+	return gridRange(m.grid, m.cellSize, m.obstacles, dst, m.pos[sender], radius, sender)
+}
+
 // Broadcast performs a destination-unaware transmission from sender to
-// all nodes within radius. When a fault injector is installed, each
-// receiver independently loses the delivery with the injector's
-// per-delivery loss, and surviving deliveries may be duplicated (the
-// receiver appears twice, adjacent). It returns the surviving receiver
-// IDs (non-decreasing) and the worst-case delay (to the farthest
-// receiver, jittered by the injector). A blacked-out sender transmits
-// nothing; blacked-out receivers hear nothing.
+// audience, which must be an Audience of sender on the medium as it
+// stands (not a Broadcast result, whose buffer this call overwrites),
+// and credits the range query that found it. When a fault
+// injector is installed, each receiver independently loses the delivery
+// with the injector's per-delivery loss, and surviving deliveries may
+// be duplicated (the receiver appears twice, adjacent). It returns the
+// surviving receiver IDs (non-decreasing). A blacked-out sender
+// transmits nothing; blacked-out receivers hear nothing.
 //
-// The injector draws per in-range receiver in ascending ID order
-// (blacked-out receivers draw nothing) — the determinism contract
-// RNG-replay tests rely on.
+// The injector draws per receiver in ascending ID order (blacked-out
+// receivers draw nothing), then draws one jitter factor for the
+// broadcast — the determinism contract RNG-replay tests rely on. No
+// caller reads a broadcast's delay, but its jitter draw stays in the
+// fault stream.
 //
 // The returned slice is backed by a per-Medium buffer: it stays valid
 // across range queries and unicasts, but the next Broadcast on this
 // medium overwrites it. Callers that retain receivers across
 // broadcasts must copy them out.
-func (m *Medium) Broadcast(sender NodeID, radius float64) ([]NodeID, float64) {
-	if !m.known(sender) || !m.on[sender] {
-		return nil, 0
-	}
-	p := m.pos[sender]
-	if m.InBlackout(sender) {
-		return nil, 0
+func (m *Medium) Broadcast(sender NodeID, audience []NodeID) []NodeID {
+	if !m.known(sender) || !m.on[sender] || m.InBlackout(sender) {
+		return nil
 	}
 	m.stats.Broadcasts++
+	m.stats.RangeQueries++
 	if m.sendHook != nil {
 		m.sendHook(sender, true)
 	}
-	m.bcast = m.WithinRangeAppend(m.bcast[:0], p, radius, sender)
-	ids := m.bcast
-	out := ids[:0]
-	if m.inj.Active() {
-		// Duplication can emit two IDs for one consumed receiver, so
-		// building in place over ids would overwrite unread entries.
-		out = m.bcastOut[:0]
-	}
-	var maxDist float64
-	for _, id := range ids {
+	out := m.bcast[:0]
+	for _, id := range audience {
 		if m.InBlackout(id) {
 			m.stats.BlackoutDrops++
 			continue
@@ -648,15 +652,11 @@ func (m *Medium) Broadcast(sender NodeID, radius float64) ([]NodeID, float64) {
 			m.stats.FaultDups++
 			out = append(out, id)
 		}
-		if d := m.pos[id].Dist(p); d > maxDist {
-			maxDist = d
-		}
 	}
 	m.stats.Deliveries += uint64(len(out))
-	if m.inj.Active() {
-		m.bcastOut = out
-	}
-	return out, m.inj.JitterDelay(m.Delay(maxDist))
+	m.bcast = out
+	m.inj.JitterDelay(0)
+	return out
 }
 
 // Unicast performs a destination-aware transmission. It returns the

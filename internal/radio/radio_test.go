@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gs3/internal/fault"
@@ -20,6 +21,12 @@ func newTestMedium(t *testing.T, p Params) *Medium {
 
 func defaultParams() Params {
 	return Params{MaxRange: 100, DiffusionSpeed: 100, PerMessageOverhead: 0.01}
+}
+
+// broadcast sends from sender to its whole audience over radius, the
+// way HEAD_ORG's org broadcast does.
+func broadcast(m *Medium, sender NodeID, radius float64) []NodeID {
+	return m.Broadcast(sender, m.Audience(nil, sender, radius))
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -155,25 +162,38 @@ func TestBroadcastReliable(t *testing.T) {
 	m.Place(1, geom.Point{X: 30, Y: 0})
 	m.Place(2, geom.Point{X: 0, Y: 60})
 	m.Place(3, geom.Point{X: 500, Y: 0})
-	got, delay := m.Broadcast(0, 100)
-	if len(got) != 2 {
+	audience := m.Audience(nil, 0, 100)
+	if st := m.Stats(); st != (Stats{}) {
+		t.Fatalf("Audience counted %+v", st)
+	}
+	got := slices.Clone(m.Broadcast(0, audience))
+	if !slices.Equal(got, []NodeID{1, 2}) {
 		t.Fatalf("receivers = %v", got)
 	}
-	want := m.Delay(60)
-	if math.Abs(delay-want) > 1e-12 {
-		t.Errorf("delay = %v, want %v", delay, want)
+	if st, want := m.Stats(), (Stats{Broadcasts: 1, Deliveries: 2, RangeQueries: 1}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
-	st := m.Stats()
-	if st.Broadcasts != 1 || st.Deliveries != 2 {
-		t.Errorf("stats = %+v", st)
+	// A second broadcast over the same audience, as HEAD_ORG's HeadSet
+	// broadcast is, reaches the same receivers and is credited the range
+	// query it did not run.
+	if again := m.Broadcast(0, audience); !slices.Equal(again, got) {
+		t.Errorf("second broadcast reached %v, want %v", again, got)
+	}
+	if st, want := m.Stats(), (Stats{Broadcasts: 2, Deliveries: 4, RangeQueries: 2}); st != want {
+		t.Errorf("stats after two broadcasts = %+v, want %+v", st, want)
 	}
 }
 
 func TestBroadcastFromAbsentSender(t *testing.T) {
 	m := newTestMedium(t, defaultParams())
-	got, delay := m.Broadcast(9, 100)
-	if got != nil || delay != 0 {
-		t.Errorf("absent sender broadcast = %v, %v", got, delay)
+	if audience := m.Audience(nil, 9, 100); audience != nil {
+		t.Errorf("absent sender's audience = %v", audience)
+	}
+	if got := m.Broadcast(9, []NodeID{1}); got != nil {
+		t.Errorf("absent sender broadcast = %v", got)
+	}
+	if st := m.Stats(); st != (Stats{}) {
+		t.Errorf("absent sender counted %+v", st)
 	}
 }
 
@@ -193,8 +213,7 @@ func TestBroadcastLossStatistics(t *testing.T) {
 	delivered := 0
 	const rounds = 200
 	for i := 0; i < rounds; i++ {
-		got, _ := m.Broadcast(0, 100)
-		delivered += len(got)
+		delivered += len(broadcast(m, 0, 100))
 	}
 	frac := float64(delivered) / float64(rounds*50)
 	if math.Abs(frac-0.7) > 0.03 {

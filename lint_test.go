@@ -249,6 +249,41 @@ func TestEveryIdentifierHasAProductionReader(t *testing.T) {
 	}
 }
 
+// TestProductionReadsSkipsFieldCopies runs productionReads on a small
+// in-memory package. A field that only fills the same field of another
+// composite literal, as T{Copied: x.Copied} does, travels between
+// structs without being read; a field whose value fills a different
+// field is read.
+func TestProductionReadsSkipsFieldCopies(t *testing.T) {
+	const code = `package p
+
+type T struct{ Copied, Read, Filled int }
+
+func Copy(x T) T { return T{Copied: x.Copied, Filled: x.Read} }
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", code, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	pkg, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &source{fset: fset, dirs: []string{"p"}, files: map[string][]*ast.File{"p": {file}}}
+	reads := productionReads(src, info)
+	st := pkg.Scope().Lookup("T").Type().Underlying().(*types.Struct)
+	for i, want := range []bool{false, true, false} {
+		if _, got := reads[st.Field(i)]; got != want {
+			t.Errorf("T.%s read = %v, want %v", st.Field(i).Name(), got, want)
+		}
+	}
+}
+
 // importPath maps a package directory of the tree to its import path.
 func importPath(dir string) string {
 	if dir == "." {
@@ -293,7 +328,8 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 
 // productionReads maps each object the production source reads to the
 // position of its first read. A field reached through an embedded field
-// reads the embedded field too.
+// reads the embedded field too. A field that only fills the same field
+// of a composite literal, as in T{F: x.F}, is copied, not read.
 func productionReads(src *source, info *types.Info) map[types.Object]token.Pos {
 	writes := map[*ast.Ident]bool{}
 	target := func(e ast.Expr) {
@@ -319,6 +355,10 @@ func productionReads(src *source, info *types.Info) map[types.Object]token.Pos {
 					if id, ok := n.Key.(*ast.Ident); ok {
 						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
 							writes[id] = true
+							// T{F: x.F} copies field F, it does not read it.
+							if sel, ok := ast.Unparen(n.Value).(*ast.SelectorExpr); ok && info.Uses[sel.Sel] == v {
+								writes[sel.Sel] = true
+							}
 						}
 					}
 				}
