@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet test race bench bench-smoke smoke fuzz-smoke chaos traffic-smoke engine-smoke adversary-smoke perfbench-smoke goldens golden-diff check
+.PHONY: all fmt build vet test race bench bench-smoke smoke fuzz-smoke chaos traffic-smoke engine-smoke adversary-smoke perfbench-smoke goldens golden-diff digest-diff check
 
 all: check
 
@@ -97,5 +97,12 @@ goldens:
 # against the archive — the determinism gate for optimization PRs.
 golden-diff:
 	./scripts/goldens.sh diff
+
+# Build the benchmark from REV and from the working tree and compare the
+# digests of configure, maintain and traffic at seeds 1-3: equal digests
+# mean the same simulation. It takes minutes, so check leaves it out.
+digest-diff:
+	@test -n "$(REV)" || { echo "usage: make digest-diff REV=<rev>" >&2; exit 2; }
+	./scripts/digests.sh $(REV)
 
 check: fmt build vet race bench-smoke engine-smoke golden-diff fuzz-smoke chaos traffic-smoke adversary-smoke perfbench-smoke

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -66,13 +67,19 @@ func TestRunBadFlags(t *testing.T) {
 // forever, and a NaN disaster time used to strike at an arbitrary
 // point. Both runs must fail instead, as must fault-plan values that
 // would scale delays to NaN or infinity (an infinite jitter used to
-// hang the run too).
+// hang the run too), and the non-finite sizes that used to run on
+// quietly: a NaN region deployed only the big node, a NaN disaster
+// radius struck nobody, and NaN or infinite energy values were kept.
 func TestRunRejectsNonFiniteTimes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-region", "300", "-r", "50", "-sweeps", "5", "-packets", "2000", "-traffic-rate", "NaN", "-p2p", "0.3", "-seed", "4", "-q"},
 		{"-region", "300", "-disaster", "150,80,90", "-disaster-at", "NaN", "-sweeps", "10", "-q"},
 		{"-region", "200", "-r", "50", "-sweeps", "5", "-jitter", "Inf", "-q"},
 		{"-region", "200", "-r", "50", "-sweeps", "5", "-blackout-rate", "0.1", "-blackout-sweeps", "NaN", "-q"},
+		{"-region", "NaN", "-q"},
+		{"-region", "200", "-disaster", "0,0,NaN", "-sweeps", "5", "-q"},
+		{"-region", "200", "-sweeps", "5", "-energy", "5", "-energy-send", "NaN,1", "-q"},
+		{"-region", "200", "-sweeps", "5", "-energy", "Inf", "-q"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run %v succeeded, want an error", args)
@@ -119,32 +126,52 @@ func TestRunTrialsRejectsZero(t *testing.T) {
 	}
 }
 
+// capture runs gs3sim with args and returns what it wrote to stdout.
+func capture(t *testing.T, args []string) string {
+	t.Helper()
+	old := os.Stdout
+	rd, wr, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = wr
+	runErr := run(args)
+	wr.Close()
+	os.Stdout = old
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(data)
+}
+
+// TestRunKillDiskUnbounded is the regression test for a kill disk whose
+// bucket ring overflowed: an infinite or 1e300 radius used to read one
+// grid bucket and kill nobody. Such a disk covers every node but the
+// big one.
+func TestRunKillDiskUnbounded(t *testing.T) {
+	for _, r := range []string{"Inf", "1e300"} {
+		out := capture(t, []string{"-region", "100", "-kill-disk", "0,0," + r})
+		var nodes, killed int
+		for _, line := range strings.Split(out, "\n") {
+			fmt.Sscanf(line, "configured %d nodes", &nodes)
+			fmt.Sscanf(line, "killed %d nodes", &killed)
+		}
+		if nodes < 2 || killed != nodes-1 {
+			t.Errorf("-kill-disk 0,0,%s killed %d of %d nodes, want all but the big node", r, killed, nodes)
+		}
+	}
+}
+
 // TestRunTrialsDeterministic captures stdout of a serial (-parallel 1)
 // and a default-pool -trials run and requires byte-identical reports in
 // trial order.
 func TestRunTrialsDeterministic(t *testing.T) {
-	capture := func(args []string) string {
-		t.Helper()
-		old := os.Stdout
-		rd, wr, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = wr
-		runErr := run(args)
-		wr.Close()
-		os.Stdout = old
-		data, err := io.ReadAll(rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		return string(data)
-	}
-	seq := capture([]string{"-region", "250", "-trials", "3", "-seed", "9", "-q", "-parallel", "1"})
-	par := capture([]string{"-region", "250", "-trials", "3", "-seed", "9", "-q"})
+	seq := capture(t, []string{"-region", "250", "-trials", "3", "-seed", "9", "-q", "-parallel", "1"})
+	par := capture(t, []string{"-region", "250", "-trials", "3", "-seed", "9", "-q"})
 	if seq != par {
 		t.Errorf("trial reports differ between -parallel 1 and the default pool:\n--- serial ---\n%s\n--- parallel ---\n%s", seq, par)
 	}

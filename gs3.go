@@ -85,22 +85,25 @@ func (o Options) toConfig() (core.Config, error) {
 	if o.CellRadius <= 0 {
 		return core.Config{}, fmt.Errorf("gs3: CellRadius must be positive, got %v", o.CellRadius)
 	}
+	// A zero option keeps its default; any other value, NaN included,
+	// goes to core.Config.Validate. The energy rates are read only while
+	// InitialEnergy is non-zero.
 	cfg := core.DefaultConfig(o.CellRadius)
-	if o.RadiusTolerance > 0 {
+	cfg.GR = o.ReferenceDirection
+	if o.RadiusTolerance != 0 {
 		cfg.Rt = o.RadiusTolerance
 	}
-	cfg.GR = o.ReferenceDirection
-	if o.HeartbeatInterval > 0 {
+	if o.HeartbeatInterval != 0 {
 		cfg.HeartbeatInterval = o.HeartbeatInterval
 	}
-	if o.InitialEnergy > 0 {
+	if o.InitialEnergy != 0 {
 		cfg.InitialEnergy = o.InitialEnergy
-		if o.EnergyRate > 0 {
-			cfg.AssociateDissipation = o.EnergyRate
-		}
-		if o.HeadEnergyFactor > 0 {
-			cfg.HeadEnergyFactor = o.HeadEnergyFactor
-		}
+	}
+	if o.EnergyRate != 0 {
+		cfg.AssociateDissipation = o.EnergyRate
+	}
+	if o.HeadEnergyFactor != 0 {
+		cfg.HeadEnergyFactor = o.HeadEnergyFactor
 	}
 	if err := cfg.Validate(); err != nil {
 		return core.Config{}, fmt.Errorf("gs3: %w", err)

@@ -31,6 +31,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{CellRadius: 100, RadiusTolerance: 500}, []Point{{}}); err == nil {
 		t.Error("Rt > R accepted")
 	}
+	// Non-finite options used to pass: a NaN or infinite GR configured
+	// one head and left most of the field uncovered, and NaN energy
+	// values slipped past the positivity tests.
+	for name, o := range map[string]Options{
+		"NaN GR":                 {CellRadius: 100, ReferenceDirection: math.NaN()},
+		"infinite GR":            {CellRadius: 100, ReferenceDirection: math.Inf(1)},
+		"infinite energy":        {CellRadius: 100, InitialEnergy: math.Inf(1)},
+		"infinite energy rate":   {CellRadius: 100, InitialEnergy: 40, EnergyRate: math.Inf(1)},
+		"NaN head energy factor": {CellRadius: 100, InitialEnergy: 40, HeadEnergyFactor: math.NaN()},
+		"NaN cell radius":        {CellRadius: math.NaN()},
+		"NaN heartbeat":          {CellRadius: 100, HeartbeatInterval: math.NaN()},
+	} {
+		if _, err := New(o, []Point{{}}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := GridDeployment(math.NaN(), 22.5, 0.15, 1); err == nil {
+		t.Error("NaN deployment radius accepted")
+	}
 }
 
 func TestConfigureBuildsCells(t *testing.T) {

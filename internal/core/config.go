@@ -100,11 +100,15 @@ func (c Config) Validate() error {
 	if c.BoundaryRescanEvery <= 0 {
 		return fmt.Errorf("core: BoundaryRescanEvery must be positive, got %d", c.BoundaryRescanEvery)
 	}
-	if c.InitialEnergy < 0 || c.AssociateDissipation < 0 || c.HeadEnergyFactor < 0 {
-		return fmt.Errorf("core: energy parameters must be non-negative")
+	// GR rotates every ideal location: a NaN or infinite angle puts
+	// every IL at NaN, and the configuration covers almost nothing.
+	if math.IsNaN(c.GR) || math.IsInf(c.GR, 0) {
+		return fmt.Errorf("core: GR must be finite, got %v", c.GR)
 	}
-	if c.BroadcastCost < 0 || c.UnicastCost < 0 {
-		return fmt.Errorf("core: per-send energy costs must be non-negative")
+	for _, e := range [...]float64{c.InitialEnergy, c.AssociateDissipation, c.HeadEnergyFactor, c.BroadcastCost, c.UnicastCost} {
+		if !(e >= 0) || math.IsInf(e, 1) {
+			return fmt.Errorf("core: energy parameters must be non-negative and finite, got %v", e)
+		}
 	}
 	return nil
 }

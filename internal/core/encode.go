@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"gs3/internal/geom"
 	"gs3/internal/hexlat"
@@ -87,20 +86,13 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("core: decode snapshot: %w", err)
 	}
-	if !(in.Config.R > 0) || math.IsInf(in.Config.R, 0) {
-		return fmt.Errorf("core: decode snapshot: bad R %v", in.Config.R)
-	}
 	cfg := DefaultConfig(in.Config.R)
-	cfg.Rt = in.Config.Rt
-	if !(cfg.Rt > 0) || cfg.Rt > cfg.R {
-		return fmt.Errorf("core: decode snapshot: bad Rt %v for R %v", cfg.Rt, cfg.R)
-	}
-	cfg.GR = in.Config.GR
-	if math.IsNaN(cfg.GR) || math.IsInf(cfg.GR, 0) {
-		return fmt.Errorf("core: decode snapshot: bad GR %v", cfg.GR)
-	}
+	cfg.Rt, cfg.GR = in.Config.Rt, in.Config.GR
 	if in.Config.HeartbeatInterval > 0 {
 		cfg.HeartbeatInterval = in.Config.HeartbeatInterval
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("core: decode snapshot: %w", err)
 	}
 	out := Snapshot{Config: cfg, Time: in.Time, BigID: in.BigID}
 	for i, v := range in.Nodes {

@@ -33,6 +33,15 @@ func TestConfigValidate(t *testing.T) {
 		{"NaN Rt", func(c *Config) { c.Rt = math.NaN() }, false},
 		{"NaN heartbeat", func(c *Config) { c.HeartbeatInterval = math.NaN() }, false},
 		{"infinite heartbeat", func(c *Config) { c.HeartbeatInterval = math.Inf(1) }, false},
+		// A non-finite GR puts every ideal location at NaN; NaN energy
+		// values pass a plain x < 0 test.
+		{"NaN GR", func(c *Config) { c.GR = math.NaN() }, false},
+		{"infinite GR", func(c *Config) { c.GR = math.Inf(1) }, false},
+		{"infinite energy", func(c *Config) { c.InitialEnergy = math.Inf(1) }, false},
+		{"infinite dissipation", func(c *Config) { c.AssociateDissipation = math.Inf(1) }, false},
+		{"NaN head energy factor", func(c *Config) { c.HeadEnergyFactor = math.NaN() }, false},
+		{"NaN broadcast cost", func(c *Config) { c.BroadcastCost = math.NaN() }, false},
+		{"infinite unicast cost", func(c *Config) { c.UnicastCost = math.Inf(1) }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -137,8 +137,8 @@ func (nw *Network) creditReplays() {
 	for _, i := range t.due {
 		k := uint64(t.counts[i])
 		t.counts[i] = 0
-		nw.med.AddStats(t.deltas[i].statsDelta(k))
-		nw.addMetrics(t.deltas[i].metricsDelta(k))
+		nw.med.AddStats(t.deltas[i].stats, k)
+		nw.addMetrics(t.deltas[i].metrics, k)
 	}
 	t.due = t.due[:0]
 }
@@ -255,11 +255,14 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 	isHead := n.Status.IsHeadRole()
 	rescanDue := false
 	if isHead {
-		// A pending child repair or an imminent low-energy retreat is
-		// precisely a non-quiescent sweep; and only a head recorded
-		// sane may skip a SANITY_CHECK round (an insane one might have
-		// to retreat this time).
-		if cd.pendingChildRepair || nw.lowEnergy(n) {
+		// An imminent low-energy retreat is precisely a non-quiescent
+		// sweep, and energy drain never touches, so no epoch shows it.
+		// A pending child repair needs no such guard: the body that set
+		// it touched the head, so the cache stays stale until a full
+		// body repairs the child. Only a head recorded sane may skip a
+		// SANITY_CHECK round (an insane one might have to retreat this
+		// time).
+		if nw.lowEnergy(n) {
 			return false
 		}
 		if !c.sane && cd.sweep%SanityCheckEvery == 0 {
@@ -314,10 +317,7 @@ func (nw *Network) recordSweep(n *Node, statsBefore radio.Stats, metricsBefore M
 	if nw.metrics.HeadOrgs > metricsBefore.HeadOrgs {
 		d = &c.rescan
 	}
-	*d = nw.deltas.intern(nw.med.Stats().Sub(statsBefore), nw.metrics.sub(metricsBefore))
-	if *d == 0 {
-		return // an increment overflowed uint16: this sweep stays uncached
-	}
+	*d = nw.deltas.intern(sweepDelta{nw.med.Stats().Sub(statsBefore), nw.metrics.sub(metricsBefore)})
 	c.worldStamp = nw.med.Epoch()
 	if isHead {
 		c.sane = nw.headStateValid(n)

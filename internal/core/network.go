@@ -238,35 +238,34 @@ func (nw *Network) SweepWork() (bodies, replays uint64) {
 	return nw.sweepBodies, nw.sweepReplays
 }
 
-// sub returns the counter delta m−prev (field-wise).
-func (m Metrics) sub(prev Metrics) Metrics {
-	return Metrics{
-		HeadOrgs:       m.HeadOrgs - prev.HeadOrgs,
-		HeadsSelected:  m.HeadsSelected - prev.HeadsSelected,
-		ReplyMessages:  m.ReplyMessages - prev.ReplyMessages,
-		HeadShifts:     m.HeadShifts - prev.HeadShifts,
-		CellShifts:     m.CellShifts - prev.CellShifts,
-		Abandonments:   m.Abandonments - prev.Abandonments,
-		SanityRetreats: m.SanityRetreats - prev.SanityRetreats,
-		ParentSeeks:    m.ParentSeeks - prev.ParentSeeks,
-		Joins:          m.Joins - prev.Joins,
-		Promotions:     m.Promotions - prev.Promotions,
+// counters lists every field of m once, in declaration order. The
+// counter operations (sub, addMetrics) loop over it, so a field added to
+// Metrics must be added here, where a test checks the list against the
+// declaration.
+func (m *Metrics) counters() [10]*uint64 {
+	return [...]*uint64{
+		&m.HeadOrgs, &m.HeadsSelected, &m.ReplyMessages, &m.HeadShifts,
+		&m.CellShifts, &m.Abandonments, &m.SanityRetreats, &m.ParentSeeks,
+		&m.Joins, &m.Promotions,
 	}
 }
 
-// addMetrics credits a recorded delta onto the live counters (the
-// metrics side of replaying elided sweeps).
-func (nw *Network) addMetrics(d Metrics) {
-	nw.metrics.HeadOrgs += d.HeadOrgs
-	nw.metrics.HeadsSelected += d.HeadsSelected
-	nw.metrics.ReplyMessages += d.ReplyMessages
-	nw.metrics.HeadShifts += d.HeadShifts
-	nw.metrics.CellShifts += d.CellShifts
-	nw.metrics.Abandonments += d.Abandonments
-	nw.metrics.SanityRetreats += d.SanityRetreats
-	nw.metrics.ParentSeeks += d.ParentSeeks
-	nw.metrics.Joins += d.Joins
-	nw.metrics.Promotions += d.Promotions
+// sub returns the counter delta m−prev (field-wise).
+func (m Metrics) sub(prev Metrics) Metrics {
+	mc, pc := m.counters(), prev.counters()
+	for i := range mc {
+		*mc[i] -= *pc[i]
+	}
+	return m
+}
+
+// addMetrics credits k×d onto the live counters: the metrics side of
+// replaying k elided sweeps that each recorded delta d.
+func (nw *Network) addMetrics(d Metrics, k uint64) {
+	mc, dc := nw.metrics.counters(), d.counters()
+	for i := range mc {
+		*mc[i] += k * *dc[i]
+	}
 }
 
 // SetSweepCache enables or disables the quiescent-sweep fast path.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"gs3/internal/geom"
 	"gs3/internal/hexlat"
 	"gs3/internal/radio"
@@ -86,69 +84,13 @@ type Node struct {
 // sweepDelta is the externally observable accounting of one recorded
 // no-op sweep: the radio and protocol counter increments the sweep
 // produced. A sweep elided by the fast path replays the delta so every
-// printed statistic matches a run that did the work.
-//
-// The increments are stored as uint16, not as full radio.Stats/Metrics
-// structs: a single no-op sweep moves each counter by at most a
-// handful of sends and replies. Deltas are interned network-wide
-// (deltaTable), because a settled field produces only a few dozen
-// distinct ones; each node's cache holds table indices, not deltas.
+// printed statistic matches a run that did the work. Deltas are
+// interned network-wide (deltaTable), because a settled field produces
+// only a few dozen distinct ones; each node's cache holds table
+// indices, not deltas.
 type sweepDelta struct {
-	stats   [10]uint16 // radio.Stats increments, field order as declared
-	metrics [10]uint16 // Metrics increments, field order as declared
-}
-
-// packDelta packs the given counter increments, failing if any of them
-// overflows uint16.
-func packDelta(s radio.Stats, m Metrics) (sweepDelta, bool) {
-	st := [10]uint64{
-		s.Broadcasts, s.Unicasts, s.Deliveries, s.RangeQueries,
-		s.FaultDrops, s.FaultDups, s.BlackoutDrops, s.Blackouts, s.Retries,
-		s.OcclusionBlocks,
-	}
-	mt := [10]uint64{
-		m.HeadOrgs, m.HeadsSelected, m.ReplyMessages, m.HeadShifts,
-		m.CellShifts, m.Abandonments, m.SanityRetreats, m.ParentSeeks,
-		m.Joins, m.Promotions,
-	}
-	var d sweepDelta
-	for i, v := range st {
-		if v > math.MaxUint16 {
-			return sweepDelta{}, false
-		}
-		d.stats[i] = uint16(v)
-	}
-	for i, v := range mt {
-		if v > math.MaxUint16 {
-			return sweepDelta{}, false
-		}
-		d.metrics[i] = uint16(v)
-	}
-	return d, true
-}
-
-// statsDelta expands the packed radio counter increments, k times
-// over. uint64 products wrap exactly as k repeated additions would.
-func (d *sweepDelta) statsDelta(k uint64) radio.Stats {
-	return radio.Stats{
-		Broadcasts: k * uint64(d.stats[0]), Unicasts: k * uint64(d.stats[1]),
-		Deliveries: k * uint64(d.stats[2]), RangeQueries: k * uint64(d.stats[3]),
-		FaultDrops: k * uint64(d.stats[4]), FaultDups: k * uint64(d.stats[5]),
-		BlackoutDrops: k * uint64(d.stats[6]), Blackouts: k * uint64(d.stats[7]),
-		Retries: k * uint64(d.stats[8]), OcclusionBlocks: k * uint64(d.stats[9]),
-	}
-}
-
-// metricsDelta expands the packed protocol counter increments, k times
-// over.
-func (d *sweepDelta) metricsDelta(k uint64) Metrics {
-	return Metrics{
-		HeadOrgs: k * uint64(d.metrics[0]), HeadsSelected: k * uint64(d.metrics[1]),
-		ReplyMessages: k * uint64(d.metrics[2]), HeadShifts: k * uint64(d.metrics[3]),
-		CellShifts: k * uint64(d.metrics[4]), Abandonments: k * uint64(d.metrics[5]),
-		SanityRetreats: k * uint64(d.metrics[6]), ParentSeeks: k * uint64(d.metrics[7]),
-		Joins: k * uint64(d.metrics[8]), Promotions: k * uint64(d.metrics[9]),
-	}
+	stats   radio.Stats
+	metrics Metrics
 }
 
 // deltaTable interns a network's distinct sweep deltas and counts the
@@ -164,14 +106,9 @@ type deltaTable struct {
 	index  map[sweepDelta]uint32
 }
 
-// intern returns the index of the delta packing s and m, adding it to
-// the table if new, or 0 if an increment overflows uint16 (that sweep
-// then simply stays uncached).
-func (t *deltaTable) intern(s radio.Stats, m Metrics) uint32 {
-	d, ok := packDelta(s, m)
-	if !ok {
-		return 0
-	}
+// intern returns the (non-zero) index of d, adding it to the table if
+// new.
+func (t *deltaTable) intern(d sweepDelta) uint32 {
 	if i, ok := t.index[d]; ok {
 		return i
 	}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"gs3/internal/fault"
+	"gs3/internal/geom"
 	"gs3/internal/radio"
 	"gs3/internal/rng"
 )
@@ -169,15 +172,25 @@ func TestQuiescentSweepReplaysAccounting(t *testing.T) {
 		t.Error("replays credited before the batch boundary")
 	}
 	nw.creditReplays()
-	if got := nw.med.Stats().Sub(statsBefore); got != want.statsDelta(replays) {
-		t.Errorf("credited stats delta = %+v, want %+v", got, want.statsDelta(replays))
+	if got, w := nw.med.Stats().Sub(statsBefore), times(want.stats, replays); got != w {
+		t.Errorf("credited stats delta = %+v, want %+v", got, w)
 	}
-	if got := nw.metrics.sub(metricsBefore); got != want.metricsDelta(replays) {
-		t.Errorf("credited metrics delta = %+v, want %+v", got, want.metricsDelta(replays))
+	if got, w := nw.metrics.sub(metricsBefore), times(want.metrics, replays); got != w {
+		t.Errorf("credited metrics delta = %+v, want %+v", got, w)
 	}
 	if len(nw.deltas.due) != 0 {
 		t.Errorf("%d delta indices still due after the credit", len(nw.deltas.due))
 	}
+}
+
+// times returns the counter struct c with every field multiplied by k,
+// computed through reflection rather than the counter lists under test.
+func times[T radio.Stats | Metrics](c T, k uint64) T {
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(k * v.Field(i).Uint())
+	}
+	return c
 }
 
 // TestSweepCacheSize pins the per-node sweep cache at 32 bytes (two
@@ -187,5 +200,49 @@ func TestQuiescentSweepReplaysAccounting(t *testing.T) {
 func TestSweepCacheSize(t *testing.T) {
 	if got := unsafe.Sizeof(sweepCache{}); got > 32 {
 		t.Errorf("sizeof(sweepCache) = %d B, want <= 32", got)
+	}
+}
+
+// TestPendingChildRepairLeavesCacheStale pins why quiescentSweep needs
+// no pendingChildRepair guard: the sweep that drops a child and sets
+// the flag touches the head, whose bucket lies in its own cone, so no
+// flagged head can replay before a full body repairs the child. Craters
+// empty the cells of heads whose parents are small heads; after every
+// heartbeat of the heal, each flagged head must hold no recorded sweep
+// or one its cone's epoch has moved past.
+func TestPendingChildRepairLeavesCacheStale(t *testing.T) {
+	nw, cfg := configureDynamic(t, 600)
+	runSweeps(nw, 2*cfg.BoundaryRescanEvery)
+	var craters []geom.Point
+	for _, h := range nw.Snapshot().Heads() {
+		near := func(c geom.Point) bool { return c.Dist(h.Pos) < 3*cfg.HeadSpacing() }
+		if p := nw.node(h.Parent); h.IsBig || p.IsBig || p.Parent == nw.BigID() || slices.ContainsFunc(craters, near) {
+			continue
+		}
+		craters = append(craters, h.Pos)
+	}
+	for _, c := range craters {
+		for _, id := range nw.Medium().WithinDisk(c, cfg.R, radio.None) {
+			nw.Kill(id)
+		}
+	}
+	flagged := 0
+	for beat := 1; beat <= 3*cfg.BoundaryRescanEvery; beat++ {
+		runSweeps(nw, 1)
+		for _, id := range nw.SortedIDs() {
+			n := nw.node(id)
+			if n.IsBig || !n.Status.IsHeadRole() || !nw.coldOf(id).pendingChildRepair {
+				continue
+			}
+			flagged++
+			c := nw.cacheFor(id)
+			recorded := c.plain != 0 || c.rescan != 0
+			if recorded && nw.med.RegionEpoch(nw.Position(id), nw.coneRadius(true)) == c.regionStamp {
+				t.Errorf("heartbeat %d: head %d has a pending child repair and a current sweep cache", beat, id)
+			}
+		}
+	}
+	if flagged == 0 {
+		t.Fatal("no head had a pending child repair after any heartbeat: the craters checked nothing")
 	}
 }

@@ -57,13 +57,13 @@ type Obstacle = geom.Polygon
 
 // Poisson generates a Poisson deployment in a disk of cfg.Radius around
 // the origin, with the big node at the exact center. It returns an error
-// for non-positive radius or density.
+// for a radius or density that is not positive and finite.
 func Poisson(cfg Config, src *rng.Source) (Deployment, error) {
-	if cfg.Radius <= 0 {
-		return Deployment{}, fmt.Errorf("field: non-positive radius %v", cfg.Radius)
+	if !positiveFinite(cfg.Radius) {
+		return Deployment{}, fmt.Errorf("field: radius must be positive and finite, got %v", cfg.Radius)
 	}
-	if cfg.Lambda <= 0 {
-		return Deployment{}, fmt.Errorf("field: non-positive density %v", cfg.Lambda)
+	if !positiveFinite(cfg.Lambda) {
+		return Deployment{}, fmt.Errorf("field: density must be positive and finite, got %v", cfg.Lambda)
 	}
 	// Mean count in a radius-r disk is λ·r² under the paper's convention.
 	mean := cfg.Lambda * cfg.Radius * cfg.Radius
@@ -84,6 +84,13 @@ func Poisson(cfg Config, src *rng.Source) (Deployment, error) {
 	return Deployment{Positions: pts}, nil
 }
 
+// positiveFinite reports whether x is a usable length or density. A
+// plain x <= 0 test lets NaN through, and +Inf would size an unbounded
+// deployment.
+func positiveFinite(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
+}
+
 func inGap(p geom.Point, gaps []Gap) bool {
 	for _, g := range gaps {
 		if p.Dist(g.Center) < g.Radius {
@@ -100,8 +107,8 @@ func inGap(p geom.Point, gaps []Gap) bool {
 // grids are the densest regular packing and give every R_t-disk a node
 // when spacing ≤ R_t, which makes them ideal for exact-structure tests.
 func Grid(radius, spacing, jitter float64, src *rng.Source) (Deployment, error) {
-	if radius <= 0 || spacing <= 0 {
-		return Deployment{}, fmt.Errorf("field: invalid grid radius=%v spacing=%v", radius, spacing)
+	if !positiveFinite(radius) || !positiveFinite(spacing) || !(jitter >= 0) || math.IsInf(jitter, 1) {
+		return Deployment{}, fmt.Errorf("field: invalid grid radius=%v spacing=%v jitter=%v", radius, spacing, jitter)
 	}
 	pts := []geom.Point{{}}
 	rowH := spacing * math.Sqrt(3) / 2

@@ -56,6 +56,16 @@ func TestPoissonErrors(t *testing.T) {
 	if _, err := Poisson(Config{Radius: 1, Lambda: 0}, rng.New(1)); err == nil {
 		t.Error("zero density accepted")
 	}
+	for _, c := range []Config{
+		{Radius: math.NaN(), Lambda: 1},
+		{Radius: math.Inf(1), Lambda: 1},
+		{Radius: 1, Lambda: math.NaN()},
+		{Radius: 1, Lambda: math.Inf(1)},
+	} {
+		if _, err := Poisson(c, rng.New(1)); err == nil {
+			t.Errorf("radius %v density %v accepted", c.Radius, c.Lambda)
+		}
+	}
 }
 
 func TestPoissonMinNodes(t *testing.T) {
@@ -121,6 +131,12 @@ func TestGridErrors(t *testing.T) {
 	}
 	if _, err := Grid(1, 0, 0, nil); err == nil {
 		t.Error("zero spacing accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, a := range [][3]float64{{nan, 1, 0}, {inf, 1, 0}, {1, nan, 0}, {1, inf, 0}, {1, 1, nan}, {1, 1, inf}, {1, 1, -0.1}} {
+		if _, err := Grid(a[0], a[1], a[2], rng.New(1)); err == nil {
+			t.Errorf("radius %v spacing %v jitter %v accepted", a[0], a[1], a[2])
+		}
 	}
 }
 

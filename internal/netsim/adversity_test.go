@@ -146,12 +146,24 @@ func TestScheduleDisasterInPast(t *testing.T) {
 
 // TestScheduleDisasterNonFinite is the regression test for a disaster
 // at NaN: it used to be accepted, fire at an arbitrary point of the
-// run, and leave the engine's clock at NaN.
+// run, and leave the engine's clock at NaN. A disk with a NaN radius or
+// centre must be refused too.
 func TestScheduleDisasterNonFinite(t *testing.T) {
 	s := buildConfigured(t, 300)
 	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if err := s.ScheduleDisaster(Disaster{At: at, Radius: 10}); err == nil {
 			t.Errorf("disaster at %v accepted", at)
+		}
+	}
+	at := s.Net.Engine().Now() + 1
+	for _, d := range []Disaster{
+		{At: at, Radius: math.NaN()},
+		{At: at, Radius: -1},
+		{At: at, Center: geom.Point{X: math.NaN()}, Radius: 10},
+		{At: at, Center: geom.Point{Y: math.Inf(-1)}, Radius: 10},
+	} {
+		if err := s.ScheduleDisaster(d); err == nil {
+			t.Errorf("disaster at centre %v radius %v accepted", d.Center, d.Radius)
 		}
 	}
 	if got := s.Net.Engine().Pending(); got != 0 {

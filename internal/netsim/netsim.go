@@ -281,8 +281,13 @@ type DisasterRecord struct {
 
 // ScheduleDisaster queues d on the engine. Scheduling consumes no
 // randomness and a zero-disaster run is byte-identical to one that
-// never called this. An At in the past or not finite is an error.
+// never called this. An At in the past or not finite is an error, as
+// is a centre that is not finite or a radius that is NaN or negative,
+// which would strike nobody; an infinite radius strikes every node.
 func (s *Sim) ScheduleDisaster(d Disaster) error {
+	if c := d.Center; !(math.Abs(c.X) <= math.MaxFloat64 && math.Abs(c.Y) <= math.MaxFloat64 && d.Radius >= 0) {
+		return fmt.Errorf("netsim: disaster needs a finite centre and a radius >= 0, got (%v,%v) r=%v", c.X, c.Y, d.Radius)
+	}
 	if err := s.Net.Engine().At(d.At, s.disasterKind, int32(len(s.disasters))); err != nil {
 		return fmt.Errorf("netsim: disaster: %w", err)
 	}

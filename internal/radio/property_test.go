@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -28,6 +29,10 @@ func bruteWithinRange(m *Medium, p geom.Point, dist float64, exclude NodeID) []N
 	slices.Sort(out)
 	return out
 }
+
+// unboundedRadii are query radii no bucket ring bounds: 1e300 overflows
+// the ring's int, and so do infinity and NaN.
+var unboundedRadii = []float64{1e300, math.Inf(1), math.NaN()}
 
 // TestWithinRangePropertyVsBruteForce drives random deployments through
 // interleaved Place/Remove/Move churn and checks, after every step, that
@@ -73,7 +78,9 @@ func TestWithinRangePropertyVsBruteForce(t *testing.T) {
 			rx, ry := src.Range(-150, 150), src.Range(-150, 150)
 			apexes = append(apexes, geom.Point{X: rx, Y: ry})
 			for _, apex := range apexes {
-				for _, dist := range []float64{cellSize / 3, cellSize, 2.5 * cellSize} {
+				// Radii below, equal to and above the cell size, one whose
+				// ring dwarfs the grid, and the unbounded ones.
+				for _, dist := range append([]float64{cellSize / 3, cellSize, 2.5 * cellSize, 40 * cellSize}, unboundedRadii...) {
 					exclude := NodeID(src.Intn(n))
 					want := bruteWithinRange(m, apex, dist, exclude)
 					got := m.WithinRangeAppend(nil, apex, dist, exclude)
@@ -159,7 +166,7 @@ func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 			m.SetHeadRole(id, false)
 		}
 		apex := geom.Point{X: float64(src.Intn(7)-3) * 30, Y: float64(src.Intn(7)-3) * 30}
-		for _, dist := range []float64{20, 30, 80} {
+		for _, dist := range append([]float64{20, 30, 80, 1200}, unboundedRadii...) {
 			want := bruteHeadsWithinRange(m, apex, dist, None)
 			got := m.HeadsWithinRangeAppend(nil, apex, dist, None)
 			if !slices.Equal(got, want) {

@@ -240,48 +240,49 @@ func (m *Medium) Stats() Stats {
 	return m.stats
 }
 
-// AddStats credits d onto the traffic counters. It exists for callers
-// that elide provably redundant work (a sweep whose every query and
-// broadcast would reproduce the previous result bit-for-bit) but must
-// keep the externally observable accounting identical to having done
-// it: they credit the recorded per-sweep counter deltas instead.
-func (m *Medium) AddStats(d Stats) {
-	m.stats = m.stats.Add(d)
+// AddStats credits k×d onto the traffic counters. It exists for
+// callers that elide provably redundant work (a sweep whose every query
+// and broadcast would reproduce the previous result bit-for-bit) but
+// must keep the externally observable accounting identical to having
+// done it: they credit the recorded per-sweep counter deltas instead,
+// k elided repetitions at once. uint64 products wrap exactly as k
+// repeated additions would.
+func (m *Medium) AddStats(d Stats, k uint64) {
+	mc, dc := m.stats.counters(), d.counters()
+	for i := range mc {
+		*mc[i] += k * *dc[i]
+	}
+}
+
+// counters lists every field of s once, in declaration order. The
+// counter operations (Sub, Add, AddStats) loop over it, so a field added
+// to Stats must be added here, where a test checks the list against the
+// declaration.
+func (s *Stats) counters() [10]*uint64 {
+	return [...]*uint64{
+		&s.Broadcasts, &s.Unicasts, &s.Deliveries, &s.RangeQueries,
+		&s.FaultDrops, &s.FaultDups, &s.BlackoutDrops, &s.Blackouts, &s.Retries,
+		&s.OcclusionBlocks,
+	}
 }
 
 // Sub returns the counter delta s−prev (field-wise). Meaningful when
 // prev is an earlier reading of the same counters.
 func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		Broadcasts:    s.Broadcasts - prev.Broadcasts,
-		Unicasts:      s.Unicasts - prev.Unicasts,
-		Deliveries:    s.Deliveries - prev.Deliveries,
-		RangeQueries:  s.RangeQueries - prev.RangeQueries,
-		FaultDrops:    s.FaultDrops - prev.FaultDrops,
-		FaultDups:     s.FaultDups - prev.FaultDups,
-		BlackoutDrops: s.BlackoutDrops - prev.BlackoutDrops,
-		Blackouts:     s.Blackouts - prev.Blackouts,
-		Retries:       s.Retries - prev.Retries,
-
-		OcclusionBlocks: s.OcclusionBlocks - prev.OcclusionBlocks,
+	sc, pc := s.counters(), prev.counters()
+	for i := range sc {
+		*sc[i] -= *pc[i]
 	}
+	return s
 }
 
 // Add returns the field-wise sum s+d.
 func (s Stats) Add(d Stats) Stats {
-	return Stats{
-		Broadcasts:    s.Broadcasts + d.Broadcasts,
-		Unicasts:      s.Unicasts + d.Unicasts,
-		Deliveries:    s.Deliveries + d.Deliveries,
-		RangeQueries:  s.RangeQueries + d.RangeQueries,
-		FaultDrops:    s.FaultDrops + d.FaultDrops,
-		FaultDups:     s.FaultDups + d.FaultDups,
-		BlackoutDrops: s.BlackoutDrops + d.BlackoutDrops,
-		Blackouts:     s.Blackouts + d.Blackouts,
-		Retries:       s.Retries + d.Retries,
-
-		OcclusionBlocks: s.OcclusionBlocks + d.OcclusionBlocks,
+	sc, dc := s.counters(), d.counters()
+	for i := range sc {
+		*sc[i] += *dc[i]
 	}
+	return s
 }
 
 // SetFaults installs (or, with nil, removes) a fault injector. The
@@ -565,9 +566,16 @@ func gridRange(grid map[gridKey][]gridEntry, cellSize float64, obs []geom.Polygo
 	// and for reals a, b with b ≥ 0: ⌊a+b⌋ − ⌊a⌋ ≤ ⌈b⌉ and, symmetric-
 	// ally, ⌊a⌋ − ⌊a−b⌋ ≤ ⌈b⌉. With b = dist/cs this bounds q's cell
 	// index within c ± ⌈dist/cs⌉, so a ring of r = ⌈dist/cs⌉ suffices.
-	r := int(math.Ceil(dist / cellSize))
+	if !(dist >= 0) {
+		return dst // a NaN or negative radius encloses nothing
+	}
+	rf := math.Ceil(dist / cellSize)
+	if side := 2*rf + 1; !(side*side <= float64(len(grid))) {
+		return gridScan(grid, obs, dst, p, dist, exclude)
+	}
 	r2 := dist * dist
 	start := len(dst)
+	r := int(rf)
 	base := gridKey{int(math.Floor(p.X / cellSize)), int(math.Floor(p.Y / cellSize))}
 	for dx := -r; dx <= r; dx++ {
 		for dy := -r; dy <= r; dy++ {
@@ -581,6 +589,24 @@ func gridRange(grid map[gridKey][]gridEntry, cellSize float64, obs []geom.Polygo
 					}
 					dst = append(dst, e.id)
 				}
+			}
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// gridScan is gridRange over every bucket of the grid, for a query
+// whose bucket ring would hold more buckets than the grid, or that no
+// ring bounds (an infinite dist). The sort undoes the map's iteration
+// order, so the result is the ring scan's.
+func gridScan(grid map[gridKey][]gridEntry, obs []geom.Polygon, dst []NodeID, p geom.Point, dist float64, exclude NodeID) []NodeID {
+	r2 := dist * dist
+	start := len(dst)
+	for _, bucket := range grid {
+		for _, e := range bucket {
+			if e.id != exclude && e.pos.Dist2(p) <= r2 && (len(obs) == 0 || !geom.AnyOccludes(obs, p, e.pos)) {
+				dst = append(dst, e.id)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -264,5 +265,40 @@ func TestNegativeCoordinatesGrid(t *testing.T) {
 	got := m.WithinRangeAppend(nil, geom.Point{X: -255, Y: -305}, 20, None)
 	if len(got) != 1 {
 		t.Errorf("negative-coordinate node missed: %v", got)
+	}
+}
+
+// TestStatsCountersListEveryField pins Stats.counters, the one list
+// that Sub, Add and AddStats loop over, to the declaration: it must
+// point at every field exactly once, so a counter added to Stats but
+// not to the list fails here rather than going uncredited by replayed
+// sweeps. With a distinct value in every field, 3s − s must then equal
+// s + s.
+func TestStatsCountersListEveryField(t *testing.T) {
+	var s Stats
+	list := s.counters()
+	v := reflect.ValueOf(&s).Elem()
+	if len(list) != v.NumField() {
+		t.Fatalf("Stats has %d fields, its counter list %d", v.NumField(), len(list))
+	}
+	for i := 0; i < v.NumField(); i++ {
+		n := 0
+		for _, p := range list {
+			if reflect.ValueOf(p).Pointer() == v.Field(i).UnsafeAddr() {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("Stats.%s is in the counter list %d times, want 1", v.Type().Field(i).Name, n)
+		}
+	}
+
+	for i, p := range list {
+		*p = uint64(i + 1)
+	}
+	var m Medium
+	m.AddStats(s, 3)
+	if got, want := m.Stats().Sub(s), s.Add(s); got != want {
+		t.Errorf("AddStats(s, 3).Sub(s) = %+v, want s.Add(s) = %+v", got, want)
 	}
 }
