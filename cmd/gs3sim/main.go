@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -441,7 +442,7 @@ func parsePolygons(s string) ([]field.Obstacle, error) {
 		for i := 0; i < len(nums); i += 2 {
 			x, err1 := strconv.ParseFloat(strings.TrimSpace(nums[i]), 64)
 			y, err2 := strconv.ParseFloat(strings.TrimSpace(nums[i+1]), 64)
-			if err1 != nil || err2 != nil {
+			if err1 != nil || err2 != nil || !finite(x) || !finite(y) {
 				return nil, fmt.Errorf("bad polygon vertex %q,%q", nums[i], nums[i+1])
 			}
 			pg = append(pg, geom.Point{X: x, Y: y})
@@ -467,5 +468,14 @@ func parseDisk(s string) (geom.Point, float64, error) {
 		}
 		vals[i] = v
 	}
+	// An infinite radius is a disk that holds every node.
+	if !finite(vals[0]) || !finite(vals[1]) || !(vals[2] >= 0) {
+		return geom.Point{}, 0, fmt.Errorf("bad disk %q: want a finite centre and a radius >= 0", s)
+	}
 	return geom.Point{X: vals[0], Y: vals[1]}, vals[2], nil
+}
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,6 +61,19 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-notaflag"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// A non-finite disk used to kill nobody, and a non-finite obstacle
+	// vertex used to leave the field at bootup, both with exit status 0.
+	for _, args := range [][]string{
+		{"-region", "100", "-kill-disk", "0,0,NaN"},
+		{"-region", "100", "-kill-disk", "NaN,0,10"},
+		{"-region", "100", "-kill-disk", "0,0,-5"},
+		{"-region", "100", "-obstacle", "NaN,0,10,0,10,10"},
+		{"-region", "100", "-obstacle", "0,0,10,0,10,Inf"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run %v succeeded, want an error", args)
+		}
+	}
 }
 
 // TestRunRejectsNonFiniteTimes is the regression test for NaN times
@@ -91,6 +105,14 @@ func TestParseDisk(t *testing.T) {
 	c, r, err := parseDisk("10, -5, 30")
 	if err != nil || c.X != 10 || c.Y != -5 || r != 30 {
 		t.Errorf("parseDisk = %v %v %v", c, r, err)
+	}
+	if _, r, err := parseDisk("0,0,Inf"); err != nil || !math.IsInf(r, 1) {
+		t.Errorf("parseDisk(0,0,Inf) = %v %v, want an infinite radius", r, err)
+	}
+	for _, s := range []string{"0,0,NaN", "0,0,-1", "0,0,-Inf", "NaN,0,1", "0,Inf,1", "-Inf,0,1"} {
+		if _, _, err := parseDisk(s); err == nil {
+			t.Errorf("parseDisk(%q) succeeded, want an error", s)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"gs3/internal/core"
 	"gs3/internal/geom"
 	"gs3/internal/radio"
+	"gs3/internal/spatial"
 )
 
 // Violation is one broken invariant clause.
@@ -107,9 +108,11 @@ type index struct {
 	boundary []bool
 
 	// headGrid buckets head ordinals by position in cells as wide as the
-	// neighbor band; nearBuf is headsNear's result buffer.
+	// neighbor band; nearBuf is headsNear's result buffer, cellBuf its
+	// buffer of cell numbers.
 	headGrid grid
 	nearBuf  []int32
+	cellBuf  []int32
 
 	// mark/markGen form an O(1)-reset visited set over head ordinals for
 	// the tree walks: mark[o] == markGen means head o is visited in the
@@ -244,27 +247,20 @@ func (ix *index) membersOf(o int) []int32 {
 // headsNear returns the ordinals of all heads within dist of p, in no
 // particular order. The slice is the index's scratch buffer, valid until
 // the next headsNear call. A head exactly at p (e.g. the query head
-// itself) is included. The scan reads the cells that can hold such a
-// head, or every head when there are more of those cells than occupied
-// ones (see grid.cellRange): a query never costs more than a scan of
-// every head, however far it reaches.
+// itself) is included. The scan reads the wild heads and the cells that
+// can hold such a head (spatial.Bounds), listed by spatial.Table.Cells,
+// so a query never costs more than a scan of every head, however far it
+// reaches.
 func (ix *index) headsNear(p geom.Point, dist float64) []int32 {
 	g := &ix.headGrid
 	r2 := dist * dist
 	ix.nearBuf = ix.nearBuf[:0]
-	x0, y0, x1, y1, ok := g.cellRange(p, dist)
-	if !ok {
-		ix.appendNear(0, int32(len(g.pts)), p, r2)
-		return ix.nearBuf
+	lo, hi := spatial.Bounds(p, dist, g.side)
+	ix.cellBuf = g.cells.Cells(ix.cellBuf[:0], lo, hi)
+	for _, c := range ix.cellBuf {
+		ix.appendNear(g.start[c], g.start[c+1], p, r2)
 	}
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			if c := g.find(cellKey{int32(x), int32(y)}); c >= 0 {
-				ix.appendNear(g.start[c], g.start[c+1], p, r2)
-			}
-		}
-	}
-	ix.appendNear(g.wild(), int32(len(g.pts)), p, r2)
+	ix.appendNear(g.wild, int32(len(g.pts)), p, r2)
 	return ix.nearBuf
 }
 
@@ -602,18 +598,18 @@ func (ix *index) connected(start radio.NodeID, txRange float64) []bool {
 	if si < 0 {
 		return reach
 	}
-	// A hair over txRange/2, so that the rounding maxCell bounds cannot
-	// push a node within txRange out of the ±2 ring scanned below.
+	// A hair over txRange/2, so that the rounding spatial.MaxCell bounds
+	// cannot push a node within txRange out of the ±2 ring scanned below.
 	side := txRange / 2 * (1 + 0x1p-20)
 	u := units{ix: ix, g: newGrid(side, ix.pos), r2: txRange * txRange}
 	g := &u.g
 	u.clique = u.cliques()
 	u.reached = make([]bool, len(ix.nodes))
-	u.queue = make([]int32, 0, len(g.keys))
+	u.queue = make([]int32, 0, len(u.clique))
 
 	s0 := int32(slices.Index(g.items, si))
-	if k, ok := g.keyOf(g.pts[s0]); ok && u.clique[g.find(k)] {
-		u.reachCell(g.find(k))
+	if k, ok := spatial.KeyOf(g.pts[s0], g.side); ok && u.clique[g.cells.Find(k)] {
+		u.reachCell(g.cells.Find(k))
 	} else {
 		u.reachSlot(s0)
 	}
@@ -655,26 +651,26 @@ func (u *units) expand(q int32, ring int32) {
 	if q >= 0 {
 		lo, hi = g.start[q], g.start[q+1]
 	}
-	k, ok := g.keyOf(g.pts[lo])
+	k, ok := spatial.KeyOf(g.pts[lo], g.side)
 	switch {
 	case ok:
-		for y := k.y - ring; y <= k.y+ring; y++ {
-			for x := k.x - ring; x <= k.x+ring; x++ {
-				if max(x-k.x, k.x-x, y-k.y, k.y-y) < ring-1 {
+		for y := k.Y - ring; y <= k.Y+ring; y++ {
+			for x := k.X - ring; x <= k.X+ring; x++ {
+				if max(x-k.X, k.X-x, y-k.Y, k.Y-y) < ring-1 {
 					continue // an inner ring's cell: already expanded
 				}
-				if c := g.find(cellKey{x, y}); c >= 0 {
+				if c := g.cells.Find(spatial.Key{X: x, Y: y}); c >= 0 {
 					u.visitCell(lo, hi, c)
 				}
 			}
 		}
 	case ring == 1:
-		for c := range g.keys {
+		for c := range u.clique {
 			u.visitCell(lo, hi, int32(c))
 		}
 	}
 	if ring == 1 {
-		u.visitSlots(lo, hi, g.wild(), int32(len(g.pts)))
+		u.visitSlots(lo, hi, g.wild, int32(len(g.pts)))
 	}
 }
 
@@ -735,7 +731,7 @@ func (u *units) linked(lo, hi, from, to int32) bool {
 // whose box is not finite reaches every cell.
 func (u *units) cliques() []bool {
 	g := &u.g
-	clique := make([]bool, len(g.keys))
+	clique := make([]bool, len(g.cells.Keys()))
 	for c := range clique {
 		clique[c] = true
 	}
@@ -746,9 +742,9 @@ func (u *units) cliques() []bool {
 		}
 		x0, y0 = math.Floor(x0/g.side)-1, math.Floor(y0/g.side)-1
 		x1, y1 = math.Floor(x1/g.side)+1, math.Floor(y1/g.side)+1
-		for c, k := range g.keys {
+		for c, k := range g.cells.Keys() {
 			// Written so that a NaN bound keeps the cell out.
-			x, y := float64(k.x), float64(k.y)
+			x, y := float64(k.X), float64(k.Y)
 			if !(x < x0 || x > x1 || y < y0 || y > y1) {
 				clique[c] = false
 			}

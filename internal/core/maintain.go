@@ -329,7 +329,7 @@ func (nw *Network) recordSweep(n *Node, statsBefore radio.Stats, metricsBefore M
 // frozen, so nothing it does can change a replayed sweep — but a live
 // link beyond the cone could change state without moving any epoch the
 // cache stamps cover, so such a sweep is never recorded. Links only get
-// that far through mobility, and the mover's old-bucket epoch bump
+// that far through mobility, and the mover's old-cell epoch bump
 // invalidates the cache that watched it leave.
 func (nw *Network) linksLocal(n *Node, cone float64) bool {
 	pos := nw.Position(n.ID)
@@ -676,11 +676,7 @@ func (nw *Network) AbandonCell(id radio.NodeID) {
 // (non-candidates); otherwise keep the best head.
 func (nw *Network) associateIntraCell(n *Node) {
 	head := nw.node(n.Head)
-	headOK := head != nil && nw.Alive(n.Head) && (head.Status.IsHeadRole() || head.IsBig) &&
-		!nw.med.InBlackout(n.Head) &&
-		nw.med.Dist(n.ID, n.Head) <= nw.cfg.SearchRadius()
-
-	if headOK && head.Status.IsHeadRole() {
+	if nw.hearsHead(n.ID, n.Head) && head.Status.IsHeadRole() {
 		// Heartbeat succeeded: re-evaluate candidacy and head choice.
 		// Writes are guarded on change so a settled cell stays
 		// epoch-quiet sweep after sweep.
@@ -709,10 +705,20 @@ func (nw *Network) associateIntraCell(n *Node) {
 	nw.ChooseHead(n.ID)
 }
 
+// hearsHead reports whether node id hears head's heartbeat: head is a
+// live head (or the big node), up, and within the search radius of id.
+func (nw *Network) hearsHead(id, head radio.NodeID) bool {
+	h := nw.node(head)
+	return h != nil && nw.Alive(head) && (h.Status.IsHeadRole() || h.IsBig) &&
+		!nw.med.InBlackout(head) && nw.med.Dist(id, head) <= nw.cfg.SearchRadius()
+}
+
 // electFromCandidates implements the candidate coordination after a
 // head failure: the candidates of the dead head's cell (identified by
 // the cell IL each candidate carries) elect the highest-ranked one as
 // the new head, which inherits the cell state the candidates replicate.
+// If that one still hears the head, the detector alone lost it (it
+// moved away): it re-joins elsewhere, and nobody is elected.
 func (nw *Network) electFromCandidates(detector *Node) {
 	deadHead := detector.Head
 	il := detector.CellIL
@@ -721,7 +727,7 @@ func (nw *Network) electFromCandidates(detector *Node) {
 			!nw.med.InBlackout(c.ID)
 	})
 	best, ok := BestCandidate(il, nw.cfg.GR, candidates, nw.Position)
-	if !ok {
+	if !ok || nw.hearsHead(best, deadHead) {
 		nw.becomeBootup(detector)
 		nw.touch(detector.ID)
 		nw.ChooseHead(detector.ID)

@@ -374,3 +374,44 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Errorf("replay differs: %d vs %d heads", a, b)
 	}
 }
+
+// TestCandidateOutOfRangeElectsNobody carries a candidate out of its
+// live head's search radius. It alone lost the head, which every other
+// candidate still hears, so it must re-join elsewhere rather than elect
+// a second head for the cell. Both cells used to gain one, and the big
+// node was left with 8 children, over its bound of 6, for good.
+func TestCandidateOutOfRangeElectsNobody(t *testing.T) {
+	for _, bigCell := range []bool{true, false} {
+		opt := DefaultOptions(100, 280)
+		opt.Seed = 7
+		s, err := Build(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Configure(); err != nil {
+			t.Fatal(err)
+		}
+		s.Net.StartMaintenance(core.VariantM)
+		s.RunSweeps(6)
+		snap := s.Net.Snapshot()
+		mover := radio.None
+		for _, v := range snap.Nodes {
+			if v.Candidate && (v.Head == snap.BigID) == bigCell {
+				mover = v.ID
+				break
+			}
+		}
+		if mover == radio.None {
+			t.Fatalf("big cell %v: no candidate to move", bigCell)
+		}
+		before := s.Net.Metrics().Promotions
+		s.Net.Move(mover, geom.Point{X: 1000, Y: 0})
+		s.RunSweeps(30)
+		if n := s.Net.Metrics().Promotions - before; n != 0 {
+			t.Errorf("big cell %v: candidate %d left range and %d promotions followed", bigCell, mover, n)
+		}
+		if r := check.Fixpoint(s.Net.Snapshot(), check.Dynamic); !r.OK() {
+			t.Errorf("big cell %v: candidate %d left range: %v", bigCell, mover, r.Violations)
+		}
+	}
+}

@@ -2,13 +2,17 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"gs3/internal/check"
 	"gs3/internal/core"
 	"gs3/internal/fault"
 	"gs3/internal/field"
 	"gs3/internal/geom"
+	"gs3/internal/radio"
 	"gs3/internal/rng"
 )
 
@@ -121,8 +125,9 @@ func withBlackouts(script []propStep, seed uint64, sweeps int) []propStep {
 }
 
 // runCacheEquivalence drives a cached and an uncached build of opt in
-// lock-step through the script and fails on the first divergence.
-func runCacheEquivalence(t *testing.T, opt Options, variant core.Variant, script []propStep, sweeps int) {
+// lock-step through the script, fails on the first divergence, and
+// returns the cached build.
+func runCacheEquivalence(t *testing.T, opt Options, variant core.Variant, script []propStep, sweeps int) *Sim {
 	t.Helper()
 	build := func(cache bool) *Sim {
 		s, err := Build(opt)
@@ -136,7 +141,9 @@ func runCacheEquivalence(t *testing.T, opt Options, variant core.Variant, script
 		s.Net.StartMaintenance(variant)
 		return s
 	}
-	runLockstep(t, [2]string{"cached", "brute"}, build(true), build(false), script, sweeps)
+	cached := build(true)
+	runLockstep(t, [2]string{"cached", "brute"}, cached, build(false), script, sweeps)
+	return cached
 }
 
 // runLockstep drives two builds of the same scenario through the
@@ -172,9 +179,9 @@ func runLockstep(t *testing.T, label [2]string, a, b *Sim, script []propStep, sw
 			t.Fatalf("sweep %d: topology epoch diverged: %s %d, %s %d", i, label[0], x, label[1], y)
 		}
 		sa, sb := a.Net.Snapshot(), b.Net.Snapshot()
-		if !reflect.DeepEqual(sa, sb) {
+		if !sameBits(reflect.ValueOf(sa), reflect.ValueOf(sb)) {
 			for j := range sa.Nodes {
-				if j >= len(sb.Nodes) || !reflect.DeepEqual(sa.Nodes[j], sb.Nodes[j]) {
+				if j >= len(sb.Nodes) || !sameBits(reflect.ValueOf(sa.Nodes[j]), reflect.ValueOf(sb.Nodes[j])) {
 					t.Fatalf("sweep %d: snapshot diverged at node index %d:\n%-7s%+v\n%-7s%+v",
 						i, j, label[0], sa.Nodes[j], label[1], sb.Nodes[j])
 				}
@@ -183,6 +190,34 @@ func runLockstep(t *testing.T, label [2]string, a, b *Sim, script []propStep, sw
 				i, len(sa.Nodes), len(sb.Nodes))
 		}
 	}
+}
+
+// sameBits reports whether a and b hold the same values, comparing
+// floats by their bits: reflect.DeepEqual finds two NaN positions
+// unequal, however identical.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() || a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
 }
 
 // compareCounters fails unless the two builds agree on virtual clock,
@@ -295,4 +330,95 @@ func TestCachedSweepMatchesBruteForceKillDisk(t *testing.T) {
 		{8, "disaster", func(s *Sim) { s.KillDisk(c, opt.Config.SearchRadius()) }},
 	}
 	runCacheEquivalence(t, opt, core.VariantD, script, sweeps)
+}
+
+// TestCachedSweepMatchesBruteForceFarChild strands a child head: its
+// associates die and it is carried out into empty space, beyond its
+// parent's search radius but inside the parent's 2·SR+Rt cone, where no
+// head can reach it. The parent, which sweeps first in each heartbeat,
+// drops it as a neighbour but keeps it as a child; the child then
+// abandons its empty cell. The parent's next body drops the lost child
+// without rewriting its Neighbors, so only the touch after a lost child
+// keeps that body out of the cache and lets the repair a heartbeat later
+// run. The strike comes at each phase of the parent's rescan cycle.
+func TestCachedSweepMatchesBruteForceFarChild(t *testing.T) {
+	for at := 4; at < 9; at++ {
+		t.Run(fmt.Sprintf("at%d", at), func(t *testing.T) {
+			opt := DefaultOptions(100, 400)
+			opt.Seed = 3
+			sr := opt.Config.SearchRadius()
+			child, parent := radio.None, radio.None
+			strand := func(s *Sim) {
+				snap := s.Net.Snapshot()
+				big := s.Net.Position(snap.BigID)
+				var h core.NodeView
+				for _, v := range snap.Heads() {
+					if p, ok := snap.View(v.Parent); ok && !p.IsBig && p.ID%17 < v.ID%17 && v.Pos.Dist(big) > h.Pos.Dist(big) {
+						h = v
+					}
+				}
+				p, _ := snap.View(h.Parent)
+				out := h.Pos.Sub(big).Scale(1 / h.Pos.Dist(big))
+				for step := 0.0; ; step += opt.Config.Rt / 2 {
+					target := h.Pos.Add(out.Scale(step))
+					lone := true
+					for _, o := range snap.Heads() {
+						lone = lone && (o.ID == h.ID || o.Pos.Dist(target) > 1.25*sr)
+					}
+					if !lone {
+						continue
+					}
+					if d := target.Dist(p.Pos); d > 2*sr {
+						t.Fatalf("head %d: first lone point %v is %.1f from parent %d, beyond 2·SR = %.1f", h.ID, target, d, p.ID, 2*sr)
+					}
+					for _, m := range snap.Members(h.ID) {
+						s.Net.Kill(m)
+					}
+					child, parent = h.ID, p.ID
+					s.Net.Move(h.ID, target)
+					return
+				}
+			}
+			script := []propStep{
+				{at, "strand", strand},
+				{at + 1, "abandoned", func(s *Sim) {
+					snap := s.Net.Snapshot()
+					v, _ := snap.View(child)
+					p, _ := snap.View(parent)
+					if v.IsHead() || !slices.Contains(p.Children, child) || slices.Contains(p.Neighbors, child) {
+						t.Fatalf("head %d did not become a lost child of %d outside its search radius: %+v, parent %+v", child, parent, v, p)
+					}
+				}},
+			}
+			runCacheEquivalence(t, opt, core.VariantM, script, at+6)
+		})
+	}
+}
+
+// TestCachedSweepMatchesBruteForceWildNodes joins nodes at, and moves
+// nodes to, NaN, +Inf and (1e300, 1e300) on a settled GS³-M field. The
+// cached build must match the uncached one throughout, and the field
+// must reach the dynamic fixpoint around the wild nodes.
+func TestCachedSweepMatchesBruteForceWildNodes(t *testing.T) {
+	const sweeps = 20
+	opt := DefaultOptions(100, 280)
+	opt.Seed = 7
+	wild := []geom.Point{{X: math.NaN(), Y: 0}, {X: math.Inf(1), Y: 0}, {X: 1e300, Y: 1e300}}
+	script := []propStep{
+		{3, "join-wild", func(s *Sim) {
+			for _, p := range wild {
+				s.Net.Join(p)
+			}
+		}},
+		{6, "move-wild", func(s *Sim) {
+			ids := s.Net.SortedIDs()
+			for i, p := range wild {
+				s.Net.Move(ids[len(ids)/2+7*i], p)
+			}
+		}},
+	}
+	s := runCacheEquivalence(t, opt, core.VariantM, script, sweeps)
+	if r := check.Fixpoint(s.Net.Snapshot(), check.Dynamic); !r.OK() {
+		t.Errorf("not at the dynamic fixpoint after %d sweeps: %v", sweeps, r.Violations)
+	}
 }

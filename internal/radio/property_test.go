@@ -30,14 +30,25 @@ func bruteWithinRange(m *Medium, p geom.Point, dist float64, exclude NodeID) []N
 	return out
 }
 
-// unboundedRadii are query radii no bucket ring bounds: 1e300 overflows
-// the ring's int, and so do infinity and NaN.
+// unboundedRadii are query radii whose cell rectangles reach past every
+// key: 1e300, infinity and NaN.
 var unboundedRadii = []float64{1e300, math.Inf(1), math.NaN()}
+
+// wildPoints are positions no cell holds (spatial.KeyOf) on a grid of
+// the given cell size: non-finite, ±1e300, and 2³⁰+5 cells out.
+func wildPoints(cellSize float64) []geom.Point {
+	far := (1<<30 + 5) * cellSize
+	return []geom.Point{
+		{X: math.NaN(), Y: 0}, {X: 0, Y: math.Inf(1)}, {X: math.Inf(-1), Y: math.Inf(-1)},
+		{X: 1e300, Y: 1e300}, {X: -1e300, Y: 5}, {X: far, Y: 0}, {X: 3, Y: -far},
+	}
+}
 
 // TestWithinRangePropertyVsBruteForce drives random deployments through
 // interleaved Place/Remove/Move churn and checks, after every step, that
-// the optimized query path matches the brute-force reference for query
-// points that deliberately straddle bucket boundaries.
+// the optimized query paths (WithinRangeAppend, WithinDisk, Audience)
+// match the brute-force reference for query points that deliberately
+// straddle bucket boundaries, and for wild nodes and query points.
 func TestWithinRangePropertyVsBruteForce(t *testing.T) {
 	for _, cellSize := range []float64{5, 30, 100} {
 		src := rng.New(uint64(1000 + int(cellSize)))
@@ -47,10 +58,16 @@ func TestWithinRangePropertyVsBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		wild := wildPoints(cellSize)
 		place := func(id NodeID) {
-			// Half the nodes land exactly on bucket edges (multiples of
-			// the cell size), the rest anywhere in the region.
-			if src.Intn(2) == 0 {
+			// A sixth of the nodes land on wild positions, a third
+			// exactly on bucket edges (multiples of the cell size), the
+			// rest anywhere in the region.
+			switch src.Intn(6) {
+			case 0:
+				m.Place(id, wild[src.Intn(len(wild))])
+				return
+			case 1, 2:
 				m.Place(id, geom.Point{
 					X: float64(src.Intn(9)-4) * cellSize,
 					Y: float64(src.Intn(9)-4) * cellSize,
@@ -76,7 +93,7 @@ func TestWithinRangePropertyVsBruteForce(t *testing.T) {
 				{X: cellSize / 2, Y: cellSize / 2},
 			}
 			rx, ry := src.Range(-150, 150), src.Range(-150, 150)
-			apexes = append(apexes, geom.Point{X: rx, Y: ry})
+			apexes = append(apexes, geom.Point{X: rx, Y: ry}, wild[src.Intn(len(wild))])
 			for _, apex := range apexes {
 				// Radii below, equal to and above the cell size, one whose
 				// ring dwarfs the grid, and the unbounded ones.
@@ -92,6 +109,18 @@ func TestWithinRangePropertyVsBruteForce(t *testing.T) {
 					if appended[0] != None || !slices.Equal(appended[1:], want) {
 						t.Fatalf("cell %v step %d: WithinRangeAppend = %v, want prefix-preserving %v",
 							cellSize, step, appended, want)
+					}
+					if disk := m.WithinDisk(apex, dist, exclude); !slices.Equal(disk, want) {
+						t.Fatalf("cell %v step %d: WithinDisk(%v, %v, %d) = %v, want %v",
+							cellSize, step, apex, dist, exclude, disk, want)
+					}
+					var heard []NodeID
+					if m.on[exclude] {
+						heard = bruteWithinRange(m, m.pos[exclude], dist, exclude)
+					}
+					if got := m.Audience(nil, exclude, dist); !slices.Equal(got, heard) {
+						t.Fatalf("cell %v step %d: Audience(%d at %v, %v) = %v, want %v",
+							cellSize, step, exclude, m.pos[exclude], dist, got, heard)
 					}
 				}
 			}
@@ -132,9 +161,10 @@ func bruteHeadsWithinRange(m *Medium, p geom.Point, dist float64, exclude NodeID
 }
 
 // TestHeadsWithinRangePropertyVsBruteForce churns placements, removals,
-// and head-role flips, and checks after every step that the head index
-// matches a brute-force filter over the role flags. Any divergence is a
-// dual-grid maintenance bug (Place/Remove/SetHeadRole out of sync).
+// and head-role flips, ordinary and wild, and checks after every step
+// that the head lists match a brute-force filter over the role flags.
+// Any divergence is a cell-record maintenance bug (Place/Remove/
+// SetHeadRole out of sync).
 func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 	src := rng.New(99)
 	p := Params{MaxRange: 100, DiffusionSpeed: 100, CellSize: 30}
@@ -143,7 +173,12 @@ func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 50
+	wild := wildPoints(p.CellSize)
 	place := func(id NodeID) {
+		if src.Intn(8) == 0 {
+			m.Place(id, wild[src.Intn(len(wild))])
+			return
+		}
 		x, y := src.Range(-150, 150), src.Range(-150, 150)
 		m.Place(id, geom.Point{X: x, Y: y})
 	}
@@ -166,6 +201,9 @@ func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 			m.SetHeadRole(id, false)
 		}
 		apex := geom.Point{X: float64(src.Intn(7)-3) * 30, Y: float64(src.Intn(7)-3) * 30}
+		if src.Intn(4) == 0 {
+			apex = wild[src.Intn(len(wild))]
+		}
 		for _, dist := range append([]float64{20, 30, 80, 1200}, unboundedRadii...) {
 			want := bruteHeadsWithinRange(m, apex, dist, None)
 			got := m.HeadsWithinRangeAppend(nil, apex, dist, None)
@@ -227,6 +265,73 @@ func TestBroadcastReceiverSetRegression(t *testing.T) {
 		got := m.Broadcast(sender, m.Audience(nil, sender, 100))
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d: Broadcast(%d) = %v, want %v", round, sender, got, want)
+		}
+	}
+}
+
+// TestRegionEpochContract churns ordinary and wild nodes through Place,
+// Remove, Touch and SetBlackout, and checks RegionEpoch's contract after
+// every step, from ordinary and wild points at radii from 0 to +Inf: a
+// change at a node within dist of p, at its old or its new position,
+// raises RegionEpoch(p, dist); nothing lowers it; and for a wild p it is
+// Epoch(). The radius 3e10 spans a ring of 2·10⁹ cells, which only the
+// ring-or-scan rule reads in bounded time.
+func TestRegionEpochContract(t *testing.T) {
+	const cellSize, n = 30, 40
+	m := newTestMedium(t, Params{MaxRange: 100, DiffusionSpeed: 100, CellSize: cellSize})
+	src := rng.New(5)
+	wild := wildPoints(cellSize)
+	point := func() geom.Point {
+		switch src.Intn(5) {
+		case 0:
+			return wild[src.Intn(len(wild))]
+		case 1:
+			return geom.Point{X: float64(src.Intn(9)-4) * cellSize, Y: float64(src.Intn(9)-4) * cellSize}
+		}
+		return geom.Point{X: src.Range(-200, 200), Y: src.Range(-200, 200)}
+	}
+	ordinary := []geom.Point{{X: 0, Y: 0}, {X: cellSize, Y: -2 * cellSize}, {X: 17, Y: 101}}
+	apexes := append(ordinary, wild...)
+	radii := []float64{0, 10, cellSize, 45, 100, 1e6, 3e10, 1e300, math.Inf(1)}
+	before := make([]uint64, len(apexes)*len(radii))
+	for step := 0; step < 300; step++ {
+		for i, p := range apexes {
+			for j, d := range radii {
+				before[i*len(radii)+j] = m.RegionEpoch(p, d)
+			}
+		}
+		epoch := m.Epoch()
+		id := NodeID(src.Intn(n))
+		var at []geom.Point // where the change happens
+		if m.Alive(id) {
+			at = append(at, m.pos[id])
+		}
+		op := src.Intn(5)
+		switch op {
+		case 0, 1:
+			q := point()
+			m.Place(id, q)
+			at = append(at, q)
+		case 2:
+			m.Remove(id)
+		case 3:
+			m.Touch(id)
+		case 4:
+			m.SetBlackout(id, !m.InBlackout(id))
+		}
+		for i, p := range apexes {
+			for j, d := range radii {
+				got, was := m.RegionEpoch(p, d), before[i*len(radii)+j]
+				near := slices.ContainsFunc(at, func(q geom.Point) bool { return q.Dist2(p) <= d*d })
+				switch {
+				case got < was:
+					t.Fatalf("step %d op %d: RegionEpoch(%v, %v) fell from %d to %d", step, op, p, d, was, got)
+				case i >= len(ordinary) && got != m.Epoch():
+					t.Fatalf("step %d op %d: RegionEpoch(%v, %v) = %d for a wild point, want Epoch() = %d", step, op, p, d, got, m.Epoch())
+				case m.Epoch() != epoch && near && got == was:
+					t.Fatalf("step %d op %d: node %d changed at %v, within %v of %v, but RegionEpoch stayed %d", step, op, id, at, d, p, got)
+				}
+			}
 		}
 	}
 }

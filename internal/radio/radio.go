@@ -23,10 +23,11 @@
 // Node IDs are dense small integers (the network allocates them
 // sequentially from 0), so per-node medium state — position, presence,
 // blackout, head-role flag — lives in plain ID-indexed slices rather
-// than maps. The spatial index is a pair of grids: one over all
-// on-medium nodes, and one over just the head-role nodes, so queries
-// that only want heads (the protocol's most frequent query by far) run
-// in output-sensitive time instead of scanning every node in range.
+// than maps. The spatial index is a grid of square cells, numbered by a
+// spatial.Table, and one record per cell: its on-medium nodes, its
+// head-role nodes apart (head-only queries, the protocol's most frequent
+// by far, run in output-sensitive time), and the epoch of its last
+// change. The wild nodes (spatial.KeyOf) share one more record.
 package radio
 
 import (
@@ -37,6 +38,7 @@ import (
 
 	"gs3/internal/fault"
 	"gs3/internal/geom"
+	"gs3/internal/spatial"
 )
 
 // Unicast failure causes, exposed as sentinels so callers (the data
@@ -73,7 +75,7 @@ type Params struct {
 	DiffusionSpeed float64
 	// PerMessageOverhead is the fixed latency added to every message.
 	PerMessageOverhead float64
-	// CellSize is the spatial-index bucket size; 0 picks MaxRange.
+	// CellSize is the side of the spatial index's cells; 0 picks MaxRange.
 	CellSize float64
 }
 
@@ -130,8 +132,12 @@ type Medium struct {
 	count    int // number of on-medium nodes
 	nBlack   int // number of blacked-out nodes
 
-	grid     map[gridKey][]gridEntry
-	headGrid map[gridKey][]gridEntry
+	// recs[c] is the record of cell c of cells, wild the wild nodes'
+	// record; near buffers the cell numbers of one query.
+	cells    spatial.Table
+	recs     []cell
+	wild     cell
+	near     []int32
 	cellSize float64
 
 	// bcast is the reusable receiver buffer for Broadcast: steady-state
@@ -158,31 +164,55 @@ type Medium struct {
 	// never fire it: nothing was transmitted.
 	sendHook func(sender NodeID, broadcast bool)
 
-	// epoch is the global topology-change counter and epochs the
-	// per-bucket view of it: a bucket's entry is the epoch value at
-	// its last change. Place, Remove, blackout toggles, and explicit
-	// Touch calls all bump the affected buckets, so a reader that
-	// stamped a region with RegionEpoch can later prove "nothing in
-	// my query cone changed" with a handful of map reads.
-	epoch  uint64
-	epochs map[gridKey]uint64
+	// epoch is the global topology-change counter, a cell's epoch its
+	// value at the cell's last change. Place, Remove, blackout toggles,
+	// and explicit Touch calls all bump the affected cells, so a reader
+	// that stamped a region with RegionEpoch can later prove "nothing in
+	// my query cone changed" with a handful of table reads.
+	epoch uint64
 	// epochFloor is the epoch of the last TouchAll: a change with
 	// unbounded reach (e.g. big-node role state that every head's
-	// root test reads) that no bucket ring could cover. RegionEpoch
+	// root test reads) that no ring of cells could cover. RegionEpoch
 	// never reports below it.
 	epochFloor uint64
 
 	stats Stats
 }
 
-type gridKey struct{ x, y int }
+// cell is one cell's record: its on-medium nodes, its head-role nodes,
+// and the epoch of its last change.
+type cell struct {
+	nodes, heads []gridEntry
+	epoch        uint64
+}
 
-// gridEntry colocates a node's position with its ID inside the grid
-// bucket, so range tests never touch the position slice on the hot
+// gridEntry colocates a node's position with its ID inside the cell
+// record, so range tests never touch the position slice on the hot
 // path. Place and Remove keep it in sync with pos.
 type gridEntry struct {
 	id  NodeID
 	pos geom.Point
+}
+
+// cellAt returns the record of the cell holding p, adding the cell if
+// the grid has none; the pointer is valid until the next cellAt.
+func (m *Medium) cellAt(p geom.Point) *cell {
+	k, ok := spatial.KeyOf(p, m.cellSize)
+	if !ok {
+		return &m.wild
+	}
+	c := m.cells.Insert(k)
+	if int(c) == len(m.recs) {
+		m.recs = append(m.recs, cell{})
+	}
+	return &m.recs[c]
+}
+
+// without removes id's entry from the list b, which holds it.
+func without(b []gridEntry, id NodeID) []gridEntry {
+	i := slices.IndexFunc(b, func(e gridEntry) bool { return e.id == id })
+	b[i] = b[len(b)-1]
+	return b[:len(b)-1]
 }
 
 // NewMedium returns an empty medium.
@@ -194,13 +224,7 @@ func NewMedium(params Params) (*Medium, error) {
 	if cs <= 0 {
 		cs = params.MaxRange
 	}
-	return &Medium{
-		params:   params,
-		grid:     make(map[gridKey][]gridEntry),
-		headGrid: make(map[gridKey][]gridEntry),
-		epochs:   make(map[gridKey]uint64),
-		cellSize: cs,
-	}, nil
+	return &Medium{params: params, cellSize: cs}, nil
 }
 
 // Params returns the medium's configuration.
@@ -355,14 +379,10 @@ func (m *Medium) InBlackout(id NodeID) bool {
 	return m.nBlack > 0 && m.known(id) && m.blackout[id]
 }
 
-func (m *Medium) key(p geom.Point) gridKey {
-	return gridKey{int(math.Floor(p.X / m.cellSize)), int(math.Floor(p.Y / m.cellSize))}
-}
-
-// bump records a topology change in the bucket holding p.
-func (m *Medium) bump(p geom.Point) {
+// bump records a topology change in cell c.
+func (m *Medium) bump(c *cell) {
 	m.epoch++
-	m.epochs[m.key(p)] = m.epoch
+	c.epoch = m.epoch
 }
 
 // Epoch returns the global topology-epoch counter. It increases
@@ -373,13 +393,13 @@ func (m *Medium) Epoch() uint64 {
 	return m.epoch
 }
 
-// Touch bumps the topology epoch of the bucket holding node id, marking
+// Touch bumps the topology epoch of the cell holding node id, marking
 // a change that spatial queries cannot see — protocol state attached to
 // the node (role, links, cell state) rather than its position. Nodes
 // not on the medium are ignored; their removal already bumped.
 func (m *Medium) Touch(id NodeID) {
 	if m.known(id) && m.on[id] {
-		m.bump(m.pos[id])
+		m.bump(m.cellAt(m.pos[id]))
 	}
 }
 
@@ -390,24 +410,21 @@ func (m *Medium) TouchAll() {
 	m.epochFloor = m.epoch
 }
 
-// RegionEpoch returns the maximum topology epoch over every bucket a
-// range query at (p, dist) could touch, and never less than the last
-// TouchAll. A caller that stamps a computed result with this value can
-// later prove the result is still current by comparing a fresh
-// RegionEpoch against the stamp: any add/remove/move/blackout/Touch in
-// the cone bumps a bucket the same ring scan covers.
+// RegionEpoch returns the maximum topology epoch over the wild cell and
+// the ring of cells a range query at (p, dist) could touch (spatial.Ring;
+// every cell for a wild p), and never less than the last TouchAll. A
+// caller that stamps a computed result with this value can later prove
+// it current by comparing a fresh RegionEpoch against the stamp: any
+// add/remove/move/blackout/Touch in the cone bumps a cell the ring
+// covers.
 func (m *Medium) RegionEpoch(p geom.Point, dist float64) uint64 {
-	r := int(math.Ceil(dist / m.cellSize))
-	base := m.key(p)
-	max := m.epochFloor
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			if e := m.epochs[gridKey{base.x + dx, base.y + dy}]; e > max {
-				max = e
-			}
-		}
+	lo, hi := spatial.Ring(p, dist, m.cellSize)
+	m.near = m.cells.Cells(m.near[:0], lo, hi)
+	e := max(m.epochFloor, m.wild.epoch)
+	for _, c := range m.near {
+		e = max(e, m.recs[c].epoch)
 	}
-	return max
+	return e
 }
 
 // Place adds or moves a node. A placed node is alive.
@@ -417,23 +434,23 @@ func (m *Medium) Place(id NodeID, p geom.Point) {
 	}
 	m.ensure(id)
 	if m.on[id] {
-		old := m.pos[id]
-		removeFromGrid(m.grid, id, old, m.cellSize)
+		c := m.cellAt(m.pos[id])
+		c.nodes = without(c.nodes, id)
 		if m.headRole[id] {
-			removeFromGrid(m.headGrid, id, old, m.cellSize)
+			c.heads = without(c.heads, id)
 		}
-		m.bump(old)
+		m.bump(c)
 	} else {
 		m.count++
 	}
 	m.pos[id] = p
 	m.on[id] = true
-	k := m.key(p)
-	m.grid[k] = append(m.grid[k], gridEntry{id, p})
+	c := m.cellAt(p)
+	c.nodes = append(c.nodes, gridEntry{id, p})
 	if m.headRole[id] {
-		m.headGrid[k] = append(m.headGrid[k], gridEntry{id, p})
+		c.heads = append(c.heads, gridEntry{id, p})
 	}
-	m.bump(p)
+	m.bump(c)
 }
 
 // Remove takes a node off the medium (death or leave).
@@ -441,10 +458,10 @@ func (m *Medium) Remove(id NodeID) {
 	if !m.known(id) || !m.on[id] {
 		return
 	}
-	p := m.pos[id]
-	removeFromGrid(m.grid, id, p, m.cellSize)
+	c := m.cellAt(m.pos[id])
+	c.nodes = without(c.nodes, id)
 	if m.headRole[id] {
-		removeFromGrid(m.headGrid, id, p, m.cellSize)
+		c.heads = without(c.heads, id)
 		m.headRole[id] = false
 	}
 	m.on[id] = false
@@ -453,7 +470,7 @@ func (m *Medium) Remove(id NodeID) {
 		m.blackout[id] = false
 		m.nBlack--
 	}
-	m.bump(p)
+	m.bump(c)
 }
 
 // SetHeadRole mirrors the protocol's head-role flag for id into the
@@ -475,24 +492,11 @@ func (m *Medium) SetHeadRole(id NodeID, head bool) {
 	if !m.on[id] {
 		return
 	}
-	p := m.pos[id]
+	c := m.cellAt(m.pos[id])
 	if head {
-		k := m.key(p)
-		m.headGrid[k] = append(m.headGrid[k], gridEntry{id, p})
+		c.heads = append(c.heads, gridEntry{id, m.pos[id]})
 	} else {
-		removeFromGrid(m.headGrid, id, p, m.cellSize)
-	}
-}
-
-func removeFromGrid(grid map[gridKey][]gridEntry, id NodeID, p geom.Point, cellSize float64) {
-	k := gridKey{int(math.Floor(p.X / cellSize)), int(math.Floor(p.Y / cellSize))}
-	bucket := grid[k]
-	for i, e := range bucket {
-		if e.id == id {
-			bucket[i] = bucket[len(bucket)-1]
-			grid[k] = bucket[:len(bucket)-1]
-			return
-		}
+		c.heads = without(c.heads, id)
 	}
 }
 
@@ -523,7 +527,7 @@ func (m *Medium) Count() int {
 // leaves the stats identical.
 func (m *Medium) WithinDisk(p geom.Point, dist float64, exclude NodeID) []NodeID {
 	m.stats.RangeQueries++
-	return gridRange(m.grid, m.cellSize, nil, nil, p, dist, exclude)
+	return m.gather(nil, p, dist, exclude, false, nil)
 }
 
 // WithinRangeAppend appends the IDs of nodes within dist of point p —
@@ -533,7 +537,7 @@ func (m *Medium) WithinDisk(p geom.Point, dist float64, exclude NodeID) []NodeID
 // makes steady-state queries allocation-free.
 func (m *Medium) WithinRangeAppend(dst []NodeID, p geom.Point, dist float64, exclude NodeID) []NodeID {
 	m.stats.RangeQueries++
-	return gridRange(m.grid, m.cellSize, m.obstacles, dst, p, dist, exclude)
+	return m.gather(dst, p, dist, exclude, false, m.obstacles)
 }
 
 // HeadsWithinRangeAppend appends the IDs of head-role nodes (see
@@ -544,7 +548,7 @@ func (m *Medium) WithinRangeAppend(dst []NodeID, p geom.Point, dist float64, exc
 // replaces on the protocol's hot paths.
 func (m *Medium) HeadsWithinRangeAppend(dst []NodeID, p geom.Point, dist float64, exclude NodeID) []NodeID {
 	m.stats.RangeQueries++
-	return gridRange(m.headGrid, m.cellSize, m.obstacles, dst, p, dist, exclude)
+	return m.gather(dst, p, dist, exclude, true, m.obstacles)
 }
 
 // HeadsWithinDisk appends the IDs of head-role nodes geometrically
@@ -553,58 +557,33 @@ func (m *Medium) HeadsWithinRangeAppend(dst []NodeID, p geom.Point, dist float64
 // sight themselves from some other point. It counts as one range query.
 func (m *Medium) HeadsWithinDisk(dst []NodeID, p geom.Point, dist float64) []NodeID {
 	m.stats.RangeQueries++
-	return gridRange(m.headGrid, m.cellSize, nil, dst, p, dist, None)
+	return m.gather(dst, p, dist, None, true, nil)
 }
 
-// gridRange is the shared ring-scan kernel behind the range queries.
-// A non-empty obs filters out candidates whose line of sight from p an
+// gather is the kernel behind the range queries: it appends to dst, in
+// ascending ID order, the nodes (only the head-role ones, if heads) of
+// the cells a disk of radius dist at p can reach (spatial.Bounds) and of
+// the wild cell that lie within dist of p, other than exclude. A
+// non-empty obs filters out those whose line of sight from p an
 // obstacle blocks; nil obs is the free-space kernel of WithinDisk and
-// HeadsWithinDisk.
-func gridRange(grid map[gridKey][]gridEntry, cellSize float64, obs []geom.Polygon, dst []NodeID, p geom.Point, dist float64, exclude NodeID) []NodeID {
-	// Bucket-ring bound: let c = ⌊p/cs⌋ be the query's cell on one axis.
-	// Any node q with |q−p| ≤ dist has per-axis offset |q.x−p.x| ≤ dist,
-	// and for reals a, b with b ≥ 0: ⌊a+b⌋ − ⌊a⌋ ≤ ⌈b⌉ and, symmetric-
-	// ally, ⌊a⌋ − ⌊a−b⌋ ≤ ⌈b⌉. With b = dist/cs this bounds q's cell
-	// index within c ± ⌈dist/cs⌉, so a ring of r = ⌈dist/cs⌉ suffices.
+// HeadsWithinDisk. A NaN or negative dist encloses nothing.
+func (m *Medium) gather(dst []NodeID, p geom.Point, dist float64, exclude NodeID, heads bool, obs []geom.Polygon) []NodeID {
 	if !(dist >= 0) {
-		return dst // a NaN or negative radius encloses nothing
+		return dst
 	}
-	rf := math.Ceil(dist / cellSize)
-	if side := 2*rf + 1; !(side*side <= float64(len(grid))) {
-		return gridScan(grid, obs, dst, p, dist, exclude)
-	}
-	r2 := dist * dist
-	start := len(dst)
-	r := int(rf)
-	base := gridKey{int(math.Floor(p.X / cellSize)), int(math.Floor(p.Y / cellSize))}
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			for _, e := range grid[gridKey{base.x + dx, base.y + dy}] {
-				if e.id == exclude {
-					continue
-				}
-				if e.pos.Dist2(p) <= r2 {
-					if len(obs) != 0 && geom.AnyOccludes(obs, p, e.pos) {
-						continue
-					}
-					dst = append(dst, e.id)
-				}
-			}
+	lo, hi := spatial.Bounds(p, dist, m.cellSize)
+	m.near = m.cells.Cells(m.near[:0], lo, hi)
+	r2, start := dist*dist, len(dst)
+	for i := -1; i < len(m.near); i++ {
+		c := &m.wild
+		if i >= 0 {
+			c = &m.recs[m.near[i]]
 		}
-	}
-	slices.Sort(dst[start:])
-	return dst
-}
-
-// gridScan is gridRange over every bucket of the grid, for a query
-// whose bucket ring would hold more buckets than the grid, or that no
-// ring bounds (an infinite dist). The sort undoes the map's iteration
-// order, so the result is the ring scan's.
-func gridScan(grid map[gridKey][]gridEntry, obs []geom.Polygon, dst []NodeID, p geom.Point, dist float64, exclude NodeID) []NodeID {
-	r2 := dist * dist
-	start := len(dst)
-	for _, bucket := range grid {
-		for _, e := range bucket {
+		list := c.nodes
+		if heads {
+			list = c.heads
+		}
+		for _, e := range list {
 			if e.id != exclude && e.pos.Dist2(p) <= r2 && (len(obs) == 0 || !geom.AnyOccludes(obs, p, e.pos)) {
 				dst = append(dst, e.id)
 			}
@@ -631,7 +610,7 @@ func (m *Medium) Audience(dst []NodeID, sender NodeID, radius float64) []NodeID 
 	if !m.known(sender) || !m.on[sender] {
 		return dst
 	}
-	return gridRange(m.grid, m.cellSize, m.obstacles, dst, m.pos[sender], radius, sender)
+	return m.gather(dst, m.pos[sender], radius, sender, false, m.obstacles)
 }
 
 // Broadcast performs a destination-unaware transmission from sender to

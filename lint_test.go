@@ -175,22 +175,7 @@ func TestEveryIdentifierHasAProductionReader(t *testing.T) {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	imp := &moduleImporter{
-		src:  src,
-		std:  importer.ForCompiler(src.fset, "source", nil),
-		info: info,
-		pkgs: map[string]*types.Package{},
-	}
-	var pkgs []*types.Package
-	for _, dir := range src.dirs {
-		pkg, err := imp.Import(importPath(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if linted(dir) {
-			pkgs = append(pkgs, pkg)
-		}
-	}
+	pkgs := typeCheck(t, src, info)
 	reads := productionReads(src, info)
 
 	hooksFound := map[string]bool{}
@@ -249,6 +234,72 @@ func TestEveryIdentifierHasAProductionReader(t *testing.T) {
 	}
 }
 
+// floatToInt names the functions allowed to convert a floating-point
+// value to an integer type, each with why its argument fits, or "open:"
+// and an input that breaks it. The Go spec leaves the result of such a
+// conversion implementation-dependent when the value does not fit, so
+// one that can overflow may answer differently per architecture. An
+// entry whose function holds no such conversion fails the lint.
+var floatToInt = map[string]string{
+	"baseline.buildAdjacency": "open: HopCluster with a txRange of 1e-300, which it accepts; its one caller passes SR/3 and a finite field",
+	"core.StrengthenCell":     "open: R = 1 with Rt = 1e-300, which Config.Validate accepts (R/(√3·Rt) ≈ 6e299)",
+	"core.Corrupt":            "open: a CorruptHops delta of NaN or 1e10, passed through unchecked",
+	"exp.StructureLifetime":   "open: an energy of 1e300, taken unchecked",
+	"exp.VsHopCluster":        "fits: r/txRange = 3R/SR < √3, since SR = √3R + 2Rt",
+	"field.Grid":              "open: a radius of 1e300 with spacing 1, which its finiteness checks accept",
+	"hexlat.roundAxial":       "open: Lattice.Nearest of the point (1e300, 1e300), or of NaN",
+	"netsim.RepopulateDisk":   "open: a radius of 1e300 with spacing 1, taken unchecked",
+	"rng.Poisson":             "open: a lambda of 1e300",
+	"spatial.KeyOf":           "fits: it converts only cell coordinates it has checked to be within ±2³⁰",
+	"spatial.cell":            "fits: it clamps its argument to ±2³⁰, and its callers never pass NaN",
+	"stats.Percentile":        "open: a NaN p, which passes both range guards",
+}
+
+// TestFloatToIntConversions fails on a conversion of a non-constant
+// floating-point value to an integer type anywhere in production code
+// but the functions floatToInt names.
+func TestFloatToIntConversions(t *testing.T) {
+	src := parseSource(t)
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	typeCheck(t, src, info)
+	is := func(e ast.Expr, kind types.BasicInfo) bool {
+		b, ok := info.Types[e].Type.Underlying().(*types.Basic)
+		return ok && b.Info()&kind != 0
+	}
+	found := map[string]bool{}
+	for _, dir := range src.dirs {
+		if !linted(dir) {
+			continue
+		}
+		for _, f := range src.files[dir] {
+			for _, decl := range f.Decls {
+				name := f.Name.Name // a package-level declaration
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					name += "." + fn.Name.Name
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok || len(call.Args) != 1 || !info.Types[call.Fun].IsType() ||
+						info.Types[call.Args[0]].Value != nil || !is(call.Fun, types.IsInteger) || !is(call.Args[0], types.IsFloat) {
+						return true
+					}
+					if _, ok := floatToInt[name]; ok {
+						found[name] = true
+					} else {
+						t.Errorf("%s: %s converts a float to %s", src.fset.Position(call.Pos()), name, info.Types[call.Fun].Type)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for name := range floatToInt {
+		if !found[name] {
+			t.Errorf("floatToInt[%q]: no float-to-integer conversion there", name)
+		}
+	}
+}
+
 // TestProductionReadsSkipsFieldCopies runs productionReads on a small
 // in-memory package. A field that only fills the same field of another
 // composite literal, as T{Copied: x.Copied} does, travels between
@@ -290,6 +341,29 @@ func importPath(dir string) string {
 		return modulePath
 	}
 	return modulePath + "/" + filepath.ToSlash(dir)
+}
+
+// typeCheck type-checks the tree's production code, recording into info,
+// and returns the linted packages in walk order.
+func typeCheck(t *testing.T, src *source, info *types.Info) []*types.Package {
+	t.Helper()
+	imp := &moduleImporter{
+		src:  src,
+		std:  importer.ForCompiler(src.fset, "source", nil),
+		info: info,
+		pkgs: map[string]*types.Package{},
+	}
+	var pkgs []*types.Package
+	for _, dir := range src.dirs {
+		pkg, err := imp.Import(importPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if linted(dir) {
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	return pkgs
 }
 
 // moduleImporter type-checks the tree's packages from the parsed source,
