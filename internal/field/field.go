@@ -106,14 +106,20 @@ func inGap(p geom.Point, gaps []Gap) bool {
 // disable) perturbs each node deterministically from src. Triangular
 // grids are the densest regular packing and give every R_t-disk a node
 // when spacing ≤ R_t, which makes them ideal for exact-structure tests.
+// It rejects a radius so many spacings wide that the rows and columns
+// it scans span more positions than a radio.NodeID, an int32, can
+// number.
 func Grid(radius, spacing, jitter float64, src *rng.Source) (Deployment, error) {
 	if !positiveFinite(radius) || !positiveFinite(spacing) || !(jitter >= 0) || math.IsInf(jitter, 1) {
 		return Deployment{}, fmt.Errorf("field: invalid grid radius=%v spacing=%v jitter=%v", radius, spacing, jitter)
 	}
 	pts := []geom.Point{{}}
 	rowH := spacing * math.Sqrt(3) / 2
-	maxRow := int(radius/rowH) + 1
-	maxCol := int(radius/spacing) + 1
+	rows, cols := math.Floor(radius/rowH)+1, math.Floor(radius/spacing)+1
+	if n := (2*rows + 1) * (2*cols + 1); n > math.MaxInt32 {
+		return Deployment{}, fmt.Errorf("field: grid radius=%v spacing=%v spans %.3g positions, more than the %d node IDs", radius, spacing, n, math.MaxInt32)
+	}
+	maxRow, maxCol := int(rows), int(cols)
 	for row := -maxRow; row <= maxRow; row++ {
 		offset := 0.0
 		if row%2 != 0 {

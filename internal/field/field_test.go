@@ -2,6 +2,7 @@ package field
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gs3/internal/geom"
@@ -136,6 +137,14 @@ func TestGridErrors(t *testing.T) {
 	for _, a := range [][3]float64{{nan, 1, 0}, {inf, 1, 0}, {1, nan, 0}, {1, inf, 0}, {1, 1, nan}, {1, 1, inf}, {1, 1, -0.1}} {
 		if _, err := Grid(a[0], a[1], a[2], rng.New(1)); err == nil {
 			t.Errorf("radius %v spacing %v jitter %v accepted", a[0], a[1], a[2])
+		}
+	}
+	// Grids too wide for int32 node IDs, rejected before any loop: the
+	// 1e18 one would otherwise scan ~10³⁶ positions.
+	for _, a := range [][2]float64{{1e300, 1}, {1e19, 1}, {1e18, 1}, {1, 1e-300}, {3e4, 1}} {
+		_, err := Grid(a[0], a[1], 0, nil)
+		if err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("radius %v spacing %v: err = %v, want the int32 bound", a[0], a[1], err)
 		}
 	}
 }

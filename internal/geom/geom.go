@@ -36,10 +36,13 @@ func (p Point) Dist(q Point) float64 {
 }
 
 // Dist2 returns the squared Euclidean distance between p and q.
-// It avoids the square root for comparison-only uses.
+// It avoids the square root for comparison-only uses. Each square is
+// rounded before the sum, which the explicit conversions make the Go
+// spec require: no architecture may fuse them into a multiply-add, so
+// the range predicates that compare Dist2 decide alike everywhere.
 func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // Within reports whether p.Dist(q) <= r, with the same result bit for

@@ -1,9 +1,12 @@
 package radio
 
 import (
+	"math"
 	"testing"
 
+	"gs3/internal/field"
 	"gs3/internal/geom"
+	"gs3/internal/rng"
 )
 
 // benchMedium builds a 40×40 grid of nodes with 25-unit spacing, so a
@@ -42,6 +45,41 @@ func BenchmarkWithinRange(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkAudience measures the kernel at configure's shape: the
+// audience of a HEAD_ORG broadcast on the default deployment (R = 100,
+// Rt = 25), a triangular field of spacing 0.9·Rt with 0.15 jitter, whose
+// medium has SR-sized cells and whose audiences reach SR+Rt: ~427
+// receivers from ~10 cells. The senders are spread over the field's
+// interior, so every audience is whole.
+func BenchmarkAudience(b *testing.B) {
+	const rt, size = 25, 1500
+	sr := math.Sqrt(3)*100 + 2*rt
+	d, err := field.Grid(size, 0.9*rt, 0.15, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewMedium(Params{MaxRange: sr + rt, DiffusionSpeed: 100, CellSize: sr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var senders []NodeID
+	for i, p := range d.Positions {
+		m.Place(NodeID(i), p)
+		if i%97 == 0 && p.Dist(geom.Point{}) < size-sr-rt {
+			senders = append(senders, NodeID(i))
+		}
+	}
+	var buf []NodeID
+	receivers := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = m.Audience(buf[:0], senders[i%len(senders)], sr+rt)
+		receivers += len(buf)
+	}
+	b.ReportMetric(float64(receivers)/float64(b.N), "receivers/op")
 }
 
 // BenchmarkBroadcast measures the zero-allocation broadcast path: the

@@ -26,7 +26,6 @@ func bruteWithinRange(m *Medium, p geom.Point, dist float64, exclude NodeID) []N
 			out = append(out, id)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -41,6 +40,45 @@ func wildPoints(cellSize float64) []geom.Point {
 	return []geom.Point{
 		{X: math.NaN(), Y: 0}, {X: 0, Y: math.Inf(1)}, {X: math.Inf(-1), Y: math.Inf(-1)},
 		{X: 1e300, Y: 1e300}, {X: -1e300, Y: 5}, {X: far, Y: 0}, {X: 3, Y: -far},
+	}
+}
+
+// checkCells fails unless every cell record, the wild one included,
+// lists its nodes in strictly ascending ID order, each on the medium and
+// in that cell at its position, and its heads are exactly its head-role
+// nodes, in the same order. Together the records must list every
+// on-medium node.
+func checkCells(t *testing.T, m *Medium) {
+	t.Helper()
+	same := func(a, b gridEntry) bool {
+		return a.id == b.id && math.Float64bits(a.pos.X) == math.Float64bits(b.pos.X) &&
+			math.Float64bits(a.pos.Y) == math.Float64bits(b.pos.Y)
+	}
+	listed := 0
+	for i := -1; i < len(m.recs); i++ {
+		c := &m.wild
+		if i >= 0 {
+			c = &m.recs[i]
+		}
+		var heads []gridEntry
+		for j, e := range c.nodes {
+			switch {
+			case j > 0 && c.nodes[j-1].id >= e.id:
+				t.Fatalf("cell %d lists node %d before node %d", i, c.nodes[j-1].id, e.id)
+			case !m.Alive(e.id) || !same(e, gridEntry{e.id, m.pos[e.id]}) || m.cellAt(e.pos) != c:
+				t.Fatalf("cell %d lists node %d at %v, which is not on the medium there", i, e.id, e.pos)
+			}
+			if m.headRole[e.id] {
+				heads = append(heads, e)
+			}
+		}
+		if !slices.EqualFunc(c.heads, heads, same) {
+			t.Fatalf("cell %d lists heads %v, want its head-role nodes %v", i, c.heads, heads)
+		}
+		listed += len(c.nodes)
+	}
+	if listed != m.Count() {
+		t.Fatalf("the cells list %d nodes, the medium holds %d", listed, m.Count())
 	}
 }
 
@@ -85,6 +123,7 @@ func TestWithinRangePropertyVsBruteForce(t *testing.T) {
 
 		check := func(step int) {
 			t.Helper()
+			checkCells(t, m)
 			// Query apexes on bucket corners, bucket centers, and a
 			// random point; radii below, equal to, and above cellSize.
 			apexes := []geom.Point{
@@ -156,7 +195,6 @@ func bruteHeadsWithinRange(m *Medium, p geom.Point, dist float64, exclude NodeID
 			out = append(out, id)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -200,6 +238,7 @@ func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 		case 3:
 			m.SetHeadRole(id, false)
 		}
+		checkCells(t, m)
 		apex := geom.Point{X: float64(src.Intn(7)-3) * 30, Y: float64(src.Intn(7)-3) * 30}
 		if src.Intn(4) == 0 {
 			apex = wild[src.Intn(len(wild))]
@@ -214,6 +253,53 @@ func TestHeadsWithinRangePropertyVsBruteForce(t *testing.T) {
 				t.Fatalf("step %d: HeadsWithinDisk = %v, want %v", step, disk, want)
 			}
 		}
+	}
+}
+
+// TestQueriesKeepCallerBuffersApart interleaves range queries into
+// reused caller buffers: an Audience kept in a, a query that finds
+// nothing into b, which has spare capacity, and then queries whose
+// results merge several runs into b and c. Every result must still
+// match the brute-force answer after the later queries ran, and a must
+// still be the audience Broadcast delivers to: the merge's scratch
+// buffer belongs to the medium and aliases no caller's buffer.
+func TestQueriesKeepCallerBuffersApart(t *testing.T) {
+	m := newTestMedium(t, Params{MaxRange: 100, DiffusionSpeed: 100, CellSize: 30})
+	id := NodeID(0)
+	for y := 0; y < 12; y++ {
+		for x := 0; x < 12; x++ { // IDs run along rows, so neighbouring cells interleave them
+			m.Place(id, geom.Point{X: float64(x) * 10, Y: float64(y) * 10})
+			m.SetHeadRole(id, id%3 == 0)
+			id++
+		}
+	}
+	const sender, radius = 65, 45
+	a := m.Audience(nil, sender, radius)
+	wantA := bruteWithinRange(m, m.pos[sender], radius, sender)
+	b := m.WithinRangeAppend(make([]NodeID, 0, 256), geom.Point{X: 1e4, Y: 1e4}, 10, None)
+	var c, wantB, wantC []NodeID
+	check := func(query string) {
+		t.Helper()
+		for name, r := range map[string][2][]NodeID{"a": {a, wantA}, "b": {b, wantB}, "c": {c, wantC}} {
+			if !slices.Equal(r[0], r[1]) {
+				t.Fatalf("after %s: %s = %v, want %v", query, name, r[0], r[1])
+			}
+		}
+	}
+	if len(b) != 0 {
+		t.Fatalf("the query far from every node found %v", b)
+	}
+	p, q := geom.Point{X: 40, Y: 40}, geom.Point{X: 70, Y: 30}
+	c, wantC = m.WithinRangeAppend(c, p, 50, None), bruteWithinRange(m, p, 50, None)
+	check("WithinRangeAppend into c")
+	b, wantB = m.HeadsWithinRangeAppend(b[:0], q, 40, None), bruteHeadsWithinRange(m, q, 40, None)
+	check("HeadsWithinRangeAppend into b")
+	c, wantC = m.HeadsWithinDisk(c[:0], q, 45), bruteHeadsWithinRange(m, q, 45, None)
+	check("HeadsWithinDisk into c")
+	b, wantB = m.WithinRangeAppend(b[:0], p, 30, None), bruteWithinRange(m, p, 30, None)
+	check("WithinRangeAppend into b")
+	if got := m.Broadcast(sender, a); !slices.Equal(got, wantA) {
+		t.Fatalf("Broadcast(%d, a) delivered %v, want %v", sender, got, wantA)
 	}
 }
 

@@ -27,10 +27,13 @@
 // spatial.Table, and one record per cell: its on-medium nodes, its
 // head-role nodes apart (head-only queries, the protocol's most frequent
 // by far, run in output-sensitive time), and the epoch of its last
-// change. The wild nodes (spatial.KeyOf) share one more record.
+// change. The wild nodes (spatial.KeyOf) share one more record. Every
+// record keeps both lists in ascending ID order, so a query's cells
+// leave ascending runs that merge into its result without a sort.
 package radio
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -133,11 +136,14 @@ type Medium struct {
 	nBlack   int // number of blacked-out nodes
 
 	// recs[c] is the record of cell c of cells, wild the wild nodes'
-	// record; near buffers the cell numbers of one query.
+	// record; near buffers the cell numbers of one query, and merge is
+	// the scratch half of gather's merge (mergeRuns), never handed to a
+	// caller.
 	cells    spatial.Table
 	recs     []cell
 	wild     cell
 	near     []int32
+	merge    []NodeID
 	cellSize float64
 
 	// bcast is the reusable receiver buffer for Broadcast: steady-state
@@ -180,7 +186,7 @@ type Medium struct {
 }
 
 // cell is one cell's record: its on-medium nodes, its head-role nodes,
-// and the epoch of its last change.
+// both in ascending ID order, and the epoch of its last change.
 type cell struct {
 	nodes, heads []gridEntry
 	epoch        uint64
@@ -208,11 +214,26 @@ func (m *Medium) cellAt(p geom.Point) *cell {
 	return &m.recs[c]
 }
 
-// without removes id's entry from the list b, which holds it.
+// byID orders a cell list's entries.
+func byID(e gridEntry, id NodeID) int { return cmp.Compare(e.id, id) }
+
+// with inserts e into the ascending list b, which lacks e.id. An ID
+// above every one there, as for each node of a deployment placed in ID
+// order, is appended directly: on a 2-CPU host, the binary search and
+// slices.Insert made perfbench configure's 200k-node netsim.Build
+// 11–14% slower.
+func with(b []gridEntry, e gridEntry) []gridEntry {
+	if len(b) == 0 || b[len(b)-1].id < e.id {
+		return append(b, e)
+	}
+	i, _ := slices.BinarySearchFunc(b, e.id, byID)
+	return slices.Insert(b, i, e)
+}
+
+// without removes id's entry from the ascending list b, which holds it.
 func without(b []gridEntry, id NodeID) []gridEntry {
-	i := slices.IndexFunc(b, func(e gridEntry) bool { return e.id == id })
-	b[i] = b[len(b)-1]
-	return b[:len(b)-1]
+	i, _ := slices.BinarySearchFunc(b, id, byID)
+	return slices.Delete(b, i, i+1)
 }
 
 // NewMedium returns an empty medium.
@@ -446,9 +467,9 @@ func (m *Medium) Place(id NodeID, p geom.Point) {
 	m.pos[id] = p
 	m.on[id] = true
 	c := m.cellAt(p)
-	c.nodes = append(c.nodes, gridEntry{id, p})
+	c.nodes = with(c.nodes, gridEntry{id, p})
 	if m.headRole[id] {
-		c.heads = append(c.heads, gridEntry{id, p})
+		c.heads = with(c.heads, gridEntry{id, p})
 	}
 	m.bump(c)
 }
@@ -494,7 +515,7 @@ func (m *Medium) SetHeadRole(id NodeID, head bool) {
 	}
 	c := m.cellAt(m.pos[id])
 	if head {
-		c.heads = append(c.heads, gridEntry{id, m.pos[id]})
+		c.heads = with(c.heads, gridEntry{id, m.pos[id]})
 	} else {
 		c.heads = without(c.heads, id)
 	}
@@ -566,7 +587,9 @@ func (m *Medium) HeadsWithinDisk(dst []NodeID, p geom.Point, dist float64) []Nod
 // the wild cell that lie within dist of p, other than exclude. A
 // non-empty obs filters out those whose line of sight from p an
 // obstacle blocks; nil obs is the free-space kernel of WithinDisk and
-// HeadsWithinDisk. A NaN or negative dist encloses nothing.
+// HeadsWithinDisk. A NaN or negative dist encloses nothing. Each record
+// it reads lists its nodes in ascending ID order, so the scan leaves
+// ascending runs in dst, which mergeRuns merges into one.
 func (m *Medium) gather(dst []NodeID, p geom.Point, dist float64, exclude NodeID, heads bool, obs []geom.Polygon) []NodeID {
 	if !(dist >= 0) {
 		return dst
@@ -589,8 +612,59 @@ func (m *Medium) gather(dst []NodeID, p geom.Point, dist float64, exclude NodeID
 			}
 		}
 	}
-	slices.Sort(dst[start:])
+	m.merge = mergeRuns(dst[start:], m.merge)
 	return dst
+}
+
+// mergeRuns sorts s, ascending runs laid end to end, by merging
+// neighbouring runs pairwise, bottom up, until one is left. Its passes
+// alternate between s and buf, and it returns buf, grown as need be,
+// for the next call: the caller keeps buf apart from every slice it
+// hands out, so no merge writes into another query's result.
+func mergeRuns(s, buf []NodeID) []NodeID {
+	if runEnd(s, 0) == len(s) {
+		return buf
+	}
+	buf = slices.Grow(buf[:0], len(s))[:len(s)]
+	src, dst := s, buf
+	for runs := 2; runs > 1; src, dst = dst, src {
+		runs = 0
+		for lo := 0; lo < len(src); runs++ {
+			mid := runEnd(src, lo)
+			hi := runEnd(src, mid)
+			merge(dst[lo:hi], src[lo:mid], src[mid:hi])
+			lo = hi
+		}
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
+	return buf
+}
+
+// runEnd returns the end of the run of s that starts at lo: its first
+// descent after lo, or len(s). Each pass of mergeRuns at least halves
+// the runs, whatever s holds.
+func runEnd(s []NodeID, lo int) int {
+	for lo++; lo < len(s) && s[lo-1] <= s[lo]; lo++ {
+	}
+	return min(lo, len(s))
+}
+
+// merge writes the ascending merge of the ascending a and b to out,
+// which holds exactly len(a)+len(b).
+func merge(out, a, b []NodeID) {
+	k := 0
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out[k], a = a[0], a[1:]
+		} else {
+			out[k], b = b[0], b[1:]
+		}
+		k++
+	}
+	k += copy(out[k:], a)
+	copy(out[k:], b)
 }
 
 // Delay returns the propagation delay for a transmission covering dist.

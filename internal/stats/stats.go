@@ -57,10 +57,13 @@ func Summarize(xs []float64) Summary {
 
 // Percentile returns the p-th percentile (0–100) of sorted, using linear
 // interpolation between closest ranks. sorted must be in ascending
-// order; an empty slice yields 0.
+// order; an empty slice yields 0, and a NaN p NaN.
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
+	}
+	if math.IsNaN(p) {
+		return math.NaN()
 	}
 	if p <= 0 {
 		return sorted[0]

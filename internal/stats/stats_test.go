@@ -63,6 +63,9 @@ func TestPercentile(t *testing.T) {
 	if Percentile(nil, 50) != 0 {
 		t.Error("empty percentile should be 0")
 	}
+	if got := Percentile([]float64{1, 2, 3}, math.NaN()); !math.IsNaN(got) {
+		t.Errorf("Percentile(NaN) = %v, want NaN", got)
+	}
 }
 
 func TestPercentileMonotoneProperty(t *testing.T) {

@@ -246,13 +246,13 @@ var floatToInt = map[string]string{
 	"core.Corrupt":            "open: a CorruptHops delta of NaN or 1e10, passed through unchecked",
 	"exp.StructureLifetime":   "open: an energy of 1e300, taken unchecked",
 	"exp.VsHopCluster":        "fits: r/txRange = 3R/SR < √3, since SR = √3R + 2Rt",
-	"field.Grid":              "open: a radius of 1e300 with spacing 1, which its finiteness checks accept",
+	"field.Grid":              "fits: it converts its row and column counts only once their product is at most 2³¹−1",
 	"hexlat.roundAxial":       "open: Lattice.Nearest of the point (1e300, 1e300), or of NaN",
 	"netsim.RepopulateDisk":   "open: a radius of 1e300 with spacing 1, taken unchecked",
 	"rng.Poisson":             "open: a lambda of 1e300",
 	"spatial.KeyOf":           "fits: it converts only cell coordinates it has checked to be within ±2³⁰",
 	"spatial.cell":            "fits: it clamps its argument to ±2³⁰, and its callers never pass NaN",
-	"stats.Percentile":        "open: a NaN p, which passes both range guards",
+	"stats.Percentile":        "fits: p is in (0, 100) past its NaN and range guards, so 0 ≤ rank ≤ len(sorted)−1",
 }
 
 // TestFloatToIntConversions fails on a conversion of a non-constant
