@@ -10,6 +10,7 @@
 package gs3
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -174,9 +175,9 @@ func TestSettledRoundWorkCounters(t *testing.T) {
 	eng, cfg := s.Net.Engine(), s.Opt.Config
 	for round := range cfg.BoundaryRescanEvery * core.SanityCheckEvery {
 		fired := eng.Fired()
-		bodies, replays := s.Net.SweepWork()
+		bodies, replays, _ := s.Net.SweepWork()
 		s.RunSweeps(1)
-		b, r := s.Net.SweepWork()
+		b, r, _ := s.Net.SweepWork()
 		got := [3]uint64{eng.Fired() - fired, b - bodies, r - replays}
 		if want := [3]uint64{17, 1, 5178}; got != want {
 			t.Fatalf("settled round %d work (events, sweep bodies, replays) = %v, want %v", round, got, want)
@@ -187,22 +188,85 @@ func TestSettledRoundWorkCounters(t *testing.T) {
 // TestHealWorkCounters pins a heal on the settled large field, the
 // maintain workload's strikes: a crater of one search radius kills 358
 // nodes, the dynamic fixpoint holds again after 2 heartbeats, and those
-// heartbeats run 7,234 full sweep bodies and replay 2,408 sweeps. The
+// heartbeats run 6,980 full sweep bodies and replay 2,662 sweeps. The
 // split is the cost of healing: a cache invalidated more widely than
-// the damage, or a heal that needs another heartbeat, moves it.
+// the damage, or a heal that needs another heartbeat, moves it. Before
+// associates watched the associate view, which heads' link rewrites do
+// not move, the same heal ran 7,234 bodies and 2,408 replays.
 func TestHealWorkCounters(t *testing.T) {
 	s := settledLargeField(t)
-	bodies, replays := s.Net.SweepWork()
+	bodies, replays, _ := s.Net.SweepWork()
 	killed := s.KillDisk(geom.Point{X: 300}, s.Opt.Config.SearchRadius())
 	vt, err := s.RunToFixpoint(check.Dynamic, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, r := s.Net.SweepWork()
+	b, r, _ := s.Net.SweepWork()
 	heartbeats := uint64(vt / s.Opt.Config.HeartbeatInterval)
 	got := [4]uint64{uint64(killed), heartbeats, b - bodies, r - replays}
-	if want := [4]uint64{358, 2, 7234, 2408}; got != want {
+	if want := [4]uint64{358, 2, 6980, 2662}; got != want {
 		t.Errorf("heal (killed, heartbeats, sweep bodies, replays) = %v, want %v", got, want)
+	}
+}
+
+// TestWarmUpWorkCounters pins the warm-up of the maintain and traffic
+// workloads' set-up on the large field: Configure, then two
+// boundary-rescan cycles of heartbeats, each running the full sweep
+// bodies and ASSOCIATE_ORG_RESP choices listed. In heartbeat 1 heads
+// rewrite the Neighbors lists configure linked in HEAD_SELECT order:
+// associates do not read them, so heartbeat 2 replays their sweeps.
+// Heartbeats 4 and 5 hold every head's first boundary rescan, which
+// re-runs ASSOCIATE_ORG_RESP at each small receiver: a receiver whose
+// world has not moved since its last choice is skipped, so the several
+// rescans an associate hears cost it one choice. Before associates
+// watched the associate view and the choice was skipped, heartbeat 2
+// ran 4,522 bodies, heartbeats 4, 5 and 9 ran 2,574, 30,086 and 436
+// choices, and Configure ran the same 32,660.
+func TestWarmUpWorkCounters(t *testing.T) {
+	s, err := netsim.Build(netsim.DefaultOptions(100, 850))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Configure(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, choices := s.Net.SweepWork(); choices != 32660 {
+		t.Errorf("Configure ran %d ASSOCIATE_ORG_RESP choices, want 32,660", choices)
+	}
+	s.Net.StartMaintenance(core.VariantD)
+	beats := 2 * s.Opt.Config.BoundaryRescanEvery
+	bodies, choices := make([]uint64, beats), make([]uint64, beats)
+	for i := range beats {
+		b0, _, c0 := s.Net.SweepWork()
+		s.RunSweeps(1)
+		b, _, c := s.Net.SweepWork()
+		bodies[i], choices[i] = b-b0, c-c0
+	}
+	if want := []uint64{5187, 78, 1, 8, 78, 1, 1, 1, 1, 1}; !slices.Equal(bodies, want) {
+		t.Errorf("warm-up sweep bodies per heartbeat = %v, want %v", bodies, want)
+	}
+	if want := []uint64{0, 0, 0, 2216, 2878, 0, 0, 0, 0, 0}; !slices.Equal(choices, want) {
+		t.Errorf("warm-up ASSOCIATE_ORG_RESP choices per heartbeat = %v, want %v", choices, want)
+	}
+}
+
+// BenchmarkWarmUp times the warm-up TestWarmUpWorkCounters pins:
+// Configure on the large field, then two boundary-rescan cycles of
+// heartbeats. The field is built off the clock.
+func BenchmarkWarmUp(b *testing.B) {
+	opt := netsim.DefaultOptions(100, 850)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := netsim.Build(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := s.Configure(); err != nil {
+			b.Fatal(err)
+		}
+		s.Net.StartMaintenance(core.VariantD)
+		s.RunSweeps(2 * opt.Config.BoundaryRescanEvery)
 	}
 }
 

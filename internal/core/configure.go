@@ -24,9 +24,7 @@ func (nw *Network) StartConfiguration() error {
 	big.IL = pos
 	big.OIL = pos
 	big.Spiral = hexlat.SpiralIndex{}
-	big.Parent = nw.bigID // P(H₀) = H₀
-	big.ParentIL = pos
-	big.Hops = 0
+	nw.setParent(big, nw.bigID, pos, 0) // P(H₀) = H₀
 	nw.touch(nw.bigID)
 	nw.scheduleHeadOrg(nw.bigID, 0)
 	return nil
@@ -185,8 +183,7 @@ func (nw *Network) headSelect(h *Node, ils []geom.Point, smallNodes []radio.Node
 		nw.promoteToHead(best, il, h, h.Hops+1)
 		nw.linkNeighbors(h.ID, best)
 		if !containsID(h.Children, best) {
-			h.Children = nw.appendID(h.Children, best)
-			nw.touch(h.ID)
+			nw.addChild(h, best)
 		}
 		nw.scheduleHeadOrg(best, nw.orgLatency())
 	}
@@ -212,18 +209,30 @@ func (nw *Network) orgAudience(id radio.NodeID) []radio.NodeID {
 // the chooser's own state, never a head role, so every receiver chooses
 // against the same head set, and one head gather answers them all (see
 // gatherHeads) instead of a range query each.
+//
+// A receiver whose chose stamp still matches the medium's associate-view
+// epoch is skipped: the choice reads only what that view covers (heads'
+// positions, roles, ILs and blackouts, obstacles, the receiver's own
+// state) and counts nothing, so re-running it would change nothing. The
+// skip obeys SetSweepCache, so the brute-force reference re-chooses.
 func (nw *Network) associateOrgResp(id radio.NodeID, audience, receivers []radio.NodeID) {
 	nw.med.Broadcast(id, audience)
 	if len(receivers) == 0 {
 		return
 	}
 	gather := nw.gatherHeads(id)
+	sr := nw.cfg.SearchRadius()
+	r2, obs := sr*sr, nw.med.Obstacles()
 	for _, rid := range receivers {
-		if n := nw.chooser(rid); n != nil {
-			p := nw.Position(rid)
-			head, cand := nw.headChoice(p, nw.headsHeard(gather, p))
-			nw.adoptHead(n, head, cand)
+		n := nw.chooser(rid)
+		if n == nil || nw.cacheOn && n.chose == nw.med.AssocEpoch()+1 {
+			continue
 		}
+		nw.choices++
+		p := nw.Position(rid)
+		head, cand := nw.headChoice(p, nw.headsHeard(gather, p, r2, obs))
+		nw.adoptHead(n, head, cand)
+		n.chose = nw.med.AssocEpoch() + 1
 	}
 }
 
@@ -254,43 +263,53 @@ func (nw *Network) gatherHeads(id radio.NodeID) []gatheredHead {
 	return out
 }
 
-// heardHead is a head a small node hears, with its squared distance.
+// heardHead is a head a small node hears: its index in the head gather
+// and its squared distance.
 type heardHead struct {
-	id radio.NodeID
+	g  int
 	d2 float64
 }
 
 // headsHeard filters a head gather down to the heads a small node at p
-// hears, then to those BestCandidate could pick among them. The heads
-// heard are exactly reachableHeadsAt(p, SR), found without a range
-// query of its own: it applies the medium's range predicate with the
-// same operands (head.Dist2(p) ≤ SR·SR) and tests occlusion from p, as
-// the medium does for a query at p. Of those it keeps, in the same
-// ascending ID order, the heads inside the band of the nearest one (see
-// geom.SurelyFarther): any other is strictly farther by Hypot than the
-// nearest, so it cannot be BestCandidate's pick, and BestCandidate over
-// what remains — usually the nearest head alone — picks exactly what it
-// would over every head heard. The result aliases the network's heard
-// scratch.
-func (nw *Network) headsHeard(gather []gatheredHead, p geom.Point) []radio.NodeID {
-	sr := nw.cfg.SearchRadius()
-	r2 := sr * sr
-	obs := nw.med.Obstacles()
+// hears, then to those BestCandidate could pick among them. r2 is SR²
+// and obs the medium's obstacles. The heads heard are exactly
+// reachableHeadsAt(p, SR), found without a range query of its own: it
+// applies the medium's range predicate with the same operands
+// (head.Dist2(p) ≤ SR·SR), then tests occlusion from p, as the medium
+// does for a query at p, on the few heads in range. Of those it keeps,
+// in the same ascending ID order, the heads inside the band of the
+// nearest one (see geom.SurelyFarther): any other is strictly farther
+// by Hypot than the nearest, so it cannot be BestCandidate's pick, and
+// BestCandidate over what remains — usually the nearest head alone —
+// picks exactly what it would over every head heard. The result aliases
+// the network's heard scratch.
+func (nw *Network) headsHeard(gather []gatheredHead, p geom.Point, r2 float64, obs []geom.Polygon) []radio.NodeID {
 	near := nw.near[:0]
-	nearest := math.Inf(1)
-	for _, g := range gather {
-		if d2 := g.pos.Dist2(p); d2 <= r2 && (len(obs) == 0 || !geom.AnyOccludes(obs, p, g.pos)) {
-			near = append(near, heardHead{g.id, d2})
-			if d2 < nearest {
-				nearest = d2
-			}
+	for i := range gather {
+		if d2 := gather[i].pos.Dist2(p); d2 <= r2 {
+			near = append(near, heardHead{i, d2})
 		}
 	}
 	nw.near = near
+	if len(obs) != 0 {
+		in := near[:0]
+		for _, h := range near {
+			if !geom.AnyOccludes(obs, p, gather[h.g].pos) {
+				in = append(in, h)
+			}
+		}
+		near = in
+	}
+	nearest := math.Inf(1)
+	for _, h := range near {
+		if h.d2 < nearest {
+			nearest = h.d2
+		}
+	}
 	out := nw.heard[:0]
 	for _, h := range near {
 		if !geom.SurelyFarther(h.d2, nearest) {
-			out = append(out, h.id)
+			out = append(out, gather[h.g].id)
 		}
 	}
 	nw.heard = out
@@ -344,33 +363,12 @@ func (nw *Network) promoteToHead(id radio.NodeID, il geom.Point, scanner *Node, 
 	n.IL = il
 	n.OIL = il.Add(scanner.OIL.Sub(scanner.IL))
 	n.Spiral = scanner.Spiral
-	n.Parent = scanner.ID
-	n.ParentIL = scanner.IL
-	n.Hops = hops
+	nw.setParent(n, scanner.ID, scanner.IL, hops)
 	n.Head = radio.None
 	n.Candidate = false
 	nw.touch(id)
 	nw.metrics.HeadsSelected++
 	nw.emit(trace.KindHeadSelected, id, scanner.ID, il)
-}
-
-// linkNeighbors records a–b as neighboring cell heads on both sides.
-func (nw *Network) linkNeighbors(a, b radio.NodeID) {
-	if a == b {
-		return
-	}
-	an, bn := nw.node(a), nw.node(b)
-	if an == nil || bn == nil {
-		return
-	}
-	if !containsID(an.Neighbors, b) {
-		an.Neighbors = nw.appendID(an.Neighbors, b)
-		nw.touch(a)
-	}
-	if !containsID(bn.Neighbors, a) {
-		bn.Neighbors = nw.appendID(bn.Neighbors, a)
-		nw.touch(b)
-	}
 }
 
 // ChooseHead runs ASSOCIATE_ORG_RESP for small node id: among the alive

@@ -115,7 +115,7 @@ func checkFanOut(t *testing.T, nw *Network, org radio.NodeID, pw *fanOutPower) {
 			continue
 		}
 		p := nw.Position(rid)
-		band := slices.Clone(nw.headsHeard(gather, p))
+		band := slices.Clone(nw.headsHeard(gather, p, sr*sr, nw.med.Obstacles()))
 		head, cand := nw.headChoice(p, band)
 		heard := slices.Clone(nw.reachableHeadsAt(p, sr))
 		want, ok := BestCandidate(p, cfg.GR, heard, nw.Position)
@@ -169,7 +169,8 @@ func TestHeadsHeardKeepsHypotTies(t *testing.T) {
 	if best, _ := BestCandidate(p, 0, []radio.NodeID{1, 2, 3}, at); best != 2 {
 		t.Fatalf("BestCandidate over all three = %d, want 2", best)
 	}
-	if got := nw.headsHeard(gather, p); !slices.Equal(got, []radio.NodeID{1, 2}) {
+	sr := cfg.SearchRadius()
+	if got := nw.headsHeard(gather, p, sr*sr, nil); !slices.Equal(got, []radio.NodeID{1, 2}) {
 		t.Errorf("headsHeard = %v, want [1 2]", got)
 	}
 }

@@ -277,8 +277,8 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 	if d == 0 {
 		return false
 	}
-	if world := nw.med.Epoch(); world != c.worldStamp {
-		if nw.med.RegionEpoch(nw.Position(n.ID), nw.coneRadius(isHead)) != c.regionStamp {
+	if world := nw.worldEpoch(isHead); world != c.worldStamp {
+		if nw.coneEpoch(n.ID, isHead) != c.regionStamp {
 			return false
 		}
 		c.worldStamp = world
@@ -308,7 +308,7 @@ func (nw *Network) recordSweep(n *Node, statsBefore radio.Stats, metricsBefore M
 	if !nw.linksLocal(n, cone) {
 		return
 	}
-	region := nw.med.RegionEpoch(nw.Position(n.ID), cone)
+	region := nw.coneEpoch(n.ID, isHead)
 	if region != c.regionStamp {
 		c.plain, c.rescan = 0, 0
 		c.regionStamp = region
@@ -318,7 +318,7 @@ func (nw *Network) recordSweep(n *Node, statsBefore radio.Stats, metricsBefore M
 		d = &c.rescan
 	}
 	*d = nw.deltas.intern(sweepDelta{nw.med.Stats().Sub(statsBefore), nw.metrics.sub(metricsBefore)})
-	c.worldStamp = nw.med.Epoch()
+	c.worldStamp = nw.worldEpoch(isHead)
 	if isHead {
 		c.sane = nw.headStateValid(n)
 	}
@@ -526,17 +526,16 @@ func (nw *Network) StrengthenCell(id radio.NodeID) {
 		if nw.ilDeviatesTooMuch(h, il) {
 			break // heavy perturbation: abandon below
 		}
-		// Shift the cell and hand over the head role.
+		// Shift the cell and hand over the head role. The members leave
+		// the head out, so the best of CA(il) is another node, and
+		// transferHeadRole's touch of the head reports the shifted IL.
 		nw.metrics.CellShifts++
 		nw.emit(trace.KindCellShift, h.ID, radio.None, il)
 		h.IL = il
 		h.Spiral = idx
-		nw.touch(h.ID)
 		best, _ := BestCandidate(il, cfg.GR, ca, nw.Position)
-		if best != h.ID {
-			nw.transferHeadRole(h, nw.node(best))
-			nw.metrics.HeadShifts++
-		}
+		nw.transferHeadRole(h, nw.node(best))
+		nw.metrics.HeadShifts++
 		return
 	}
 	nw.AbandonCell(id)
@@ -581,13 +580,9 @@ func (nw *Network) transferHeadRole(old, repl *Node) {
 	nw.emit(trace.KindHeadShift, old.ID, repl.ID, old.IL)
 	nw.setStatus(repl, StatusHead)
 	repl.IL, repl.OIL, repl.Spiral = old.IL, old.OIL, old.Spiral
-	repl.Parent, repl.ParentIL, repl.Hops = old.Parent, old.ParentIL, old.Hops
-	repl.Children = nw.cloneIDs(old.Children)
-	repl.Neighbors = nw.cloneIDs(old.Neighbors)
+	nw.inheritLinks(repl, old)
 	repl.Head = radio.None
 	repl.Candidate = false
-	repl.Children = removeID(repl.Children, repl.ID)
-	repl.Neighbors = removeID(repl.Neighbors, repl.ID)
 	nw.touch(repl.ID)
 	nw.touch(old.ID)
 
@@ -609,29 +604,14 @@ func (nw *Network) transferHeadRole(old, repl *Node) {
 // repointLinks rewrites parent/children/neighbor references from old to
 // repl on the surrounding heads and re-homes the old head's associates.
 func (nw *Network) repointLinks(old, repl radio.NodeID) {
+	rn := nw.node(repl)
 	for _, id := range nw.SortedIDs() {
 		n := nw.node(id)
 		if n == nil || id == old || id == repl {
 			continue
 		}
+		nw.repointLinksOf(n, old, repl, rn)
 		changed := false
-		if n.Parent == old {
-			n.Parent = repl
-			if rn := nw.node(repl); rn != nil {
-				n.ParentIL = rn.IL
-			}
-			changed = true
-		}
-		if containsID(n.Children, old) {
-			n.removeChild(old)
-			n.Children = nw.addUniqueID(n.Children, repl)
-			changed = true
-		}
-		if containsID(n.Neighbors, old) {
-			n.removeNeighbor(old)
-			n.Neighbors = nw.addUniqueID(n.Neighbors, repl)
-			changed = true
-		}
 		if n.Status == StatusAssociate && n.Head == old {
 			n.Head = repl
 			changed = true
@@ -736,8 +716,7 @@ func (nw *Network) electFromCandidates(detector *Node) {
 	repl := nw.node(best)
 	nw.setStatus(repl, StatusWork)
 	repl.IL, repl.OIL, repl.Spiral = detector.CellIL, detector.CellOIL, detector.CellSpiral
-	repl.Parent = radio.None // re-acquired by inter-cell maintenance
-	repl.Hops = unknownHops
+	nw.setParent(repl, radio.None, repl.ParentIL, unknownHops) // re-acquired by inter-cell maintenance
 	repl.Head = radio.None
 	repl.Candidate = false
 	nw.touch(best)
@@ -753,13 +732,7 @@ func (nw *Network) electFromCandidates(detector *Node) {
 	// seeing a clean sweep; the election announcement doubles as the
 	// neighbor discovery, so the new head seeks its parent right away.
 	if nw.faults.Active() {
-		pos := nw.Position(best)
-		repl.Neighbors = repl.Neighbors[:0]
-		for _, nid := range nw.reachableHeadsAt(pos, nw.cfg.SearchRadius()) {
-			if nid != best {
-				repl.Neighbors = nw.appendID(repl.Neighbors, nid)
-			}
-		}
+		nw.setNeighbors(repl, nw.reachableHeadsAt(nw.Position(best), nw.cfg.SearchRadius()))
 		nw.ParentSeek(best)
 	}
 }
@@ -777,33 +750,8 @@ func (nw *Network) headInterCell(h *Node) {
 	cfg := nw.cfg
 
 	// head_inter_alive: the neighbor set is re-derived from the medium
-	// every sweep, which makes it self-stabilizing by construction. The
-	// query result aliases the network scratch buffer, so it is copied
-	// into the node's own (capacity-reused) Neighbors slice — but only
-	// when it actually differs, to keep a steady state epoch-quiet.
-	pos := nw.Position(h.ID)
-	neighbors := nw.reachableHeadsAt(pos, cfg.SearchRadius())
-	same := true
-	j := 0
-	for _, id := range neighbors {
-		if id == h.ID {
-			continue
-		}
-		if j >= len(h.Neighbors) || h.Neighbors[j] != id {
-			same = false
-			break
-		}
-		j++
-	}
-	if !same || j != len(h.Neighbors) {
-		h.Neighbors = h.Neighbors[:0]
-		for _, id := range neighbors {
-			if id != h.ID {
-				h.Neighbors = nw.appendID(h.Neighbors, id)
-			}
-		}
-		nw.touch(h.ID)
-	}
+	// every sweep, which makes it self-stabilizing by construction.
+	nw.setNeighbors(h, nw.reachableHeadsAt(nw.Position(h.ID), cfg.SearchRadius()))
 
 	// Children list hygiene: drop entries that are no longer heads.
 	// Backward iteration keeps the in-place removal safe (removeID
@@ -813,12 +761,9 @@ func (nw *Network) headInterCell(h *Node) {
 		c := h.Children[i]
 		cn := nw.node(c)
 		if cn == nil || !nw.Alive(c) || !cn.Status.IsHeadRole() {
-			h.removeChild(c)
+			nw.dropChild(h, c)
 			lostChild = true
 		}
-	}
-	if lostChild {
-		nw.touch(h.ID)
 	}
 
 	nw.ParentSeek(h.ID)
@@ -847,10 +792,7 @@ func (nw *Network) ParentSeek(id radio.NodeID) {
 	}
 	if nw.isRootHead(h) {
 		if h.Hops != 0 || h.Parent != id || h.ParentIL != h.IL {
-			h.Hops = 0
-			h.Parent = id
-			h.ParentIL = h.IL
-			nw.touch(id)
+			nw.setParent(h, id, h.IL, 0)
 		}
 		return
 	}
@@ -873,8 +815,7 @@ func (nw *Network) ParentSeek(id radio.NodeID) {
 		// Disconnected from every head: hold state; a later sweep or a
 		// neighbor's rescan will reconnect us.
 		if h.Hops != unknownHops {
-			h.Hops = unknownHops
-			nw.touch(id)
+			nw.setParent(h, h.Parent, h.ParentIL, unknownHops)
 		}
 		return
 	}
@@ -886,24 +827,18 @@ func (nw *Network) ParentSeek(id radio.NodeID) {
 		nw.Reachable(h.Parent) && cp.Status.IsHeadRole() &&
 		containsID(h.Neighbors, h.Parent) && cp.Hops <= bestHops {
 		if h.ParentIL != cp.IL || h.Hops != cp.Hops+1 {
-			h.ParentIL = cp.IL
-			h.Hops = cp.Hops + 1
-			nw.touch(id)
+			nw.setParent(h, h.Parent, cp.IL, cp.Hops+1)
 		}
 		return
 	}
 	old := h.Parent
-	h.Parent = bestParent
-	h.ParentIL = nw.node(bestParent).IL
-	h.Hops = bestHops + 1
-	nw.touch(id)
+	bp := nw.node(bestParent)
+	nw.setParent(h, bestParent, bp.IL, bestHops+1)
 	if old != bestParent {
 		if on := nw.node(old); on != nil {
-			on.removeChild(id)
-			nw.touch(old)
+			nw.dropChild(on, id)
 		}
-		nw.node(bestParent).Children = nw.addUniqueID(nw.node(bestParent).Children, id)
-		nw.touch(bestParent)
+		nw.addChild(bp, id)
 		nw.emit(trace.KindParentChange, id, bestParent, h.IL)
 	}
 }

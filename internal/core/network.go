@@ -123,10 +123,12 @@ type Network struct {
 	}
 
 	// sweepBodies and sweepReplays count the maintenance sweeps that
-	// ran their full body and those the quiescence cache replayed
-	// (SweepWork).
+	// ran their full body and those the quiescence cache replayed, and
+	// choices the ASSOCIATE_ORG_RESP choices associateOrgResp ran rather
+	// than skipped (SweepWork).
 	sweepBodies  uint64
 	sweepReplays uint64
+	choices      uint64
 
 	// deltas interns the quiescent-sweep deltas the caches index and
 	// counts the replays not yet credited (see creditReplays).
@@ -231,11 +233,13 @@ func (nw *Network) Medium() *radio.Medium { return nw.med }
 func (nw *Network) Metrics() Metrics { return nw.metrics }
 
 // SweepWork returns how many maintenance sweeps ran their full body
-// and how many the quiescence cache replayed instead. It counts work
-// executed, where Stats and Metrics count work credited: a replay adds
-// its recorded range queries and messages to those, but runs none.
-func (nw *Network) SweepWork() (bodies, replays uint64) {
-	return nw.sweepBodies, nw.sweepReplays
+// and how many the quiescence cache replayed instead, and how many
+// ASSOCIATE_ORG_RESP choices HEAD_ORGs and rescans ran in full rather
+// than skipped as unchanged. It counts work executed, where Stats and
+// Metrics count work credited: a replay adds its recorded range queries
+// and messages to those, but runs none.
+func (nw *Network) SweepWork() (bodies, replays, choices uint64) {
+	return nw.sweepBodies, nw.sweepReplays, nw.choices
 }
 
 // counters lists every field of m once, in declaration order. The
@@ -291,16 +295,38 @@ func (nw *Network) sendCostsActive() bool {
 }
 
 // touch records a protocol-state change at node id in the medium's
-// topology epochs, invalidating every sweep cache whose query cone
-// covers the node. Changes to the big node's state are visible to the
-// root test of every head regardless of distance, so they invalidate
-// globally.
+// topology epochs, in both views, invalidating every sweep cache whose
+// query cone covers the node. Changes to the big node's state are
+// visible to the root test of every head regardless of distance, so
+// they invalidate globally. A change to the node's links goes through
+// touchLinks instead (links.go).
 func (nw *Network) touch(id radio.NodeID) {
 	if id == nw.bigID {
 		nw.med.TouchAll()
 		return
 	}
 	nw.med.Touch(id)
+}
+
+// worldEpoch returns the global topology epoch in the view a sweep
+// cache watches: the full view for a head, whose sweep reads other
+// heads' links, and the associate view, which no link write moves, for
+// an associate or a bootup node, whose sweep reads none.
+func (nw *Network) worldEpoch(isHead bool) uint64 {
+	if isHead {
+		return nw.med.Epoch()
+	}
+	return nw.med.AssocEpoch()
+}
+
+// coneEpoch returns the maximum topology epoch over node id's query
+// cone, in the view worldEpoch names.
+func (nw *Network) coneEpoch(id radio.NodeID, isHead bool) uint64 {
+	full, assoc := nw.med.RegionEpoch(nw.Position(id), nw.coneRadius(isHead))
+	if isHead {
+		return full
+	}
+	return assoc
 }
 
 // coneRadius bounds how far a node's sweep reads: an associate hears

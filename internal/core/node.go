@@ -60,6 +60,9 @@ type Node struct {
 	IsBig bool
 
 	Status Status
+	// Candidate is associate-role state (within Rt of its cell's current
+	// IL), kept beside Status, where it packs into padding.
+	Candidate bool
 
 	// Head-role state.
 	IL        geom.Point         // current ideal location of the cell
@@ -72,13 +75,18 @@ type Node struct {
 	Hops      int32          // hop distance to the big node in the head graph
 
 	// Associate-role state.
-	Head      radio.NodeID
-	Candidate bool // within Rt of its cell's current IL
+	Head radio.NodeID
 	// Candidates replicate the cell state they hear in heartbeats, so
 	// the cell survives its head's death (head shift).
 	CellIL     geom.Point
 	CellOIL    geom.Point
 	CellSpiral hexlat.SpiralIndex
+
+	// chose is the medium's associate-view epoch + 1 right after the
+	// node's last ASSOCIATE_ORG_RESP choice in a HEAD_ORG or rescan, 0
+	// before the first: while the epoch stays there, nothing that choice
+	// reads has changed, and associateOrgResp skips the node.
+	chose uint64
 }
 
 // sweepDelta is the externally observable accounting of one recorded
@@ -149,16 +157,6 @@ type sweepCache struct {
 	// predicate at record time; only a sane head may skip its periodic
 	// SANITY_CHECK sweeps (an insane one might need to retreat).
 	sane bool
-}
-
-// removeChild deletes id from the children list.
-func (n *Node) removeChild(id radio.NodeID) {
-	n.Children = removeID(n.Children, id)
-}
-
-// removeNeighbor deletes id from the neighbor-head list.
-func (n *Node) removeNeighbor(id radio.NodeID) {
-	n.Neighbors = removeID(n.Neighbors, id)
 }
 
 func removeID(ids []radio.NodeID, id radio.NodeID) []radio.NodeID {

@@ -18,10 +18,10 @@ import (
 // leaves the sweep loop running.
 func stopDrains(t *testing.T, nw *Network, leg string) {
 	t.Helper()
-	bodies, replays := nw.SweepWork()
+	bodies, replays, _ := nw.SweepWork()
 	nw.StopMaintenance()
 	runSweeps(nw, 2)
-	if b, r := nw.SweepWork(); b != bodies || r != replays {
+	if b, r, _ := nw.SweepWork(); b != bodies || r != replays {
 		t.Errorf("%s: %d bodies and %d replays ran after StopMaintenance, want 0",
 			leg, b-bodies, r-replays)
 	}
@@ -33,10 +33,10 @@ func stopDrains(t *testing.T, nw *Network, leg string) {
 // restartSweeps restarts maintenance on nw and returns how many sweeps,
 // bodies plus replays, its first heartbeat runs.
 func restartSweeps(nw *Network) uint64 {
-	bodies, replays := nw.SweepWork()
+	bodies, replays, _ := nw.SweepWork()
 	nw.StartMaintenance(VariantD)
 	runSweeps(nw, 1)
-	b, r := nw.SweepWork()
+	b, r, _ := nw.SweepWork()
 	return b - bodies + r - replays
 }
 
@@ -203,6 +203,15 @@ func TestSweepCacheSize(t *testing.T) {
 	}
 }
 
+// TestNodeSize pins the hot per-node state at 176 bytes, its size
+// before the chose stamp joined it: Candidate sits beside Status, in
+// padding, which pays for the stamp's 8 bytes.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 176 {
+		t.Errorf("sizeof(Node) = %d B, want 176", got)
+	}
+}
+
 // TestPendingChildRepairLeavesCacheStale pins why quiescentSweep needs
 // no pendingChildRepair guard: the sweep that drops a child and sets
 // the flag touches the head, whose bucket lies in its own cone, so no
@@ -237,7 +246,7 @@ func TestPendingChildRepairLeavesCacheStale(t *testing.T) {
 			flagged++
 			c := nw.cacheFor(id)
 			recorded := c.plain != 0 || c.rescan != 0
-			if recorded && nw.med.RegionEpoch(nw.Position(id), nw.coneRadius(true)) == c.regionStamp {
+			if recorded && nw.coneEpoch(id, true) == c.regionStamp {
 				t.Errorf("heartbeat %d: head %d has a pending child repair and a current sweep cache", beat, id)
 			}
 		}

@@ -187,7 +187,7 @@ func (nw *Network) Corrupt(id radio.NodeID, kind CorruptionKind, delta float64) 
 		}
 	case CorruptHops:
 		if n.Status.IsHeadRole() {
-			n.Hops = int32(delta)
+			nw.setParent(n, n.Parent, n.ParentIL, int32(delta))
 		}
 	case CorruptStatus:
 		if n.Status == StatusAssociate {
@@ -197,8 +197,7 @@ func (nw *Network) Corrupt(id radio.NodeID, kind CorruptionKind, delta float64) 
 			n.IL = nw.Position(id)
 			n.OIL = n.IL
 			n.Spiral = hexlat.SpiralIndex{}
-			n.Parent = radio.None
-			n.Hops = unknownHops
+			nw.setParent(n, radio.None, n.ParentIL, unknownHops)
 		}
 	}
 }

@@ -23,12 +23,13 @@ import "gs3/internal/radio"
 // million-node scale every byte here is a megabyte: radio.NodeID is
 // int32 (dense IDs), Status is uint8, Node.Hops and the SpiralIndex
 // ranks are int32 (unknownHops = 1<<20 is the ceiling), nodeCold.sweep
-// is uint32, and a sweepCache is 32 bytes: two uint32 indices into the
-// network's interned table of sweep deltas, whose counter increments
-// are packed as uint16 (node.go). Snapshot/JSON view types keep wide
-// ints, so none of this narrows the wire form. The other per-node line
-// item — the engine's event bookkeeping — is one 24-byte heap entry per
-// queued event in internal/sim.
+// is uint32, a Node is 176 bytes (Candidate packs beside Status, which
+// pays for the chose stamp), and a sweepCache is 32 bytes: two uint32
+// indices into the network's interned table of sweep deltas (node.go).
+// Snapshot/JSON view types keep wide ints, so none of this narrows the
+// wire form. The other per-node line item — the engine's event
+// bookkeeping — is one 24-byte heap entry per queued event in
+// internal/sim.
 //
 // Link slices (Children/Neighbors) come from a chunk arena: fixed
 // eight-entry chunks carved out of slabs and recycled through a free
@@ -166,17 +167,6 @@ func (nw *Network) cloneIDs(s []radio.NodeID) []radio.NodeID {
 		return nil
 	}
 	return append(nw.arena.get(), s...)
-}
-
-// resetHeadState clears head-role fields when a node leaves the head
-// role, recycling its link chunks.
-func (nw *Network) resetHeadState(n *Node) {
-	nw.arena.put(n.Children)
-	nw.arena.put(n.Neighbors)
-	n.Children = nil
-	n.Neighbors = nil
-	n.Parent = radio.None
-	n.Hops = 0
 }
 
 // becomeAssociate transitions the node to associate of head h.

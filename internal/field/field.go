@@ -57,7 +57,9 @@ type Obstacle = geom.Polygon
 
 // Poisson generates a Poisson deployment in a disk of cfg.Radius around
 // the origin, with the big node at the exact center. It returns an error
-// for a radius or density that is not positive and finite.
+// for a radius or density that is not positive and finite, and, before
+// drawing anything, for a mean node count above 2³¹−1, the int32 node
+// IDs.
 func Poisson(cfg Config, src *rng.Source) (Deployment, error) {
 	if !positiveFinite(cfg.Radius) {
 		return Deployment{}, fmt.Errorf("field: radius must be positive and finite, got %v", cfg.Radius)
@@ -67,6 +69,9 @@ func Poisson(cfg Config, src *rng.Source) (Deployment, error) {
 	}
 	// Mean count in a radius-r disk is λ·r² under the paper's convention.
 	mean := cfg.Lambda * cfg.Radius * cfg.Radius
+	if mean > math.MaxInt32 {
+		return Deployment{}, fmt.Errorf("field: radius=%v density=%v expect %.3g nodes, more than the %d node IDs", cfg.Radius, cfg.Lambda, mean, math.MaxInt32)
+	}
 	n := src.Poisson(mean)
 	if n < cfg.MinNodes {
 		n = cfg.MinNodes

@@ -67,6 +67,18 @@ func TestPoissonErrors(t *testing.T) {
 			t.Errorf("radius %v density %v accepted", c.Radius, c.Lambda)
 		}
 	}
+	// Means of 1e300, +Inf (λ·r² overflows) and 2.5e9: more nodes than
+	// int32 IDs, rejected before any draw or allocation.
+	for _, c := range []Config{
+		{Radius: 1e150, Lambda: 1},
+		{Radius: 1e200, Lambda: 1},
+		{Radius: 5e4, Lambda: 1},
+	} {
+		_, err := Poisson(c, rng.New(1))
+		if err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("radius %v density %v: error %v, want one naming the 2147483647 node IDs", c.Radius, c.Lambda, err)
+		}
+	}
 }
 
 func TestPoissonMinNodes(t *testing.T) {

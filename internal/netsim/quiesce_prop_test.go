@@ -422,3 +422,89 @@ func TestCachedSweepMatchesBruteForceWildNodes(t *testing.T) {
 		t.Errorf("not at the dynamic fixpoint after %d sweeps: %v", sweeps, r.Violations)
 	}
 }
+
+// lateHeads returns the settled snapshot's small-node heads that sweep
+// late in their heartbeat (phase ID mod 17 of at least 12, see
+// StartMaintenance), so most of their associates sweep before them.
+func lateHeads(snap core.Snapshot) []core.NodeView {
+	var out []core.NodeView
+	for _, h := range snap.Heads() {
+		if !h.IsBig && h.ID%17 >= 12 {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// TestCachedSweepMatchesBruteForceCorruptIL displaces the IL of a
+// settled head, a head write that flips no role, once both sweep-cache
+// flavors are recorded. The head sweeps late in its heartbeat, and one
+// of its candidates, which sweeps earlier, lies more than Rt from the
+// displaced IL: that associate's next sweep must see the IL move and
+// drop its candidacy in the cached build as in the brute one, before
+// the head's own sweep touches the cell. Only a corruption that moves
+// the associate view lets it.
+func TestCachedSweepMatchesBruteForceCorruptIL(t *testing.T) {
+	opt := DefaultOptions(100, 320)
+	opt.Seed = 9
+	rt := opt.Config.Rt
+	at := 2*opt.Config.BoundaryRescanEvery + 1
+	corrupt := func(s *Sim) {
+		snap := s.Net.Snapshot()
+		for _, h := range lateHeads(snap) {
+			il := h.IL.Add(geom.UnitAt(float64(h.ID)).Scale(rt)) // as Corrupt displaces it
+			for _, m := range snap.Members(h.ID) {
+				if v, _ := snap.View(m); v.Candidate && m%17 < h.ID%17 && v.Pos.Dist(il) > rt {
+					s.Net.Corrupt(h.ID, core.CorruptIL, rt)
+					return
+				}
+			}
+		}
+		t.Fatal("no late head has an earlier-sweeping candidate that its displaced IL leaves behind")
+	}
+	runCacheEquivalence(t, opt, core.VariantD, []propStep{{at, "corrupt-il", corrupt}}, at+4)
+}
+
+// TestCachedSweepMatchesBruteForceCellShift kills every candidate of a
+// settled late-sweeping head once both sweep-cache flavors are
+// recorded, so that head's next sweep finds its candidate set empty
+// and shifts the cell (STRENGTHEN_CELL): it moves the IL along the
+// spiral and hands the head role to the best member near the new IL,
+// while the cell's other associates hold caches recorded against the
+// old IL and head.
+func TestCachedSweepMatchesBruteForceCellShift(t *testing.T) {
+	opt := DefaultOptions(100, 320)
+	opt.Seed = 9
+	at := 2*opt.Config.BoundaryRescanEvery + 1
+	var shifts uint64
+	empty := func(s *Sim) {
+		snap := s.Net.Snapshot()
+		for _, h := range lateHeads(snap) {
+			var cands []radio.NodeID
+			others := 0
+			for _, m := range snap.Members(h.ID) {
+				if v, _ := snap.View(m); v.Candidate {
+					cands = append(cands, m)
+				} else {
+					others++
+				}
+			}
+			if len(cands) == 0 || others < 3 {
+				continue
+			}
+			for _, id := range cands {
+				s.Net.Kill(id)
+			}
+			shifts = s.Net.Metrics().CellShifts
+			return
+		}
+		t.Fatal("no late head has both candidates and three other associates")
+	}
+	shifted := func(s *Sim) {
+		if s.Net.Metrics().CellShifts == shifts {
+			t.Fatal("the emptied cell did not shift")
+		}
+	}
+	script := []propStep{{at, "empty-cell", empty}, {at + 1, "shifted", shifted}}
+	runCacheEquivalence(t, opt, core.VariantD, script, at+5)
+}

@@ -356,12 +356,14 @@ func TestBroadcastReceiverSetRegression(t *testing.T) {
 }
 
 // TestRegionEpochContract churns ordinary and wild nodes through Place,
-// Remove, Touch and SetBlackout, and checks RegionEpoch's contract after
-// every step, from ordinary and wild points at radii from 0 to +Inf: a
-// change at a node within dist of p, at its old or its new position,
-// raises RegionEpoch(p, dist); nothing lowers it; and for a wild p it is
-// Epoch(). The radius 3e10 spans a ring of 2·10⁹ cells, which only the
-// ring-or-scan rule reads in bounded time.
+// Remove, Touch, TouchLinks and SetBlackout, and checks RegionEpoch's
+// contract in both views after every step, from ordinary and wild points
+// at radii from 0 to +Inf: a change at a node within dist of p, at its
+// old or its new position, raises the full view of RegionEpoch(p, dist),
+// and the associate view too unless it is a TouchLinks, which moves no
+// associate view anywhere; nothing lowers either; and for a wild p they
+// are Epoch() and AssocEpoch(). The radius 3e10 spans a ring of 2·10⁹
+// cells, which only the ring-or-scan rule reads in bounded time.
 func TestRegionEpochContract(t *testing.T) {
 	const cellSize, n = 30, 40
 	m := newTestMedium(t, Params{MaxRange: 100, DiffusionSpeed: 100, CellSize: cellSize})
@@ -379,20 +381,25 @@ func TestRegionEpochContract(t *testing.T) {
 	ordinary := []geom.Point{{X: 0, Y: 0}, {X: cellSize, Y: -2 * cellSize}, {X: 17, Y: 101}}
 	apexes := append(ordinary, wild...)
 	radii := []float64{0, 10, cellSize, 45, 100, 1e6, 3e10, 1e300, math.Inf(1)}
-	before := make([]uint64, len(apexes)*len(radii))
-	for step := 0; step < 300; step++ {
+	type views struct{ full, assoc uint64 }
+	region := func(p geom.Point, d float64) views {
+		full, assoc := m.RegionEpoch(p, d)
+		return views{full, assoc}
+	}
+	before := make([]views, len(apexes)*len(radii))
+	for step := 0; step < 400; step++ {
 		for i, p := range apexes {
 			for j, d := range radii {
-				before[i*len(radii)+j] = m.RegionEpoch(p, d)
+				before[i*len(radii)+j] = region(p, d)
 			}
 		}
-		epoch := m.Epoch()
+		epoch, assoc := m.Epoch(), m.AssocEpoch()
 		id := NodeID(src.Intn(n))
 		var at []geom.Point // where the change happens
 		if m.Alive(id) {
 			at = append(at, m.pos[id])
 		}
-		op := src.Intn(5)
+		op := src.Intn(6)
 		switch op {
 		case 0, 1:
 			q := point()
@@ -404,18 +411,27 @@ func TestRegionEpochContract(t *testing.T) {
 			m.Touch(id)
 		case 4:
 			m.SetBlackout(id, !m.InBlackout(id))
+		case 5:
+			m.TouchLinks(id)
+		}
+		if op == 5 && m.AssocEpoch() != assoc {
+			t.Fatalf("step %d: TouchLinks(%d) moved AssocEpoch from %d to %d", step, id, assoc, m.AssocEpoch())
 		}
 		for i, p := range apexes {
 			for j, d := range radii {
-				got, was := m.RegionEpoch(p, d), before[i*len(radii)+j]
+				got, was := region(p, d), before[i*len(radii)+j]
 				near := slices.ContainsFunc(at, func(q geom.Point) bool { return q.Dist2(p) <= d*d })
 				switch {
-				case got < was:
-					t.Fatalf("step %d op %d: RegionEpoch(%v, %v) fell from %d to %d", step, op, p, d, was, got)
-				case i >= len(ordinary) && got != m.Epoch():
-					t.Fatalf("step %d op %d: RegionEpoch(%v, %v) = %d for a wild point, want Epoch() = %d", step, op, p, d, got, m.Epoch())
-				case m.Epoch() != epoch && near && got == was:
-					t.Fatalf("step %d op %d: node %d changed at %v, within %v of %v, but RegionEpoch stayed %d", step, op, id, at, d, p, got)
+				case got.full < was.full || got.assoc < was.assoc:
+					t.Fatalf("step %d op %d: RegionEpoch(%v, %v) fell from %v to %v", step, op, p, d, was, got)
+				case i >= len(ordinary) && got != views{m.Epoch(), m.AssocEpoch()}:
+					t.Fatalf("step %d op %d: RegionEpoch(%v, %v) = %v for a wild point, want Epoch(), AssocEpoch() = %d, %d", step, op, p, d, got, m.Epoch(), m.AssocEpoch())
+				case m.Epoch() != epoch && near && got.full == was.full:
+					t.Fatalf("step %d op %d: node %d changed at %v, within %v of %v, but RegionEpoch stayed %d", step, op, id, at, d, p, got.full)
+				case op != 5 && m.Epoch() != epoch && near && got.assoc == was.assoc:
+					t.Fatalf("step %d op %d: node %d changed at %v, within %v of %v, but the associate view stayed %d", step, op, id, at, d, p, got.assoc)
+				case op == 5 && got.assoc != was.assoc:
+					t.Fatalf("step %d: TouchLinks(%d) moved the associate view of RegionEpoch(%v, %v) from %d to %d", step, id, p, d, was.assoc, got.assoc)
 				}
 			}
 		}

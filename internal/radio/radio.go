@@ -26,8 +26,9 @@
 // than maps. The spatial index is a grid of square cells, numbered by a
 // spatial.Table, and one record per cell: its on-medium nodes, its
 // head-role nodes apart (head-only queries, the protocol's most frequent
-// by far, run in output-sensitive time), and the epoch of its last
-// change. The wild nodes (spatial.KeyOf) share one more record. Every
+// by far, run in output-sensitive time), and the epochs of its last
+// change in the two views (Touch, TouchLinks). The wild nodes
+// (spatial.KeyOf) share one more record. Every
 // record keeps both lists in ascending ID order, so a query's cells
 // leave ascending runs that merge into its result without a sort.
 package radio
@@ -172,24 +173,28 @@ type Medium struct {
 
 	// epoch is the global topology-change counter, a cell's epoch its
 	// value at the cell's last change. Place, Remove, blackout toggles,
-	// and explicit Touch calls all bump the affected cells, so a reader
-	// that stamped a region with RegionEpoch can later prove "nothing in
-	// my query cone changed" with a handful of table reads.
-	epoch uint64
+	// and explicit Touch and TouchLinks calls all bump the affected
+	// cells, so a reader that stamped a region with RegionEpoch can later
+	// prove "nothing in my query cone changed" with a handful of table
+	// reads. assoc is the same counter's value at the last change of the
+	// associate view, which sees every change but TouchLinks; a cell's
+	// assoc likewise.
+	epoch, assoc uint64
 	// epochFloor is the epoch of the last TouchAll: a change with
 	// unbounded reach (e.g. big-node role state that every head's
 	// root test reads) that no ring of cells could cover. RegionEpoch
-	// never reports below it.
+	// never reports below it, in either view.
 	epochFloor uint64
 
 	stats Stats
 }
 
 // cell is one cell's record: its on-medium nodes, its head-role nodes,
-// both in ascending ID order, and the epoch of its last change.
+// both in ascending ID order, and the epochs of its last change in the
+// full view and in the associate view.
 type cell struct {
 	nodes, heads []gridEntry
-	epoch        uint64
+	epoch, assoc uint64
 }
 
 // gridEntry colocates a node's position with its ID inside the cell
@@ -400,52 +405,76 @@ func (m *Medium) InBlackout(id NodeID) bool {
 	return m.nBlack > 0 && m.known(id) && m.blackout[id]
 }
 
-// bump records a topology change in cell c.
+// bump records a topology change in cell c, in both views.
 func (m *Medium) bump(c *cell) {
 	m.epoch++
-	c.epoch = m.epoch
+	c.epoch, c.assoc = m.epoch, m.epoch
+	m.assoc = m.epoch
 }
 
 // Epoch returns the global topology-epoch counter. It increases
-// monotonically with every Place, Remove, blackout toggle, Touch, or
-// TouchAll; an unchanged value proves the whole medium (and everything
-// protocol code reported via Touch) is exactly as it was.
+// monotonically with every Place, Remove, blackout toggle, Touch,
+// TouchLinks or TouchAll; an unchanged value proves the whole medium
+// (and everything protocol code reported via Touch and TouchLinks) is
+// exactly as it was.
 func (m *Medium) Epoch() uint64 {
 	return m.epoch
 }
 
-// Touch bumps the topology epoch of the cell holding node id, marking
-// a change that spatial queries cannot see — protocol state attached to
-// the node (role, links, cell state) rather than its position. Nodes
-// not on the medium are ignored; their removal already bumped.
+// AssocEpoch returns the counter's value at the last change of the
+// associate view: Epoch's, but blind to TouchLinks. An unchanged value
+// proves everything but the changes reported through TouchLinks is
+// exactly as it was.
+func (m *Medium) AssocEpoch() uint64 {
+	return m.assoc
+}
+
+// Touch bumps the topology epoch of the cell holding node id, in both
+// views, marking a change that spatial queries cannot see — protocol
+// state attached to the node (role, cell state) rather than its
+// position. Nodes not on the medium are ignored; their removal already
+// bumped.
 func (m *Medium) Touch(id NodeID) {
 	if m.known(id) && m.on[id] {
 		m.bump(m.cellAt(m.pos[id]))
 	}
 }
 
-// TouchAll marks a change with unbounded reach: every RegionEpoch
-// result from now on reflects it, whatever the region.
-func (m *Medium) TouchAll() {
-	m.epoch++
-	m.epochFloor = m.epoch
+// TouchLinks is Touch for a change the associate view does not see: it
+// bumps the cell's full-view epoch only. The protocol reports through it
+// the writes to a head's links to other heads, which only heads read.
+func (m *Medium) TouchLinks(id NodeID) {
+	if m.known(id) && m.on[id] {
+		m.epoch++
+		m.cellAt(m.pos[id]).epoch = m.epoch
+	}
 }
 
-// RegionEpoch returns the maximum topology epoch over the wild cell and
-// the ring of cells a range query at (p, dist) could touch (spatial.Ring;
-// every cell for a wild p), and never less than the last TouchAll. A
-// caller that stamps a computed result with this value can later prove
-// it current by comparing a fresh RegionEpoch against the stamp: any
+// TouchAll marks a change with unbounded reach: every RegionEpoch
+// result from now on reflects it, in both views, whatever the region.
+func (m *Medium) TouchAll() {
+	m.epoch++
+	m.epochFloor, m.assoc = m.epoch, m.epoch
+}
+
+// RegionEpoch returns the maximum topology epochs, in the full view and
+// in the associate view, over the wild cell and the ring of cells a
+// range query at (p, dist) could touch (spatial.Ring; every cell for a
+// wild p), and never less than the last TouchAll. A caller that stamps a
+// computed result with one of them can later prove it current by
+// comparing a fresh reading in the same view against the stamp: any
 // add/remove/move/blackout/Touch in the cone bumps a cell the ring
-// covers.
-func (m *Medium) RegionEpoch(p geom.Point, dist float64) uint64 {
+// covers in both views, and a TouchLinks in the full view.
+func (m *Medium) RegionEpoch(p geom.Point, dist float64) (full, assoc uint64) {
 	lo, hi := spatial.Ring(p, dist, m.cellSize)
 	m.near = m.cells.Cells(m.near[:0], lo, hi)
-	e := max(m.epochFloor, m.wild.epoch)
+	full = max(m.epochFloor, m.wild.epoch)
+	assoc = max(m.epochFloor, m.wild.assoc)
 	for _, c := range m.near {
-		e = max(e, m.recs[c].epoch)
+		r := &m.recs[c]
+		full, assoc = max(full, r.epoch), max(assoc, r.assoc)
 	}
-	return e
+	return full, assoc
 }
 
 // Place adds or moves a node. A placed node is alive.

@@ -67,9 +67,11 @@ func (s *Source) Norm() float64 {
 // For small lambda it uses Knuth's product method; for large lambda it
 // uses the normal approximation with continuity correction, which is
 // accurate enough for the node-count sampling done here and avoids
-// underflow of exp(−lambda).
+// underflow of exp(−lambda). A lambda that is not positive, NaN
+// included, gives 0, and the variate saturates at math.MaxInt: a lambda
+// of maxInt or more, +Inf included, gives it without a draw.
 func (s *Source) Poisson(lambda float64) int {
-	if lambda <= 0 {
+	if !(lambda > 0) {
 		return 0
 	}
 	if lambda < 30 {
@@ -84,12 +86,22 @@ func (s *Source) Poisson(lambda float64) int {
 			k++
 		}
 	}
-	k := int(math.Round(lambda + math.Sqrt(lambda)*s.Norm()))
-	if k < 0 {
-		return 0
+	if lambda >= maxInt {
+		return math.MaxInt
 	}
-	return k
+	k := math.Round(lambda + math.Sqrt(lambda)*s.Norm())
+	switch {
+	case k < 0:
+		return 0
+	case k >= maxInt:
+		return math.MaxInt
+	}
+	return int(k)
 }
+
+// maxInt is math.MaxInt rounded to a float64: 2⁶³ where an int has 64
+// bits. Every whole float64 in [0, maxInt) fits an int.
+const maxInt = float64(math.MaxInt)
 
 // Exp returns an exponential variate with the given mean.
 func (s *Source) Exp(mean float64) float64 {

@@ -127,6 +127,29 @@ func TestPoissonZeroLambda(t *testing.T) {
 	}
 }
 
+// TestPoissonHugeMean: a mean too large for an int saturates at
+// math.MaxInt instead of wrapping, and a NaN mean gives 0.
+func TestPoissonHugeMean(t *testing.T) {
+	s := New(23)
+	for _, c := range []struct {
+		lambda float64
+		want   int
+	}{
+		{math.NaN(), 0},
+		{math.Inf(-1), 0},
+		{1e19, math.MaxInt},
+		{1e300, math.MaxInt},
+		{math.Inf(1), math.MaxInt},
+	} {
+		if k := s.Poisson(c.lambda); k != c.want {
+			t.Errorf("Poisson(%v) = %d, want %d", c.lambda, k, c.want)
+		}
+	}
+	if k := s.Poisson(1e9); k < 999_000_000 || k > 1_001_000_000 {
+		t.Errorf("Poisson(1e9) = %d, want 1e9 ± 1e6", k)
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	s := New(23)
 	const n = 100000

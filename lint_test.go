@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -150,9 +151,102 @@ func checkFileDocs(t *testing.T, fset *token.FileSet, file *ast.File) {
 var testHooks = map[string]string{
 	"core.Network.SetSweepCache":   "switches the sweep cache off: the brute-force reference of the lockstep suites",
 	"core.Network.StopMaintenance": "ends the heartbeat chain: the engine-drain contract",
-	"core.Network.SweepWork":       "counts sweep bodies and replays: the work pins",
+	"core.Network.SweepWork":       "counts sweep bodies, replays and ASSOCIATE_ORG_RESP choices: the work pins",
 	"sim.Engine.Pending":           "read by runLockstep and the engine lockstep",
 	"sim.Engine.NextEventTime":     "read by runLockstep and the engine lockstep",
+}
+
+// linkFields are the fields of core.Node that link a node into the head
+// graph. Only heads read other nodes' links, so the protocol reports a
+// write to them through touchLinks, which leaves the associate view of
+// the topology epochs alone, where every other write keeps touch.
+// linkHelpers, the one file of the link helpers, is the only place that
+// writes them or calls touchLinks.
+var linkFields = []string{"Parent", "ParentIL", "Hops", "Children", "Neighbors"}
+
+const linkHelpers = "internal/core/links.go"
+
+// TestLinkWritesStayInLinkHelpers fails on an assignment, increment,
+// element write or address-taking of a core.Node link field, or a call
+// of touchLinks, anywhere in production code but linkHelpers: a link
+// write outside it could report with touch, and wake associate caches
+// for nothing, and a touchLinks outside it could report a write that
+// associates read. The keys of a Node literal are not writes: they set
+// up a node before the medium holds it (AddNode).
+func TestLinkWritesStayInLinkHelpers(t *testing.T) {
+	src := parseSource(t)
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	var core *types.Package
+	for _, pkg := range typeCheck(t, src, info) {
+		if pkg.Path() == modulePath+"/internal/core" {
+			core = pkg
+		}
+	}
+	if core == nil {
+		t.Fatal("package core not found")
+	}
+	node := core.Scope().Lookup("Node").Type().Underlying().(*types.Struct)
+	fields := map[types.Object]bool{}
+	for i := 0; i < node.NumFields(); i++ {
+		if f := node.Field(i); slices.Contains(linkFields, f.Name()) {
+			fields[f] = true
+		}
+	}
+	touchLinks, _, _ := types.LookupFieldOrMethod(core.Scope().Lookup("Network").Type(), true, core, "touchLinks")
+	if len(fields) != len(linkFields) || touchLinks == nil {
+		t.Fatalf("core.Node has %d of the link fields %v, and touchLinks is %v", len(fields), linkFields, touchLinks)
+	}
+	// field returns the link field e writes, through its selector or an
+	// element of it, or nil.
+	field := func(e ast.Expr) types.Object {
+		e = ast.Unparen(e)
+		if ix, ok := e.(*ast.IndexExpr); ok {
+			e = ast.Unparen(ix.X)
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok && fields[info.Uses[sel.Sel]] {
+			return info.Uses[sel.Sel]
+		}
+		return nil
+	}
+	writes, calls := 0, 0
+	for _, dir := range src.dirs {
+		for _, f := range src.files[dir] {
+			inHelpers := filepath.ToSlash(src.fset.Position(f.Pos()).Filename) == linkHelpers
+			found := func(pos token.Pos, what string) {
+				if !inHelpers {
+					t.Errorf("%s: %s outside %s", src.fset.Position(pos), what, linkHelpers)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var targets []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					targets = n.Lhs
+				case *ast.IncDecStmt:
+					targets = []ast.Expr{n.X}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						targets = []ast.Expr{n.X}
+					}
+				case *ast.CallExpr:
+					if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && info.Uses[sel.Sel] == touchLinks {
+						calls++
+						found(n.Pos(), "a call of touchLinks")
+					}
+				}
+				for _, e := range targets {
+					if obj := field(e); obj != nil {
+						writes++
+						found(e.Pos(), "a write to Node."+obj.Name())
+					}
+				}
+				return true
+			})
+		}
+	}
+	if writes == 0 || calls == 0 {
+		t.Errorf("found %d link-field writes and %d touchLinks calls: the lint checks nothing", writes, calls)
+	}
 }
 
 // interfaceMethods are methods the standard library calls through its
@@ -249,7 +343,7 @@ var floatToInt = map[string]string{
 	"field.Grid":              "fits: it converts its row and column counts only once their product is at most 2³¹−1",
 	"hexlat.roundAxial":       "open: Lattice.Nearest of the point (1e300, 1e300), or of NaN",
 	"netsim.RepopulateDisk":   "open: a radius of 1e300 with spacing 1, taken unchecked",
-	"rng.Poisson":             "open: a lambda of 1e300",
+	"rng.Poisson":             "fits: it converts only a rounded draw in [0, float64(math.MaxInt)), returning 0 below, math.MaxInt above and 0 for a NaN lambda",
 	"spatial.KeyOf":           "fits: it converts only cell coordinates it has checked to be within ±2³⁰",
 	"spatial.cell":            "fits: it clamps its argument to ±2³⁰, and its callers never pass NaN",
 	"stats.Percentile":        "fits: p is in (0, 100) past its NaN and range guards, so 0 ≤ rank ≤ len(sorted)−1",
