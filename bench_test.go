@@ -188,7 +188,7 @@ func TestSettledRoundWorkCounters(t *testing.T) {
 // TestHealWorkCounters pins a heal on the settled large field, the
 // maintain workload's strikes: a crater of one search radius kills 358
 // nodes, the dynamic fixpoint holds again after 2 heartbeats, and those
-// heartbeats run 6,980 full sweep bodies and replay 2,662 sweeps. The
+// heartbeats run 4,417 full sweep bodies and replay 5,225 sweeps. The
 // split is the cost of healing: a cache invalidated more widely than
 // the damage, or a heal that needs another heartbeat, moves it. Before
 // associates watched the associate view, which heads' link rewrites do
@@ -204,7 +204,7 @@ func TestHealWorkCounters(t *testing.T) {
 	b, r, _ := s.Net.SweepWork()
 	heartbeats := uint64(vt / s.Opt.Config.HeartbeatInterval)
 	got := [4]uint64{uint64(killed), heartbeats, b - bodies, r - replays}
-	if want := [4]uint64{358, 2, 6980, 2662}; got != want {
+	if want := [4]uint64{358, 2, 4417, 5225}; got != want {
 		t.Errorf("heal (killed, heartbeats, sweep bodies, replays) = %v, want %v", got, want)
 	}
 }
@@ -273,7 +273,7 @@ func BenchmarkWarmUp(b *testing.B) {
 // TestTrafficWorkCounters pins the traffic workload on the settled
 // field of BenchmarkServeTraffic. AllocsPerRun serves 2,000 packets
 // (30% point-to-point) twice, a warm-up run that grows the engine's
-// heap and then the measured run; together they fire exactly 20,763
+// buckets and then the measured run; together they fire exactly 20,763
 // engine events, and every packet arrives. A hop is an engine event
 // whose payload indexes the plane's dense packet slice, so the
 // measured run allocates only while its new plane grows its packet,
@@ -643,8 +643,8 @@ func BenchmarkSweepSteadyStateLarge(b *testing.B) {
 // maintenance round on the large field, so the replay path cannot
 // silently start allocating per node: sweep batches are pooled with
 // their engine callbacks, replays only bump interned-delta counts, the
-// per-batch credit reuses its index list, and the event engine's heap
-// and slot pool reach a steady capacity during warm-up.
+// per-batch credit reuses its index list, and the event engine's
+// buckets reach their capacity during warm-up.
 func TestSweepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run alloc measurement")

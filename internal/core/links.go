@@ -15,13 +15,11 @@ import (
 
 // touchLinks records a change to node id's links in the full view of
 // the medium's topology epochs, invalidating the sweep cache of every
-// head whose cone covers the node. A change to the big node's state
-// invalidates globally, as touch does.
+// head whose cone covers the node. The big node is no exception: the
+// root test every head runs reads its Status, Head and Proxy, which
+// touch reports globally, and no sweep reads its links from beyond
+// its cone.
 func (nw *Network) touchLinks(id radio.NodeID) {
-	if id == nw.bigID {
-		nw.med.TouchAll()
-		return
-	}
 	nw.med.TouchLinks(id)
 }
 

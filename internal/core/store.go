@@ -28,7 +28,7 @@ import "gs3/internal/radio"
 // indices into the network's interned table of sweep deltas (node.go).
 // Snapshot/JSON view types keep wide ints, so none of this narrows the
 // wire form. The other per-node line item — the engine's event
-// bookkeeping — is one 24-byte heap entry per queued event in
+// bookkeeping — is one 16-byte bucket entry per queued event in
 // internal/sim.
 //
 // Link slices (Children/Neighbors) come from a chunk arena: fixed

@@ -202,6 +202,19 @@ func TestStructureLifetimeFactorGrowsWithNc(t *testing.T) {
 	}
 }
 
+// TestStructureLifetimeRejectsDegenerateEnergy pins the guard on T2's
+// static baseline, energy/(80·energy/400): an energy of 0 makes it NaN
+// and one of 5e-324 makes it +Inf, and either would reach the
+// conversion of the sweep budget to int, whose result the Go spec
+// leaves to the implementation.
+func TestStructureLifetimeRejectsDegenerateEnergy(t *testing.T) {
+	for _, energy := range []float64{0, 5e-324} {
+		if _, err := StructureLifetime(runner.Parallel(1), 100, 260, []float64{30}, energy, 7); err == nil {
+			t.Errorf("energy %v: nil error, want one", energy)
+		}
+	}
+}
+
 func TestSlideConsistency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow slide experiment")

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"gs3/internal/core"
 	"gs3/internal/geom"
@@ -151,16 +152,25 @@ func StructureLifetime(p runner.Pool, r, regionRadius float64, spacings []float6
 			"static baseline: first-generation heads die at E/(f*rate) and nothing heals",
 		},
 	}
+	// The paper's regime: serving as head dominates energy use (most
+	// in-cell traffic terminates at the head), so rotating the role
+	// spreads the cost over the whole cell.
+	const headFactor = 80 // head drain = energy/5 per sweep
+	idle := energy / 400  // associate drain per sweep
+	staticLifetime := energy / (headFactor * idle)
+	// 5 for any normal energy, but NaN for an energy of 0 and +Inf for
+	// one so small that energy/400 underflows to 0, and the sweep budget
+	// below converts it to int.
+	if !(staticLifetime > 0) || math.IsInf(staticLifetime, 1) {
+		return Table{}, fmt.Errorf("T2: energy %v gives a static lifetime of %v, want a finite positive one", energy, staticLifetime)
+	}
 	rows, err := runner.Map(p, len(spacings), func(i int) ([]float64, error) {
 		opt := netsim.DefaultOptions(r, regionRadius)
 		opt.Seed = seed
 		opt.GridSpacing = spacings[i]
-		// The paper's regime: serving as head dominates energy use
-		// (most in-cell traffic terminates at the head), so rotating
-		// the role spreads the cost over the whole cell.
 		opt.Config.InitialEnergy = energy
-		opt.Config.AssociateDissipation = energy / 400 // idle drain
-		opt.Config.HeadEnergyFactor = 80               // head drain = energy/5 per sweep
+		opt.Config.AssociateDissipation = idle
+		opt.Config.HeadEnergyFactor = headFactor
 		s, err := netsim.Build(opt)
 		if err != nil {
 			return nil, err
@@ -170,7 +180,6 @@ func StructureLifetime(p runner.Pool, r, regionRadius float64, spacings []float6
 		}
 		nc := s.MeanCellSize()
 		initialHeads := len(s.Net.Snapshot().Heads())
-		staticLifetime := energy / (opt.Config.HeadEnergyFactor * opt.Config.AssociateDissipation)
 
 		s.Net.StartMaintenance(core.VariantD)
 		start := s.Net.Engine().Now()

@@ -508,3 +508,77 @@ func TestCachedSweepMatchesBruteForceCellShift(t *testing.T) {
 	script := []propStep{{at, "empty-cell", empty}, {at + 1, "shifted", shifted}}
 	runCacheEquivalence(t, opt, core.VariantD, script, at+5)
 }
+
+// TestCachedSweepMatchesBruteForceBigChild kills a child head of the
+// big node once both sweep-cache flavors are recorded, so the big
+// node's own sweeps rewrite its Children and Neighbors (dropping the
+// dead child, then adopting the cell's new head) while the heads
+// around it hold warm caches. A rewrite of the big node's links is
+// reported like any other head's, to the heads whose cone covers it.
+// No other node's sweep reads those two lists, so a build that reports
+// nothing for them passes here too; TestCachedSweepMatchesBruteForceBigHops
+// covers the link another sweep reads. The strike comes at each phase
+// of the big node's rescan cycle.
+func TestCachedSweepMatchesBruteForceBigChild(t *testing.T) {
+	opt := DefaultOptions(100, 320)
+	opt.Seed = 9
+	first := 2*opt.Config.BoundaryRescanEvery + 1
+	for at := first; at < first+opt.Config.BoundaryRescanEvery; at++ {
+		t.Run(fmt.Sprintf("at%d", at), func(t *testing.T) {
+			child := radio.None
+			kill := func(s *Sim) {
+				big, _ := s.Net.Snapshot().View(s.Net.BigID())
+				if len(big.Children) == 0 {
+					t.Fatal("the big node has no child head")
+				}
+				child = big.Children[0]
+				s.Net.Kill(child)
+			}
+			dropped := func(s *Sim) {
+				if big, _ := s.Net.Snapshot().View(s.Net.BigID()); slices.Contains(big.Children, child) {
+					t.Fatalf("the big node still lists its dead child %d: %v", child, big.Children)
+				}
+			}
+			script := []propStep{{at, "kill-big-child", kill}, {at + 1, "dropped", dropped}}
+			runCacheEquivalence(t, opt, core.VariantD, script, at+6)
+		})
+	}
+}
+
+// TestCachedSweepMatchesBruteForceBigHops raises every head's hop
+// count by one, the big node's to 1, once both sweep-cache flavors are
+// recorded: the structure stays consistent everywhere but at the big
+// node. On this field every child head of the big node sweeps before
+// it in the next heartbeat, finds its count consistent with its
+// parent's, and records its sweep as a no-op. The big node's sweep then
+// restores its own count to 0, a write to its links and the only write
+// of that heartbeat near its children, so only that write can
+// invalidate their caches and let their next sweeps drop their counts
+// to 1. A head's ParentSeek, which reads its neighbors' Hops, is where a
+// sweep reads another node's links.
+func TestCachedSweepMatchesBruteForceBigHops(t *testing.T) {
+	opt := DefaultOptions(100, 320)
+	opt.Seed = 1
+	at := 2*opt.Config.BoundaryRescanEvery + 1
+	corrupt := func(s *Sim) {
+		for _, h := range s.Net.Snapshot().Heads() {
+			s.Net.Corrupt(h.ID, core.CorruptHops, float64(h.Hops+1))
+		}
+	}
+	hops := func(want int) func(s *Sim) {
+		return func(s *Sim) {
+			snap := s.Net.Snapshot()
+			big, _ := snap.View(s.Net.BigID())
+			if big.Hops != 0 {
+				t.Fatalf("the big node holds %d hops, want 0", big.Hops)
+			}
+			for _, c := range big.Children {
+				if v, _ := snap.View(c); v.Hops != want {
+					t.Fatalf("child head %d of the big node holds %d hops, want %d", c, v.Hops, want)
+				}
+			}
+		}
+	}
+	script := []propStep{{at, "raise-hops", corrupt}, {at + 1, "restored", hops(2)}, {at + 2, "healed", hops(1)}}
+	runCacheEquivalence(t, opt, core.VariantD, script, at+5)
+}

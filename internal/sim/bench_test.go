@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The engine benchmarks model the shapes the harness actually produces:
 // a large standing population of timers at a small set of regular
@@ -49,5 +52,30 @@ func BenchmarkEngineSteadyChurn(b *testing.B) {
 		e.After(d, nop, 0) // heartbeat
 		e.Step()
 		e.Step()
+	}
+}
+
+// BenchmarkEngineDeepQueue is the traffic workload's queue: ~56k hops
+// pending on average at continuous delays of 0.001 + dist/SR. It keeps
+// 65,536 events pending, and each iteration fires the earliest and
+// schedules one After(0.001 + U[0,1)), the delays drawn up front from a
+// fixed-seed source so the loop times the engine alone.
+func BenchmarkEngineDeepQueue(b *testing.B) {
+	e := NewEngine()
+	nop := nopKind(e)
+	const pending = 1 << 16
+	src := rand.New(rand.NewSource(1))
+	delays := make([]float64, pending)
+	for i := range delays {
+		delays[i] = 0.001 + src.Float64()
+	}
+	for _, d := range delays {
+		e.After(d, nop, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+		e.After(delays[i%pending], nop, 0)
 	}
 }

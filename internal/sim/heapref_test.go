@@ -5,7 +5,7 @@ package sim
 // engine no longer has, as a test-only oracle. The lockstep property
 // test (engine_property_test.go) drives it and the live Engine through
 // identical operation sequences and asserts that every observable —
-// fire order, Now, Fired, Pending — matches, which pins the live 4-ary
+// fire order, Now, Fired, Pending — matches, which pins the live radix
 // heap to this engine's exact (At, seq) total order.
 
 import (

@@ -2,22 +2,60 @@
 // drives the GS³ network harness.
 //
 // Time is virtual, represented as a float64 number of abstract seconds.
-// Events are ordered by time with a stable sequence-number tie-break so
-// that runs are fully deterministic: two events scheduled for the same
-// instant fire in scheduling order. The queue is a 4-ary min-heap on
-// (at, seq); since seq is unique, that pair is a strict total order,
-// and popping the heap's minimum fires events in exactly that order.
+// Events fire in time order, and two events scheduled for the same
+// instant fire in scheduling order, so runs are fully deterministic:
+// the fire order is the strict total order (At, seq), where seq counts
+// the events scheduled before this one.
+//
+// # Queue
+//
+// The queue is a binary radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+// "Faster algorithms for the shortest path problem", JACM 1990). No
+// event time is negative, since At rejects a time before Now and Now
+// starts at zero, and the IEEE 754 bits of two non-negative float64
+// values, read as integers, order as the values do. An event's key is
+// therefore the bits of its time, with −0, the one time whose sign bit
+// is set, filed as +0, which it equals.
+//
+// The engine keeps last, the key of the last event it readied to fire,
+// and 64 buckets: bucket 0 holds the events at last, and bucket b ≥ 1
+// the events whose key's highest bit that differs from last is bit
+// b−1. No key has its sign bit set, so none differs from last in bit
+// 63. No pending key is below last, so the lowest non-empty bucket
+// holds the earliest events, and a bit mask of the non-empty buckets
+// finds it. Scheduling appends the event to its bucket. Bucket
+// 0 is read from a head index; once it is drained, the next Step or
+// RunUntil refills it from the lowest non-empty bucket b: last moves to
+// that bucket's minimum, and its events are redistributed, in order,
+// into the buckets below b, the minimum's into bucket 0.
+//
+// Every bucket lists its events in scheduling order. A push appends the
+// newest event, and a refill splits one bucket, in order, into buckets
+// that are all empty: the buckets below the lowest non-empty one. So
+// bucket 0, whose events share one time, fires first in, first out,
+// which is (At, seq) order with no seq stored.
+//
+// A refill happens only when the bucket's minimum is due by the
+// deadline of the Step or RunUntil that asks for it, so last moves only
+// to an event about to fire, and Now reaches it. At rejects a time
+// before Now, so no event scheduled later lands below last.
+// NextEventTime reads the minimum without moving anything.
+//
+// A bucket's slice grows the first time the bucket holds that many
+// events and keeps its capacity after. Which bucket an event lands in
+// depends on which bits of its time differ from last, so the buckets
+// see new occupancies, and may grow again, when virtual time enters a
+// new power of two. Between those crossings a steady schedule+fire
+// cycle allocates nothing.
 //
 // # Kinds
 //
 // An event is a kind and an int32 payload. Each owner registers its
 // kinds once, with one handler each (Register), and schedules events
 // of a kind with a payload that tells the handler what the event is
-// about: a node ID, a packet index, a batch index. The heap entry
-// {at, seq, payload, kind} is the whole event. Firing one calls the
-// kind's handler with the payload and reads nothing else, and
-// scheduling allocates nothing once the heap has reached its steady
-// capacity.
+// about: a node ID, a packet index, a batch index. The bucket entry
+// {at, payload, kind} is the whole event. Firing one calls the kind's
+// handler with the payload and reads nothing else.
 //
 // # Concurrency
 //
@@ -35,6 +73,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a virtual-time instant in abstract seconds. It is a plain
@@ -45,18 +84,19 @@ type Time = float64
 // kinds out; they are only meaningful on the engine that issued them.
 type Kind int32
 
-// entry is one scheduled event, 24 bytes: its fire-order key (at, seq)
-// and the kind and payload its firing dispatches.
+// entry is one scheduled event, 16 bytes: its time and the kind and
+// payload its firing dispatches. Its place in its bucket is its place
+// in the fire order among events at the same time.
 type entry struct {
 	at      Time
-	seq     uint64
 	payload int32
 	kind    Kind
 }
 
-// before is the fire order: (at, seq) ascending.
-func (a entry) before(b entry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// key is the radix key of a non-negative time: its IEEE 754 bits, with
+// the sign bit, set only by −0, cleared.
+func key(at Time) uint64 {
+	return math.Float64bits(at) &^ (1 << 63)
 }
 
 // ErrEventInPast is returned by Engine.At when an event is scheduled
@@ -75,16 +115,23 @@ var ErrTimeNotFinite = errors.New("sim: event time is not finite")
 // separate goroutines (each with their own Engine) need no
 // synchronization because engines share no state.
 type Engine struct {
-	now     Time
-	nextSeq uint64
-	fired   uint64
+	now       Time
+	scheduled uint64
+	fired     uint64
 
 	// handlers maps each registered Kind to its handler.
 	handlers []func(payload int32)
 
-	// heap is a 4-ary min-heap under entry.before: the children of
-	// heap[i] are heap[4i+1 : 4i+5].
-	heap []entry
+	// last is the key of the last event readied to fire. buckets[0]
+	// holds the events at last, unfired from head on, and buckets[b]
+	// for b ≥ 1 the events whose key's highest bit that differs from
+	// last is bit b−1. Bit b of mask is set when buckets[b] is
+	// non-empty; bit 0 may stay set after bucket 0 drains, until the
+	// next refill clears it.
+	last    uint64
+	head    int
+	mask    uint64
+	buckets [64][]entry
 }
 
 // NewEngine returns an engine at time zero with an empty queue.
@@ -110,18 +157,18 @@ func (e *Engine) Fired() uint64 {
 	return e.fired
 }
 
-// Scheduled returns the number of events ever scheduled (the next
-// sequence number). Two equal readings prove no event was scheduled in
-// between — the primitive batching callers use to detect that another
-// event's ordering position falls between two of their additions.
+// Scheduled returns the number of events ever scheduled. Two equal
+// readings prove no event was scheduled in between — the primitive
+// batching callers use to detect that another event's ordering
+// position falls between two of their additions.
 func (e *Engine) Scheduled() uint64 {
-	return e.nextSeq
+	return e.scheduled
 }
 
 // Pending returns the number of events still queued: scheduled and not
-// yet fired.
+// yet fired. Every scheduled event fires, so that is the difference.
 func (e *Engine) Pending() int {
-	return len(e.heap)
+	return int(e.scheduled - e.fired)
 }
 
 // At schedules an event of kind k carrying payload at absolute time at.
@@ -137,8 +184,10 @@ func (e *Engine) At(at Time, k Kind, payload int32) error {
 	if uint(k) >= uint(len(e.handlers)) {
 		panic(fmt.Sprintf("sim: event kind %d is not registered", k))
 	}
-	e.push(entry{at: at, seq: e.nextSeq, payload: payload, kind: k})
-	e.nextSeq++
+	b := bits.Len64(key(at) ^ e.last)
+	e.buckets[b] = append(e.buckets[b], entry{at: at, payload: payload, kind: k})
+	e.mask |= 1 << b
+	e.scheduled++
 	return nil
 }
 
@@ -155,59 +204,59 @@ func (e *Engine) After(delay float64, k Kind, payload int32) {
 	}
 }
 
-// push adds ent to the heap, sifting it up past every parent it fires
-// before.
-func (e *Engine) push(ent entry) {
-	h := append(e.heap, ent)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !ent.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+// ready reports whether the earliest pending event is due by deadline,
+// and if so leaves it at the head of bucket 0.
+func (e *Engine) ready(deadline Time) bool {
+	if e.head < len(e.buckets[0]) {
+		return e.buckets[0][e.head].at <= deadline
 	}
-	h[i] = ent
-	e.heap = h
+	return e.refill(deadline)
 }
 
-// pop removes the heap's top entry: the last entry takes its place and
-// sifts down past every child that fires before it.
-func (e *Engine) pop() {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	h := e.heap[:n]
-	e.heap = h
-	if n == 0 {
-		return
+// refill, with bucket 0 drained, finds the lowest non-empty bucket and,
+// if its minimum is due by deadline, moves last to that minimum and
+// splits the bucket, in order, into the empty buckets below it. It
+// reports whether it did.
+func (e *Engine) refill(deadline Time) bool {
+	e.buckets[0], e.head = e.buckets[0][:0], 0
+	e.mask &^= 1
+	if e.mask == 0 {
+		return false
 	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		for j := c + 1; j < c+4 && j < n; j++ {
-			if h[j].before(h[m]) {
-				m = j
-			}
-		}
-		if !h[m].before(last) {
-			break
-		}
-		h[i] = h[m]
-		i = m
+	b := bits.TrailingZeros64(e.mask)
+	src := e.buckets[b]
+	first, k := earliest(src)
+	if !(first <= deadline) {
+		return false
 	}
-	h[i] = last
+	e.last = k
+	for _, ent := range src {
+		nb := bits.Len64(key(ent.at) ^ k)
+		e.buckets[nb] = append(e.buckets[nb], ent)
+		e.mask |= 1 << nb
+	}
+	e.buckets[b] = src[:0]
+	e.mask &^= 1 << b
+	return true
 }
 
-// fire pops the heap's top entry, advances the clock to it, and calls
+// earliest returns the earliest time in a non-empty bucket, the first
+// of those with the least key, and that key.
+func earliest(src []entry) (Time, uint64) {
+	first, k := src[0].at, key(src[0].at)
+	for _, ent := range src[1:] {
+		if ek := key(ent.at); ek < k {
+			first, k = ent.at, ek
+		}
+	}
+	return first, k
+}
+
+// fire takes the head of bucket 0, advances the clock to it, and calls
 // its kind's handler.
 func (e *Engine) fire() {
-	ent := e.heap[0]
-	e.pop()
+	ent := e.buckets[0][e.head]
+	e.head++
 	e.now = ent.at
 	e.fired++
 	e.handlers[ent.kind](ent.payload)
@@ -215,7 +264,7 @@ func (e *Engine) fire() {
 
 // Step fires the next event. It returns false when no event is queued.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if !e.ready(math.Inf(1)) {
 		return false
 	}
 	e.fire()
@@ -242,7 +291,7 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 // deadline fires nothing.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	var n uint64
-	for len(e.heap) > 0 && e.heap[0].at <= deadline {
+	for e.ready(deadline) {
 		e.fire()
 		n++
 	}
@@ -255,8 +304,13 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 // NextEventTime returns the time of the earliest pending event, or +Inf
 // if none is pending.
 func (e *Engine) NextEventTime() Time {
-	if len(e.heap) == 0 {
+	if e.head < len(e.buckets[0]) {
+		return e.buckets[0][e.head].at
+	}
+	above := e.mask &^ 1
+	if above == 0 {
 		return math.Inf(1)
 	}
-	return e.heap[0].at
+	first, _ := earliest(e.buckets[bits.TrailingZeros64(above)])
+	return first
 }

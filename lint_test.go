@@ -338,7 +338,7 @@ var floatToInt = map[string]string{
 	"baseline.buildAdjacency": "open: HopCluster with a txRange of 1e-300, which it accepts; its one caller passes SR/3 and a finite field",
 	"core.StrengthenCell":     "open: R = 1 with Rt = 1e-300, which Config.Validate accepts (R/(√3·Rt) ≈ 6e299)",
 	"core.Corrupt":            "open: a CorruptHops delta of NaN or 1e10, passed through unchecked",
-	"exp.StructureLifetime":   "open: an energy of 1e300, taken unchecked",
+	"exp.StructureLifetime":   "fits: it returns an error unless the static lifetime energy/(80·energy/400) is finite and positive, which bounds it to [2.5, 7.5] (5 but for subnormal rounding), and converts that times the mean cell size plus 20, at most 7.5·(nodes + 20)",
 	"exp.VsHopCluster":        "fits: r/txRange = 3R/SR < √3, since SR = √3R + 2Rt",
 	"field.Grid":              "fits: it converts its row and column counts only once their product is at most 2³¹−1",
 	"hexlat.roundAxial":       "open: Lattice.Nearest of the point (1e300, 1e300), or of NaN",
