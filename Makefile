@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet test race bench bench-smoke smoke fuzz-smoke chaos traffic-smoke engine-smoke adversary-smoke perfbench-smoke goldens golden-diff digest-diff check
+.PHONY: all fmt build vet test race bench bench-smoke smoke fuzz-smoke chaos traffic-smoke engine-smoke adversary-smoke perfbench-smoke goldens golden-diff digest-diff fma-check check
 
 all: check
 
@@ -105,4 +105,13 @@ digest-diff:
 	@test -n "$(REV)" || { echo "usage: make digest-diff REV=<rev>" >&2; exit 2; }
 	./scripts/digests.sh $(REV)
 
-check: fmt build vet race bench-smoke engine-smoke golden-diff fuzz-smoke chaos traffic-smoke adversary-smoke perfbench-smoke
+# Cross-compile gs3bench and gs3sim for arm64, count the fused
+# multiply-adds in each gs3 function, and diff the counts against
+# scripts/fma-arm64.txt: a new fused instruction fails, and so does a
+# removed one until `scripts/fma.sh generate` lowers the table. Each is
+# a place where arm64 may round differently from amd64, which never
+# fuses.
+fma-check:
+	./scripts/fma.sh
+
+check: fmt build vet race bench-smoke engine-smoke golden-diff fuzz-smoke chaos traffic-smoke adversary-smoke perfbench-smoke fma-check

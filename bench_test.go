@@ -139,17 +139,25 @@ func TestConfigureWorkCounters(t *testing.T) {
 }
 
 // settledLargeField builds the 5,179-node field of
-// BenchmarkSweepSteadyStateLarge and settles it the way perfbench's
-// maintain workload does: GS³-D to the dynamic fixpoint, then two
-// boundary-rescan cycles so both sweep-cache flavors are recorded.
+// BenchmarkSweepSteadyStateLarge and settles it (settledField).
 func settledLargeField(t testing.TB) *netsim.Sim {
 	t.Helper()
-	s, err := netsim.Build(netsim.DefaultOptions(100, 850))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := settledField(t, netsim.DefaultOptions(100, 850))
 	if n := len(s.Dep.Positions); n != 5179 {
 		t.Fatalf("field has %d nodes, want 5,179", n)
+	}
+	return s
+}
+
+// settledField builds the field of opt and settles it the way
+// perfbench's maintain workload does: GS³-D to the dynamic fixpoint,
+// then two boundary-rescan cycles so both sweep-cache flavors are
+// recorded.
+func settledField(t testing.TB, opt netsim.Options) *netsim.Sim {
+	t.Helper()
+	s, err := netsim.Build(opt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := s.Configure(); err != nil {
 		t.Fatal(err)
@@ -618,7 +626,9 @@ func BenchmarkSweepSteadyState(b *testing.B) {
 // 5,000+ nodes. At this scale a settled round is almost entirely
 // quiescent replays, so ns/op tracks the cache fast path and the
 // per-sweep mandatory work (counters, energy, batch dispatch) rather
-// than neighborhood scans.
+// than neighborhood scans. Its field's Node array is 0.9 MB and stays
+// in cache, so it cannot show what a sweep's memory reads cost (see
+// BenchmarkSweepSteadyState50k).
 func BenchmarkSweepSteadyStateLarge(b *testing.B) {
 	s, err := netsim.Build(netsim.DefaultOptions(100, 850))
 	if err != nil {
@@ -632,6 +642,25 @@ func BenchmarkSweepSteadyStateLarge(b *testing.B) {
 	}
 	s.Net.StartMaintenance(core.VariantD)
 	s.RunSweeps(5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RunSweeps(1)
+	}
+}
+
+// BenchmarkSweepSteadyState50k times settled rounds on a field the size
+// of perfbench's maintain field (~50k nodes, its seed 1 layout),
+// settled the same way, with set-up off the clock. Here the per-node
+// state outgrows the cache: the 8.8 MB Node array a phase batch would
+// walk at a 2,992-byte stride (every 17th ID) does not fit, so the round
+// time shows what each settled sweep reads — the medium's 1-byte flags
+// and one 32-byte sweep record (store.go).
+func BenchmarkSweepSteadyState50k(b *testing.B) {
+	spacing := netsim.DefaultOptions(100, 1).GridSpacing
+	opt := netsim.DefaultOptions(100, exp.RegionRadiusFor(50_000, spacing))
+	opt.Seed = 1
+	s := settledField(b, opt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -178,7 +178,9 @@ func (n *Network) Now() float64 {
 	return n.nw.Engine().Now()
 }
 
-// Join adds a small node at p to the running network and returns its ID.
+// Join adds a small node at p to the running network and returns its
+// ID. A point with a NaN or infinite coordinate adds nothing and
+// returns None.
 func (n *Network) Join(p Point) NodeID {
 	return n.nw.Join(geom.Point(p))
 }
@@ -188,7 +190,8 @@ func (n *Network) Kill(id NodeID) {
 	n.nw.Kill(id)
 }
 
-// Move changes a node's position.
+// Move changes a node's position. A point with a NaN or infinite
+// coordinate leaves the node where it is.
 func (n *Network) Move(id NodeID, p Point) {
 	n.nw.Move(id, geom.Point(p))
 }

@@ -169,6 +169,47 @@ func TestJoinAndInfo(t *testing.T) {
 	}
 }
 
+// TestJoinAndMoveRejectNonFinite checks the public API refuses a point
+// with a NaN or infinite coordinate, in X or in Y: Join returns None
+// and adds no node, and Move leaves the node where it is.
+func TestJoinAndMoveRejectNonFinite(t *testing.T) {
+	net := demoNetwork(t)
+	net.EnableSelfHealing(Mobile)
+	var member NodeID = None
+	for _, c := range net.Cells() {
+		if !c.IsBig && len(c.Members) > 0 {
+			member = c.Members[0]
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		p    Point
+	}{
+		{"NaN X", Point{X: math.NaN(), Y: 10}},
+		{"NaN Y", Point{X: 10, Y: math.NaN()}},
+		{"+Inf X", Point{X: math.Inf(1), Y: 10}},
+		{"-Inf X", Point{X: math.Inf(-1), Y: 10}},
+		{"+Inf Y", Point{X: 10, Y: math.Inf(1)}},
+		{"-Inf Y", Point{X: 10, Y: math.Inf(-1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := net.Stats()
+			if id := net.Join(tc.p); id != None {
+				t.Errorf("Join returned %d, want None", id)
+			}
+			if after := net.Stats(); after.Nodes != before.Nodes {
+				t.Errorf("Join changed the node count to %d, want %d", after.Nodes, before.Nodes)
+			}
+			info, _ := net.NodeInfo(member)
+			net.Move(member, tc.p)
+			if got, _ := net.NodeInfo(member); got.Pos != info.Pos {
+				t.Errorf("Move put node %d at %v, want it left at %v", member, got.Pos, info.Pos)
+			}
+		})
+	}
+}
+
 func TestMoveSmallNode(t *testing.T) {
 	net := demoNetwork(t)
 	net.EnableSelfHealing(Mobile)

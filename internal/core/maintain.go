@@ -169,10 +169,12 @@ func (nw *Network) sweep(id radio.NodeID) {
 // reports whether the node should be rescheduled. It is the unit the
 // quiescence cache elides: when the node's recorded sweep is provably
 // still current, only the mandatory per-sweep work (counters, energy)
-// happens and the recorded accounting is counted for replay.
+// happens and the recorded accounting is counted for replay. Until a
+// full body runs it reads no Node: liveness and the head role come from
+// the medium, bigness from the ID, and the counter from the node's
+// sweep record (see store.go).
 func (nw *Network) sweepOnce(id radio.NodeID) bool {
-	n := nw.node(id)
-	if n == nil || n.Status == StatusDead {
+	if !nw.Alive(id) {
 		return false
 	}
 	// Transient blackout (fault layer): a blacked-out node keeps its
@@ -182,20 +184,24 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 	if nw.med.InBlackout(id) {
 		return true
 	}
-	if !n.IsBig {
+	isBig := id == nw.bigID
+	if !isBig {
 		if sweeps, ok := nw.faults.BlackoutStart(); ok {
 			nw.beginBlackout(id, sweeps*nw.cfg.HeartbeatInterval)
 			return true
 		}
 	}
-	nw.coldOf(id).sweep++
+	rec := nw.recordOf(id)
+	rec.sweep++
+	sweep := rec.sweep
 
-	nw.drainEnergy(n)
-	if n.Status == StatusDead {
+	// The energy model (lifetime experiments) drains every small node;
+	// the big node is mains-powered in the paper's model and never dies.
+	if nw.cfg.InitialEnergy != 0 && !isBig && !nw.drainEnergy(id) {
 		return false
 	}
 
-	if nw.quiescentSweep(n) {
+	if nw.quiescentSweep(id) {
 		nw.sweepReplays++
 		return true
 	}
@@ -207,7 +213,8 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 	// Record a fresh quiescent delta only when the full sweep proves
 	// itself a no-op: the topology epoch not moving across the body
 	// means no touch fired, i.e. every write was value-identical.
-	cacheable := nw.cacheable() && !n.IsBig
+	n := nw.node(id)
+	cacheable := nw.cacheable() && !isBig
 	var epochBefore uint64
 	var statsBefore radio.Stats
 	var metricsBefore Metrics
@@ -218,14 +225,14 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 	}
 
 	switch {
-	case n.IsBig:
+	case isBig:
 		nw.sweepBig(n)
 	case n.Status.IsHeadRole():
 		nw.headIntraCell(n)
 		if n.Status.IsHeadRole() { // may have retreated
 			nw.headInterCell(n)
 		}
-		if n.Status.IsHeadRole() && nw.coldOf(id).sweep%SanityCheckEvery == 0 {
+		if n.Status.IsHeadRole() && sweep%SanityCheckEvery == 0 {
 			nw.SanityCheck(id)
 		}
 	case n.Status == StatusAssociate:
@@ -246,13 +253,12 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 // recorded accounting (a replay count, credited by creditReplays, and
 // for rescan sweeps the HEAD_ORG trace event) and skip
 // the scans entirely. Returns false when the full sweep must run.
-func (nw *Network) quiescentSweep(n *Node) bool {
-	if n.IsBig || !nw.cacheable() {
+func (nw *Network) quiescentSweep(id radio.NodeID) bool {
+	if id == nw.bigID || !nw.cacheable() {
 		return false
 	}
-	cd := nw.coldOf(n.ID)
-	c := nw.cacheFor(n.ID)
-	isHead := n.Status.IsHeadRole()
+	c := nw.recordOf(id)
+	isHead := nw.med.IsHead(id)
 	rescanDue := false
 	if isHead {
 		// An imminent low-energy retreat is precisely a non-quiescent
@@ -262,13 +268,13 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 		// body repairs the child. Only a head recorded sane may skip a
 		// SANITY_CHECK round (an insane one might have to retreat this
 		// time).
-		if nw.lowEnergy(n) {
+		if nw.lowEnergy(id) {
 			return false
 		}
-		if !c.sane && cd.sweep%SanityCheckEvery == 0 {
+		if !c.sane && c.sweep%SanityCheckEvery == 0 {
 			return false
 		}
-		rescanDue = cd.sweep%uint32(nw.cfg.BoundaryRescanEvery) == 0
+		rescanDue = c.sweep%uint32(nw.cfg.BoundaryRescanEvery) == 0
 	}
 	d := c.plain
 	if rescanDue {
@@ -278,16 +284,17 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 		return false
 	}
 	if world := nw.worldEpoch(isHead); world != c.worldStamp {
-		if nw.coneEpoch(n.ID, isHead) != c.regionStamp {
+		if nw.coneEpoch(id, isHead) != c.regionStamp {
 			return false
 		}
 		c.worldStamp = world
 	}
 	nw.deltas.replay(d)
-	if rescanDue {
+	if rescanDue && nw.tracer != nil {
 		// The elided rescan's externally visible side: its HEAD_ORG
-		// trace event.
-		nw.emit(trace.KindHeadOrg, n.ID, radio.None, n.IL)
+		// trace event. The tracer test comes first so an untraced
+		// replay reads no Node.
+		nw.emit(trace.KindHeadOrg, id, radio.None, nw.node(id).IL)
 	}
 	return true
 }
@@ -299,7 +306,7 @@ func (nw *Network) quiescentSweep(n *Node) bool {
 // moved since the sibling flavor was recorded, that sibling describes a
 // stale neighborhood and is dropped.
 func (nw *Network) recordSweep(n *Node, statsBefore radio.Stats, metricsBefore Metrics) {
-	c := nw.cacheFor(n.ID)
+	c := nw.recordOf(n.ID)
 	isHead := n.Status.IsHeadRole()
 	cone := nw.coneRadius(isHead)
 	// A sweep that reads a live node beyond the cone (possible when
@@ -388,21 +395,22 @@ func (nw *Network) restoreFromBlackout(id radio.NodeID) {
 	}
 }
 
-// drainEnergy applies the energy model for one sweep interval. The big
-// node is mains-powered in the paper's model and never dies.
-func (nw *Network) drainEnergy(n *Node) {
-	if nw.cfg.InitialEnergy == 0 || n.IsBig {
-		return
-	}
+// drainEnergy charges small node id one sweep interval of the energy
+// model and reports whether the node survived it. Its one caller,
+// sweepOnce, tests that the model is on, so a sweep without it makes no
+// call.
+func (nw *Network) drainEnergy(id radio.NodeID) bool {
 	rate := nw.cfg.AssociateDissipation
-	if n.Status.IsHeadRole() {
+	if nw.med.IsHead(id) {
 		rate *= nw.cfg.HeadEnergyFactor
 	}
-	cd := nw.coldOf(n.ID)
+	cd := nw.coldOf(id)
 	cd.Energy -= rate * nw.cfg.HeartbeatInterval
 	if cd.Energy <= 0 {
-		nw.Kill(n.ID)
+		nw.Kill(id)
+		return false
 	}
+	return true
 }
 
 // drainSendEnergy is the medium's send hook while per-send costs are
@@ -413,8 +421,7 @@ func (nw *Network) drainEnergy(n *Node) {
 // energy_death event re-checks and kills after the current action
 // completes, which is also when a real node's radio would brown out.
 func (nw *Network) drainSendEnergy(sender radio.NodeID, broadcast bool) {
-	n := nw.node(sender)
-	if n == nil || n.IsBig || n.Status == StatusDead {
+	if sender == nw.bigID || !nw.Alive(sender) {
 		return
 	}
 	cost := nw.cfg.UnicastCost
@@ -436,21 +443,20 @@ func (nw *Network) drainSendEnergy(sender radio.NodeID, broadcast bool) {
 // re-checks both liveness and energy: the node may already be dead, and
 // a node with charge left is never killed.
 func (nw *Network) energyDeath(id radio.NodeID) {
-	n := nw.node(id)
-	if n == nil || n.Status == StatusDead || nw.coldOf(id).Energy > 0 {
+	if !nw.Alive(id) || nw.coldOf(id).Energy > 0 {
 		return
 	}
 	nw.Kill(id)
 }
 
-// lowEnergy reports whether a head should proactively retreat: it could
-// not survive another sweep as head but could as an associate.
-func (nw *Network) lowEnergy(n *Node) bool {
-	if nw.cfg.InitialEnergy == 0 || n.IsBig {
+// lowEnergy reports whether head id should proactively retreat: it
+// could not survive another sweep as head but could as an associate.
+func (nw *Network) lowEnergy(id radio.NodeID) bool {
+	if nw.cfg.InitialEnergy == 0 || id == nw.bigID {
 		return false
 	}
 	headCost := nw.cfg.AssociateDissipation * nw.cfg.HeadEnergyFactor * nw.cfg.HeartbeatInterval
-	return nw.coldOf(n.ID).Energy <= headCost
+	return nw.coldOf(id).Energy <= headCost
 }
 
 // ---- Intra-cell maintenance (HEAD_INTRA_CELL & friends) ----
@@ -475,7 +481,7 @@ func (nw *Network) headIntraCell(h *Node) {
 		nw.touch(cid)
 	}
 
-	if nw.lowEnergy(h) && len(candidates) > 0 {
+	if nw.lowEnergy(h.ID) && len(candidates) > 0 {
 		// head_retreat: the highest-ranked candidate takes over.
 		if best, ok := BestCandidate(h.IL, nw.cfg.GR, candidates, nw.Position); ok {
 			nw.transferHeadRole(h, nw.node(best))
@@ -775,7 +781,7 @@ func (nw *Network) headInterCell(h *Node) {
 	hc := nw.coldOf(h.ID)
 	repairDue := hc.pendingChildRepair
 	hc.pendingChildRepair = lostChild
-	if repairDue || hc.sweep%uint32(cfg.BoundaryRescanEvery) == 0 {
+	if repairDue || nw.recordOf(h.ID).sweep%uint32(cfg.BoundaryRescanEvery) == 0 {
 		hc.pendingChildRepair = false
 		nw.RescanAround(h.ID)
 	}
@@ -1012,8 +1018,12 @@ func (nw *Network) headStateValid(h *Node) bool {
 
 // Join adds a new small node at p to a running network and lets it find
 // a head (or stay bootup and retry on its sweeps). It returns the new
-// node's ID.
+// node's ID, or radio.None, adding and counting nothing, when p is not
+// finite.
 func (nw *Network) Join(p geom.Point) radio.NodeID {
+	if !p.Finite() {
+		return radio.None
+	}
 	id, _ := nw.AddNode(p, false)
 	nw.metrics.Joins++
 	nw.emit(trace.KindJoin, id, radio.None, p)

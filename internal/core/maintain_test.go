@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"gs3/internal/geom"
@@ -342,6 +343,38 @@ func TestCorruptHopsHealedByParentSeek(t *testing.T) {
 		t.Errorf("hops still corrupt: %d", got)
 	}
 	_ = cfg
+}
+
+// TestCorruptHopsSaturates pins CorruptHops' float-to-int32 conversion:
+// a NaN delta leaves the hop count unchanged, and any other delta is
+// saturated into [0, unknownHops] first, so no delta reaches a
+// conversion whose result the Go spec leaves to the architecture.
+func TestCorruptHopsSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		delta float64
+		want  int32 // -1: unchanged
+	}{
+		{"NaN", math.NaN(), -1},
+		{"+Inf", math.Inf(1), unknownHops},
+		{"-Inf", math.Inf(-1), 0},
+		{"1e10", 1e10, unknownHops},
+		{"-1e10", -1e10, 0},
+		{"9999", 9999, 9999},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, cfg := configureDynamic(t, 400)
+			victim := someSmallHead(t, nw, 400, cfg.HeadSpacing())
+			want := tc.want
+			if want < 0 {
+				want = nw.Node(victim.ID).Hops
+			}
+			nw.Corrupt(victim.ID, CorruptHops, tc.delta)
+			if got := nw.Node(victim.ID).Hops; got != want {
+				t.Errorf("Corrupt(CorruptHops, %v): hops %d, want %d", tc.delta, got, want)
+			}
+		})
+	}
 }
 
 func TestParentSeekPicksMinHops(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"gs3/internal/geom"
@@ -201,5 +202,57 @@ func TestMoveDeadNodeIgnored(t *testing.T) {
 	nw.Move(id, geom.Point{X: 1, Y: 1}) // no panic, no resurrection
 	if nw.Alive(id) {
 		t.Error("moving a dead node revived it")
+	}
+}
+
+// TestNonFinitePositionsRejected pins the one door non-finite positions
+// used to get through: for a NaN or infinite coordinate, in X or in Y,
+// Join adds no node, counts no join and returns radio.None, and Move
+// leaves the node where it is, with the topology epoch unmoved.
+func TestNonFinitePositionsRejected(t *testing.T) {
+	nw, _ := configureMobile(t, 300)
+	var small radio.NodeID = radio.None
+	for _, id := range nw.SortedIDs() {
+		if id != nw.BigID() && nw.Alive(id) {
+			small = id
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		p    geom.Point
+	}{
+		{"NaN X", geom.Point{X: math.NaN(), Y: 10}},
+		{"NaN Y", geom.Point{X: 10, Y: math.NaN()}},
+		{"+Inf X", geom.Point{X: math.Inf(1), Y: 10}},
+		{"-Inf X", geom.Point{X: math.Inf(-1), Y: 10}},
+		{"+Inf Y", geom.Point{X: 10, Y: math.Inf(1)}},
+		{"-Inf Y", geom.Point{X: 10, Y: math.Inf(-1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, count, joins := len(nw.SortedIDs()), nw.Medium().Count(), nw.Metrics().Joins
+			if id := nw.Join(tc.p); id != radio.None {
+				t.Errorf("Join returned %d, want radio.None", id)
+			}
+			if got := len(nw.SortedIDs()); got != nodes {
+				t.Errorf("Join added a node: %d IDs, want %d", got, nodes)
+			}
+			if got := nw.Medium().Count(); got != count {
+				t.Errorf("Join placed a node: %d on the medium, want %d", got, count)
+			}
+			if got := nw.Metrics().Joins; got != joins {
+				t.Errorf("Join counted a join: %d, want %d", got, joins)
+			}
+			for _, id := range []radio.NodeID{small, nw.BigID()} {
+				pos, epoch := nw.Position(id), nw.Medium().Epoch()
+				nw.Move(id, tc.p)
+				if got := nw.Position(id); got != pos {
+					t.Errorf("Move put node %d at %v, want it left at %v", id, got, pos)
+				}
+				if got := nw.Medium().Epoch(); got != epoch {
+					t.Errorf("Move of node %d moved the topology epoch %d -> %d", id, epoch, got)
+				}
+			}
+		})
 	}
 }

@@ -36,13 +36,13 @@ type Network struct {
 
 	// The struct-of-arrays node store (see store.go): hot protocol
 	// state inline in nodes, cold per-node state in the parallel cold
-	// slice, lazily allocated sweep caches in caches, and the chunk
+	// slice, lazily allocated sweep records in records, and the chunk
 	// arena feeding Children/Neighbors lists.
-	nodes  []Node
-	cold   []nodeCold
-	caches []sweepCache
-	arena  idArena
-	nextID radio.NodeID
+	nodes   []Node
+	cold    []nodeCold
+	records []sweepRecord
+	arena   idArena
+	nextID  radio.NodeID
 
 	metrics Metrics
 
@@ -408,10 +408,11 @@ func (nw *Network) Position(id radio.NodeID) geom.Point {
 	return p
 }
 
-// Alive reports whether the node exists and is on the medium.
+// Alive reports whether the node exists and is on the medium. Kill, the
+// one writer of StatusDead, takes the node off the medium in the same
+// call, so a node is alive exactly when its Status is not StatusDead.
 func (nw *Network) Alive(id radio.NodeID) bool {
-	n := nw.node(id)
-	return n != nil && n.Status != StatusDead && nw.med.Alive(id)
+	return nw.med.Alive(id)
 }
 
 // SortedIDs returns all node IDs (including dead ones) in ascending
@@ -508,22 +509,22 @@ func (nw *Network) Candidates(h radio.NodeID) []radio.NodeID {
 // Kill removes a node from the network abruptly (fail-stop / death).
 // Healing is left to the maintenance actions of the surviving nodes.
 func (nw *Network) Kill(id radio.NodeID) {
-	n := nw.node(id)
-	if n == nil || n.Status == StatusDead {
+	if !nw.Alive(id) {
 		return
 	}
 	// Dead nodes stay listed by SortedIDs (the store keeps their slot),
 	// and the medium removal below clears the head-role index entry, so
 	// a plain status write suffices here.
-	n.Status = StatusDead
+	nw.node(id).Status = StatusDead
 	nw.emit(trace.KindDeath, id, radio.None, nw.Position(id))
 	nw.med.Remove(id)
 }
 
 // Move changes a node's position (GS³-M perturbation). The protocol
-// reacts through the maintenance sweeps.
+// reacts through the maintenance sweeps. A dead node stays dead, and a
+// position that is not finite leaves the node where it is.
 func (nw *Network) Move(id radio.NodeID, p geom.Point) {
-	if nw.Alive(id) {
+	if nw.Alive(id) && p.Finite() {
 		nw.med.Place(id, p)
 	}
 }

@@ -53,8 +53,10 @@ func (s Status) IsHeadRole() bool {
 // Nodes live inline in the network's dense slice (see store.go), not
 // behind individual heap pointers: a *Node is a pointer into that
 // slice, invalidated by the next AddNode/Join. Cold per-node state —
-// energy, mobility proxy, sweep counters, caches — lives in parallel
-// arrays keyed by the same dense ID (nodeCold, sweepCache).
+// energy, mobility proxy, the sweep counter and cache — lives in
+// parallel arrays keyed by the same dense ID (nodeCold, sweepRecord).
+// A settled sweep reads no Node at all: liveness and the head role
+// come from the medium, bigness from the ID (sweepOnce).
 type Node struct {
 	ID    radio.NodeID
 	IsBig bool
@@ -94,7 +96,7 @@ type Node struct {
 // produced. A sweep elided by the fast path replays the delta so every
 // printed statistic matches a run that did the work. Deltas are
 // interned network-wide (deltaTable), because a settled field produces
-// only a few dozen distinct ones; each node's cache holds table
+// only a few dozen distinct ones; each node's sweep record holds table
 // indices, not deltas.
 type sweepDelta struct {
 	stats   radio.Stats
@@ -103,7 +105,7 @@ type sweepDelta struct {
 
 // deltaTable interns a network's distinct sweep deltas and counts the
 // replays of each that are not yet credited to the live counters.
-// Index 0 is reserved: a cache flavor holding it has nothing recorded.
+// Index 0 is reserved: a flavor holding it has nothing recorded.
 // A replay only bumps its index's count; Network.creditReplays adds
 // count × delta once per index, so a settled batch of thousands of
 // replays costs a few dozen counter additions.
@@ -140,7 +142,8 @@ func (t *deltaTable) replay(i uint32) {
 	t.counts[i]++
 }
 
-// sweepCache holds a node's recorded quiescent sweeps as deltaTable
+// sweepRecord is everything a settled sweep reads of its node: the
+// sweep counter and the node's recorded quiescent sweeps, as deltaTable
 // indices. Two flavors exist because a head's periodic boundary rescan
 // produces a different (but equally state-preserving) counter delta
 // than a plain heartbeat sweep. The stamps tie both flavors to the
@@ -148,11 +151,14 @@ func (t *deltaTable) replay(i uint32) {
 // the global epoch (an O(1) "nothing anywhere changed" test),
 // regionStamp the cone maximum (the precise test when the world moved
 // elsewhere).
-type sweepCache struct {
+type sweepRecord struct {
 	worldStamp  uint64
 	regionStamp uint64
 	plain       uint32
 	rescan      uint32
+	// sweep counts maintenance rounds, for the periodic sub-actions
+	// (SANITY_CHECK, boundary rescan).
+	sweep uint32
 	// sane records whether the head's state passed the sanity-check
 	// predicate at record time; only a sane head may skip its periodic
 	// SANITY_CHECK sweeps (an insane one might need to retreat).

@@ -104,7 +104,7 @@ func TestQuiescentSweepZeroAllocs(t *testing.T) {
 		if n == nil || n.IsBig || n.Status == StatusDead {
 			continue
 		}
-		c := nw.cacheFor(id)
+		c := nw.recordOf(id)
 		if n.Status.IsHeadRole() && c.plain != 0 && c.rescan != 0 && c.sane {
 			if headID == radio.None {
 				headID = id
@@ -151,7 +151,7 @@ func TestQuiescentSweepReplaysAccounting(t *testing.T) {
 	var n *Node
 	for _, id := range nw.SortedIDs() {
 		cand := nw.node(id)
-		if cand != nil && !cand.IsBig && cand.Status == StatusAssociate && nw.cacheFor(id).plain != 0 {
+		if cand != nil && !cand.IsBig && cand.Status == StatusAssociate && nw.recordOf(id).plain != 0 {
 			n = cand
 			break
 		}
@@ -159,12 +159,12 @@ func TestQuiescentSweepReplaysAccounting(t *testing.T) {
 	if n == nil {
 		t.Fatal("no cached associate after settling")
 	}
-	want := &nw.deltas.deltas[nw.cacheFor(n.ID).plain]
+	want := &nw.deltas.deltas[nw.recordOf(n.ID).plain]
 	statsBefore := nw.med.Stats()
 	metricsBefore := nw.metrics
 	const replays = 3
 	for i := 0; i < replays; i++ {
-		if !nw.quiescentSweep(n) {
+		if !nw.quiescentSweep(n.ID) {
 			t.Fatal("quiescentSweep declined a valid cached associate")
 		}
 	}
@@ -193,22 +193,33 @@ func times[T radio.Stats | Metrics](c T, k uint64) T {
 	return c
 }
 
-// TestSweepCacheSize pins the per-node sweep cache at 32 bytes (two
-// delta-table indices, two epoch stamps, the sanity bit), next to the
-// field-width audit in store.go: at million-node scale every byte of
-// it is a megabyte.
-func TestSweepCacheSize(t *testing.T) {
-	if got := unsafe.Sizeof(sweepCache{}); got > 32 {
-		t.Errorf("sizeof(sweepCache) = %d B, want <= 32", got)
+// TestNodeSize pins the two halves of a node's state next to the
+// field-width audit in store.go, because at million-node scale every
+// byte of them is a megabyte. The hot Node is 176 bytes, its size
+// before the chose stamp joined it: Candidate sits beside Status, in
+// padding, which pays for the stamp's 8 bytes. nodeCold is 16 bytes,
+// its fields ordered widest first.
+func TestNodeSize(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Node", unsafe.Sizeof(Node{}), 176},
+		{"nodeCold", unsafe.Sizeof(nodeCold{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d B, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
-// TestNodeSize pins the hot per-node state at 176 bytes, its size
-// before the chose stamp joined it: Candidate sits beside Status, in
-// padding, which pays for the stamp's 8 bytes.
-func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 176 {
-		t.Errorf("sizeof(Node) = %d B, want 176", got)
+// TestSweepCacheSize pins the per-node sweep record, the one record a
+// settled sweep reads, at 32 bytes (two epoch stamps, two delta-table
+// indices, the sweep counter and the sanity bit), for the same reason
+// as TestNodeSize.
+func TestSweepCacheSize(t *testing.T) {
+	if got := unsafe.Sizeof(sweepRecord{}); got != 32 {
+		t.Errorf("sizeof(sweepRecord) = %d B, want 32", got)
 	}
 }
 
@@ -244,7 +255,7 @@ func TestPendingChildRepairLeavesCacheStale(t *testing.T) {
 				continue
 			}
 			flagged++
-			c := nw.cacheFor(id)
+			c := nw.recordOf(id)
 			recorded := c.plain != 0 || c.rescan != 0
 			if recorded && nw.coneEpoch(id, true) == c.regionStamp {
 				t.Errorf("heartbeat %d: head %d has a pending child repair and a current sweep cache", beat, id)

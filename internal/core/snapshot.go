@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"gs3/internal/geom"
@@ -171,8 +172,10 @@ const (
 
 // Corrupt injects a state corruption at node id: displace its IL, smash
 // its hop count, or flip an associate into a bogus head. delta scales
-// the damage (for CorruptIL it is the displacement distance). Healing is
-// left to sanity checking and the maintenance sweeps.
+// the damage (for CorruptIL it is the displacement distance; for
+// CorruptHops the new hop count, saturated into [0, unknownHops] and
+// truncated, with NaN leaving the count alone). Healing is left to
+// sanity checking and the maintenance sweeps.
 func (nw *Network) Corrupt(id radio.NodeID, kind CorruptionKind, delta float64) {
 	n := nw.node(id)
 	if n == nil || n.Status == StatusDead {
@@ -186,8 +189,8 @@ func (nw *Network) Corrupt(id radio.NodeID, kind CorruptionKind, delta float64) 
 			n.IL = n.IL.Add(geom.UnitAt(float64(id)).Scale(delta))
 		}
 	case CorruptHops:
-		if n.Status.IsHeadRole() {
-			nw.setParent(n, n.Parent, n.ParentIL, int32(delta))
+		if n.Status.IsHeadRole() && !math.IsNaN(delta) {
+			nw.setParent(n, n.Parent, n.ParentIL, int32(min(max(delta, 0), unknownHops)))
 		}
 	case CorruptStatus:
 		if n.Status == StatusAssociate {

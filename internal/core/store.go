@@ -6,15 +6,23 @@ import "gs3/internal/radio"
 // small integers allocated sequentially from 0, so per-node state lives
 // in parallel ID-indexed slices instead of a map of heap pointers:
 //
-//   - nodes []Node       — the hot protocol state (node.go), inline;
-//   - cold  []nodeCold   — fields no configure/sweep inner loop reads;
-//   - caches []sweepCache — the quiescent-sweep caches, allocated lazily
-//     on the first maintenance sweep so configure-only runs (the
-//     million-node scaling experiments) never pay for them.
+//   - nodes   []Node        — the hot protocol state (node.go), inline;
+//   - cold    []nodeCold    — fields no configure/sweep inner loop reads;
+//   - records []sweepRecord — the sweep counters and quiescent-sweep
+//     caches, allocated lazily on the first maintenance sweep so
+//     configure-only runs (the million-node scaling experiments) never
+//     pay for them.
 //
-// The layout makes a cold configure cache-friendly (sequential sweeps
-// walk contiguous memory) and collapses per-node allocation to a
-// handful of slab growths. The cost is a pointer-stability contract:
+// The layout collapses per-node allocation to a handful of slab
+// growths. It does not make sweeps sequential: a heartbeat phase batch
+// sweeps every 17th ID (StartMaintenance), a 2,992-byte stride through
+// nodes, past what a hardware stride prefetcher follows, and almost a
+// new 4-KB page per node. So a settled sweep reads no Node: it reads
+// liveness (Medium.Alive), the head role (Medium.IsHead) and, while
+// blackouts are on, Medium.InBlackout from the medium's 1-byte
+// per-node arrays, compares the ID with the big node's, and reads one
+// sweepRecord, at a 544-byte stride. The Node is read only when a full
+// sweep body runs. The cost is a pointer-stability contract:
 // a *Node points into the slice and is invalidated by AddNode/Join.
 // No protocol path holds a *Node across an AddNode — joins happen
 // between engine events — and external callers get snapshots.
@@ -22,10 +30,12 @@ import "gs3/internal/radio"
 // Field widths are audited against their actual ranges, because at
 // million-node scale every byte here is a megabyte: radio.NodeID is
 // int32 (dense IDs), Status is uint8, Node.Hops and the SpiralIndex
-// ranks are int32 (unknownHops = 1<<20 is the ceiling), nodeCold.sweep
-// is uint32, a Node is 176 bytes (Candidate packs beside Status, which
-// pays for the chose stamp), and a sweepCache is 32 bytes: two uint32
-// indices into the network's interned table of sweep deltas (node.go).
+// ranks are int32 (unknownHops = 1<<20 is the ceiling), the sweep
+// counter is uint32, a Node is 176 bytes (Candidate packs beside
+// Status, which pays for the chose stamp), a nodeCold is 16 bytes, and
+// a sweepRecord is 32 bytes: two epoch stamps, two uint32 indices into
+// the network's interned table of sweep deltas (node.go), the counter
+// and the sanity bit.
 // Snapshot/JSON view types keep wide ints, so none of this narrows the
 // wire form. The other per-node line item — the engine's event
 // bookkeeping — is one 16-byte bucket entry per queued event in
@@ -40,16 +50,15 @@ import "gs3/internal/radio"
 
 // nodeCold is the cold half of a node's state: fields that exist for
 // every node but are read only by low-frequency paths (mobility,
-// energy accounting, sweep scheduling), kept out of the hot Node
-// struct so configure and sweep loops don't drag them through cache.
+// energy accounting, child repair), kept out of the hot Node struct so
+// configure and sweep loops don't drag them through cache. The fields
+// are ordered widest first, which packs them into 16 bytes.
 type nodeCold struct {
+	// Energy is the node's remaining energy (the lifetime model).
+	Energy float64
 	// Proxy is the big-node mobility state (GS³-M): the head acting
 	// for the big node while it moves.
 	Proxy radio.NodeID
-	// Energy is the node's remaining energy (the lifetime model).
-	Energy float64
-	// sweep counts maintenance rounds, for low-frequency sub-actions.
-	sweep uint32
 	// pendingChildRepair delays parent-side repair of a lost child by
 	// one heartbeat, giving the cell's own head shift priority.
 	pendingChildRepair bool
@@ -109,14 +118,14 @@ func (nw *Network) coldOf(id radio.NodeID) *nodeCold {
 	return &nw.cold[id]
 }
 
-// cacheFor returns the node's quiescent-sweep cache, growing the cache
-// array to cover every node on first use (configure-only runs never
-// call this).
-func (nw *Network) cacheFor(id radio.NodeID) *sweepCache {
-	for len(nw.caches) < len(nw.nodes) {
-		nw.caches = append(nw.caches, sweepCache{})
+// recordOf returns the node's sweep record, growing the record array
+// to cover every node on first use (configure-only runs never call
+// this). The pointer is valid until the next AddNode/Join.
+func (nw *Network) recordOf(id radio.NodeID) *sweepRecord {
+	for len(nw.records) < len(nw.nodes) {
+		nw.records = append(nw.records, sweepRecord{})
 	}
-	return &nw.caches[id]
+	return &nw.records[id]
 }
 
 // Reserve pre-sizes the store (and the medium's per-node state) for n
@@ -132,7 +141,9 @@ func (nw *Network) Reserve(n int) {
 // setStatus is the one place a node's status changes (outside Kill,
 // whose medium removal clears the head index itself): it keeps the
 // medium's head-role index exactly in sync with Status.IsHeadRole, the
-// invariant headRoleAt and reachableHeadsAt depend on.
+// invariant headRoleAt, reachableHeadsAt and the sweep fast path
+// (Medium.IsHead) depend on. A lint (lint_test.go) holds every Status
+// write to this function and Kill.
 func (nw *Network) setStatus(n *Node, s Status) {
 	if n.Status == s {
 		return

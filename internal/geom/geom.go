@@ -30,6 +30,12 @@ func (p Point) Add(v Vec) Point {
 	return Point{p.X + v.X, p.Y + v.Y}
 }
 
+// Finite reports whether both coordinates of p are finite: neither NaN
+// nor infinite.
+func (p Point) Finite() bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+}
+
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)

@@ -307,7 +307,8 @@ func (s *Sim) Disasters() []DisasterRecord {
 }
 
 // RepopulateDisk adds fresh bootup nodes on a triangular grid of the
-// given spacing inside the disk, returning their IDs.
+// given spacing inside the disk, returning their IDs. A grid point the
+// network refuses to join (a non-finite one) is skipped.
 func (s *Sim) RepopulateDisk(c geom.Point, radius, spacing float64) []radio.NodeID {
 	var out []radio.NodeID
 	rowH := spacing * math.Sqrt(3) / 2
@@ -319,7 +320,9 @@ func (s *Sim) RepopulateDisk(c geom.Point, radius, spacing float64) []radio.Node
 		for col := -int(radius/spacing) - 1; float64(col)*spacing <= radius; col++ {
 			p := c.Add(geom.Vec{X: float64(col)*spacing + offset, Y: float64(row) * rowH})
 			if p.Dist(c) <= radius {
-				out = append(out, s.Net.Join(p))
+				if id := s.Net.Join(p); id != radio.None {
+					out = append(out, id)
+				}
 			}
 		}
 	}

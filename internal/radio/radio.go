@@ -555,6 +555,12 @@ func (m *Medium) Alive(id NodeID) bool {
 	return m.known(id) && m.on[id]
 }
 
+// IsHead reports whether id holds the head role in the index
+// SetHeadRole keeps; Remove clears it.
+func (m *Medium) IsHead(id NodeID) bool {
+	return m.known(id) && m.headRole[id]
+}
+
 // Position returns the node's position; ok is false if the node is not
 // on the medium.
 func (m *Medium) Position(id NodeID) (geom.Point, bool) {

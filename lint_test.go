@@ -94,8 +94,15 @@ func TestDocComments(t *testing.T) {
 // receiverExported reports whether fn is a plain function or a method
 // whose receiver type is itself exported.
 func receiverExported(fn *ast.FuncDecl) bool {
+	recv := receiverType(fn)
+	return recv == nil || recv.IsExported()
+}
+
+// receiverType returns the name of method fn's receiver type, or nil
+// for a plain function.
+func receiverType(fn *ast.FuncDecl) *ast.Ident {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return true
+		return nil
 	}
 	typ := fn.Recv.List[0].Type
 	for {
@@ -105,9 +112,9 @@ func receiverExported(fn *ast.FuncDecl) bool {
 		case *ast.IndexExpr:
 			typ = tt.X
 		case *ast.Ident:
-			return tt.IsExported()
+			return tt
 		default:
-			return true
+			return nil
 		}
 	}
 }
@@ -176,37 +183,11 @@ const linkHelpers = "internal/core/links.go"
 func TestLinkWritesStayInLinkHelpers(t *testing.T) {
 	src := parseSource(t)
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	var core *types.Package
-	for _, pkg := range typeCheck(t, src, info) {
-		if pkg.Path() == modulePath+"/internal/core" {
-			core = pkg
-		}
-	}
-	if core == nil {
-		t.Fatal("package core not found")
-	}
-	node := core.Scope().Lookup("Node").Type().Underlying().(*types.Struct)
-	fields := map[types.Object]bool{}
-	for i := 0; i < node.NumFields(); i++ {
-		if f := node.Field(i); slices.Contains(linkFields, f.Name()) {
-			fields[f] = true
-		}
-	}
+	core := corePackage(t, src, info)
+	fields := nodeFields(core, linkFields...)
 	touchLinks, _, _ := types.LookupFieldOrMethod(core.Scope().Lookup("Network").Type(), true, core, "touchLinks")
 	if len(fields) != len(linkFields) || touchLinks == nil {
 		t.Fatalf("core.Node has %d of the link fields %v, and touchLinks is %v", len(fields), linkFields, touchLinks)
-	}
-	// field returns the link field e writes, through its selector or an
-	// element of it, or nil.
-	field := func(e ast.Expr) types.Object {
-		e = ast.Unparen(e)
-		if ix, ok := e.(*ast.IndexExpr); ok {
-			e = ast.Unparen(ix.X)
-		}
-		if sel, ok := e.(*ast.SelectorExpr); ok && fields[info.Uses[sel.Sel]] {
-			return info.Uses[sel.Sel]
-		}
-		return nil
 	}
 	writes, calls := 0, 0
 	for _, dir := range src.dirs {
@@ -218,24 +199,14 @@ func TestLinkWritesStayInLinkHelpers(t *testing.T) {
 				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				var targets []ast.Expr
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					targets = n.Lhs
-				case *ast.IncDecStmt:
-					targets = []ast.Expr{n.X}
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						targets = []ast.Expr{n.X}
-					}
-				case *ast.CallExpr:
-					if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && info.Uses[sel.Sel] == touchLinks {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && info.Uses[sel.Sel] == touchLinks {
 						calls++
-						found(n.Pos(), "a call of touchLinks")
+						found(call.Pos(), "a call of touchLinks")
 					}
 				}
-				for _, e := range targets {
-					if obj := field(e); obj != nil {
+				for _, e := range writeTargets(n) {
+					if obj := writtenField(info, fields, e); obj != nil {
 						writes++
 						found(e.Pos(), "a write to Node."+obj.Name())
 					}
@@ -247,6 +218,118 @@ func TestLinkWritesStayInLinkHelpers(t *testing.T) {
 	if writes == 0 || calls == 0 {
 		t.Errorf("found %d link-field writes and %d touchLinks calls: the lint checks nothing", writes, calls)
 	}
+}
+
+// statusWriters are the only functions that may write core.Node.Status.
+// setStatus keeps the medium's head-role index in step with it, and
+// Kill writes StatusDead in the call that takes the node off the
+// medium. The sweep fast path reads liveness and the head role from
+// the medium alone (sweepOnce), so a write anywhere else could leave
+// the node's status and the medium's answer apart.
+var statusWriters = []string{"core.Network.setStatus", "core.Network.Kill"}
+
+// TestStatusWritesStayInSetStatusAndKill fails on an assignment,
+// increment or address-taking of core.Node.Status anywhere in
+// production code but the statusWriters. The keys of a Node literal are
+// not writes: they set up a node before the medium holds it (AddNode).
+func TestStatusWritesStayInSetStatusAndKill(t *testing.T) {
+	src := parseSource(t)
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	fields := nodeFields(corePackage(t, src, info), "Status")
+	if len(fields) != 1 {
+		t.Fatal("core.Node has no Status field")
+	}
+	writes := map[string]int{}
+	for _, dir := range src.dirs {
+		for _, f := range src.files[dir] {
+			for _, decl := range f.Decls {
+				name := f.Name.Name // a package-level declaration
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					name = funcName(f.Name.Name, fn)
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					for _, e := range writeTargets(n) {
+						if writtenField(info, fields, e) == nil {
+							continue
+						}
+						writes[name]++
+						if !slices.Contains(statusWriters, name) {
+							t.Errorf("%s: %s writes Node.Status; only %v may", src.fset.Position(e.Pos()), name, statusWriters)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for _, name := range statusWriters {
+		if writes[name] == 0 {
+			t.Errorf("%s writes no Node.Status: the lint checks nothing", name)
+		}
+	}
+}
+
+// corePackage type-checks the tree into info and returns package core.
+func corePackage(t *testing.T, src *source, info *types.Info) *types.Package {
+	t.Helper()
+	for _, pkg := range typeCheck(t, src, info) {
+		if pkg.Path() == modulePath+"/internal/core" {
+			return pkg
+		}
+	}
+	t.Fatal("package core not found")
+	return nil
+}
+
+// nodeFields returns the fields of core.Node with the given names.
+func nodeFields(core *types.Package, names ...string) map[types.Object]bool {
+	node := core.Scope().Lookup("Node").Type().Underlying().(*types.Struct)
+	fields := map[types.Object]bool{}
+	for i := 0; i < node.NumFields(); i++ {
+		if f := node.Field(i); slices.Contains(names, f.Name()) {
+			fields[f] = true
+		}
+	}
+	return fields
+}
+
+// writeTargets returns the expressions n writes: the left-hand sides of
+// an assignment, the operand of an increment or decrement, and the
+// operand of an address-taking.
+func writeTargets(n ast.Node) []ast.Expr {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		return n.Lhs
+	case *ast.IncDecStmt:
+		return []ast.Expr{n.X}
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			return []ast.Expr{n.X}
+		}
+	}
+	return nil
+}
+
+// writtenField returns the field of fields that the write target e
+// names, through its selector or an element of it, or nil.
+func writtenField(info *types.Info, fields map[types.Object]bool, e ast.Expr) types.Object {
+	e = ast.Unparen(e)
+	if ix, ok := e.(*ast.IndexExpr); ok {
+		e = ast.Unparen(ix.X)
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok && fields[info.Uses[sel.Sel]] {
+		return info.Uses[sel.Sel]
+	}
+	return nil
+}
+
+// funcName names a function declaration of package pkg as pkg.Name, or
+// a method as pkg.Type.Name.
+func funcName(pkg string, fn *ast.FuncDecl) string {
+	if recv := receiverType(fn); recv != nil {
+		return pkg + "." + recv.Name + "." + fn.Name.Name
+	}
+	return pkg + "." + fn.Name.Name
 }
 
 // interfaceMethods are methods the standard library calls through its
@@ -337,7 +420,7 @@ func TestEveryIdentifierHasAProductionReader(t *testing.T) {
 var floatToInt = map[string]string{
 	"baseline.buildAdjacency": "open: HopCluster with a txRange of 1e-300, which it accepts; its one caller passes SR/3 and a finite field",
 	"core.StrengthenCell":     "open: R = 1 with Rt = 1e-300, which Config.Validate accepts (R/(√3·Rt) ≈ 6e299)",
-	"core.Corrupt":            "open: a CorruptHops delta of NaN or 1e10, passed through unchecked",
+	"core.Corrupt":            "fits: a CorruptHops delta of NaN leaves Hops unchanged, and any other is saturated into [0, unknownHops] before the conversion",
 	"exp.StructureLifetime":   "fits: it returns an error unless the static lifetime energy/(80·energy/400) is finite and positive, which bounds it to [2.5, 7.5] (5 but for subnormal rounding), and converts that times the mean cell size plus 20, at most 7.5·(nodes + 20)",
 	"exp.VsHopCluster":        "fits: r/txRange = 3R/SR < √3, since SR = √3R + 2Rt",
 	"field.Grid":              "fits: it converts its row and column counts only once their product is at most 2³¹−1",
