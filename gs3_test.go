@@ -210,6 +210,35 @@ func TestJoinAndMoveRejectNonFinite(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFinitePositions checks New refuses a deployment with
+// a NaN or infinite coordinate anywhere, the big node's included, where
+// it used to keep such nodes as bootup nodes.
+func TestNewRejectsNonFinitePositions(t *testing.T) {
+	grid, err := GridDeployment(200, 22, 0.15, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+		p    Point
+	}{
+		{"NaN X", len(grid), Point{X: math.NaN(), Y: 0}},
+		{"+Inf X", len(grid), Point{X: math.Inf(1), Y: 5}},
+		{"-Inf Y", len(grid), Point{X: 5, Y: math.Inf(-1)}},
+		{"NaN Y mid-field", len(grid) / 2, Point{X: 10, Y: math.NaN()}},
+		{"big node +Inf Y", 0, Point{X: 0, Y: math.Inf(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pts := append([]Point(nil), grid...)
+			pts = append(pts[:tc.at], append([]Point{tc.p}, pts[tc.at:]...)...)
+			if net, err := New(Options{CellRadius: 100}, pts); err == nil {
+				t.Errorf("New accepted %v at index %d: %d nodes", tc.p, tc.at, net.Stats().Nodes)
+			}
+		})
+	}
+}
+
 func TestMoveSmallNode(t *testing.T) {
 	net := demoNetwork(t)
 	net.EnableSelfHealing(Mobile)

@@ -20,12 +20,8 @@ func (nw *Network) StartConfiguration() error {
 	}
 	big := nw.node(nw.bigID)
 	pos := nw.Position(nw.bigID)
-	nw.setStatus(big, StatusHead)
-	big.IL = pos
-	big.OIL = pos
-	big.Spiral = hexlat.SpiralIndex{}
 	nw.setParent(big, nw.bigID, pos, 0) // P(H₀) = H₀
-	nw.touch(nw.bigID)
+	nw.becomeHead(big, StatusHead, pos, pos, hexlat.SpiralIndex{})
 	nw.scheduleHeadOrg(nw.bigID, 0)
 	return nil
 }
@@ -74,18 +70,12 @@ func (nw *Network) orgRetry(id radio.NodeID, attempt int) {
 	nw.scheduleOrgRetry(id, attempt+1)
 }
 
-// orgIncomplete reports whether some neighboring IL of h is unowned yet
-// serviceable: no head owns it, no existing head conflicts with it, and
-// its candidate area holds at least one small node that could head it.
+// orgIncomplete reports whether some neighboring IL of h is free for a
+// new cell (ilClaim) yet serviceable: its candidate area holds at least
+// one small node that could head it.
 func (nw *Network) orgIncomplete(h *Node) bool {
-	for _, il := range nw.sixILs(h) {
-		if _, ok := nw.ilOwner(il); ok {
-			continue
-		}
-		if nw.ilConflicts(il) {
-			continue
-		}
-		if len(nw.smallAt(il, nw.cfg.Rt)) > 0 {
+	for _, il := range ilRing(nw.ilBuf[:0], nw.cfg, h.IL, h.ParentIL, true) {
+		if _, free := nw.ilClaim(il); free && len(nw.smallAt(il, nw.cfg.Rt)) > 0 {
 			return true
 		}
 	}
@@ -100,11 +90,10 @@ func (nw *Network) smallAt(p geom.Point, dist float64) []radio.NodeID {
 	})
 }
 
-// HeadOrg executes the HEAD_ORG module at head id: it discovers the
-// nodes in its search region, selects heads for the neighboring cells
-// whose ILs are not yet owned (HEAD_SELECT), announces the selection,
-// and lets the small nodes in range (re-)choose their best head
-// (ASSOCIATE_ORG_RESP). The head then transitions to status work.
+// HeadOrg executes the HEAD_ORG module at head id: one org round over
+// its search sector and its neighboring ILs (orgRound), after which the
+// head transitions to status work and, under faults, arms its retry
+// timer.
 //
 // The action is a no-op if id is dead or no longer in a head role —
 // exactly the behaviour of a crashed initiator in the paper's model.
@@ -113,46 +102,9 @@ func (nw *Network) HeadOrg(id radio.NodeID) {
 	if h == nil || !nw.Alive(id) || !h.Status.IsHeadRole() {
 		return
 	}
-	nw.metrics.HeadOrgs++
-	nw.emit(trace.KindHeadOrg, id, radio.None, h.IL)
-	cfg := nw.cfg
-
-	audience := nw.orgAudience(id)
-	receivers := nw.med.Broadcast(id, audience)
-
 	isRoot := h.IsBig && h.Parent == id
-	sector := SearchSector(cfg, h.IL, h.ParentIL, isRoot)
-
-	// Partition the responders. Head selection (HEAD_SELECT) considers
-	// only nodes inside the search sector, but ASSOCIATE_ORG_RESP runs
-	// at every small node that hears the org broadcast. The partitions
-	// live in the HEAD_ORG scratch: they are read across the whole
-	// action, including its nested queries.
-	smallNodes, allSmall := nw.orgSmall[:0], nw.orgAll[:0]
-	for _, rid := range receivers {
-		rn := nw.node(rid)
-		if rn == nil || !nw.Alive(rid) {
-			continue
-		}
-		if rn.Status == StatusBootup || rn.Status == StatusAssociate {
-			allSmall = append(allSmall, rid)
-		}
-		p := nw.Position(rid)
-		if !sector.Contains(p) {
-			continue
-		}
-		// Every sector member replies — existing heads included, though
-		// only small nodes feed HEAD_SELECT.
-		nw.metrics.ReplyMessages++
-		if rn.Status == StatusBootup || rn.Status == StatusAssociate {
-			smallNodes = append(smallNodes, rid)
-		}
-	}
-	nw.orgSmall, nw.orgAll = smallNodes, allSmall
-
-	nw.headSelect(h, neighborILsAppend(nw.ilBuf[:0], cfg, h.IL, h.ParentIL, isRoot), smallNodes)
-	nw.associateOrgResp(id, audience, allSmall)
-
+	sector := SearchSector(nw.cfg, h.IL, h.ParentIL, isRoot)
+	nw.orgRound(h, ilRing(nw.ilBuf[:0], nw.cfg, h.IL, h.ParentIL, isRoot), &sector)
 	if h.Status != StatusWork {
 		nw.setStatus(h, StatusWork) // Head→Work: no head-role flip
 		nw.touch(id)
@@ -160,20 +112,63 @@ func (nw *Network) HeadOrg(id radio.NodeID) {
 	nw.scheduleOrgRetry(id, 1)
 }
 
-// headSelect is HEAD_SELECT at head h over the neighboring ILs ils,
-// shared by HeadOrg and RescanAround: an IL some head already owns
-// becomes a neighbor link (Step 2); an IL too close to an existing
-// head is skipped; otherwise the best node of CA(il) among smallNodes
-// is promoted to head the new child cell, whose own HEAD_ORG follows
-// one org round later. An IL with an empty CA is an Rt-gap (or the
+// orgRound runs one HEAD_ORG round at head h (paper §3.2, Figure 3),
+// the module configuration and the boundary rescan share: it discovers
+// the nodes in its search region with the org broadcast, selects heads
+// for the neighboring cells at ils whose ILs are not yet owned
+// (HEAD_SELECT), announces the selection, and lets every small node
+// that heard it (re-)choose its best head (ASSOCIATE_ORG_RESP). A
+// receiver replies only from inside sector, and a nil sector (the
+// rescan's) lets every receiver reply; every replier counts a reply
+// message, existing heads included, though only small nodes feed
+// HEAD_SELECT.
+func (nw *Network) orgRound(h *Node, ils []geom.Point, sector *geom.Sector) {
+	id := h.ID
+	nw.metrics.HeadOrgs++
+	nw.emit(trace.KindHeadOrg, id, radio.None, h.IL)
+	audience := nw.orgAudience(id)
+	receivers := nw.med.Broadcast(id, audience)
+
+	// The partitions live in the HEAD_ORG scratch: they are read across
+	// the whole round, including its nested queries.
+	repliers, small := nw.orgSmall[:0], nw.orgAll[:0]
+	for _, rid := range receivers {
+		rn := nw.node(rid)
+		if rn == nil || !nw.Alive(rid) {
+			continue
+		}
+		isSmall := rn.Status == StatusBootup || rn.Status == StatusAssociate
+		if isSmall {
+			small = append(small, rid)
+		}
+		if sector != nil && !sector.Contains(nw.Position(rid)) {
+			continue
+		}
+		nw.metrics.ReplyMessages++
+		if isSmall {
+			repliers = append(repliers, rid)
+		}
+	}
+	nw.orgSmall, nw.orgAll = repliers, small
+
+	nw.headSelect(h, ils, repliers)
+	nw.associateOrgResp(id, audience, small)
+}
+
+// headSelect is HEAD_SELECT at head h over the neighboring ILs ils
+// (ilClaim decides each): an IL some head already owns becomes a
+// neighbor link (Step 2); an IL too close to an existing head is
+// skipped; otherwise the best node of CA(il) among smallNodes is
+// promoted to head the new child cell, whose own HEAD_ORG follows one
+// org round later. An IL with an empty CA is an Rt-gap (or the
 // boundary): GS³-D skips the cell and re-checks it on boundary rescans.
 func (nw *Network) headSelect(h *Node, ils []geom.Point, smallNodes []radio.NodeID) {
 	for _, il := range ils {
-		if owner, ok := nw.ilOwner(il); ok {
+		owner, free := nw.ilClaim(il)
+		if owner != radio.None {
 			nw.linkNeighbors(h.ID, owner)
-			continue
 		}
-		if nw.ilConflicts(il) {
+		if !free {
 			continue
 		}
 		best, ok := BestCandidate(il, nw.cfg.GR, nw.caOf(il, smallNodes), nw.Position)
@@ -316,27 +311,26 @@ func (nw *Network) headsHeard(gather []gatheredHead, p geom.Point, r2 float64, o
 	return out
 }
 
-// ilOwner reports whether some existing head owns the cell at il, i.e.
-// its own IL is within Rt of il. It prefers the closest owner.
-func (nw *Network) ilOwner(il geom.Point) (radio.NodeID, bool) {
-	best := radio.None
-	bestD := nw.cfg.Rt
-	for _, hid := range nw.headRoleAt(il, nw.cfg.Rt) {
-		hn := nw.node(hid)
-		if d := hn.IL.Dist(il); d <= bestD {
-			best, bestD = hid, d
-		}
-	}
-	return best, best != radio.None
-}
-
-// ilConflicts reports whether creating a cell head at il would put two
-// heads illegally close: some existing head sits within the minimum
-// legal neighbor-head distance √3R − 2Rt of il. A corrupted node's
+// ilClaim is HEAD_SELECT's test of a neighboring IL. owner is the head
+// that owns the cell at il — the closest existing head whose own IL is
+// within Rt of il — or radio.None. free reports whether a new cell may
+// be created at il: no head owns it, and no existing head sits within
+// the minimum legal neighbor-head distance √3R − 2Rt of it, where a
+// new head would put two heads illegally close. A corrupted node's
 // off-lattice ILs always conflict with the real structure, so this
 // guard keeps state corruption from cascading through HEAD_ORG.
-func (nw *Network) ilConflicts(il geom.Point) bool {
-	return len(nw.headRoleAt(il, nw.cfg.NeighborDistMin())) > 0
+func (nw *Network) ilClaim(il geom.Point) (owner radio.NodeID, free bool) {
+	owner = radio.None
+	bestD := nw.cfg.Rt
+	for _, hid := range nw.headRoleAt(il, nw.cfg.Rt) {
+		if d := nw.node(hid).IL.Dist(il); d <= bestD {
+			owner, bestD = hid, d
+		}
+	}
+	if owner != radio.None {
+		return owner, false
+	}
+	return radio.None, len(nw.headRoleAt(il, nw.cfg.NeighborDistMin())) == 0
 }
 
 // caOf returns CA(il): the small nodes within Rt of il (HEAD_SELECT
@@ -359,14 +353,8 @@ func (nw *Network) caOf(il geom.Point, smallNodes []radio.NodeID) []radio.NodeID
 // same-spiral neighbor ILs stay exactly √3·R apart even after slides.
 func (nw *Network) promoteToHead(id radio.NodeID, il geom.Point, scanner *Node, hops int32) {
 	n := nw.node(id)
-	nw.setStatus(n, StatusHead)
-	n.IL = il
-	n.OIL = il.Add(scanner.OIL.Sub(scanner.IL))
-	n.Spiral = scanner.Spiral
 	nw.setParent(n, scanner.ID, scanner.IL, hops)
-	n.Head = radio.None
-	n.Candidate = false
-	nw.touch(id)
+	nw.becomeHead(n, StatusHead, il, il.Add(scanner.OIL.Sub(scanner.IL)), scanner.Spiral)
 	nw.metrics.HeadsSelected++
 	nw.emit(trace.KindHeadSelected, id, scanner.ID, il)
 }
@@ -414,27 +402,20 @@ func (nw *Network) headChoice(p geom.Point, heads []radio.NodeID) (head radio.No
 
 // adoptHead applies small node n's headChoice: associate with head, as a
 // candidate of its cell when cand, or become bootup when head is
-// radio.None.
+// radio.None. Every write is guarded on change: a settled associate
+// re-choosing the same head (the steady-state outcome every sweep)
+// stays epoch-quiet.
 func (nw *Network) adoptHead(n *Node, head radio.NodeID, cand bool) {
 	if head == radio.None {
 		if n.Status != StatusBootup || n.Head != radio.None || n.Candidate {
 			nw.becomeBootup(n)
-			nw.touch(n.ID)
 		}
 		return
 	}
-	bn := nw.node(head)
-	// Guarded on change: a settled associate re-choosing the same head
-	// (the steady-state outcome every sweep) stays epoch-quiet.
-	if n.Status != StatusAssociate || n.Head != head || n.Candidate != cand ||
-		(cand && (n.CellIL != bn.IL || n.CellOIL != bn.OIL || n.CellSpiral != bn.Spiral)) {
+	if n.Status != StatusAssociate || n.Head != head {
 		nw.becomeAssociate(n, head)
-		n.Candidate = cand
-		if cand {
-			// Candidates replicate the cell state from the HeadSet
-			// broadcast so the cell survives its head's death.
-			n.CellIL, n.CellOIL, n.CellSpiral = bn.IL, bn.OIL, bn.Spiral
-		}
-		nw.touch(n.ID)
 	}
+	// Candidates replicate the cell state from the HeadSet broadcast so
+	// the cell survives its head's death.
+	nw.setCandidate(n, nw.node(head), cand)
 }

@@ -8,55 +8,57 @@ import (
 )
 
 // NeighborILs computes the ideal locations of the neighboring cells in a
-// head's search region (HEAD_SELECT Step 1, paper Figure 3).
-//
-// The reference direction RD′ is IL(P(i)) → IL(i); candidate ILs are the
-// points √3·R from IL(i) at angles j·60° from RD′. The big node (its own
-// parent, search region ⟨0°, 360°⟩) gets all six directions starting at
-// GR; every other head gets the three forward directions j ∈ {−1, 0, 1}
-// (search region ⟨−60°−a, 60°+a⟩).
+// head's search region (HEAD_SELECT Step 1, paper Figure 3): the big
+// node (its own parent, search region ⟨0°, 360°⟩) gets all six cells
+// around its own, every other head the three forward ones (search
+// region ⟨−60°−a, 60°+a⟩). See ilRing.
 func NeighborILs(cfg Config, il, parentIL geom.Point, isRoot bool) []geom.Point {
-	return neighborILsAppend(nil, cfg, il, parentIL, isRoot)
+	return ilRing(nil, cfg, il, parentIL, isRoot)
 }
 
-// neighborILsAppend is NeighborILs into a caller-provided buffer (at
-// most six entries are appended), so the configure hot path computes
-// the ILs without allocating.
-func neighborILsAppend(dst []geom.Point, cfg Config, il, parentIL geom.Point, isRoot bool) []geom.Point {
-	spacing := cfg.HeadSpacing()
-	if isRoot {
-		for j := 0; j < 6; j++ {
-			dst = append(dst, il.Add(geom.UnitAt(cfg.GR+float64(j)*math.Pi/3).Scale(spacing)))
-		}
-		return dst
+// ilRing appends to dst the ILs of the cells around the cell at il:
+// the points √3·R from il at angles base + j·60°, where base is the
+// reference direction (refAngle). all selects the full ring, j = 0…5,
+// which the big node's HEAD_ORG and every boundary rescan search;
+// otherwise it appends the three forward cells, j = −1, 0, 1. At most
+// six entries are appended, so HEAD_ORG computes its ILs into a fixed
+// buffer without allocating.
+func ilRing(dst []geom.Point, cfg Config, il, parentIL geom.Point, all bool) []geom.Point {
+	first, last := -1, 1
+	if all {
+		first, last = 0, 5
 	}
-	ref := il.Sub(parentIL)
-	if ref.Len() == 0 {
-		// Degenerate (corrupted) parent pointer: fall back to GR so the
-		// action stays total; sanity checking will repair the state.
-		ref = geom.UnitAt(cfg.GR)
-	}
-	base := ref.Angle()
-	for j := -1.0; j <= 1.0; j++ {
-		dst = append(dst, il.Add(geom.UnitAt(base+j*math.Pi/3).Scale(spacing)))
+	base, spacing := refAngle(cfg, il, parentIL), cfg.HeadSpacing()
+	for j := first; j <= last; j++ {
+		dst = append(dst, il.Add(geom.UnitAt(base+float64(j)*math.Pi/3).Scale(spacing)))
 	}
 	return dst
 }
 
+// refAngle is the angle of a head's reference direction RD′, IL(P(i)) →
+// IL(i), the one rule behind its neighboring ILs and its search sector.
+// When the two ILs coincide — the big node is its own parent, and a
+// corrupted parent pointer can do the same — or the direction is not a
+// number, it falls back to GR, so the action stays total; sanity
+// checking repairs a corrupted state.
+func refAngle(cfg Config, il, parentIL geom.Point) float64 {
+	if ref := il.Sub(parentIL); ref.Len() > 0 {
+		return ref.Angle()
+	}
+	return cfg.GR
+}
+
 // SearchSector returns the angular search region of a head for
 // organizing (HEAD_ORG's ⟨LD, RD⟩): the full circle for the big node,
-// ⟨−60°−a, 60°+a⟩ around IL(P(i))→IL(i) otherwise, with radius
-// √3·R + 2·Rt.
+// ⟨−60°−a, 60°+a⟩ around the reference direction (refAngle) otherwise,
+// with radius √3·R + 2·Rt.
 func SearchSector(cfg Config, il, parentIL geom.Point, isRoot bool) geom.Sector {
-	if isRoot {
-		return geom.NewSector(il, geom.UnitAt(cfg.GR), -math.Pi, math.Pi, cfg.SearchRadius())
+	lo, hi := -math.Pi, math.Pi
+	if !isRoot {
+		a := cfg.Alpha()
+		lo, hi = -math.Pi/3-a, math.Pi/3+a
 	}
-	ref := il.Sub(parentIL)
-	if ref.Len() == 0 {
-		ref = geom.UnitAt(cfg.GR)
-	}
-	a := cfg.Alpha()
-	return geom.NewSector(il, ref, -math.Pi/3-a, math.Pi/3+a, cfg.SearchRadius())
+	return geom.NewSector(il, refAngle(cfg, il, parentIL), lo, hi, cfg.SearchRadius())
 }
 
 // Ranked is a node together with its HEAD_SELECT ranking key.

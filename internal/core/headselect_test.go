@@ -166,6 +166,22 @@ func TestNeighborILsDegenerateParent(t *testing.T) {
 			t.Error("degenerate case produced malformed IL")
 		}
 	}
+
+	// The reference direction falls back to GR itself, not to the angle
+	// of GR's unit vector (refAngle): the forward ILs are then bit for
+	// bit those of the big node's full ring, which every boundary rescan
+	// shares. GR = 0.01 is a direction whose unit vector's angle reads
+	// 0.009999999999999998.
+	cfg.GR = 0.01
+	il = geom.Point{}
+	ils = NeighborILs(cfg, il, il, false)
+	ring := NeighborILs(cfg, il, il, true)
+	if want := il.Add(geom.UnitAt(cfg.GR).Scale(cfg.HeadSpacing())); ils[1] != want || ring[0] != want {
+		t.Errorf("GR-direction ILs %v (forward) and %v (ring), want %v", ils[1], ring[0], want)
+	}
+	if ils[2] != ring[1] {
+		t.Errorf("forward IL at GR+60° = %v, ring has %v", ils[2], ring[1])
+	}
 }
 
 func TestSearchSectorRoot(t *testing.T) {

@@ -186,7 +186,7 @@ func (nw *Network) sweepOnce(id radio.NodeID) bool {
 	}
 	isBig := id == nw.bigID
 	if !isBig {
-		if sweeps, ok := nw.faults.BlackoutStart(); ok {
+		if sweeps := nw.faults.BlackoutStart(); sweeps > 0 {
 			nw.beginBlackout(id, sweeps*nw.cfg.HeartbeatInterval)
 			return true
 		}
@@ -388,7 +388,6 @@ func (nw *Network) restoreFromBlackout(id radio.NodeID) {
 	for _, hid := range nw.headRoleAt(n.IL, nw.cfg.SearchRadius()) {
 		if hid != id && nw.node(hid).IL.Dist(n.IL) <= nw.cfg.Rt {
 			nw.becomeBootup(n)
-			nw.touch(id)
 			nw.ChooseHead(id)
 			return
 		}
@@ -472,13 +471,7 @@ func (nw *Network) headIntraCell(h *Node) {
 	// replica that is already current is left untouched so a steady
 	// state stays epoch-quiet.
 	for _, cid := range candidates {
-		c := nw.node(cid)
-		if c.Candidate && c.CellIL == h.IL && c.CellOIL == h.OIL && c.CellSpiral == h.Spiral {
-			continue
-		}
-		c.Candidate = true
-		c.CellIL, c.CellOIL, c.CellSpiral = h.IL, h.OIL, h.Spiral
-		nw.touch(cid)
+		nw.setCandidate(nw.node(cid), h, true)
 	}
 
 	if nw.lowEnergy(h.ID) && len(candidates) > 0 {
@@ -584,14 +577,8 @@ func (nw *Network) cellMembers(h *Node) []radio.NodeID {
 // a cell shift. Parent, children, and neighbor links are re-pointed.
 func (nw *Network) transferHeadRole(old, repl *Node) {
 	nw.emit(trace.KindHeadShift, old.ID, repl.ID, old.IL)
-	nw.setStatus(repl, StatusHead)
-	repl.IL, repl.OIL, repl.Spiral = old.IL, old.OIL, old.Spiral
 	nw.inheritLinks(repl, old)
-	repl.Head = radio.None
-	repl.Candidate = false
-	nw.touch(repl.ID)
-	nw.touch(old.ID)
-
+	nw.becomeHead(repl, StatusWork, old.IL, old.OIL, old.Spiral)
 	nw.repointLinks(old.ID, repl.ID)
 
 	if old.IsBig {
@@ -600,11 +587,14 @@ func (nw *Network) transferHeadRole(old, repl *Node) {
 		nw.setStatus(old, StatusBigSlide)
 		old.Head = repl.ID
 		nw.resetHeadState(old)
+		nw.touch(old.ID)
 	} else {
+		// The retiring head stays in the cell, as a candidate when it
+		// lies within Rt of the IL, with the cell's state replicated
+		// like any other candidate's.
 		nw.becomeAssociate(old, repl.ID)
-		old.Candidate = nw.Position(old.ID).Within(repl.IL, nw.cfg.Rt)
+		nw.setCandidate(old, repl, nw.Position(old.ID).Within(repl.IL, nw.cfg.Rt))
 	}
-	nw.setStatus(repl, StatusWork)
 }
 
 // repointLinks rewrites parent/children/neighbor references from old to
@@ -644,7 +634,6 @@ func (nw *Network) AbandonCell(id radio.NodeID) {
 	nw.emit(trace.KindAbandon, id, radio.None, h.IL)
 	for _, aid := range nw.Associates(id) {
 		nw.becomeBootup(nw.node(aid))
-		nw.touch(aid)
 	}
 	if h.IsBig {
 		nw.setStatus(h, StatusBigSlide)
@@ -653,7 +642,6 @@ func (nw *Network) AbandonCell(id radio.NodeID) {
 		return
 	}
 	nw.becomeBootup(h)
-	nw.touch(id)
 }
 
 // associateIntraCell is the maintenance sweep of an associate (and of a
@@ -666,17 +654,7 @@ func (nw *Network) associateIntraCell(n *Node) {
 		// Heartbeat succeeded: re-evaluate candidacy and head choice.
 		// Writes are guarded on change so a settled cell stays
 		// epoch-quiet sweep after sweep.
-		cand := nw.Position(n.ID).Within(head.IL, nw.cfg.Rt)
-		if cand {
-			if !n.Candidate || n.CellIL != head.IL || n.CellOIL != head.OIL || n.CellSpiral != head.Spiral {
-				n.Candidate = true
-				n.CellIL, n.CellOIL, n.CellSpiral = head.IL, head.OIL, head.Spiral
-				nw.touch(n.ID)
-			}
-		} else if n.Candidate {
-			n.Candidate = false
-			nw.touch(n.ID)
-		}
+		nw.setCandidate(n, head, nw.Position(n.ID).Within(head.IL, nw.cfg.Rt))
 		nw.ChooseHead(n.ID) // switch if a better head appeared
 		return
 	}
@@ -687,7 +665,6 @@ func (nw *Network) associateIntraCell(n *Node) {
 		return
 	}
 	nw.becomeBootup(n)
-	nw.touch(n.ID)
 	nw.ChooseHead(n.ID)
 }
 
@@ -715,17 +692,12 @@ func (nw *Network) electFromCandidates(detector *Node) {
 	best, ok := BestCandidate(il, nw.cfg.GR, candidates, nw.Position)
 	if !ok || nw.hearsHead(best, deadHead) {
 		nw.becomeBootup(detector)
-		nw.touch(detector.ID)
 		nw.ChooseHead(detector.ID)
 		return
 	}
 	repl := nw.node(best)
-	nw.setStatus(repl, StatusWork)
-	repl.IL, repl.OIL, repl.Spiral = detector.CellIL, detector.CellOIL, detector.CellSpiral
 	nw.setParent(repl, radio.None, repl.ParentIL, unknownHops) // re-acquired by inter-cell maintenance
-	repl.Head = radio.None
-	repl.Candidate = false
-	nw.touch(best)
+	nw.becomeHead(repl, StatusWork, detector.CellIL, detector.CellOIL, detector.CellSpiral)
 	nw.metrics.Promotions++
 	nw.metrics.HeadShifts++
 	nw.emit(trace.KindPromotion, best, deadHead, repl.IL)
@@ -860,51 +832,16 @@ func (nw *Network) isRootHead(h *Node) bool {
 }
 
 // RescanAround runs HEAD_ORG at head id over the full circle of six
-// neighboring ILs: the boundary-rescan and child-repair duty of
-// HEAD_INTER_CELL. Unowned ILs with a non-empty candidate area get a
-// head; newly appeared bootup nodes in range re-choose heads.
+// neighboring ILs (orgRound, with every receiver replying): the
+// boundary-rescan and child-repair duty of HEAD_INTER_CELL. Unowned ILs
+// with a non-empty candidate area get a head; newly appeared bootup
+// nodes in range re-choose heads.
 func (nw *Network) RescanAround(id radio.NodeID) {
 	h := nw.node(id)
 	if h == nil || !nw.Alive(id) || !h.Status.IsHeadRole() {
 		return
 	}
-	nw.metrics.HeadOrgs++
-	nw.emit(trace.KindHeadOrg, id, radio.None, h.IL)
-	audience := nw.orgAudience(id)
-	receivers := nw.med.Broadcast(id, audience)
-
-	// Every receiver replies; every small one is a HEAD_SELECT candidate
-	// and re-chooses its head afterwards.
-	smallNodes := nw.orgAll[:0]
-	for _, rid := range receivers {
-		rn := nw.node(rid)
-		if rn == nil || !nw.Alive(rid) {
-			continue
-		}
-		nw.metrics.ReplyMessages++
-		if rn.Status == StatusBootup || rn.Status == StatusAssociate {
-			smallNodes = append(smallNodes, rid)
-		}
-	}
-	nw.orgAll = smallNodes
-
-	nw.headSelect(h, nw.sixILs(h), smallNodes)
-	nw.associateOrgResp(id, audience, smallNodes)
-}
-
-// sixILs returns the six neighboring-cell ILs around h's cell, oriented
-// by the direction from the parent's IL (or GR at the root) — the full
-// local view of the cell lattice.
-func (nw *Network) sixILs(h *Node) []geom.Point {
-	base := nw.cfg.GR
-	if ref := h.IL.Sub(h.ParentIL); ref.Len() > 0 {
-		base = ref.Angle()
-	}
-	out := nw.ilBuf[:6]
-	for j := 0; j < 6; j++ {
-		out[j] = h.IL.Add(geom.UnitAt(base + float64(j)*math.Pi/3).Scale(nw.cfg.HeadSpacing()))
-	}
-	return out
+	nw.orgRound(h, ilRing(nw.ilBuf[:0], nw.cfg, h.IL, h.ParentIL, true), nil)
 }
 
 // ---- Sanity checking (SANITY_CHECK) ----
@@ -966,10 +903,8 @@ func (nw *Network) sanityRetreat(h *Node) {
 	id := h.ID
 	for _, aid := range nw.Associates(id) {
 		nw.becomeBootup(nw.node(aid))
-		nw.touch(aid)
 	}
 	nw.becomeBootup(h)
-	nw.touch(id)
 	nw.ChooseHead(id)
 }
 
@@ -1018,13 +953,13 @@ func (nw *Network) headStateValid(h *Node) bool {
 
 // Join adds a new small node at p to a running network and lets it find
 // a head (or stay bootup and retry on its sweeps). It returns the new
-// node's ID, or radio.None, adding and counting nothing, when p is not
-// finite.
+// node's ID, or radio.None, adding and counting nothing, when AddNode
+// refuses p (it is not finite).
 func (nw *Network) Join(p geom.Point) radio.NodeID {
-	if !p.Finite() {
+	id, err := nw.AddNode(p, false)
+	if err != nil {
 		return radio.None
 	}
-	id, _ := nw.AddNode(p, false)
 	nw.metrics.Joins++
 	nw.emit(trace.KindJoin, id, radio.None, p)
 	nw.ChooseHead(id)

@@ -495,3 +495,46 @@ func TestVariantSMaintenanceIsNoop(t *testing.T) {
 		t.Error("VariantS scheduled sweeps")
 	}
 }
+
+// TestRetiredHeadElectsAfterNewHeadDies hands every head that has
+// candidates over to its best one (head_retreat), kills the new head
+// before it sweeps, and runs the retired head's intra-cell maintenance.
+// The retired head stays in the cell as a candidate, so it must carry
+// the cell's state, like any candidate, and elect a replacement head.
+func TestRetiredHeadElectsAfterNewHeadDies(t *testing.T) {
+	settled := func() *Network {
+		nw, _ := configureDynamic(t, 400)
+		runSweeps(nw, 2)
+		return nw
+	}
+	var heads []radio.NodeID
+	probe := settled()
+	for _, h := range probe.Snapshot().Heads() {
+		if !h.IsBig && len(probe.Candidates(h.ID)) > 0 {
+			heads = append(heads, h.ID)
+		}
+	}
+	if len(heads) == 0 {
+		t.Fatal("no head has candidates")
+	}
+	for _, id := range heads {
+		nw := settled()
+		old := nw.node(id)
+		best, _ := BestCandidate(old.IL, nw.cfg.GR, nw.Candidates(id), nw.Position)
+		repl := nw.node(best)
+		nw.transferHeadRole(old, repl)
+		if !old.Candidate {
+			t.Errorf("head %d retired to %d outside Rt of its IL", id, best)
+			continue
+		}
+		if old.CellIL != repl.IL || old.CellOIL != repl.OIL || old.CellSpiral != repl.Spiral {
+			t.Errorf("head %d retired as a candidate with replica IL %v, the cell's is %v", id, old.CellIL, repl.IL)
+		}
+		nw.Kill(best)
+		promotions := nw.Metrics().Promotions
+		nw.associateIntraCell(old)
+		if nw.Metrics().Promotions == promotions {
+			t.Errorf("head %d retired, its successor %d died, and nobody was elected", id, best)
+		}
+	}
+}

@@ -205,10 +205,11 @@ func TestMoveDeadNodeIgnored(t *testing.T) {
 	}
 }
 
-// TestNonFinitePositionsRejected pins the one door non-finite positions
-// used to get through: for a NaN or infinite coordinate, in X or in Y,
-// Join adds no node, counts no join and returns radio.None, and Move
-// leaves the node where it is, with the topology epoch unmoved.
+// TestNonFinitePositionsRejected pins two of the doors non-finite
+// positions used to get through (AddNode, which Join relies on, is the
+// third): for a NaN or infinite coordinate, in X or in Y, Join adds no
+// node, counts no join and returns radio.None, and Move leaves the node
+// where it is, with the topology epoch unmoved.
 func TestNonFinitePositionsRejected(t *testing.T) {
 	nw, _ := configureMobile(t, 300)
 	var small radio.NodeID = radio.None

@@ -70,8 +70,8 @@ type Network struct {
 	// results for the same IL loop iteration.
 	caBuf []radio.NodeID
 
-	// ilBuf backs the neighboring ILs of a HEAD_ORG (neighborILsAppend,
-	// sixILs), audience its broadcasts' audience (orgAudience), and
+	// ilBuf backs the neighboring ILs of a HEAD_ORG round (ilRing),
+	// audience its broadcasts' audience (orgAudience), and
 	// orgSmall and orgAll its receiver-partition scratch (small nodes
 	// eligible for promotion; all small receivers). All four live
 	// across the whole HEAD_ORG or rescan — including its nested
@@ -193,10 +193,14 @@ func (nw *Network) registerKinds() {
 }
 
 // AddNode places a new node at p and returns its ID. The first big node
-// becomes the network's big node; adding a second big node is an error.
-// Growing the store may relocate it: any *Node held across an AddNode
-// is invalid (see store.go).
+// becomes the network's big node; adding a second big node, or a node at
+// a position that is not finite, is an error. Growing the store may
+// relocate it: any *Node held across an AddNode is invalid (see
+// store.go).
 func (nw *Network) AddNode(p geom.Point, big bool) (radio.NodeID, error) {
+	if !p.Finite() {
+		return radio.None, fmt.Errorf("core: node position %v is not finite", p)
+	}
 	if big && nw.bigID != radio.None {
 		return radio.None, fmt.Errorf("core: network already has big node %d", nw.bigID)
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "gs3/internal/radio"
+import (
+	"gs3/internal/geom"
+	"gs3/internal/hexlat"
+	"gs3/internal/radio"
+)
 
 // This file is the struct-of-arrays node store. Node IDs are dense
 // small integers allocated sequentially from 0, so per-node state lives
@@ -180,12 +184,29 @@ func (nw *Network) cloneIDs(s []radio.NodeID) []radio.NodeID {
 	return append(nw.arena.get(), s...)
 }
 
-// becomeAssociate transitions the node to associate of head h.
+// The role helpers below install a role on a node and report the change
+// with touch; a caller guards them on change where a steady state must
+// stay epoch-quiet. Links, which only heads read, go through links.go.
+
+// becomeHead installs the head role on n with status s (StatusHead or
+// StatusWork) for the cell at il, whose original IL is oil and whose
+// ⟨ICC, ICP⟩ shift state is spiral.
+func (nw *Network) becomeHead(n *Node, s Status, il, oil geom.Point, spiral hexlat.SpiralIndex) {
+	nw.setStatus(n, s)
+	n.IL, n.OIL, n.Spiral = il, oil, spiral
+	n.Head = radio.None
+	n.Candidate = false
+	nw.touch(n.ID)
+}
+
+// becomeAssociate transitions the node to a plain associate of head h
+// (setCandidate makes it a candidate).
 func (nw *Network) becomeAssociate(n *Node, h radio.NodeID) {
 	nw.setStatus(n, StatusAssociate)
 	n.Head = h
 	n.Candidate = false
 	nw.resetHeadState(n)
+	nw.touch(n.ID)
 }
 
 // becomeBootup clears all relationships.
@@ -194,4 +215,21 @@ func (nw *Network) becomeBootup(n *Node) {
 	n.Head = radio.None
 	n.Candidate = false
 	nw.resetHeadState(n)
+	nw.touch(n.ID)
+}
+
+// setCandidate writes associate n's candidacy in the cell of its head
+// h: a candidate carries a replica of the cell's state (IL, OIL and
+// shift state), which it needs to take the cell over when h dies, so
+// the flag and the replica are written together. It touches n only on
+// a change.
+func (nw *Network) setCandidate(n, h *Node, cand bool) {
+	if n.Candidate == cand && (!cand || n.CellIL == h.IL && n.CellOIL == h.OIL && n.CellSpiral == h.Spiral) {
+		return
+	}
+	n.Candidate = cand
+	if cand {
+		n.CellIL, n.CellOIL, n.CellSpiral = h.IL, h.OIL, h.Spiral
+	}
+	nw.touch(n.ID)
 }

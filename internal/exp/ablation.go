@@ -83,12 +83,7 @@ func RescanPeriodAblation(p runner.Pool, r, regionRadius float64, periods []int,
 		s.RunSweeps(2)
 
 		center := geom.Point{X: regionRadius / 3, Y: regionRadius / 5}
-		var lostILs []geom.Point
-		for _, h := range s.Net.Snapshot().Heads() {
-			if !h.IsBig && h.Pos.Dist(center) <= 150 {
-				lostILs = append(lostILs, h.IL)
-			}
-		}
+		healed := lostCells(s, center, 150)
 		s.KillDisk(center, 150)
 		s.RepopulateDisk(center, 150, opt.GridSpacing)
 
@@ -97,24 +92,7 @@ func RescanPeriodAblation(p runner.Pool, r, regionRadius float64, periods []int,
 		elapsed := -1.0
 		sweeps := 0
 		for i := 0; i < 40*period; i++ {
-			done := s.StableQuick()
-			if done {
-				heads := s.Net.Snapshot().Heads()
-				for _, il := range lostILs {
-					ok := false
-					for _, h := range heads {
-						if h.IL.Dist(il) <= opt.Config.Rt {
-							ok = true
-							break
-						}
-					}
-					if !ok {
-						done = false
-						break
-					}
-				}
-			}
-			if done {
+			if healed() {
 				elapsed = s.Net.Engine().Now() - start
 				break
 			}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gs3/internal/core"
 	"gs3/internal/geom"
@@ -38,41 +39,14 @@ func PerturbationConvergence(p runner.Pool, r, regionRadius float64, diameters [
 		s.RunSweeps(2)
 
 		center := geom.Point{X: regionRadius / 3, Y: regionRadius / 5}
-		// Record the ILs of the cells the perturbation destroys: the
-		// structure has healed when each is re-headed (every cleared
-		// cell re-established), not merely when survivors re-attach.
-		var lostILs []geom.Point
-		for _, h := range s.Net.Snapshot().Heads() {
-			if !h.IsBig && h.Pos.Dist(center) <= dp/2 {
-				lostILs = append(lostILs, h.IL)
-			}
-		}
+		healed := lostCells(s, center, dp/2)
 		killed := s.KillDisk(center, dp/2)
 		s.RepopulateDisk(center, dp/2, opt.GridSpacing)
 
 		start := s.Net.Engine().Now()
-		reestablished := func() bool {
-			if !s.StableQuick() {
-				return false
-			}
-			heads := s.Net.Snapshot().Heads()
-			for _, il := range lostILs {
-				ok := false
-				for _, h := range heads {
-					if h.IL.Dist(il) <= opt.Config.Rt {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					return false
-				}
-			}
-			return true
-		}
 		elapsed := -1.0
 		for i := 0; i < 400; i++ {
-			if reestablished() {
+			if healed() {
 				elapsed = s.Net.Engine().Now() - start
 				break
 			}
@@ -93,6 +67,33 @@ func PerturbationConvergence(p runner.Pool, r, regionRadius float64, diameters [
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("linear fit: time = %.4g*Dp %+.4g (R2=%.4f)", fit.Slope, fit.Intercept, fit.R2))
 	return t, fit, nil
+}
+
+// lostCells records the ILs of the cells that clearing the disk of
+// radius r at center destroys, those of its non-big heads, and returns
+// the test that the perturbation has healed: the structure is stable
+// again (StableQuick) and every lost cell is re-headed, some head's IL
+// within Rt of its own. Survivors re-attaching is not enough.
+func lostCells(s *netsim.Sim, center geom.Point, r float64) (healed func() bool) {
+	var lost []geom.Point
+	for _, h := range s.Net.Snapshot().Heads() {
+		if !h.IsBig && h.Pos.Dist(center) <= r {
+			lost = append(lost, h.IL)
+		}
+	}
+	rt := s.Net.Config().Rt
+	return func() bool {
+		if !s.StableQuick() {
+			return false
+		}
+		heads := s.Net.Snapshot().Heads()
+		for _, il := range lost {
+			if !slices.ContainsFunc(heads, func(h core.NodeView) bool { return h.IL.Dist(il) <= rt }) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 // ArbitraryStateConvergence reproduces Appendix 1 row 5 / Theorem 7:

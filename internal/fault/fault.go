@@ -136,19 +136,22 @@ func (in *Injector) JitterDelay(d float64) float64 {
 	return d * (1 + in.plan.Jitter*in.src.Float64())
 }
 
-// BlackoutStart draws whether a node entering its sweep crashes now,
-// and if so for how many sweeps (exponential with mean BlackoutSweeps,
-// floored at 1). It consumes draws only when BlackoutRate is positive.
-func (in *Injector) BlackoutStart() (sweeps float64, ok bool) {
+// BlackoutStart draws whether a node entering its sweep crashes now: it
+// returns for how many sweeps (exponential with mean BlackoutSweeps,
+// floored at 1), or 0 when the node stays up. It consumes draws only
+// when BlackoutRate is positive, and it is small enough to inline, so a
+// sweep with blackouts off makes no call to learn that.
+func (in *Injector) BlackoutStart() float64 {
 	if in == nil || in.plan.BlackoutRate <= 0 {
-		return 0, false
+		return 0
 	}
+	return in.blackoutDraw()
+}
+
+// blackoutDraw is BlackoutStart's draw with blackouts on.
+func (in *Injector) blackoutDraw() float64 {
 	if in.src.Float64() >= in.plan.BlackoutRate {
-		return 0, false
+		return 0
 	}
-	d := in.src.Exp(in.plan.BlackoutSweeps)
-	if d < 1 {
-		d = 1
-	}
-	return d, true
+	return max(in.src.Exp(in.plan.BlackoutSweeps), 1)
 }

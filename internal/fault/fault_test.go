@@ -61,7 +61,7 @@ func TestNoFaultPathsConsumeNothing(t *testing.T) {
 	if d := nilInj.JitterDelay(1.5); d != 1.5 {
 		t.Errorf("nil injector jittered delay to %v", d)
 	}
-	if _, ok := nilInj.BlackoutStart(); ok {
+	if nilInj.BlackoutStart() != 0 {
 		t.Error("nil injector started a blackout")
 	}
 
@@ -109,7 +109,7 @@ func TestInjectorDeterminism(t *testing.T) {
 				out = append(out, 2)
 			}
 			out = append(out, inj.JitterDelay(1))
-			if s, ok := inj.BlackoutStart(); ok {
+			if s := inj.BlackoutStart(); s != 0 {
 				out = append(out, s)
 			}
 		}
@@ -165,7 +165,7 @@ func TestBlackoutDurationFloor(t *testing.T) {
 	}
 	starts := 0
 	for i := 0; i < 1000; i++ {
-		if s, ok := inj.BlackoutStart(); ok {
+		if s := inj.BlackoutStart(); s != 0 {
 			starts++
 			if s < 1 {
 				t.Fatalf("blackout duration %v below one sweep", s)

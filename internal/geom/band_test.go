@@ -32,7 +32,7 @@ func containsRef(apex Point, ref Vec, lo, hi, radius float64, p Point) bool {
 
 // checkBand asserts, for one decoded input, that the band-based tests
 // decide exactly as the formulas they replace: Within as Hypot against
-// r; NewSector(q, ref, lo, hi, r).Contains as containsRef; and
+// r; NewSector(q, ref.Angle(), lo, hi, r).Contains as containsRef; and
 // SurelyFarther, on p's squared distances to q and to the point o at
 // ref's coordinates, only when Hypot orders them strictly that way.
 func checkBand(t *testing.T, px, py, qx, qy, r, rx, ry, lo, hi float64) {
@@ -41,7 +41,7 @@ func checkBand(t *testing.T, px, py, qx, qy, r, rx, ry, lo, hi float64) {
 	if got, want := p.Within(q, r), withinRef(p, q, r); got != want {
 		t.Errorf("%v.Within(%v, %v) = %v, Hypot says %v", p, q, r, got, want)
 	}
-	s := NewSector(q, ref, lo, hi, r)
+	s := NewSector(q, ref.Angle(), lo, hi, r)
 	if got, want := s.Contains(p), containsRef(q, ref, lo, hi, r, p); got != want {
 		t.Errorf("NewSector(%v, %v, %v, %v, %v).Contains(%v) = %v, reference says %v", q, ref, lo, hi, r, p, got, want)
 	}

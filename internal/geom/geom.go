@@ -174,17 +174,18 @@ func SignedAngle(ref, dir Vec) float64 {
 
 // Sector is an angular region around an apex, measured relative to a
 // reference direction: the points within radius of the apex whose
-// direction's signed angle from ref lies in [lo, hi] (radians, lo ≤ hi;
-// a span of 2π or more is the full disk). Build one with NewSector.
+// direction's signed angle from the reference angle ref lies in
+// [lo, hi] (radians, lo ≤ hi; a span of 2π or more is the full disk).
+// Build one with NewSector.
 type Sector struct {
 	apex    Point
-	ref     Vec
+	ref     float64
 	lo, hi  float64
 	radius  float64
 	radius2 float64 // radiusSq(radius)
 
 	// Edge data NewSector precomputes, so that Contains decides most
-	// directions with a dot product and calls SignedAngle only near an
+	// directions with a dot product and takes the signed angle only near an
 	// edge. full: the span covers every direction. When fast is set,
 	// mid is the unit bisector of the span and cosIn, cosOut bound the
 	// cosine of the half-span from above and below by the band: a
@@ -195,23 +196,22 @@ type Sector struct {
 	cosIn, cosOut float64
 }
 
-// NewSector returns the sector of directions whose signed angle from ref
-// lies in [lo, hi], out to radius around apex.
+// NewSector returns the sector of directions whose signed angle from the
+// direction at angle ref lies in [lo, hi], out to radius around apex.
 //
-// Contains matches the translate test of SignedAngle against [lo, hi]
+// Contains matches the translate test of the signed angle against [lo, hi]
 // bit for bit. Away from an edge that test is exact geometry: the angle
 // it computes is within ~1e-14 rad of the true one, and for
 // −2π ≤ lo ≤ hi ≤ 2π its three translates of the angle cover every
 // representative in [lo, hi]. So outside the band around the edges,
 // the cosine of the angle to the bisector decides the same way. Other
-// spans, and a ref whose angle is not finite, take SignedAngle for
-// every direction.
-func NewSector(apex Point, ref Vec, lo, hi, radius float64) Sector {
+// spans, and a ref that is not finite, take the signed angle for every
+// direction.
+func NewSector(apex Point, ref, lo, hi, radius float64) Sector {
 	s := Sector{apex: apex, ref: ref, lo: lo, hi: hi, radius: radius, radius2: radiusSq(radius), full: hi-lo >= 2*math.Pi}
-	base := ref.Angle()
-	if !s.full && -2*math.Pi <= lo && lo <= hi && hi <= 2*math.Pi && !math.IsNaN(base) && !math.IsInf(base, 0) {
+	if !s.full && -2*math.Pi <= lo && lo <= hi && hi <= 2*math.Pi && !math.IsNaN(ref) && !math.IsInf(ref, 0) {
 		half := math.Cos((hi - lo) / 2)
-		s.fast, s.mid = true, UnitAt(base+(lo+hi)/2)
+		s.fast, s.mid = true, UnitAt(ref+(lo+hi)/2)
 		s.cosIn, s.cosOut = half+band, half-band
 	}
 	return s
@@ -238,7 +238,7 @@ func (s *Sector) Contains(p Point) bool {
 			return false
 		}
 	}
-	a := SignedAngle(s.ref, v)
+	a := NormalizeAngle(v.Angle() - s.ref)
 	// The span may straddle the ±π wrap once normalized; test both the
 	// direct value and its 2π translates.
 	return (a >= s.lo && a <= s.hi) ||

@@ -191,7 +191,7 @@ func TestCrossSignMatchesSignedAngle(t *testing.T) {
 
 func TestSectorContains(t *testing.T) {
 	// 120° forward sector looking along +x, radius 10.
-	s := NewSector(Point{0, 0}, Vec{1, 0}, -math.Pi/3, math.Pi/3, 10)
+	s := NewSector(Point{0, 0}, 0, -math.Pi/3, math.Pi/3, 10)
 	tests := []struct {
 		name string
 		p    Point
@@ -215,7 +215,7 @@ func TestSectorContains(t *testing.T) {
 }
 
 func TestSectorFullCircle(t *testing.T) {
-	s := NewSector(Point{0, 0}, Vec{1, 0}, -math.Pi, math.Pi, 5)
+	s := NewSector(Point{0, 0}, 0, -math.Pi, math.Pi, 5)
 	for _, theta := range []float64{0, 1, 2, 3, -1, -2, -3, math.Pi} {
 		p := Point{}.Add(UnitAt(theta).Scale(4))
 		if !s.Contains(p) {
@@ -226,7 +226,7 @@ func TestSectorFullCircle(t *testing.T) {
 
 func TestSectorWrapAround(t *testing.T) {
 	// Sector looking along −x with span ±60°: directions near ±π.
-	s := NewSector(Point{0, 0}, Vec{-1, 0}, -math.Pi/3, math.Pi/3, 10)
+	s := NewSector(Point{0, 0}, Vec{-1, 0}.Angle(), -math.Pi/3, math.Pi/3, 10)
 	if !s.Contains(Point{-5, 0}) {
 		t.Error("should contain point straight behind the origin direction")
 	}

@@ -136,76 +136,79 @@ func TestRunNeighborHeadDistances(t *testing.T) {
 	}
 }
 
+// TestLiveMatchesEventDriven makes the goroutine runtime an oracle for
+// core's HEAD_SELECT and ASSOCIATE_ORG_RESP: on each field, configured
+// by both runtimes, the same nodes end as heads, at the same ILs (up to
+// rounding: each runtime derives an IL along its own chain of parents),
+// and every other node is an associate of the same head, or of none in
+// both. A change to core's
+// head selection or head choice that the live runtime does not share
+// fails it.
 func TestLiveMatchesEventDriven(t *testing.T) {
-	// The same deployment configured by the goroutine runtime and by
-	// the event-driven runtime must elect the same heads at the same
-	// ILs, and associates must agree almost everywhere (the live
-	// runtime approximates far heads it only knows by announcement).
-	cfg, dep := liveDeployment(t, 350)
-	res, err := Run(cfg, dep)
-	if err != nil {
-		t.Fatal(err)
+	cfg := core.DefaultConfig(100)
+	grid := func(radius float64, seed uint64) (field.Deployment, error) {
+		return field.Grid(radius, cfg.Rt*0.9, 0.15, rng.New(seed))
 	}
-
-	opt := netsim.DefaultOptions(100, 350)
-	s, err := netsim.Build(opt)
-	if err != nil {
-		t.Fatal(err)
+	poisson := func(lambda float64, seed uint64) (field.Deployment, error) {
+		return field.Poisson(field.Config{Radius: 400, Lambda: lambda}, rng.New(seed))
 	}
-	// Use the identical deployment: rebuild the network by hand.
-	nw, err := core.NewNetwork(cfg, opt.Radio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range dep.Positions {
-		if _, err := nw.AddNode(p, i == 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := nw.StartConfiguration(); err != nil {
-		t.Fatal(err)
-	}
-	nw.Engine().Run(0)
-	_ = s
-
-	evHeads := map[radio.NodeID]bool{}
-	for _, h := range nw.Snapshot().Heads() {
-		evHeads[h.ID] = true
-	}
-	liveHeads := map[radio.NodeID]bool{}
-	for _, id := range headIDs(res) {
-		liveHeads[id] = true
-	}
-	if len(evHeads) != len(liveHeads) {
-		t.Errorf("head counts differ: event %d vs live %d", len(evHeads), len(liveHeads))
-	}
-	for id := range liveHeads {
-		if !evHeads[id] {
-			t.Errorf("live head %d missing in event-driven run", id)
-		}
-	}
-
-	// Associate agreement.
-	snap := nw.Snapshot()
-	agree, total := 0, 0
-	for _, rep := range res.Reports {
-		if rep.IsHead {
-			continue
-		}
-		v, ok := snap.View(rep.ID)
-		if !ok || v.Status != core.StatusAssociate {
-			continue
-		}
-		total++
-		if v.Head == rep.Head {
-			agree++
-		}
-	}
-	if total == 0 {
-		t.Fatal("no associates compared")
-	}
-	if frac := float64(agree) / float64(total); frac < 0.95 {
-		t.Errorf("associate agreement %.3f < 0.95 (%d/%d)", frac, agree, total)
+	for _, tc := range []struct {
+		name string
+		dep  func() (field.Deployment, error)
+	}{
+		{"grid 350 seed 7", func() (field.Deployment, error) { return grid(350, 7) }},
+		{"grid 500 seed 2", func() (field.Deployment, error) { return grid(500, 2) }},
+		{"poisson 0.01 seed 3", func() (field.Deployment, error) { return poisson(0.01, 3) }},
+		{"poisson 0.002 seed 5", func() (field.Deployment, error) { return poisson(0.002, 5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dep, err := tc.dep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(cfg, dep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw, err := core.NewNetwork(cfg, netsim.DefaultOptions(cfg.R, 0).Radio)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range dep.Positions {
+				if _, err := nw.AddNode(p, i == 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := nw.StartConfiguration(); err != nil {
+				t.Fatal(err)
+			}
+			nw.Engine().Run(0)
+			snap := nw.Snapshot()
+			heads, associates, bootup := 0, 0, 0
+			for _, rep := range res.Reports {
+				v, ok := snap.View(rep.ID)
+				switch {
+				case !ok:
+					t.Fatalf("node %d missing from the event-driven run", rep.ID)
+				case rep.IsHead != v.Status.IsHeadRole():
+					t.Errorf("node %d: live head %v, event-driven status %v", rep.ID, rep.IsHead, v.Status)
+				case rep.IsHead && rep.IL.Dist(v.IL) > 1e-9*cfg.R:
+					t.Errorf("head %d: live IL %v, event-driven %v", rep.ID, rep.IL, v.IL)
+				case rep.IsHead:
+					heads++
+				case rep.Head != v.Head:
+					t.Errorf("node %d: live head %d, event-driven %v of %d", rep.ID, rep.Head, v.Status, v.Head)
+				case v.Status == core.StatusAssociate:
+					associates++
+				default:
+					bootup++ // heard no head in either runtime
+				}
+			}
+			if len(res.Reports) != len(snap.Nodes) {
+				t.Errorf("live reports %d nodes, event-driven has %d", len(res.Reports), len(snap.Nodes))
+			}
+			t.Logf("%d nodes: %d heads, %d associates and %d bootup nodes agree", len(res.Reports), heads, associates, bootup)
+		})
 	}
 }
 

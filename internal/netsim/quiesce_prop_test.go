@@ -395,10 +395,11 @@ func TestCachedSweepMatchesBruteForceFarChild(t *testing.T) {
 	}
 }
 
-// TestCachedSweepMatchesBruteForceWildNodes joins nodes at, and moves
-// nodes to, NaN, +Inf and (1e300, 1e300) on a settled GS³-M field. The
-// cached build must match the uncached one throughout, and the field
-// must reach the dynamic fixpoint around the wild nodes.
+// TestCachedSweepMatchesBruteForceWildNodes joins a node at, and moves
+// nodes to, (1e300, 1e300) on a settled GS³-M field; the joins at and
+// moves to NaN and +Inf in the same script are refused, and change
+// nothing. The cached build must match the uncached one throughout, and
+// the field must reach the dynamic fixpoint around the wild node.
 func TestCachedSweepMatchesBruteForceWildNodes(t *testing.T) {
 	const sweeps = 20
 	opt := DefaultOptions(100, 280)
